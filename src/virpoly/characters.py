@@ -31,7 +31,8 @@ from .errors import (
     SingularSystem,
 )
 from .laurent import ONE_POLY, LaurentPoly, divide_exact, linear_factor
-from .scalars import Scalar, sc
+from .scalars import Scalar, json_map, sc
+from .sparse import accumulate, echelon
 
 
 def _sort_key(lam: Scalar):
@@ -186,10 +187,13 @@ class ExpPolyCharacter:
 
     @staticmethod
     def from_json(obj) -> "ExpPolyCharacter":
-        factors = [
-            (Scalar.from_json(f["lambda"]), int(f["n"]), p_from_json(f.get("p", [])))
-            for f in obj["factors"]
-        ]
+        obj = json_map(obj, "a character")
+        factors = []
+        for f in obj["factors"]:
+            f = json_map(f, "a character factor")
+            factors.append(
+                (Scalar.from_json(f["lambda"]), int(f["n"]), p_from_json(f.get("p", [])))
+            )
         extra = LaurentPoly.from_json(obj["extra"]) if "extra" in obj else ONE_POLY
         out = ExpPolyCharacter(factors, extra)
         if obj.get("field") == "Q":
@@ -318,25 +322,23 @@ def decompose(mu: ExpPolyCharacter):
 
 
 def _solve_linear(rows, rhs):
-    """Exact Gaussian elimination; raises SingularSystem on breakdown."""
+    """Exact solution of a square system; raises SingularSystem unless it is unique.
+
+    The right-hand side sits at label n, above every column, so it is a pivot
+    only for a row whose coefficients vanished.  Back-substitution clears the
+    later pivot labels from each pivot row, leaving x_label at its label n.
+    """
     n = len(rows)
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            raise SingularSystem("no pivot available")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Scalar(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+    pivots = echelon({**dict(enumerate(r)), n: b} for r, b in zip(rows, rhs))
+    if {label for label, _ in pivots} != set(range(n)):
+        raise SingularSystem("no pivot available")
+    for i in range(n - 1, -1, -1):
+        row = pivots[i][1]
+        for label, later in pivots[i + 1 :]:
+            c = row.get(label)
+            if c is not None:
+                accumulate(row, later, -c)
+    return [row.get(n, Scalar(0)) for _, row in sorted(pivots, key=lambda p: p[0])]
 
 
 def solve_exp_poly(values, roots, j0: int) -> ExpPolyCharacter:
@@ -494,8 +496,9 @@ class RestrictedCharacter:
     @staticmethod
     def from_json(obj) -> "RestrictedCharacter":
         tail = ExpPolyCharacter.from_json(obj)
-        r = obj["restriction"]
-        window = {int(j): Scalar.from_json(v) for j, v in r.get("window", {}).items()}
+        r = json_map(obj["restriction"], "a restriction")
+        window = json_map(r.get("window", {}), "a window")
+        window = {int(j): Scalar.from_json(v) for j, v in window.items()}
         z = Scalar.from_json(r.get("z", "0"))
         if obj.get("field") == "Q":
             if any(not v.is_rational() for v in window.values()) or not z.is_rational():
@@ -508,11 +511,3 @@ class RestrictedCharacter:
 
 def split_muhat(mu: RestrictedCharacter):
     return mu.split_muhat()
-
-
-def degree_profile(mu: ExpPolyCharacter):
-    return mu.degree_profile()
-
-
-def is_large_degree(mu: ExpPolyCharacter) -> bool:
-    return mu.is_large_degree()

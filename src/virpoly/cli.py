@@ -18,6 +18,7 @@ from .characters import (
 from .errors import VirpolyError
 from .induced import ModuleElement, act_laurent, act_vir, get_engine, reduce_to_generator
 from .laurent import LaurentPoly, lie_bracket
+from .scalars import Scalar, json_map
 from .tensor import (
     TensorSpec,
     general_tensor_map,
@@ -37,7 +38,7 @@ def _emit(payload, stream=None) -> None:
 
 def _load_spec(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json_map(json.load(fh), "the spec")
 
 
 def _check_field(raw, field: str) -> None:
@@ -46,21 +47,13 @@ def _check_field(raw, field: str) -> None:
         return
     if isinstance(raw, dict):
         if set(raw) <= {"re", "im"} and "im" in raw:
-            from fractions import Fraction
-
-            if Fraction(raw["im"]) != 0:
+            if not Scalar.from_json(raw).is_rational():
                 raise VirpolyError("Gaussian scalar under field Q")
         for v in raw.values():
             _check_field(v, field)
     elif isinstance(raw, list):
         for v in raw:
             _check_field(v, field)
-
-
-def _parse_character(obj):
-    if "restriction" in obj:
-        return RestrictedCharacter.from_json(obj)
-    return ExpPolyCharacter.from_json(obj)
 
 
 def _cmd_bracket(raw, args):
@@ -76,10 +69,15 @@ def _cmd_bracket(raw, args):
     raise VirpolyError(f"unknown bracket kind {kind!r}")
 
 
-def _cmd_act(raw, args):
+def _module_vector(raw):
+    """The character and the module vector of a request, the indices checked."""
     mu = ExpPolyCharacter.from_json(raw["character"])
-    v = ModuleElement.from_json(raw["vector"])
-    elem = raw["element"]
+    return mu, get_engine(mu).check(ModuleElement.from_json(raw["vector"]))
+
+
+def _cmd_act(raw, args):
+    mu, v = _module_vector(raw)
+    elem = json_map(raw["element"], "the element")
     if "vir" in elem:
         out = act_vir(mu, VirElement.from_json(elem["vir"]), v)
     else:
@@ -115,8 +113,7 @@ def _cmd_char_decompose(raw, args):
 
 
 def _cmd_reduce(raw, args):
-    mu = ExpPolyCharacter.from_json(raw["character"])
-    v = ModuleElement.from_json(raw["vector"])
+    mu, v = _module_vector(raw)
     trace, final = reduce_to_generator(mu, v, j_window=args.j_window)
     return {
         "steps": [{"j": j, "m": m} for j, m in trace],
@@ -151,6 +148,21 @@ def _cmd_tensor_map(raw, args):
         return general_tensor_map(parts, args.depth, kind="polynomial")
     rc = RestrictedCharacter.from_json(raw["character"])
     return general_tensor_map(rc, args.depth, kind="restricted")
+
+
+def _cmd_verify(args):
+    names = [args.suite] if args.suite else sorted(SUITES)
+    suites = [
+        run_suite(
+            name,
+            nmax=args.nmax,
+            seed=args.seed,
+            depth=args.depth,
+            j_window=args.j_window,
+        )
+        for name in names
+    ]
+    return {"failed_total": sum(s["failed"] for s in suites), "seed": args.seed, "suites": suites}
 
 
 _WITH_SPEC = {
@@ -192,36 +204,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        names = [args.suite] if args.suite else sorted(SUITES)
-        suites = [
-            run_suite(
-                name,
-                nmax=args.nmax,
-                seed=args.seed,
-                depth=args.depth,
-                j_window=args.j_window,
-            )
-            for name in names
-        ]
-        failed = sum(s["failed"] for s in suites)
-        _emit({"command": "verify", "failed_total": failed, "seed": args.seed, "suites": suites})
-        return 1 if failed else 0
-    if args.kac_level < 1 or args.depth < 0 or args.j_window < 1:
+    verify = args.command == "verify"
+    if args.kac_level < 1 or args.depth < 0 or args.j_window < 1 or verify and args.nmax < 1:
         print("flag out of range", file=sys.stderr)
         return 2
-    if not args.spec:
+    if not verify and not args.spec:
         print("--spec is required for this command", file=sys.stderr)
         return 2
     try:
-        raw = _load_spec(args.spec)
-        _check_field(raw, args.field)
-        report = _WITH_SPEC[args.command](raw, args)
+        if verify:
+            report = _cmd_verify(args)
+        else:
+            raw = _load_spec(args.spec)
+            _check_field(raw, args.field)
+            report = _WITH_SPEC[args.command](raw, args)
     except (VirpolyError, KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     _emit({"command": args.command, **report})
-    return 0
+    return 1 if verify and report["failed_total"] else 0
 
 
 if __name__ == "__main__":

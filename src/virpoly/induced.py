@@ -26,7 +26,8 @@ from .densepoly import padd, pdeg, pmonomial, pmul, pnormalize, pscale, pshift
 from .errors import HypothesisViolation, SearchExhausted, ZeroLambda, ZeroVector
 from .faulhaber import faulhaber
 from .laurent import LaurentPoly, T, lie_bracket, linear_factor
-from .scalars import Scalar, sc
+from .scalars import Scalar, json_map, sc
+from .sparse import SparseVector, accumulate
 from .virasoro import VirElement, theta
 
 # -- multi-indices -----------------------------------------------------------
@@ -69,71 +70,18 @@ def _bump(s, i: int) -> tuple:
 # -- elements ----------------------------------------------------------------
 
 
-def _accum(target: dict, src: dict, coeff: Scalar) -> None:
-    if coeff.is_zero():
-        return
-    for k, c in src.items():
-        v = target.get(k)
-        v = c * coeff if v is None else v + c * coeff
-        if v.is_zero():
-            target.pop(k, None)
-        else:
-            target[k] = v
-
-
-class ModuleElement:
+class ModuleElement(SparseVector):
     """Sparse vector in the PBW basis: finite map multi-index -> Scalar."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for s, c in terms.items():
-                c = sc(c)
-                if not c.is_zero():
-                    clean[tuple(int(x) for x in s)] = c
-        self.terms = clean
+    @staticmethod
+    def _key(s):
+        return tuple(int(x) for x in s)
 
     @staticmethod
     def basis(s) -> "ModuleElement":
         return ModuleElement({tuple(s): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        out = dict(self.terms)
-        _accum(out, other.terms, Scalar(1))
-        return ModuleElement(out)
-
-    def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        out = dict(self.terms)
-        _accum(out, other.terms, Scalar(-1))
-        return ModuleElement(out)
-
-    def __mul__(self, c) -> "ModuleElement":
-        c = sc(c)
-        return ModuleElement({s: v * c for s, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * Scalar(-1)
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted((s, c.re, c.im) for s, c in self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "ModuleElement(0)"
-        parts = [f"({c}){s}" for s, c in sorted(self.terms.items())]
-        return "ModuleElement(" + " + ".join(parts) + ")"
 
     def leading_index(self) -> tuple:
         if not self.terms:
@@ -149,9 +97,13 @@ class ModuleElement:
 
     @staticmethod
     def from_json(obj) -> "ModuleElement":
-        return ModuleElement(
-            {tuple(t["s"]): Scalar.from_json(t["c"]) for t in obj.get("terms", [])}
-        )
+        terms = {}
+        for t in json_map(obj, "a module vector").get("terms", []):
+            s = json_map(t, "a module vector term")["s"]
+            if not isinstance(s, list) or not all(type(x) is int for x in s):
+                raise ValueError(f"a module index must be a list of integers, not {s!r}")
+            terms[tuple(s)] = Scalar.from_json(t["c"])
+        return ModuleElement(terms)
 
 
 def leading_index(v: ModuleElement) -> tuple:
@@ -191,10 +143,14 @@ class InducedModule:
         return self._tmono_cache[k]
 
     def basis(self, s) -> ModuleElement:
-        s = tuple(s)
-        if len(s) != self.n:
-            raise ValueError(f"index length must be {self.n}")
-        return ModuleElement.basis(s)
+        return self.check(ModuleElement.basis(s))
+
+    def check(self, v: ModuleElement) -> ModuleElement:
+        """v itself once every index is a PBW index here: n nonnegative entries."""
+        for s in v.terms:
+            if len(s) != self.n or min(s) < 0:
+                raise ValueError(f"module index {list(s)} must have {self.n} nonnegative entries")
+        return v
 
     def generator(self) -> ModuleElement:
         return ModuleElement.basis(self.zero_index)
@@ -220,19 +176,17 @@ class InducedModule:
                 val = Scalar(0)
                 for j, c in tail.coeffs.items():
                     val = val + c * self.mu.value_power(j, self.n)
+                # the window bumps never land on the zero index s itself
                 if not val.is_zero():
-                    prev = out.get(s)
-                    out[s] = val if prev is None else prev + val
-                    if out[s].is_zero():
-                        del out[s]
+                    out[s] = val
         else:
             l = ell(s)
             d = dstep(s)
             inner = self._act_idx(g, d)
             out = {}
             for idx, c in inner.items():
-                _accum(out, self._lmul_idx(l, idx), c)
-            _accum(out, self._act_idx(lie_bracket(g, self.fpow(l)), d), Scalar(1))
+                accumulate(out, self._lmul_idx(l, idx), c)
+            accumulate(out, self._act_idx(lie_bracket(g, self.fpow(l)), d))
         self._act_cache[key] = out
         return out
 
@@ -247,9 +201,9 @@ class InducedModule:
         d = dstep(s)
         out = {}
         for idx, c in self._lmul_idx(l, d).items():
-            _accum(out, self._lmul_idx(l2, idx), c)
+            accumulate(out, self._lmul_idx(l2, idx), c)
         bracket_poly = T * self.fpow(l + l2 - 1)
-        _accum(out, self._act_idx(bracket_poly, d), sc(l2 - l))
+        accumulate(out, self._act_idx(bracket_poly, d), sc(l2 - l))
         self._lmul_cache[key] = out
         return out
 
@@ -259,13 +213,13 @@ class InducedModule:
         """Monomial-split action on one basis index; shares the recursion cache."""
         out = {}
         for k, gc in g.coeffs.items():
-            _accum(out, self._act_idx(self._tmono(k), s), gc)
+            accumulate(out, self._act_idx(self._tmono(k), s), gc)
         return out
 
     def act(self, g: LaurentPoly, v: ModuleElement) -> ModuleElement:
         out = {}
         for s, c in v.terms.items():
-            _accum(out, self.act_on_index(g, s), c)
+            accumulate(out, self.act_on_index(g, s), c)
         return ModuleElement(out)
 
     def act_vir(self, x: VirElement, v: ModuleElement) -> ModuleElement:
@@ -337,8 +291,7 @@ def closed_form_bracket(
             return ModuleElement({dstep(s): coeff})
         out = {}
         for q in range(1, s[1] + 1):
-            c = sc(1 - m) ** q * sc(comb(s[1], q)) * mu.value_power(j + q, m)
-            _accum(out, {dpow(s, q): Scalar(1)}, c)
+            out[dpow(s, q)] = sc(1 - m) ** q * sc(comb(s[1], q)) * mu.value_power(j + q, m)
         return ModuleElement(out)
     # l == 0
     if m < n + r + s[0]:
@@ -350,14 +303,10 @@ def closed_form_bracket(
     denom = n + s[0] if literal_denominator else n + r
     coeff = sc((-1) ** s[0]) * sc(Fraction(factorial(n + r + s[0]), factorial(denom)))
     dt = dtilde(s)
-    out = {}
-    mu_val = mu.value_power(j + s[0], n + r)
-    if not mu_val.is_zero():
-        out[dt] = mu_val
+    out = ModuleElement({dt: mu.value_power(j + s[0], n + r)})
     if any(dt):
-        inner = closed_form_bracket(mu, j + s[0], n + r, dt)
-        _accum(out, inner.terms, Scalar(1))
-    return ModuleElement(out) * coeff
+        out = out + closed_form_bracket(mu, j + s[0], n + r, dt)
+    return out * coeff
 
 
 def bracket_action_oracle(mu: ExpPolyCharacter, j: int, m: int, s) -> ModuleElement:

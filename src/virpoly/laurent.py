@@ -8,7 +8,8 @@ zeros.  The same objects serve as the associative algebra C[t^+-] and, via
 from __future__ import annotations
 
 from .errors import BadModulus, NotCoprime, NotDivisible
-from .scalars import ONE, Scalar, sc
+from .scalars import ONE, Scalar, json_map, sc
+from .sparse import accumulate, clean
 
 
 class LaurentPoly:
@@ -17,13 +18,7 @@ class LaurentPoly:
     __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = sc(c)
-                if not c.is_zero():
-                    clean[int(e)] = c
-        self.coeffs = clean
+        self.coeffs = clean(coeffs, int)
         self._hash = None
 
     # -- constructors ---------------------------------------------------
@@ -34,6 +29,7 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(obj) -> "LaurentPoly":
+        obj = json_map(obj, "a Laurent polynomial")
         return LaurentPoly({int(e): Scalar.from_json(c) for e, c in obj.items()})
 
     def to_json(self):
@@ -84,18 +80,10 @@ class LaurentPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        return LaurentPoly(out)
+        return LaurentPoly(accumulate(dict(self.coeffs), other.coeffs))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e)
-            out[e] = -c if s is None else s - c
-        return LaurentPoly(out)
+        return LaurentPoly(accumulate(dict(self.coeffs), (-other).coeffs))
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
@@ -106,10 +94,7 @@ class LaurentPoly:
             return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
         out = {}
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e)
-                out[e] = c1 * c2 if s is None else s + c1 * c2
+            accumulate(out, {e1 + e2: c2 for e2, c2 in other.coeffs.items()}, c1)
         return LaurentPoly(out)
 
     def __rmul__(self, other):
@@ -186,13 +171,7 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly):
         dr = max(r)
         c = r[dr] / lb
         q[dr - db] = c
-        for e, bc in b.coeffs.items():
-            e2 = dr - db + e
-            s = r.get(e2, Scalar(0)) - c * bc
-            if s.is_zero():
-                r.pop(e2, None)
-            else:
-                r[e2] = s
+        accumulate(r, {dr - db + e: bc for e, bc in b.coeffs.items()}, -c)
     return LaurentPoly(q), LaurentPoly(r)
 
 

@@ -47,12 +47,16 @@ class Scalar:
 
     @staticmethod
     def from_json(obj) -> "Scalar":
-        """Parse "p/q" (rational) or {"re": "p/q", "im": "r/s"} (Gaussian)."""
-        if isinstance(obj, dict):
-            return Scalar(_frac(obj.get("re", 0)), _frac(obj.get("im", 0)))
-        if isinstance(obj, (str, int)):
-            return Scalar(_frac(obj))
-        raise TypeError(f"bad scalar JSON: {obj!r}")
+        """Parse "p/q" (rational) or {"re": "p/q", "im": "r/s"} (Gaussian).
+
+        Anything else, floats and zero denominators included, is malformed
+        input and raises ValueError.
+        """
+        parts = (obj.get("re", 0), obj.get("im", 0)) if isinstance(obj, dict) else (obj, 0)
+        try:
+            return Scalar(*parts)
+        except (TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad scalar JSON: {obj!r}") from exc
 
     def to_json(self):
         if self.im == 0:
@@ -149,6 +153,13 @@ class Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+
+
+def json_map(obj, what: str) -> dict:
+    """obj itself when it is a JSON object; anything else raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    return obj
 
 
 def sc(x) -> Scalar:

@@ -1,0 +1,103 @@
+"""The sparse exact kernel: finite maps key -> Scalar with no stored zeros.
+
+Laurent polynomials, Virasoro elements, PBW vectors and tensor vectors are
+all such maps; they share the accumulate loop below, the module and tensor
+vectors share the container base, and slice ranks and linear solves share
+the exact elimination.
+"""
+
+from __future__ import annotations
+
+from .scalars import ONE, sc
+
+
+def clean(terms, key) -> dict:
+    """A fresh map key(k) -> Scalar from terms, with the zeros dropped."""
+    out = {}
+    if terms:
+        for k, c in terms.items():
+            c = sc(c)
+            if not c.is_zero():
+                out[key(k)] = c
+    return out
+
+
+def accumulate(target: dict, src: dict, coeff=None) -> dict:
+    """target += coeff * src in place, dropping zeros; coeff None adds src unmultiplied."""
+    if coeff is not None and coeff.is_zero():
+        return target
+    for k, c in src.items():
+        if coeff is not None:
+            c = c * coeff
+        v = target.get(k)
+        if v is not None:
+            c = v + c
+        if c.is_zero():
+            target.pop(k, None)
+        else:
+            target[k] = c
+    return target
+
+
+class SparseVector:
+    """A map key -> Scalar in ``terms``; a subclass fixes the key shape in ``_key``."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = clean(terms, self._key)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        return type(self)(accumulate(dict(self.terms), other.terms))
+
+    def __sub__(self, other):
+        return type(self)(accumulate(dict(self.terms), (-other).terms))
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, c):
+        return type(self)(accumulate({}, self.terms, sc(c)))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(tuple(sorted((k, c.re, c.im) for k, c in self.terms.items())))
+
+    def __repr__(self):
+        name = type(self).__name__
+        if not self.terms:
+            return f"{name}(0)"
+        parts = [f"({c}){k}" for k, c in sorted(self.terms.items())]
+        return f"{name}(" + " + ".join(parts) + ")"
+
+
+def echelon(rows) -> list:
+    """Exact row echelon form of sparse rows: the list of (label, pivot row).
+
+    Each row is reduced against the pivots so far, in order, and a nonzero
+    remainder becomes a pivot normalised to 1 at its least label; every pivot
+    is then zero at all earlier labels, so there are rank-many.  The least
+    label, not the first in dict order, keeps the pivots independent of
+    insertion order and makes a label above all others (a right-hand side) a
+    pivot only when nothing else is left of its row.
+    """
+    pivots = []
+    for vec in rows:
+        row = {k: c for k, c in vec.items() if not c.is_zero()}
+        for label, prow in pivots:
+            c = row.get(label)
+            if c is not None:
+                accumulate(row, prow, -c)
+        if row:
+            label = min(row)
+            pivots.append((label, accumulate({}, row, ONE / row[label])))
+    return pivots

@@ -15,8 +15,9 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import VirpolyError
-from .scalars import Scalar, sc
-from .virasoro import VirElement
+from .scalars import Scalar, json_map, sc
+from .sparse import accumulate, clean
+from .virasoro import VirElement, _cocycle
 
 _KINDS = ("trivial", "verma", "mbar", "whittaker")
 
@@ -36,8 +37,7 @@ class TailModuleSpec:
             raise ValueError(f"unknown tail module kind {kind!r}")
         self.kind = kind
         self.c = sc(c)
-        window = {int(j): sc(v) for j, v in (window or {}).items()}
-        window = {j: v for j, v in window.items() if not v.is_zero()}
+        window = clean(window, int)
         if kind == "trivial":
             self.m = None
             self.window = {}
@@ -106,7 +106,7 @@ class TailModuleSpec:
 
     @staticmethod
     def from_json(obj) -> "TailModuleSpec":
-        kind = obj["type"]
+        kind = json_map(obj, "a tail module")["type"]
         if kind == "trivial":
             return TailModuleSpec.trivial()
         c = Scalar.from_json(obj.get("c", "0"))
@@ -114,7 +114,7 @@ class TailModuleSpec:
             return TailModuleSpec.verma(Scalar.from_json(obj.get("h", "0")), c)
         if kind == "mbar":
             return TailModuleSpec.mbar(c)
-        psi = {int(j): Scalar.from_json(v) for j, v in obj.get("psi", {}).items()}
+        psi = {int(j): Scalar.from_json(v) for j, v in json_map(obj.get("psi", {}), "psi").items()}
         return TailModuleSpec.whittaker(int(obj["m"]), psi, c)
 
     def params(self):
@@ -136,10 +136,6 @@ class TailModuleSpec:
 
 # A basis monomial is a weakly increasing tuple of integers, all below m,
 # applied left-to-right to the cyclic vector.
-
-
-def _cocycle(i: int) -> Scalar:
-    return Scalar(Fraction(i**3 - i, 12))
 
 
 class TailModule:
@@ -169,12 +165,12 @@ class TailModule:
             j0, rest = mono[0], mono[1:]
             out = {}
             for mono2, c in self._act_e(i, rest).items():
-                _dacc(out, self._act_e(j0, mono2), c)
-            _dacc(out, self._act_e(i + j0, rest), sc(j0 - i))
+                accumulate(out, self._act_e(j0, mono2), c)
+            accumulate(out, self._act_e(i + j0, rest), sc(j0 - i))
             if j0 == -i:
                 zc = _cocycle(i) * self.spec.c
                 if not zc.is_zero():
-                    _dacc(out, {rest: Scalar(1)}, zc)
+                    accumulate(out, {rest: zc})
         self._cache[key] = out
         return out
 
@@ -182,23 +178,11 @@ class TailModule:
         out = {}
         for mono, coeff in v.items():
             for i, a in x.e_part.items():
-                _dacc(out, self._act_e(i, mono), a * coeff)
+                accumulate(out, self._act_e(i, mono), a * coeff)
             zc = x.z_part * self.spec.c * coeff
             if not zc.is_zero():
-                _dacc(out, {mono: Scalar(1)}, zc)
+                accumulate(out, {mono: zc})
         return out
-
-
-def _dacc(target: dict, src: dict, coeff: Scalar) -> None:
-    if coeff.is_zero():
-        return
-    for k, c in src.items():
-        v = target.get(k)
-        v = c * coeff if v is None else v + c * coeff
-        if v.is_zero():
-            target.pop(k, None)
-        else:
-            target[k] = v
 
 
 _tail_engines = {}

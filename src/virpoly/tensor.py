@@ -18,7 +18,8 @@ from .densepoly import pdeg
 from .errors import DepthTooSmall, HypothesisViolation, SearchExhausted
 from .induced import ell, get_engine
 from .laurent import ONE_POLY, LaurentPoly, bezout, poly_divmod
-from .scalars import Scalar, sc
+from .scalars import Scalar
+from .sparse import SparseVector, accumulate, echelon
 from .tailmod import TailModuleSpec, ann_bound, get_tail_engine, tail_simplicity
 from .virasoro import VirElement, theta, vir_bracket
 
@@ -67,50 +68,15 @@ class TensorSpec:
         return TensorSpec(factors, tail)
 
 
-class TensorElement:
+class TensorElement(SparseVector):
     """Finite map (parts, tail monomial) -> Scalar."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for (parts, mono), c in terms.items():
-                c = sc(c)
-                if not c.is_zero():
-                    key = (tuple(tuple(p) for p in parts), tuple(mono))
-                    clean[key] = c
-        self.terms = clean
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        _tacc(out, other.terms, Scalar(1))
-        return TensorElement(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        _tacc(out, other.terms, Scalar(-1))
-        return TensorElement(out)
-
-    def __mul__(self, c):
-        c = sc(c)
-        return TensorElement({k: v * c for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "TensorElement(0)"
-        parts = [f"({c}){k}" for k, c in sorted(self.terms.items())]
-        return "TensorElement(" + " + ".join(parts) + ")"
+    @staticmethod
+    def _key(key):
+        parts, mono = key
+        return (tuple(tuple(p) for p in parts), tuple(mono))
 
     def leading_concat(self) -> tuple:
         """Lexicographic maximum of the concatenated factor indices."""
@@ -131,18 +97,6 @@ class TensorElement:
         }
 
 
-def _tacc(target: dict, src: dict, coeff: Scalar) -> None:
-    if coeff.is_zero():
-        return
-    for k, c in src.items():
-        v = target.get(k)
-        v = c * coeff if v is None else v + c * coeff
-        if v.is_zero():
-            target.pop(k, None)
-        else:
-            target[k] = v
-
-
 def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement) -> TensorElement:
     """Leibniz action: each slot in turn, z only through the tail."""
     engines = spec.engines()
@@ -152,13 +106,14 @@ def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement) -> TensorEleme
     for (parts, mono), coeff in v.terms.items():
         for i, eng in enumerate(engines):
             moved = eng.act_on_index(g, parts[i])
-            for idx, c in moved.items():
-                key = (parts[:i] + (idx,) + parts[i + 1 :], mono)
-                _tacc(out, {key: Scalar(1)}, c * coeff)
+            accumulate(
+                out,
+                {(parts[:i] + (idx,) + parts[i + 1 :], mono): c for idx, c in moved.items()},
+                coeff,
+            )
         if tail_engine is not None:
             moved = tail_engine.act_vir(x, {mono: Scalar(1)})
-            for mono2, c in moved.items():
-                _tacc(out, {(parts, mono2): Scalar(1)}, c * coeff)
+            accumulate(out, {(parts, mono2): c for mono2, c in moved.items()}, coeff)
     return TensorElement(out)
 
 
@@ -377,27 +332,7 @@ def iso_decide(a: TensorSpec, b: TensorSpec) -> dict:
 
 def _rank(vectors) -> int:
     """Exact rank of sparse Scalar vectors (dicts keyed by basis labels)."""
-    pivots = []  # list of (label, normalized row dict)
-    rank = 0
-    for vec in vectors:
-        row = dict(vec)
-        for label, prow in pivots:
-            c = row.get(label)
-            if c is not None and not c.is_zero():
-                for k, v in prow.items():
-                    s = row.get(k, Scalar(0)) - c * v
-                    if s.is_zero():
-                        row.pop(k, None)
-                    else:
-                        row[k] = s
-        row = {k: v for k, v in row.items() if not v.is_zero()}
-        if row:
-            label = next(iter(row))
-            inv = Scalar(1) / row[label]
-            prow = {k: v * inv for k, v in row.items()}
-            pivots.append((label, prow))
-            rank += 1
-    return rank
+    return len(echelon(vectors))
 
 
 def _word_vectors(spec: TensorSpec, letters, depth: int):
@@ -492,14 +427,7 @@ def _abstract_slice_dim(letters, reduce, depth: int) -> int:
                 continue
             new = {}
             for mon, c in symbol.items():
-                for lab, w in vec.items():
-                    key = tuple(sorted(mon + (lab,)))
-                    s = new.get(key)
-                    s = c * w if s is None else s + c * w
-                    if s.is_zero():
-                        new.pop(key, None)
-                    else:
-                        new[key] = s
+                accumulate(new, {tuple(sorted(mon + (lab,))): w for lab, w in vec.items()}, c)
             if new:
                 grow(idx, budget - k, new)
 
@@ -531,42 +459,27 @@ def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
         spec = TensorSpec(parts, TailModuleSpec.trivial())
         composite = compose(parts)
         F = composite.ambient
-        gen = spec.generator()
-        equiv = True
-        for j in range(-depth, depth + 1):
-            x = VirElement.from_laurent(F.shift(j))
-            got = tensor_act(spec, x, gen)
-            want = gen * composite.seq(j)
-            if got != want:
-                equiv = False
-                break
-        if equiv:
-            z_ok = tensor_act(spec, VirElement.z(), gen).is_zero()
-            equiv = z_ok
-        n0 = F.degree()
-        letters = [LaurentPoly({i: 1}) for i in range(n0)]
+        window = range(-depth, depth + 1)
+        value = composite.seq
+        z_value = Scalar(0)
+        letters = [LaurentPoly({i: 1}) for i in range(F.degree())]
         reducer = _poly_quotient_reducer(F)
     elif kind == "restricted":
         rc = source
         spec, _report = restricted_to_tensor(rc)
         F = rc.ambient()
-        p = F.degree()
-        gen = spec.generator()
-        equiv = True
-        for j in range(rc.m, rc.m + 2 * depth + 1):
-            x = VirElement.from_laurent(F.shift(j))
-            got = tensor_act(spec, x, gen)
-            want = gen * rc.mu_x(j)
-            if got != want:
-                equiv = False
-                break
-        if equiv:
-            got = tensor_act(spec, VirElement.z(), gen)
-            equiv = got == gen * rc.z_value
-        letters = [LaurentPoly({i: 1}) for i in range(rc.m - depth, rc.m + p)]
+        window = range(rc.m, rc.m + 2 * depth + 1)
+        value = rc.mu_x
+        z_value = rc.z_value
+        letters = [LaurentPoly({i: 1}) for i in range(rc.m - depth, rc.m + F.degree())]
         reducer = _restricted_quotient_reducer(F, rc.m)
     else:
         raise ValueError(f"unknown verification kind {kind!r}")
+    gen = spec.generator()
+    equiv = all(
+        tensor_act(spec, VirElement.from_laurent(F.shift(j)), gen) == gen * value(j)
+        for j in window
+    ) and tensor_act(spec, VirElement.z(), gen) == gen * z_value
     rank = _rank(v.terms for v in _word_vectors(spec, letters, depth))
     expected = _abstract_slice_dim(letters, reducer, depth)
     return {

@@ -73,6 +73,10 @@ class _Recorder:
                 self.report["first_counterexample"] = detail
 
     def done(self):
+        if self.report["cases"] == 0:
+            # a grid that ran no case has verified nothing
+            self.report["failed"] += 1
+            self.report["first_counterexample"] = {"empty_grid": "no cases ran"}
         return self.report
 
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .errors import IndexOutOfSubalgebra, ZeroLambda
 from .laurent import LaurentPoly
-from .scalars import Scalar, sc
+from .scalars import Scalar, json_map, sc
+from .sparse import accumulate, clean
 
 
 class VirElement:
@@ -24,13 +25,7 @@ class VirElement:
     __slots__ = ("e_part", "z_part")
 
     def __init__(self, e_part=None, z_part=0):
-        clean = {}
-        if e_part:
-            for j, c in e_part.items():
-                c = sc(c)
-                if not c.is_zero():
-                    clean[int(j)] = c
-        self.e_part = clean
+        self.e_part = clean(e_part, int)
         self.z_part = sc(z_part)
 
     @staticmethod
@@ -50,11 +45,7 @@ class VirElement:
         return not self.e_part and self.z_part.is_zero()
 
     def __add__(self, other: "VirElement") -> "VirElement":
-        out = dict(self.e_part)
-        for j, c in other.e_part.items():
-            s = out.get(j)
-            out[j] = c if s is None else s + c
-        return VirElement(out, self.z_part + other.z_part)
+        return VirElement(accumulate(dict(self.e_part), other.e_part), self.z_part + other.z_part)
 
     def __sub__(self, other: "VirElement") -> "VirElement":
         return self + (-other)
@@ -92,8 +83,10 @@ class VirElement:
 
     @staticmethod
     def from_json(obj) -> "VirElement":
+        obj = json_map(obj, "a Virasoro element")
+        e_part = json_map(obj.get("e", {}), "the e part")
         return VirElement(
-            {int(j): Scalar.from_json(c) for j, c in obj.get("e", {}).items()},
+            {int(j): Scalar.from_json(c) for j, c in e_part.items()},
             Scalar.from_json(obj.get("z", "0")),
         )
 
@@ -107,13 +100,9 @@ def vir_bracket(x: VirElement, y: VirElement) -> VirElement:
     out = {}
     zc = Scalar(0)
     for j, a in x.e_part.items():
-        for k, b in y.e_part.items():
-            c = a * b * (k - j)
-            if not c.is_zero():
-                s = out.get(j + k)
-                out[j + k] = c if s is None else s + c
-            if k == -j:
-                zc = zc + a * b * _cocycle(j)
+        accumulate(out, {j + k: b * (k - j) for k, b in y.e_part.items() if k != j}, a)
+        if -j in y.e_part:
+            zc = zc + a * y.e_part[-j] * _cocycle(j)
     return VirElement(out, zc)
 
 
@@ -151,9 +140,6 @@ class SubalgebraSpec:
         self.n = n
         self.restriction = restriction  # None for full, else the integer m
         self.fn = f**n
-
-    def ambient_degree(self) -> int:
-        return self.fn.degree()
 
     def x_basis(self, j: int) -> VirElement:
         if self.restriction is not None and j < self.restriction:
@@ -198,12 +184,7 @@ def span_member(w: VirElement, c: Scalar, step: int = 1) -> bool:
         if j >= top:  # only a tail above the last eliminable index remains
             return False
         d = rem.pop(j)
-        e2 = j + step
-        s = rem.get(e2, Scalar(0)) - d * c
-        if s.is_zero():
-            rem.pop(e2, None)
-        else:
-            rem[e2] = s
+        accumulate(rem, {j + step: c}, -d)
     return True
 
 

@@ -169,6 +169,15 @@ def test_verify_suite(capsys):
     assert out["suites"][0]["suite"] == "faulhaber"
 
 
+def run_invalid(capsys, *argv):
+    """Exit code and stderr of a request that must be rejected as invalid input."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    return code, captured.err
+
+
 def test_invalid_input_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -176,6 +185,49 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     assert code == 2
     code, _ = run_cli(capsys, "act", "--spec", str(tmp_path / "missing.json"))
     assert code == 2
+    good = {"kind": "vir", "a": {"e": {"1": "1"}}, "b": {"e": {"-1": "1"}}}
+    malformed = {
+        "zero_denominator": dict(good, a={"e": {"2": "1/0"}}),
+        "gaussian_zero_denominator": dict(good, a={"e": {"2": {"re": "1", "im": "1/0"}}}),
+        "float_scalar": dict(good, a={"e": {"2": 1.5}}),
+        "list_for_map": dict(good, a={"e": ["1", "2"]}),
+        "top_level_array": [good],
+    }
+    for name, payload in malformed.items():
+        code, err = run_invalid(capsys, "bracket", "--spec", write(tmp_path, name + ".json", payload))
+        assert code == 2, name
+        assert err.startswith("invalid input"), name
+
+
+def test_module_indices_are_validated(tmp_path, capsys):
+    character = {"factors": [{"lambda": "2", "n": 2, "p": ["1"]}]}
+    for s in ([1], [-1, 0], [1, 0, 0], [1.5, 0]):
+        vector = {"terms": [{"s": s, "c": "1"}]}
+        act = {"character": character, "element": {"laurent": {"1": "1"}}, "vector": vector}
+        code, err = run_invalid(capsys, "act", "--spec", write(tmp_path, "a.json", act))
+        assert code == 2 and "module index" in err, s
+        reduce = {"character": character, "vector": vector}
+        code, err = run_invalid(capsys, "reduce", "--spec", write(tmp_path, "r.json", reduce))
+        assert code == 2 and "module index" in err, s
+
+
+def test_verify_empty_suite_fails(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "repRootPowerComp1", "--nmax", "1")
+    assert code == 1
+    suite = out["suites"][0]
+    assert suite["cases"] == 0 and suite["failed"] == 1
+    assert out["failed_total"] == 1
+
+
+def test_verify_flag_ranges(capsys):
+    for argv in (["--nmax", "0"], ["--nmax", "-1"], ["--j-window", "0"], ["--kac-level", "0"]):
+        code, err = run_invalid(capsys, "verify", "--suite", "faulhaber", *argv)
+        assert code == 2 and "flag out of range" in err, argv
+
+
+def test_verify_domain_error_exits_2(capsys):
+    code, err = run_invalid(capsys, "verify", "--suite", "tensor-map", "--depth", "0")
+    assert code == 2 and "vacuous" in err
 
 
 def test_field_restriction(tmp_path, capsys):

@@ -1,0 +1,94 @@
+import random
+
+import pytest
+
+from conftest import rand_scalar
+from virpoly.characters import _solve_linear
+from virpoly.errors import SingularSystem
+from virpoly.induced import ModuleElement
+from virpoly.scalars import Scalar, sc
+from virpoly.sparse import accumulate, clean, echelon
+from virpoly.tensor import TensorElement
+
+
+class TestAccumulate:
+    def test_scaled_add_drops_zeros(self):
+        target = {"a": sc(2), "b": sc(1)}
+        out = accumulate(target, {"a": sc(1), "c": sc(3)}, sc(-2))
+        assert out is target
+        assert target == {"b": sc(1), "c": sc(-6)}
+
+    def test_zero_coefficient_leaves_target(self):
+        target = {"a": sc(2)}
+        accumulate(target, {"a": sc(1), "b": sc(1)}, sc(0))
+        assert target == {"a": sc(2)}
+
+    def test_unit_case_adds_without_multiplying(self, monkeypatch):
+        def no_mul(a, b):
+            raise AssertionError("the unit case must not multiply")
+
+        monkeypatch.setattr(Scalar, "__mul__", no_mul)
+        target = {(1, 0): sc("1/2"), (0, 1): sc(1)}
+        accumulate(target, {(1, 0): sc("-1/2"), (2, 0): sc(3)})
+        assert target == {(0, 1): sc(1), (2, 0): sc(3)}
+
+    def test_clean_normalises_keys_and_drops_zeros(self):
+        assert clean({"1": 2, "2": 0, "-3": "1/2"}, int) == {1: sc(2), -3: sc("1/2")}
+        assert clean(None, int) == {}
+
+
+class TestContainers:
+    def test_module_and_tensor_elements_share_the_base(self):
+        rng = random.Random(7)
+        for cls, keys in (
+            (ModuleElement, [(0, 1), (1, 0), (2, 2)]),
+            (TensorElement, [(((0,), (1,)), ()), (((1,), (0,)), (-1,))]),
+        ):
+            u = cls({k: rand_scalar(rng) for k in keys})
+            v = cls({k: rand_scalar(rng) for k in keys})
+            assert (u + v) - v == u
+            assert (u - u).is_zero()
+            assert -u == u * -1 == -1 * u
+            assert hash(u * 2) == hash(u + u)
+            assert repr(cls()) == f"{cls.__name__}(0)"
+            assert u != ModuleElement() and u != TensorElement()
+
+
+class TestEchelon:
+    def test_rank_and_pivot_shape(self):
+        rows = [{0: sc(1), 1: sc(2)}, {0: sc(2), 1: sc(4)}, {1: sc(1), 2: sc(0)}, {}]
+        pivots = echelon(rows)
+        assert len(pivots) == 2
+        for i, (label, row) in enumerate(pivots):
+            assert row[label] == sc(1)
+            assert all(earlier not in row for earlier, _ in pivots[:i])
+
+    def test_solve_matches_the_system(self):
+        rng = random.Random(11)
+        for n in range(1, 5):
+            rows = [
+                [rand_scalar(rng) + (sc(5) if i == j else sc(0)) for j in range(n)]
+                for i in range(n)
+            ]
+            rhs = [rand_scalar(rng) for _ in range(n)]
+            x = _solve_linear(rows, rhs)
+            for r, b in zip(rows, rhs):
+                assert sum((a * xi for a, xi in zip(r, x)), Scalar(0)) == b
+
+    def test_solve_when_the_right_hand_side_survives_a_reduction(self):
+        # the second row reduces to (0, -1 | 4): a pivot must not fall on the rhs
+        x = _solve_linear([[sc(1), sc(1)], [sc(1), sc(0)]], [sc(1), sc(5)])
+        assert x == [sc(5), sc(-4)]
+
+    @pytest.mark.parametrize(
+        "rows, rhs",
+        [
+            ([[1, 2], [2, 4]], [1, 2]),
+            ([[1, 2], [2, 4]], [1, 3]),
+            ([[0, 0], [1, 0]], [1, 0]),
+            ([[1, 0, 1], [0, 1, 1], [1, 1, 2]], [0, 0, 1]),
+        ],
+    )
+    def test_singular_systems_raise(self, rows, rhs):
+        with pytest.raises(SingularSystem):
+            _solve_linear([[sc(a) for a in r] for r in rows], [sc(b) for b in rhs])
