@@ -31,7 +31,7 @@ from .errors import (
     SingularSystem,
 )
 from .laurent import ONE_POLY, LaurentPoly, divide_exact, linear_factor
-from .scalars import Scalar, json_map, sc
+from .scalars import Scalar, json_int, json_list, json_map, sc
 from .sparse import accumulate, echelon
 
 
@@ -189,22 +189,13 @@ class ExpPolyCharacter:
     def from_json(obj) -> "ExpPolyCharacter":
         obj = json_map(obj, "a character")
         factors = []
-        for f in obj["factors"]:
+        for f in json_list(obj["factors"], "the character factors"):
             f = json_map(f, "a character factor")
-            factors.append(
-                (Scalar.from_json(f["lambda"]), int(f["n"]), p_from_json(f.get("p", [])))
-            )
+            n = json_int(f["n"], "a root multiplicity n")
+            p = p_from_json(json_list(f.get("p", []), "a character polynomial p"))
+            factors.append((Scalar.from_json(f["lambda"]), n, p))
         extra = LaurentPoly.from_json(obj["extra"]) if "extra" in obj else ONE_POLY
-        out = ExpPolyCharacter(factors, extra)
-        if obj.get("field") == "Q":
-            _require_rational(out)
-        return out
-
-
-def _require_rational(mu: ExpPolyCharacter) -> None:
-    for lam, _, p in mu.factors:
-        if not lam.is_rational() or any(not c.is_rational() for c in p):
-            raise ValueError("Gaussian character data under field Q")
+        return ExpPolyCharacter(factors, extra)
 
 
 def single_root_character(lam, n: int, p) -> ExpPolyCharacter:
@@ -500,10 +491,7 @@ class RestrictedCharacter:
         window = json_map(r.get("window", {}), "a window")
         window = {int(j): Scalar.from_json(v) for j, v in window.items()}
         z = Scalar.from_json(r.get("z", "0"))
-        if obj.get("field") == "Q":
-            if any(not v.is_rational() for v in window.values()) or not z.is_rational():
-                raise ValueError("Gaussian character data under field Q")
-        return RestrictedCharacter(int(r["m"]), tail, window, z)
+        return RestrictedCharacter(json_int(r["m"], "the restriction index m"), tail, window, z)
 
     def __repr__(self):
         return f"RestrictedCharacter(m={self.m}, F={self.tail.ambient!r})"

@@ -18,7 +18,7 @@ from .characters import (
 from .errors import VirpolyError
 from .induced import ModuleElement, act_laurent, act_vir, get_engine, reduce_to_generator
 from .laurent import LaurentPoly, lie_bracket
-from .scalars import Scalar, json_map
+from .scalars import Scalar, json_int, json_list, json_map
 from .tensor import (
     TensorSpec,
     general_tensor_map,
@@ -87,8 +87,11 @@ def _cmd_act(raw, args):
 
 def _cmd_char_validate(raw, args):
     mu = ExpPolyCharacter.from_json(raw["character"])
-    lo, hi = raw.get("range", [-10, 10])
-    return {"valid": mu.validate(range(int(lo), int(hi) + 1)), "range": [lo, hi]}
+    bounds = json_list(raw.get("range", [-10, 10]), "the range")
+    if len(bounds) != 2:
+        raise ValueError("the range must hold exactly two integers")
+    lo, hi = (json_int(x, "a range bound") for x in bounds)
+    return {"valid": mu.validate(range(lo, hi + 1)), "range": [lo, hi]}
 
 
 def _cmd_char_split(raw, args):
@@ -142,9 +145,7 @@ def _cmd_iso(raw, args):
 def _cmd_tensor_map(raw, args):
     kind = raw.get("kind", "polynomial")
     if kind == "polynomial":
-        parts = [
-            ExpPolyCharacter.from_json({"factors": [f]}) for f in raw["factors"]
-        ]
+        parts = TensorSpec.factors_from_json(raw)
         return general_tensor_map(parts, args.depth, kind="polynomial")
     rc = RestrictedCharacter.from_json(raw["character"])
     return general_tensor_map(rc, args.depth, kind="restricted")

@@ -5,8 +5,8 @@ PBW basis f^s v = (f^0)^[s_0] (f^1)^[s_1] ... (f^{n-1})^[s_{n-1}] v indexed
 by tuples s of nonnegative integers.  The action of a Laurent polynomial g
 is computed by straightening:
 
-  * on the generator, expand g in the basis {t^j f^n} + {f^0 .. f^{n-1}}:
-    the scalar window bumps basis directions and mu eats the ideal tail;
+  * on the generator, take the Taylor coefficients a_i of g at lambda:
+    a_0 .. a_{n-1} bump basis directions and mu eats sum_k a_{n+k} f^{n+k};
   * on f^s v with s nonzero, split off the lowest occupied direction l and
     use g . f^l = f^l . g + [g, f^l]; the bracket is again a Laurent
     polynomial and the recursion strictly decreases |s| in every bracket
@@ -25,7 +25,7 @@ from .characters import ExpPolyCharacter, single_root_character
 from .densepoly import padd, pdeg, pmonomial, pmul, pnormalize, pscale, pshift
 from .errors import HypothesisViolation, SearchExhausted, ZeroLambda, ZeroVector
 from .faulhaber import faulhaber
-from .laurent import LaurentPoly, T, lie_bracket, linear_factor
+from .laurent import LaurentPoly, T, lie_bracket, linear_factor, taylor
 from .scalars import Scalar, json_map, sc
 from .sparse import SparseVector, accumulate
 from .virasoro import VirElement, theta
@@ -127,6 +127,12 @@ class InducedModule:
         self.f = linear_factor(lam)
         self.fn = self.f**n
         self._fpow = {0: LaurentPoly({0: 1}), 1: self.f}
+        # mu(f^(n+k)) for k <= r, through f^k = sum_i C(k, i) (-lam)^(k-i) t^i;
+        # mu kills t^j f^(n+r+1), so the generator needs no higher k
+        self._mu_fpow = []
+        for k in range(self.r + 1):
+            terms = (comb(k, i) * (-lam) ** (k - i) * mu.value_power(i, n) for i in range(k + 1))
+            self._mu_fpow.append(sum(terms, Scalar(0)))
         self._tmono_cache = {}
         self._act_cache = {}
         self._lmul_cache = {}
@@ -165,20 +171,15 @@ class InducedModule:
         if hit is not None:
             return hit
         if not any(s):
-            from .laurent import f_adic_decompose
-
-            window, tail = f_adic_decompose(g, self.f, self.n)
+            a = taylor(g, self.lam, self.n + self.r + 1)
             out = {}
-            for i, c in enumerate(window):
+            for i, c in enumerate(a[: self.n]):
                 if not c.is_zero():
                     out[_bump(s, i)] = c
-            if not tail.is_zero():
-                val = Scalar(0)
-                for j, c in tail.coeffs.items():
-                    val = val + c * self.mu.value_power(j, self.n)
-                # the window bumps never land on the zero index s itself
-                if not val.is_zero():
-                    out[s] = val
+            val = sum((c * mu_f for c, mu_f in zip(a[self.n :], self._mu_fpow)), Scalar(0))
+            # the window bumps never land on the zero index s itself
+            if not val.is_zero():
+                out[s] = val
         else:
             l = ell(s)
             d = dstep(s)

@@ -225,53 +225,46 @@ def t_inverse_mod(modulus: LaurentPoly) -> LaurentPoly:
     return u
 
 
+def taylor(g: LaurentPoly, lam, order: int) -> list:
+    """The first ``order`` Taylor coefficients of g at lam != 0.
+
+    a_i = sum_j g_j C(j, i) lam^(j-i), with the generalized binomial
+    C(j, i) = j (j-1) ... (j-i+1) / i! for j < 0, so that g minus
+    sum(a_i (t - lam)^i, i < order) is divisible by (t - lam)^order
+    (the Taylor shift, Knuth, TAOCP vol. 2, 4.6.4).
+    """
+    lam = sc(lam)
+    inv = ONE / lam
+    out = [Scalar(0)] * order
+    for j, c in g.coeffs.items():
+        term = c * lam**j
+        binom = 1
+        # C(j, i) vanishes for 0 <= j < i
+        for i in range(order if j < 0 else min(order, j + 1)):
+            out[i] = out[i] + term * binom
+            term = term * inv
+            binom = binom * (j - i) // (i + 1)
+    return out
+
+
 def f_adic_decompose(g: LaurentPoly, f: LaurentPoly, n: int):
-    """Write g = sum(window[i] f^i, i < n) + tail * f^n.
+    """Write g = sum(window[i] f^i, i < n) + tail * f^n for f = t - lambda.
 
     This is the coordinate expression of g in the basis
-    {t^j f^n : j in Z} united with {f^0, ..., f^(n-1)}; f must be monic with
-    nonzero constant term.  The residue of g modulo <f^n> is computed with
-    the inverse of t mod f^n (negative exponents are legal because f(0) != 0)
-    and then expanded in f-adic digits.  For linear f the digits are scalars
-    automatically; a higher-degree f whose residue leaves the scalar span is
-    rejected.
+    {t^j f^n : j in Z} united with {f^0, ..., f^(n-1)}; f must be monic and
+    linear with nonzero constant term.  The window is the first n Taylor
+    coefficients of g at lambda, and the tail is the exact quotient of what
+    is left by f^n.
     """
     if n < 1:
         raise BadModulus("n must be a positive integer")
-    if not f.is_monic_nonzero_const():
-        raise BadModulus("f must be monic in C[t] with nonzero constant term")
-    fn = f**n
-    if g.is_zero():
-        return tuple(Scalar(0) for _ in range(n)), ZERO_POLY
-    v = g.valuation()
-    if v >= 0:
-        _, residue = poly_divmod(g, fn)
-    else:
-        tinv = t_inverse_mod(fn)
-        _, pos = poly_divmod(g.shift(-v), fn)
-        shifted = pos * (tinv ** (-v))
-        _, residue = poly_divmod(shifted, fn)
-    window = []
-    rem = residue
-    for _ in range(n):
-        digit, rem2 = LaurentPoly(), rem
-        if not rem.is_zero():
-            quotient, digit = poly_divmod(rem, f)
-            rem2 = quotient
-        if digit.is_zero():
-            window.append(Scalar(0))
-        elif digit.degree() == 0:
-            window.append(digit[0])
-        else:
-            raise BadModulus(
-                "residue is outside the scalar window span; "
-                "scalar f-adic windows need deg f = 1 for general g"
-            )
-        rem = rem2
+    if not f.is_monic_nonzero_const() or f.degree() != 1:
+        raise BadModulus("f must be t - lambda with lambda nonzero")
+    window = taylor(g, -f[0], n)
     recomb = ZERO_POLY
     fp = ONE_POLY
     for c in window:
         recomb = recomb + fp * c
         fp = fp * f
-    tail = divide_exact(g - recomb, fn)
+    tail = divide_exact(g - recomb, fp)
     return tuple(window), tail

@@ -162,6 +162,20 @@ def json_map(obj, what: str) -> dict:
     return obj
 
 
+def json_int(obj, what: str) -> int:
+    """obj itself when it is a JSON integer; floats, bools and strings raise ValueError."""
+    if type(obj) is not int:
+        raise ValueError(f"{what} must be a JSON integer, not {obj!r}")
+    return obj
+
+
+def json_list(obj, what: str) -> list:
+    """obj itself when it is a JSON array; anything else raises ValueError."""
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} must be a JSON array, not {type(obj).__name__}")
+    return obj
+
+
 def sc(x) -> Scalar:
     """Shorthand coercion used throughout the package and the tests."""
     return Scalar.coerce(x)

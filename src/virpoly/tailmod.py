@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import VirpolyError
-from .scalars import Scalar, json_map, sc
+from .scalars import Scalar, json_int, json_map, sc
 from .sparse import accumulate, clean
 from .virasoro import VirElement, _cocycle
 
@@ -115,7 +115,7 @@ class TailModuleSpec:
         if kind == "mbar":
             return TailModuleSpec.mbar(c)
         psi = {int(j): Scalar.from_json(v) for j, v in json_map(obj.get("psi", {}), "psi").items()}
-        return TailModuleSpec.whittaker(int(obj["m"]), psi, c)
+        return TailModuleSpec.whittaker(json_int(obj["m"], "the tail index m"), psi, c)
 
     def params(self):
         return (self.kind, self.m, tuple(sorted((j, v) for j, v in self.window.items())), self.c)

@@ -18,7 +18,7 @@ from .densepoly import pdeg
 from .errors import DepthTooSmall, HypothesisViolation, SearchExhausted
 from .induced import ell, get_engine
 from .laurent import ONE_POLY, LaurentPoly, bezout, poly_divmod
-from .scalars import Scalar
+from .scalars import Scalar, json_list
 from .sparse import SparseVector, accumulate, echelon
 from .tailmod import TailModuleSpec, ann_bound, get_tail_engine, tail_simplicity
 from .virasoro import VirElement, theta, vir_bracket
@@ -60,12 +60,17 @@ class TensorSpec:
         }
 
     @staticmethod
-    def from_json(obj) -> "TensorSpec":
-        factors = [
-            ExpPolyCharacter.from_json({"factors": [f]}) for f in obj["factors"]
+    def factors_from_json(obj) -> list:
+        """One single-root character per entry of obj["factors"]."""
+        return [
+            ExpPolyCharacter.from_json({"factors": [f]})
+            for f in json_list(obj["factors"], "the factors")
         ]
+
+    @staticmethod
+    def from_json(obj) -> "TensorSpec":
         tail = TailModuleSpec.from_json(obj.get("tail", {"type": "trivial"}))
-        return TensorSpec(factors, tail)
+        return TensorSpec(TensorSpec.factors_from_json(obj), tail)
 
 
 class TensorElement(SparseVector):

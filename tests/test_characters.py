@@ -232,18 +232,6 @@ class TestRestrictedCharacter:
         assert back.window == rc.window and back.z_value == rc.z_value
         assert back.tail == rc.tail
 
-    def test_field_marker_enforced(self):
-        good = {"field": "Q", "factors": [{"lambda": "2", "n": 1, "p": ["1"]}]}
-        assert ExpPolyCharacter.from_json(good).factors[0][0] == sc(2)
-        bad = {
-            "field": "Q",
-            "factors": [{"lambda": {"re": "0", "im": "1"}, "n": 1, "p": ["1"]}],
-        }
-        with pytest.raises(ValueError):
-            ExpPolyCharacter.from_json(bad)
-        bad["field"] = "Qi"
-        assert not ExpPolyCharacter.from_json(bad).factors[0][0].is_rational()
-
 
 class TestDegreeProfile:
     def test_boundary_cases(self):

@@ -197,6 +197,23 @@ def test_invalid_input_exit_code(tmp_path, capsys):
         code, err = run_invalid(capsys, "bracket", "--spec", write(tmp_path, name + ".json", payload))
         assert code == 2, name
         assert err.startswith("invalid input"), name
+    factor = {"lambda": "2", "n": 2, "p": ["1"]}
+    restricted = {"factors": [{"lambda": "1", "n": 1, "p": ["9"]}], "restriction": {"m": 0}}
+    wrong_type = {
+        "list_for_n": ("char-validate", {"character": {"factors": [dict(factor, n=[2])]}}),
+        "float_n": ("char-validate", {"character": {"factors": [dict(factor, n=1.7)]}}),
+        "string_for_p": ("char-validate", {"character": {"factors": [dict(factor, p="12")]}}),
+        "int_for_factors": ("char-decompose", {"character": {"factors": 5}}),
+        "int_for_range": ("char-validate", {"character": {"factors": [factor]}, "range": 5}),
+        "list_for_m": (
+            "char-split",
+            {"character": dict(restricted, restriction={"m": [0], "window": {"0": "4"}})},
+        ),
+    }
+    for name, (command, payload) in wrong_type.items():
+        code, err = run_invalid(capsys, command, "--spec", write(tmp_path, name + ".json", payload))
+        assert code == 2, name
+        assert err.startswith("invalid input"), name
 
 
 def test_module_indices_are_validated(tmp_path, capsys):
@@ -241,6 +258,17 @@ def test_field_restriction(tmp_path, capsys):
     code, out = run_cli(capsys, "bracket", "--spec", spec, "--field", "Qi")
     assert code == 0
     assert out["result"]["1"] == {"re": "1", "im": "1"}
+    gaussian_root = {"factors": [{"lambda": {"re": "1", "im": "1"}, "n": 2, "p": ["0", "1"]}]}
+    gaussian_window = {
+        "factors": [{"lambda": "1", "n": 1, "p": ["9"]}],
+        "restriction": {"m": 0, "window": {"0": {"re": "4", "im": "1"}}, "z": "7"},
+    }
+    for command, character in (("char-validate", gaussian_root), ("char-split", gaussian_window)):
+        spec = write(tmp_path, command + ".json", {"character": character})
+        code, _ = run_invalid(capsys, command, "--spec", spec, "--field", "Q")
+        assert code == 2, command
+        code, _ = run_cli(capsys, command, "--spec", spec, "--field", "Qi")
+        assert code == 0, command
 
 
 def test_missing_spec_flag(capsys):

@@ -66,11 +66,16 @@ class TestActLaurent:
                 assert got == want
 
     def test_ideal_acts_by_character(self):
-        mu = single_root_character(2, 2, [1, 1])
-        eng = get_engine(mu)
-        for j in range(-4, 5):
-            g = t(j) * eng.fn
-            assert eng.act(g, eng.generator()) == eng.generator() * mu.value_power(j, 2)
+        # m runs from n to n + r + 2, across the order n + r + 1 where the
+        # generator action truncates its Taylor data
+        n, r = 2, 1
+        for lam in (sc(2), Scalar(1, 1)):
+            mu = single_root_character(lam, n, [1, 1])
+            eng = get_engine(mu)
+            for m in range(n, n + r + 3):
+                for j in range(-4, 5):
+                    g = t(j) * eng.fpow(m)
+                    assert eng.act(g, eng.generator()) == eng.generator() * mu.value_power(j, m)
 
     def test_gk_polynomial_example(self):
         # (t - t^0) applied to (t^0)v for mu_0 = 2 at lam 1

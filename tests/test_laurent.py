@@ -12,8 +12,9 @@ from virpoly.laurent import (
     f_adic_decompose,
     lie_bracket,
     linear_factor,
+    taylor,
 )
-from virpoly.scalars import sc
+from virpoly.scalars import Scalar, sc
 
 
 def t(k, c=1):
@@ -87,6 +88,20 @@ class TestDivideExact:
             assert divide_exact(g, d) == q
 
 
+class TestTaylor:
+    def test_inverse_of_t(self):
+        # t^-1 = sum_i (-1)^i lam^(-1-i) (t - lam)^i near lam
+        for lam in (sc(2), sc("-1/3"), Scalar(1, 1)):
+            assert taylor(t(-1), lam, 5) == [sc(-1) ** i * lam ** (-1 - i) for i in range(5)]
+
+    def test_constant_coefficient_is_the_value(self):
+        rng = random.Random(23)
+        for lam in (sc(1), sc(-2), sc("3/2"), Scalar(2, -1)):
+            for _ in range(20):
+                g = rand_laurent(rng, -5, 5)
+                assert taylor(g, lam, 3)[0] == g.evaluate(lam)
+
+
 class TestFAdicDecompose:
     def test_spec_examples(self):
         f = linear_factor(1)
@@ -105,10 +120,12 @@ class TestFAdicDecompose:
             f_adic_decompose(t(1), LaurentPoly({1: 2, 0: 1}), 1)  # not monic
         with pytest.raises(BadModulus):
             f_adic_decompose(t(1), linear_factor(1), 0)
+        with pytest.raises(BadModulus):
+            f_adic_decompose(t(1), LaurentPoly({2: 1, 0: 1}), 1)  # monic quadratic
 
     def test_round_trip_random(self):
         rng = random.Random(17)
-        lams = [sc(1), sc(2), sc(-1), sc("1/2"), sc(-3)]
+        lams = [sc(1), sc(2), sc(-1), sc("1/2"), sc(-3), Scalar(1, 1), Scalar(2, -1)]
         for _ in range(200):
             f = linear_factor(rng.choice(lams))
             n = rng.randint(1, 4)
