@@ -7,6 +7,7 @@ report), 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -30,10 +31,31 @@ from .verify import SUITES, run_suite
 from .virasoro import VirElement, vir_bracket
 
 
+@contextlib.contextmanager
+def _int_digits_unlimited():
+    """Lift Python's int-to-string digit limit inside the block, where it exists."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(payload, stream=None) -> None:
+    """Print the report; values that are objects are converted by their to_json here.
+
+    An exact result may hold integers longer than Python's int-to-string
+    limit, so the limit is lifted while the report is converted and printed,
+    and only then: input parsing keeps it.
+    """
     stream = stream or sys.stdout
-    json.dump(payload, stream, sort_keys=True, indent=2)
-    stream.write("\n")
+    with _int_digits_unlimited():
+        json.dump(payload, stream, sort_keys=True, indent=2, default=lambda obj: obj.to_json())
+        stream.write("\n")
 
 
 def _load_spec(path):
@@ -61,11 +83,11 @@ def _cmd_bracket(raw, args):
     if kind == "laurent":
         a = LaurentPoly.from_json(raw["a"])
         b = LaurentPoly.from_json(raw["b"])
-        return {"kind": kind, "result": lie_bracket(a, b).to_json()}
+        return {"kind": kind, "result": lie_bracket(a, b)}
     if kind == "vir":
         a = VirElement.from_json(raw["a"])
         b = VirElement.from_json(raw["b"])
-        return {"kind": kind, "result": vir_bracket(a, b).to_json()}
+        return {"kind": kind, "result": vir_bracket(a, b)}
     raise VirpolyError(f"unknown bracket kind {kind!r}")
 
 
@@ -82,7 +104,7 @@ def _cmd_act(raw, args):
         out = act_vir(mu, VirElement.from_json(elem["vir"]), v)
     else:
         out = act_laurent(mu, LaurentPoly.from_json(elem["laurent"]), v)
-    return {"result": out.to_json()}
+    return {"result": out}
 
 
 def _cmd_char_validate(raw, args):
@@ -98,21 +120,21 @@ def _cmd_char_split(raw, args):
     rc = RestrictedCharacter.from_json(raw["character"])
     ddot, hat = rc.split_muhat()
     report = {
-        "mu_ddot": ddot.to_json(),
+        "mu_ddot": ddot,
         "mu_hat": {
-            "window": {str(j): v.to_json() for j, v in sorted(hat["window"].items())},
-            "z": hat["z"].to_json(),
+            "window": {str(j): v for j, v in sorted(hat["window"].items())},
+            "z": hat["z"],
         },
     }
     closed = rc.muhat_closed_forms()
     if closed:
-        report["closed_forms"] = {k: v.to_json() for k, v in closed.items()}
+        report["closed_forms"] = closed
     return report
 
 
 def _cmd_char_decompose(raw, args):
     mu = ExpPolyCharacter.from_json(raw["character"])
-    return {"components": [part.to_json() for part in decompose(mu)]}
+    return {"components": list(decompose(mu))}
 
 
 def _cmd_reduce(raw, args):
@@ -120,7 +142,7 @@ def _cmd_reduce(raw, args):
     trace, final = reduce_to_generator(mu, v, j_window=args.j_window)
     return {
         "steps": [{"j": j, "m": m} for j, m in trace],
-        "final": final.to_json(),
+        "final": final,
         "generator_span": set(final.terms) <= {get_engine(mu).zero_index},
     }
 
@@ -221,6 +243,9 @@ def main(argv=None) -> int:
             report = _WITH_SPEC[args.command](raw, args)
     except (VirpolyError, KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("request beyond the engine's reach: recursion too deep", file=sys.stderr)
         return 2
     _emit({"command": args.command, **report})
     return 1 if verify and report["failed_total"] else 0

@@ -129,7 +129,7 @@ class LaurentPoly:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(tuple(sorted((e, c.re, c.im) for e, c in self.coeffs.items())))
+            self._hash = hash(frozenset(self.coeffs.items()))
         return self._hash
 
     def __repr__(self):

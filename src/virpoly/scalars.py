@@ -1,39 +1,80 @@
 """Exact scalars: elements of Q or of the Gaussian rationals Q(i).
 
 Every coefficient in the package is a :class:`Scalar`.  Arithmetic is exact,
-equality is decidable, and the canonical form (reduced real and imaginary
-parts) is unique, so hash-based containers behave correctly.
+equality is decidable, and the canonical form is unique, so hash-based
+containers behave correctly.
+
+A Scalar is the integer triple (a, b, d) meaning (a + b*i)/d, with d > 0 and
+gcd(a, b, d) == 1; zero is (0, 0, 1).  Each arithmetic result is brought to
+that form with at most one three-way gcd on Python ints (Knuth, TAOCP vol. 2,
+section 4.5.1), none when the denominator is 1, and a rational operand
+(b == 0) skips the imaginary products.  ``Fraction`` is used only to read
+input, for the ``re``/``im`` views and to format output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-_ZERO = Fraction(0)
+from math import gcd, lcm
 
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
-class Scalar:
-    """A Gaussian rational re + im*i with exact Fraction parts.
+_new = object.__new__
 
-    Plain rationals are the im == 0 case; the working field (Q or Q(i)) is a
-    parse-time restriction, not a separate type.
+
+def _make(a: int, b: int, d: int) -> "Scalar":
+    """The Scalar (a + b*i)/d of a triple already in canonical form."""
+    s = _new(Scalar)
+    s._a = a
+    s._b = b
+    s._d = d
+    return s
+
+
+def _reduced(a: int, b: int, d: int) -> "Scalar":
+    """The Scalar (a + b*i)/d for d > 0, divided through by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        return _make(a // g, b // g, d // g)
+    return _make(a, b, d)
+
+
+class Scalar:
+    """A Gaussian rational (a + b*i)/d in lowest terms, on Python ints.
+
+    Plain rationals are the b == 0 case; the working field (Q or Q(i)) is a
+    parse-time restriction, not a separate type.  ``re`` and ``im`` read the
+    parts as reduced Fractions.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re = _frac(re)
+        im = _frac(im)
+        # With both parts reduced, their lcm leaves gcd(a, b, d) == 1.
+        d = lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- constructors -------------------------------------------------
 
@@ -42,15 +83,15 @@ class Scalar:
         if isinstance(x, Scalar):
             return x
         if isinstance(x, (int, Fraction, str)):
-            return Scalar(_frac(x))
+            return Scalar(x)
         raise TypeError(f"cannot coerce {x!r} to Scalar")
 
     @staticmethod
     def from_json(obj) -> "Scalar":
         """Parse "p/q" (rational) or {"re": "p/q", "im": "r/s"} (Gaussian).
 
-        Anything else, floats and zero denominators included, is malformed
-        input and raises ValueError.
+        Anything else, floats, booleans and zero denominators included, is
+        malformed input and raises ValueError.
         """
         parts = (obj.get("re", 0), obj.get("im", 0)) if isinstance(obj, dict) else (obj, 0)
         try:
@@ -59,64 +100,92 @@ class Scalar:
             raise ValueError(f"bad scalar JSON: {obj!r}") from exc
 
     def to_json(self):
-        if self.im == 0:
+        if self._b == 0:
             return str(self.re)
         return {"re": str(self.re), "im": str(self.im)}
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     def is_rational(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = Scalar.coerce(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        if other.__class__ is not Scalar:
+            other = Scalar.coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            if d == 1:
+                return _make(self._a + other._a, self._b + other._b, 1)
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Scalar.coerce(other)
-        return Scalar(self.re - other.re, self.im - other.im)
+        if other.__class__ is not Scalar:
+            other = Scalar.coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            if d == 1:
+                return _make(self._a - other._a, self._b - other._b, 1)
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other):
         return Scalar.coerce(other) - self
 
     def __mul__(self, other):
-        other = Scalar.coerce(other)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not Scalar:
+            other = Scalar.coerce(other)
+        a, b = self._a, self._b
+        c, e = other._a, other._b
+        if e == 0:
+            re, im = a * c, b * c
+        elif b == 0:
+            re, im = a * c, a * e
+        else:
+            re, im = a * c - b * e, a * e + b * c
+        d = self._d * other._d
+        if d == 1:
+            return _make(re, im, 1)
+        return _reduced(re, im, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Scalar.coerce(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        if other.__class__ is not Scalar:
+            other = Scalar.coerce(other)
+        a, b = self._a, self._b
+        c, e, f = other._a, other._b, other._d
+        if e == 0:
+            if c == 0:
+                raise ZeroDivisionError("division by zero Scalar")
+            # ((a + b i)/d) / (c/f) = (a f + b f i)/(d c)
+            re, im, d = a * f, b * f, self._d * c
+        else:
+            # ((a + b i)/d) / ((c + e i)/f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
+            re, im, d = (a * c + b * e) * f, (b * c - a * e) * f, self._d * (c * c + e * e)
+        if d < 0:
+            re, im, d = -re, -im, -d
+        return _reduced(re, im, d)
 
     def __rtruediv__(self, other):
         return Scalar.coerce(other) / self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("Scalar powers must be integers")
         if k < 0:
-            return (Scalar(1) / self) ** (-k)
-        out = Scalar(1)
+            return (ONE / self) ** (-k)
+        out = ONE
         base = self
         while k:
             if k & 1:
@@ -126,27 +195,29 @@ class Scalar:
         return out
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     # -- comparison ----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, str)):
+        if other.__class__ is not Scalar:
+            if isinstance(other, int):
+                return self._b == 0 and self._d == 1 and self._a == other
+            if not isinstance(other, (Fraction, str)):
+                return NotImplemented
             other = Scalar.coerce(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     def __repr__(self):
-        if self.im == 0:
+        if self._b == 0:
             return f"Scalar({str(self.re)!r})"
         return f"Scalar({str(self.re)!r}, {str(self.im)!r})"
 
     def __str__(self):
-        if self.im == 0:
+        if self._b == 0:
             return str(self.re)
         return f"{self.re}+{self.im}i"
 

@@ -70,7 +70,7 @@ class SparseVector:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple(sorted((k, c.re, c.im) for k, c in self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         name = type(self).__name__

@@ -65,9 +65,7 @@ class VirElement:
         return self.e_part == other.e_part and self.z_part == other.z_part
 
     def __hash__(self):
-        return hash(
-            (tuple(sorted((j, c.re, c.im) for j, c in self.e_part.items())), self.z_part)
-        )
+        return hash((frozenset(self.e_part.items()), self.z_part))
 
     def __repr__(self):
         parts = [f"({c})e_{j}" for j, c in sorted(self.e_part.items())]

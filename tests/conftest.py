@@ -1,10 +1,20 @@
 """Shared helpers for the test suite: seeded random algebra elements."""
 
+import os
 import random
 
+import virpoly
 from virpoly.laurent import LaurentPoly
 from virpoly.scalars import Scalar, sc
 from virpoly.virasoro import VirElement
+
+
+def cli_env() -> dict:
+    """The environment for a ``python -m virpoly.cli`` child: it finds virpoly
+    where this process did, whether or not PYTHONPATH was set."""
+    src = os.path.dirname(os.path.dirname(virpoly.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def rand_scalar(rng: random.Random, num=4, den=(1, 2, 3)) -> Scalar:

@@ -12,7 +12,7 @@ import sys
 import time
 from itertools import product
 
-from conftest import rand_laurent, rand_vir
+from conftest import cli_env, rand_laurent, rand_vir
 from virpoly.characters import (
     RestrictedCharacter,
     compose,
@@ -359,6 +359,6 @@ def test_c12_determinism():
     b = json.dumps(run_suite("muhat-split", seed=3), sort_keys=True)
     assert a == b
     cmd = [sys.executable, "-m", "virpoly.cli", "verify", "--suite", "codim1", "--seed", "2"]
-    out1 = subprocess.run(cmd, capture_output=True, check=True).stdout
-    out2 = subprocess.run(cmd, capture_output=True, check=True).stdout
+    out1 = subprocess.run(cmd, capture_output=True, check=True, env=cli_env()).stdout
+    out2 = subprocess.run(cmd, capture_output=True, check=True, env=cli_env()).stdout
     assert out1 == out2

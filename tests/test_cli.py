@@ -1,7 +1,11 @@
 import json
 import subprocess
 import sys
+from math import comb
 
+import pytest
+
+from conftest import cli_env
 from virpoly.cli import main
 
 
@@ -189,6 +193,7 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     malformed = {
         "zero_denominator": dict(good, a={"e": {"2": "1/0"}}),
         "gaussian_zero_denominator": dict(good, a={"e": {"2": {"re": "1", "im": "1/0"}}}),
+        "boolean_gaussian": dict(good, a={"e": {"2": {"re": False, "im": True}}}),
         "float_scalar": dict(good, a={"e": {"2": 1.5}}),
         "list_for_map": dict(good, a={"e": ["1", "2"]}),
         "top_level_array": [good],
@@ -210,6 +215,16 @@ def test_invalid_input_exit_code(tmp_path, capsys):
             {"character": dict(restricted, restriction={"m": [0], "window": {"0": "4"}})},
         ),
     }
+    act = {
+        "character": {"factors": [factor]},
+        "element": {"laurent": {"1": "1"}},
+        "vector": {"terms": [{"s": [0, 0], "c": "1"}]},
+    }
+    wrong_type.update(
+        boolean_lambda=("act", dict(act, character={"factors": [dict(factor, **{"lambda": True})]})),
+        boolean_poly_coefficient=("act", dict(act, element={"laurent": {"1": True}})),
+        boolean_vector_coefficient=("act", dict(act, vector={"terms": [{"s": [0, 0], "c": True}]})),
+    )
     for name, (command, payload) in wrong_type.items():
         code, err = run_invalid(capsys, command, "--spec", write(tmp_path, name + ".json", payload))
         assert code == 2, name
@@ -226,6 +241,39 @@ def test_module_indices_are_validated(tmp_path, capsys):
         reduce = {"character": character, "vector": vector}
         code, err = run_invalid(capsys, "reduce", "--spec", write(tmp_path, "r.json", reduce))
         assert code == 2 and "module index" in err, s
+
+
+def test_deep_request_exits_2(tmp_path, capsys):
+    """Straightening recurses once per unit of |s|: s = [3000] is beyond its reach."""
+    character = {"factors": [{"lambda": "2", "n": 1, "p": ["1"]}]}
+    vector = {"terms": [{"s": [3000], "c": "1"}]}
+    act = {"character": character, "element": {"laurent": {"1": "1"}}, "vector": vector}
+    code, err = run_invalid(capsys, "act", "--spec", write(tmp_path, "a.json", act))
+    assert code == 2 and "beyond the engine's reach" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-string limit")
+def test_act_result_beyond_int_str_limit(tmp_path, capsys):
+    """t^j on the generator at lambda = 2, p(j) = j: the Taylor coefficients
+    2^j and j 2^(j-1) bump s, and mu(f^3) = 2 puts C(j, 3) 2^(j-2) on v."""
+    j = 20000
+    spec = {
+        "character": {"factors": [{"lambda": "2", "n": 2, "p": ["0", "1"]}]},
+        "element": {"laurent": {str(j): "1"}},
+        "vector": {"terms": [{"s": [0, 0], "c": "1"}]},
+    }
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, "act", "--spec", write(tmp_path, "a.json", spec))
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    expected = {(1, 0): 2**j, (0, 1): j * 2 ** (j - 1), (0, 0): comb(j, 3) * 2 ** (j - 2)}
+    sys.set_int_max_str_digits(0)
+    try:
+        got = {tuple(t["s"]): int(t["c"]) for t in out["result"]["terms"]}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == expected
 
 
 def test_verify_empty_suite_fails(capsys):
@@ -287,6 +335,6 @@ def test_determinism_subprocess():
         "--seed",
         "5",
     ]
-    a = subprocess.run(cmd, capture_output=True, check=True).stdout
-    b = subprocess.run(cmd, capture_output=True, check=True).stdout
+    a = subprocess.run(cmd, capture_output=True, check=True, env=cli_env()).stdout
+    b = subprocess.run(cmd, capture_output=True, check=True, env=cli_env()).stdout
     assert a == b
