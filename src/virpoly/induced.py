@@ -8,12 +8,15 @@ is computed by straightening:
   * on the generator, take the Taylor coefficients a_i of g at lambda:
     a_0 .. a_{n-1} bump basis directions and mu eats sum_k a_{n+k} f^{n+k};
   * on f^s v with s nonzero, split off the lowest occupied direction l and
-    use g . f^l = f^l . g + [g, f^l]; the bracket is again a Laurent
-    polynomial and the recursion strictly decreases |s| in every bracket
-    branch, which is the termination argument.
+    use t^k . f^l = f^l . t^k + [t^k, f^l], where the Witt bracket
+    [t^k, t^i] = (i - k) t^(k+i) expands [t^k, f^l] into monomials read off
+    the coefficients of f^l; the recursion strictly decreases |s| in every
+    bracket branch, which is the termination argument.
 
 Left multiplication by a generator f^l against an index occupied below l is
-straightened the same way through [f^l, f^l'] = (l' - l) t f^{l+l'-1}.
+straightened the same way through [f^l, f^l'] = (l' - l) t f^{l+l'-1}.  A
+Laurent polynomial acts monomial by monomial, so both memos are keyed on
+integers: (k, s) for t^k f^s v and (l, s) for f^l f^s v.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .characters import ExpPolyCharacter, single_root_character
 from .densepoly import padd, pdeg, pmonomial, pmul, pnormalize, pscale, pshift
 from .errors import HypothesisViolation, SearchExhausted, ZeroLambda, ZeroVector
 from .faulhaber import faulhaber
-from .laurent import LaurentPoly, T, lie_bracket, linear_factor, taylor
-from .scalars import Scalar, json_map, sc
+from .laurent import LaurentPoly, linear_factor, taylor
+from .scalars import Scalar, json_list, json_map, sc
 from .sparse import SparseVector, accumulate
 from .virasoro import VirElement, theta
 
@@ -98,11 +101,11 @@ class ModuleElement(SparseVector):
     @staticmethod
     def from_json(obj) -> "ModuleElement":
         terms = {}
-        for t in json_map(obj, "a module vector").get("terms", []):
+        for t in json_list(json_map(obj, "a module vector").get("terms", []), "the terms"):
             s = json_map(t, "a module vector term")["s"]
             if not isinstance(s, list) or not all(type(x) is int for x in s):
                 raise ValueError(f"a module index must be a list of integers, not {s!r}")
-            terms[tuple(s)] = Scalar.from_json(t["c"])
+            accumulate(terms, {tuple(s): Scalar.from_json(t["c"])})
         return ModuleElement(terms)
 
 
@@ -125,7 +128,6 @@ class InducedModule:
         self.p = p
         self.r = pdeg(p)
         self.f = linear_factor(lam)
-        self.fn = self.f**n
         self._fpow = {0: LaurentPoly({0: 1}), 1: self.f}
         # mu(f^(n+k)) for k <= r, through f^k = sum_i C(k, i) (-lam)^(k-i) t^i;
         # mu kills t^j f^(n+r+1), so the generator needs no higher k
@@ -133,7 +135,6 @@ class InducedModule:
         for k in range(self.r + 1):
             terms = (comb(k, i) * (-lam) ** (k - i) * mu.value_power(i, n) for i in range(k + 1))
             self._mu_fpow.append(sum(terms, Scalar(0)))
-        self._tmono_cache = {}
         self._act_cache = {}
         self._lmul_cache = {}
         self.zero_index = (0,) * n
@@ -142,11 +143,6 @@ class InducedModule:
         if k not in self._fpow:
             self._fpow[k] = self.f**k
         return self._fpow[k]
-
-    def _tmono(self, k: int) -> LaurentPoly:
-        if k not in self._tmono_cache:
-            self._tmono_cache[k] = LaurentPoly({k: 1})
-        return self._tmono_cache[k]
 
     def basis(self, s) -> ModuleElement:
         return self.check(ModuleElement.basis(s))
@@ -163,15 +159,13 @@ class InducedModule:
 
     # core recursion; returns cached dicts that must not be mutated
 
-    def _act_idx(self, g: LaurentPoly, s: tuple) -> dict:
-        if g.is_zero():
-            return {}
-        key = (g, s)
+    def _act_idx(self, k: int, s: tuple) -> dict:
+        key = (k, s)
         hit = self._act_cache.get(key)
         if hit is not None:
             return hit
         if not any(s):
-            a = taylor(g, self.lam, self.n + self.r + 1)
+            a = taylor(LaurentPoly({k: 1}), self.lam, self.n + self.r + 1)
             out = {}
             for i, c in enumerate(a[: self.n]):
                 if not c.is_zero():
@@ -183,11 +177,13 @@ class InducedModule:
         else:
             l = ell(s)
             d = dstep(s)
-            inner = self._act_idx(g, d)
             out = {}
-            for idx, c in inner.items():
+            for idx, c in self._act_idx(k, d).items():
                 accumulate(out, self._lmul_idx(l, idx), c)
-            accumulate(out, self._act_idx(lie_bracket(g, self.fpow(l)), d))
+            # [t^k, f^l] = sum_i f^l[i] (i - k) t^(k+i)
+            for i, c in self.fpow(l).coeffs.items():
+                if i != k:
+                    accumulate(out, self._act_idx(k + i, d), c * sc(i - k))
         self._act_cache[key] = out
         return out
 
@@ -203,8 +199,9 @@ class InducedModule:
         out = {}
         for idx, c in self._lmul_idx(l, d).items():
             accumulate(out, self._lmul_idx(l2, idx), c)
-        bracket_poly = T * self.fpow(l + l2 - 1)
-        accumulate(out, self._act_idx(bracket_poly, d), sc(l2 - l))
+        # [f^l, f^l2] = (l2 - l) sum_i f^(l+l2-1)[i] t^(i+1)
+        for i, c in self.fpow(l + l2 - 1).coeffs.items():
+            accumulate(out, self._act_idx(i + 1, d), c * sc(l2 - l))
         self._lmul_cache[key] = out
         return out
 
@@ -214,7 +211,7 @@ class InducedModule:
         """Monomial-split action on one basis index; shares the recursion cache."""
         out = {}
         for k, gc in g.coeffs.items():
-            accumulate(out, self._act_idx(self._tmono(k), s), gc)
+            accumulate(out, self._act_idx(k, s), gc)
         return out
 
     def act(self, g: LaurentPoly, v: ModuleElement) -> ModuleElement:

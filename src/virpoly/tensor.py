@@ -18,7 +18,7 @@ from .densepoly import pdeg
 from .errors import DepthTooSmall, HypothesisViolation, SearchExhausted
 from .induced import ell, get_engine
 from .laurent import ONE_POLY, LaurentPoly, bezout, poly_divmod
-from .scalars import Scalar, json_list
+from .scalars import Scalar, json_list, json_map
 from .sparse import SparseVector, accumulate, echelon
 from .tailmod import TailModuleSpec, ann_bound, get_tail_engine, tail_simplicity
 from .virasoro import VirElement, theta, vir_bracket
@@ -69,6 +69,7 @@ class TensorSpec:
 
     @staticmethod
     def from_json(obj) -> "TensorSpec":
+        obj = json_map(obj, "a tensor spec")
         tail = TailModuleSpec.from_json(obj.get("tail", {"type": "trivial"}))
         return TensorSpec(TensorSpec.factors_from_json(obj), tail)
 

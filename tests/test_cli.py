@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -52,6 +53,19 @@ def test_act(tmp_path, capsys):
     code, out = run_cli(capsys, "act", "--spec", spec)
     assert code == 0
     assert out["result"] == {"terms": [{"s": [0], "c": "-2"}, {"s": [1], "c": "1"}]}
+    # repeated indices in the input vector add up
+    spec = write(
+        tmp_path,
+        "r.json",
+        {
+            "character": {"factors": [{"lambda": "2", "n": 2, "p": ["1"]}]},
+            "element": {"laurent": {"0": "1"}},
+            "vector": {"terms": [{"s": [1, 0], "c": "1"}, {"s": [1, 0], "c": "2"}]},
+        },
+    )
+    code, out = run_cli(capsys, "act", "--spec", spec)
+    assert code == 0
+    assert out["result"] == {"terms": [{"s": [2, 0], "c": "3"}]}
 
 
 def test_char_validate(tmp_path, capsys):
@@ -214,6 +228,7 @@ def test_invalid_input_exit_code(tmp_path, capsys):
             "char-split",
             {"character": dict(restricted, restriction={"m": [0], "window": {"0": "4"}})},
         ),
+        "int_for_tensor_spec": ("iso", {"a": {"factors": [factor]}, "b": 5}),
     }
     act = {
         "character": {"factors": [factor]},
@@ -224,6 +239,7 @@ def test_invalid_input_exit_code(tmp_path, capsys):
         boolean_lambda=("act", dict(act, character={"factors": [dict(factor, **{"lambda": True})]})),
         boolean_poly_coefficient=("act", dict(act, element={"laurent": {"1": True}})),
         boolean_vector_coefficient=("act", dict(act, vector={"terms": [{"s": [0, 0], "c": True}]})),
+        int_for_terms=("act", dict(act, vector={"terms": 5})),
     )
     for name, (command, payload) in wrong_type.items():
         code, err = run_invalid(capsys, command, "--spec", write(tmp_path, name + ".json", payload))
@@ -338,3 +354,16 @@ def test_determinism_subprocess():
     a = subprocess.run(cmd, capture_output=True, check=True, env=cli_env()).stdout
     b = subprocess.run(cmd, capture_output=True, check=True, env=cli_env()).stdout
     assert a == b
+
+
+# sha256 of the stdout of `virpoly verify` with default flags.  A refactor
+# keeps this report byte-identical; a change that means to alter it updates
+# the digest and says why in CHANGES.md.
+VERIFY_REPORT_SHA256 = "44796a9c4c9d6678f1e83289acd5c869335a861877d12679a962e68676f66f1e"
+
+
+def test_verify_report_is_pinned(capsys):
+    code = main(["verify"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_REPORT_SHA256

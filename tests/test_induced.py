@@ -7,6 +7,7 @@ from virpoly.characters import single_root_character
 from virpoly.densepoly import pdeg, peval, pmonomial
 from virpoly.errors import HypothesisViolation, ZeroVector
 from virpoly.induced import (
+    InducedModule,
     ModuleElement,
     OmegaSpec,
     act_vir,
@@ -85,17 +86,37 @@ class TestActLaurent:
         assert got == ModuleElement({(1,): 1, (0,): -2})
 
     def test_representation_property(self):
+        # [x, y] v = x y v - y x v against vir_bracket, an independent route
+        # to the Witt bracket that the engine expands on monomials
         rng = random.Random(41)
+
+        def check(eng, x, y, idx):
+            v = eng.basis(idx)
+            lhs = eng.act_vir(x, eng.act_vir(y, v)) - eng.act_vir(y, eng.act_vir(x, v))
+            assert lhs == eng.act_vir(vir_bracket(x, y), v)
+
         for n, r in [(1, 0), (2, 0), (2, 1), (3, 1), (3, 2)]:
             mu = ones_character(rng.choice([1, 2, -1]), n, r)
             eng = get_engine(mu)
             for _ in range(25):
                 x = rand_vir(rng, -4, 4)
                 y = rand_vir(rng, -4, 4)
-                idx = tuple(rng.randint(0, 2) for _ in range(n))
-                v = eng.basis(idx)
-                lhs = eng.act_vir(x, eng.act_vir(y, v)) - eng.act_vir(y, eng.act_vir(x, v))
-                assert lhs == eng.act_vir(vir_bracket(x, y), v)
+                check(eng, x, y, tuple(rng.randint(0, 2) for _ in range(n)))
+        # a Gaussian root, and an index of weight 6
+        gaussian = get_engine(ones_character(Scalar(1, 1), 2, 1))
+        deep = get_engine(ones_character(2, 3, 1))
+        for _ in range(10):
+            x = rand_vir(rng, -4, 4)
+            y = rand_vir(rng, -4, 4)
+            check(gaussian, x, y, tuple(rng.randint(0, 2) for _ in range(2)))
+            check(deep, x, y, (1, 2, 3))
+
+    def test_straightening_work_is_bounded(self):
+        # a work guard: with integer (k, s) keys every bracket branch that
+        # reaches t^k f^d v shares one memo entry; this action needs 590
+        eng = InducedModule(single_root_character(2, 3, [1, 1]))
+        eng.act(t(1), eng.basis((22, 21, 21)))
+        assert len(eng._act_cache) + len(eng._lmul_cache) <= 2000
 
     def test_act_vir_kills_z(self):
         mu = single_root_character(1, 2, [1])
