@@ -169,8 +169,10 @@ def _cmd_tensor_map(raw, args):
     if kind == "polynomial":
         parts = TensorSpec.factors_from_json(raw)
         return general_tensor_map(parts, args.depth, kind="polynomial")
-    rc = RestrictedCharacter.from_json(raw["character"])
-    return general_tensor_map(rc, args.depth, kind="restricted")
+    if kind == "restricted":
+        rc = RestrictedCharacter.from_json(raw["character"])
+        return general_tensor_map(rc, args.depth, kind="restricted")
+    raise VirpolyError(f"unknown tensor-map kind {kind!r}")
 
 
 def _cmd_verify(args):
@@ -248,7 +250,8 @@ def main(argv=None) -> int:
         print("request beyond the engine's reach: recursion too deep", file=sys.stderr)
         return 2
     _emit({"command": args.command, **report})
-    return 1 if verify and report["failed_total"] else 0
+    failed = report["failed_total"] if verify else report.get("passed") is False
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

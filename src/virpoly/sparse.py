@@ -80,7 +80,7 @@ class SparseVector:
         return f"{name}(" + " + ".join(parts) + ")"
 
 
-def echelon(rows) -> list:
+def echelon(rows, pivots=None) -> list:
     """Exact row echelon form of sparse rows: the list of (label, pivot row).
 
     Each row is reduced against the pivots so far, in order, and a nonzero
@@ -88,9 +88,12 @@ def echelon(rows) -> list:
     is then zero at all earlier labels, so there are rank-many.  The least
     label, not the first in dict order, keeps the pivots independent of
     insertion order and makes a label above all others (a right-hand side) a
-    pivot only when nothing else is left of its row.
+    pivot only when nothing else is left of its row.  Given ``pivots`` (an
+    earlier result), the rows extend that list in place and it is returned,
+    so a span grows row by row and a row is new exactly when the list grows.
     """
-    pivots = []
+    if pivots is None:
+        pivots = []
     for vec in rows:
         row = {k: c for k, c in vec.items() if not c.is_zero()}
         for label, prow in pivots:
@@ -99,5 +102,8 @@ def echelon(rows) -> list:
                 accumulate(row, prow, -c)
         if row:
             label = min(row)
-            pivots.append((label, accumulate({}, row, ONE / row[label])))
+            lead = row[label]
+            if lead != ONE:
+                row = accumulate({}, row, ONE / lead)
+            pivots.append((label, row))
     return pivots

@@ -341,19 +341,32 @@ def _rank(vectors) -> int:
     return len(echelon(vectors))
 
 
+def _extends(pivots, vec) -> bool:
+    """Reduce vec into the echelon rows in place; True when it was independent."""
+    size = len(pivots)
+    echelon((vec,), pivots)
+    return len(pivots) > size
+
+
 def _word_vectors(spec: TensorSpec, letters, depth: int):
-    """All images word . v0 for words over the letters of length <= depth."""
+    """Echelon rows spanning the images word . v0 of the words of length <= depth.
+
+    The span grows by layers, W_d = W_(d-1) + sum_g g W_(d-1).  Since W_(d-1)
+    is W_(d-2) plus the images that were new at layer d-1, only those are
+    acted on again; each image is reduced as it arrives.
+    """
     v0 = spec.generator()
+    rows = echelon((v0.terms,))
     layer = [v0]
-    out = [v0]
     for _ in range(depth):
         nxt = []
         for v in layer:
             for g in letters:
-                nxt.append(tensor_act_poly(spec, g, v))
-        out.extend(nxt)
+                w = tensor_act_poly(spec, g, v)
+                if _extends(rows, w.terms):
+                    nxt.append(w)
         layer = nxt
-    return out
+    return [row for _, row in rows]
 
 
 def _poly_quotient_reducer(F: LaurentPoly):
@@ -402,43 +415,41 @@ def _restricted_quotient_reducer(F: LaurentPoly, m: int):
 
 
 def _abstract_slice_dim(letters, reduce, depth: int) -> int:
-    """Dimension of the depth-d slice of the induced module, by PBW symbols.
+    """Dimension of the depth-d slice of the induced module, by PBW counting.
 
-    The span of all words of length <= d over the letters, pushed into the
-    induced module, has associated graded equal to the span of products of
-    images of iterated letter brackets with total bracket length <= d.  The
-    images live in the quotient of the algebra by the inducing subalgebra
-    (where z dies), so the dimension is pure linear algebra, independent of
-    any action engine.
+    The words of length <= d over the letters, pushed into the induced module,
+    span a space whose associated graded is spanned by the products of images
+    of iterated letter brackets with total bracket length <= d (PBW: the
+    associated graded of the induced module is S(Vir/Vir^F)).  The images live
+    in the quotient of the algebra by the inducing subalgebra, where z dies,
+    so the dimension is pure linear algebra, independent of any action engine.
+
+    Let V_k be the span of the images of the brackets of length <= k and
+    n_k = dim V_k - dim V_(k-1).  A basis of V_d adapted to this filtration
+    turns the span of products into the span of its monomials of weight <= d,
+    which are independent in the symmetric algebra; so the dimension is the
+    number of multisets of total weight <= d with n_k kinds of weight k, the
+    sum of the coefficients of prod_k (1 - x^k)^(-n_k) up to x^d.
+
+    Since [span B, L] = span [B, L], each length is bracketed from a basis of
+    the span of the previous length's brackets (modulo z, which is central).
     """
     letter_elems = [VirElement.from_laurent(g) for g in letters]
-    by_len = {1: list(letter_elems)}
-    for k in range(2, depth + 1):
-        by_len[k] = [
-            vir_bracket(b, l) for b in by_len[k - 1] for l in letter_elems
-        ]
-    tagged = []
-    for k, elems in by_len.items():
-        for el in elems:
-            vec = reduce(el)
-            if vec:
-                tagged.append((k, vec))
-    products = []
-
-    def grow(start, budget, symbol):
-        products.append(symbol)
-        for idx in range(start, len(tagged)):
-            k, vec = tagged[idx]
-            if k > budget:
-                continue
-            new = {}
-            for mon, c in symbol.items():
-                accumulate(new, {tuple(sorted(mon + (lab,))): w for lab, w in vec.items()}, c)
-            if new:
-                grow(idx, budget - k, new)
-
-    grow(0, depth, {(): Scalar(1)})
-    return _rank(products)
+    layer = letter_elems
+    images = []
+    counts = []
+    for k in range(1, depth + 1):
+        if k > 1:
+            layer = [vir_bracket(b, l) for b in layer for l in letter_elems]
+        span = []
+        layer = [x for x in layer if _extends(span, x.e_part)]
+        counts.append(sum(_extends(images, reduce(x)) for x in layer))
+    series = [1] + [0] * depth
+    for k, n in enumerate(counts, 1):
+        for _ in range(n):
+            for j in range(k, depth + 1):
+                series[j] += series[j - k]
+    return sum(series)
 
 
 def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
@@ -455,8 +466,8 @@ def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
         depth window acts on the joint generator by the composed character
         value (and z by its value);
       * injectivity: the rank of all word images over a letter alphabet in
-        the tensor realization equals the abstract slice dimension computed
-        from PBW symbols alone.
+        the tensor realization equals the abstract slice dimension counted
+        from PBW filtration dimensions alone.
     """
     if depth < 1:
         raise DepthTooSmall("slice comparison is vacuous below depth 1")
@@ -486,7 +497,7 @@ def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
         tensor_act(spec, VirElement.from_laurent(F.shift(j)), gen) == gen * value(j)
         for j in window
     ) and tensor_act(spec, VirElement.z(), gen) == gen * z_value
-    rank = _rank(v.terms for v in _word_vectors(spec, letters, depth))
+    rank = _rank(_word_vectors(spec, letters, depth))
     expected = _abstract_slice_dim(letters, reducer, depth)
     return {
         "kind": kind,

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from conftest import cli_env
+from virpoly import cli
 from virpoly.cli import main
 
 
@@ -164,7 +165,7 @@ def test_iso(tmp_path, capsys):
     assert code == 0 and out["isomorphic"] is True
 
 
-def test_tensor_map_polynomial(tmp_path, capsys):
+def test_tensor_map_polynomial(tmp_path, capsys, monkeypatch):
     spec = write(
         tmp_path,
         "t.json",
@@ -178,6 +179,10 @@ def test_tensor_map_polynomial(tmp_path, capsys):
     )
     code, out = run_cli(capsys, "tensor-map", "--spec", spec, "--depth", "2")
     assert code == 0 and out["passed"] is True
+    # a report that does not pass is a verification failure: exit 1
+    monkeypatch.setattr(cli, "general_tensor_map", lambda *a, **k: dict(out, passed=False))
+    code, failed = run_cli(capsys, "tensor-map", "--spec", spec, "--depth", "2")
+    assert code == 1 and failed["passed"] is False
 
 
 def test_verify_suite(capsys):
@@ -230,6 +235,13 @@ def test_invalid_input_exit_code(tmp_path, capsys):
         ),
         "int_for_tensor_spec": ("iso", {"a": {"factors": [factor]}, "b": 5}),
     }
+    # a valid source under an unknown kind must not run either check
+    tensor_map = {
+        "factors": [factor],
+        "character": dict(restricted, restriction={"m": 0, "window": {"0": "4"}}),
+    }
+    for kind in ("bogus", 5):
+        wrong_type[f"tensor_map_kind_{kind}"] = ("tensor-map", dict(tensor_map, kind=kind))
     act = {
         "character": {"factors": [factor]},
         "element": {"laurent": {"1": "1"}},

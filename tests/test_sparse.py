@@ -62,6 +62,18 @@ class TestEchelon:
         for i, (label, row) in enumerate(pivots):
             assert row[label] == sc(1)
             assert all(earlier not in row for earlier, _ in pivots[:i])
+        # extending a pivot list row by row gives the pivots of one batch call
+        rng = random.Random(5)
+        rows += [
+            {k: rand_scalar(rng) for k in rng.sample(range(6), rng.randint(0, 4))}
+            for _ in range(12)
+        ]
+        grown = []
+        for i, row in enumerate(rows):
+            size = len(grown)
+            assert echelon([row], grown) is grown
+            assert len(grown) - size == len(echelon(rows[: i + 1])) - len(echelon(rows[:i]))
+        assert grown == echelon(rows)
 
     def test_solve_matches_the_system(self):
         rng = random.Random(11)

@@ -4,15 +4,19 @@ from itertools import product
 import pytest
 
 from conftest import rand_vir
-from virpoly.characters import RestrictedCharacter, single_root_character
+from virpoly.characters import RestrictedCharacter, compose, single_root_character
 from virpoly.errors import DepthTooSmall, HypothesisViolation
 from virpoly.induced import get_engine
 from virpoly.laurent import LaurentPoly
 from virpoly.scalars import sc
+from virpoly.sparse import accumulate, echelon
 from virpoly.tailmod import TailModuleSpec
 from virpoly.tensor import (
     TensorElement,
     TensorSpec,
+    _abstract_slice_dim,
+    _poly_quotient_reducer,
+    _restricted_quotient_reducer,
     annihilating_shift,
     cyclic_reduce,
     general_tensor_map,
@@ -271,38 +275,114 @@ class TestIsoDecide:
         assert not iso_decide(a, c)["isomorphic"]
 
 
+def restricted(roots, m):
+    p = sum(n for _, n in roots)
+    window = {j: sc(j + 2) for j in range(m, 2 * m + p + 1)}
+    return RestrictedCharacter.from_window(roots, m, window, sc(5))
+
+
+POLY_SOURCES = {
+    "two_roots": [single_root_character(1, 1, [1]), single_root_character(2, 1, [1])],
+    "multiplicity": [single_root_character(1, 2, [0, 1]), single_root_character(2, 1, [1])],
+    "three_factors": [
+        single_root_character(1, 1, [1]),
+        single_root_character(2, 1, [1]),
+        single_root_character(-1, 1, [2]),
+    ],
+}
+
+
+def slice_letters(source, depth):
+    """The letters and the quotient reducer general_tensor_map uses for a source."""
+    if source[0] == "polynomial":
+        F = compose(POLY_SOURCES[source[1]]).ambient
+        return [t(i) for i in range(F.degree())], _poly_quotient_reducer(F)
+    _, roots, m = source
+    F = restricted(roots, m).ambient()
+    letters = [t(i) for i in range(m - depth, m + F.degree())]
+    return letters, _restricted_quotient_reducer(F, m)
+
+
+def enumerated_slice_dim(letters, reduce, depth):
+    """The slice dimension by brute force, an oracle independent of the count.
+
+    Every iterated bracket of k letters (all |L|^k of them) is reduced into
+    the quotient; every product of total bracket length <= depth is formed
+    as a symbol in the symmetric algebra on the quotient labels; the answer
+    is the rank of those symbols.
+    """
+    letter_elems = [VirElement.from_laurent(g) for g in letters]
+    by_len = {1: list(letter_elems)}
+    for k in range(2, depth + 1):
+        by_len[k] = [vir_bracket(b, l) for b in by_len[k - 1] for l in letter_elems]
+    tagged = [(k, vec) for k, elems in by_len.items() for vec in map(reduce, elems) if vec]
+    products = []
+
+    def grow(start, budget, symbol):
+        products.append(symbol)
+        for idx in range(start, len(tagged)):
+            k, vec = tagged[idx]
+            if k > budget:
+                continue
+            new = {}
+            for mon, c in symbol.items():
+                accumulate(new, {tuple(sorted(mon + (lab,))): w for lab, w in vec.items()}, c)
+            if new:
+                grow(idx, budget - k, new)
+
+    grow(0, depth, {(): sc(1)})
+    return len(echelon(products))
+
+
 class TestGeneralTensorMap:
     # the slice ranks are pinned to fixed numbers, so a change to the exact
     # elimination is checked against more than the rank == expected_rank verdict
 
     def test_polynomial_two_roots(self):
-        parts = [single_root_character(1, 1, [1]), single_root_character(2, 1, [1])]
         for depth, rank in ((1, 3), (2, 6), (3, 10)):
-            rep = general_tensor_map(parts, depth, kind="polynomial")
+            rep = general_tensor_map(POLY_SOURCES["two_roots"], depth, kind="polynomial")
             assert rep["passed"] and rep["equivariance"] and rep["injective"]
             assert rep["rank"] == rep["expected_rank"] == rank
 
     def test_polynomial_with_multiplicity(self):
-        parts = [single_root_character(1, 2, [0, 1]), single_root_character(2, 1, [1])]
-        rep = general_tensor_map(parts, 2, kind="polynomial")
+        rep = general_tensor_map(POLY_SOURCES["multiplicity"], 2, kind="polynomial")
         assert rep["passed"]
         assert rep["rank"] == rep["expected_rank"] == 10
 
     def test_restricted_verma(self):
-        rc = RestrictedCharacter.from_window([(1, 1)], 0, {0: sc(2), 1: sc(3)}, sc(5))
-        for depth, rank in ((2, 11), (3, 48)):
-            rep = general_tensor_map(rc, depth, kind="restricted")
-            assert rep["passed"]
-            assert rep["rank"] == rep["expected_rank"] == rank
+        cases = [
+            ([(1, 1)], 0, 2, 11),
+            ([(1, 1)], 0, 3, 48),
+            ([(1, 1)], 1, 3, 42),
+            ([(1, 1)], -1, 3, 54),
+            ([(1, 1), (2, 1)], 0, 3, 71),
+        ]
+        for roots, m, depth, rank in cases:
+            rep = general_tensor_map(restricted(roots, m), depth, kind="restricted")
+            assert rep["passed"], (roots, m)
+            assert rep["rank"] == rep["expected_rank"] == rank, (roots, m)
 
     def test_three_factors(self):
-        parts = [
-            single_root_character(1, 1, [1]),
-            single_root_character(2, 1, [1]),
-            single_root_character(-1, 1, [2]),
-        ]
-        rep = general_tensor_map(parts, 2, kind="polynomial")
+        rep = general_tensor_map(POLY_SOURCES["three_factors"], 2, kind="polynomial")
         assert rep["passed"]
+
+    @pytest.mark.parametrize(
+        "source",
+        [("restricted", roots, m) for roots in ([(2, 1)], [(2, 2)], [(1, 1), (2, 1)]) for m in (-1, 0, 1)]
+        + [("polynomial", shape) for shape in ("two_roots", "multiplicity", "three_factors")],
+        ids=lambda source: "-".join(map(str, source)).replace(" ", ""),
+    )
+    def test_slice_dim_counts_what_enumeration_finds(self, source):
+        for depth in range(1, 5):
+            letters, reduce = slice_letters(source, depth)
+            assert _abstract_slice_dim(letters, reduce, depth) == enumerated_slice_dim(
+                letters, reduce, depth
+            ), depth
+
+    def test_depth_five_expected_ranks(self):
+        for m, rank in ((0, 1068), (1, 912)):
+            letters, reduce = slice_letters(("restricted", [(2, 1)], m), 5)
+            assert _abstract_slice_dim(letters, reduce, 5) == rank
 
     def test_depth_zero_rejected(self):
         with pytest.raises(DepthTooSmall):
