@@ -31,7 +31,7 @@ from .errors import (
     SingularSystem,
 )
 from .laurent import ONE_POLY, LaurentPoly, divide_exact, linear_factor
-from .scalars import Scalar, json_int, json_list, json_map, sc
+from .scalars import Scalar, json_index, json_int, json_list, json_map, sc
 from .sparse import accumulate, echelon
 
 
@@ -100,13 +100,13 @@ class ExpPolyCharacter:
         except NotDivisible as exc:
             raise NotInIdeal(str(exc)) from exc
         out = Scalar(0)
-        for j, c in q.coeffs.items():
+        for j, c in q.terms.items():
             out = out + c * self.seq(j)
         return out
 
     def validate(self, index_range) -> bool:
         """Recurrence oracle: sum_i a_i mu_{m+i} = 0 with a = ambient coefficients."""
-        coefs = self.ambient.coeffs
+        coefs = self.ambient.terms
         for m in index_range:
             acc = Scalar(0)
             for i, a in coefs.items():
@@ -227,7 +227,7 @@ def derived_power(mu: ExpPolyCharacter, m: int):
 def _restrict_poly(p, g: LaurentPoly, lam: Scalar):
     """q(x) = sum_i c_i lam^i p(x + i) for g = sum_i c_i t^i."""
     out = ()
-    for i, c in g.coeffs.items():
+    for i, c in g.terms.items():
         out = padd(out, pscale(pshift(p, i), c * lam**i))
     return out
 
@@ -282,8 +282,8 @@ def decompose(mu: ExpPolyCharacter):
     """Split a character on Vir^f into single-root characters summing to it.
 
     Uses the basis characters gamma_{i,d}(t^j f_i^{n_i}) = j^d lambda_i^j:
-    their restrictions to Vir^f have degree exactly d, so the change of basis
-    is triangular and degree-preserving by construction.
+    their restrictions to Vir^f have degree exactly d, so sum_d b_d gamma_d = q
+    is a triangular system, singular only if some gamma_d lost degree.
     """
     if not (mu.extra == ONE_POLY):
         raise ValueError("decompose needs a fully factored ambient polynomial")
@@ -293,22 +293,9 @@ def decompose(mu: ExpPolyCharacter):
         for j2, (lam2, n2, _) in enumerate(mu.factors):
             if j2 != i:
                 g = g * linear_factor(lam2) ** n2
-        # gamma restrictions: q_d has degree exactly d with leading coeff g(lam)
-        basis = [_restrict_poly(pmonomial(d), g, lam) for d in range(pdeg(q) + 1)]
-        residual = q
-        coeffs = [Scalar(0)] * len(basis)
-        for d in range(len(basis) - 1, -1, -1):
-            if pdeg(residual) < d:
-                continue
-            qd = basis[d]
-            if pdeg(qd) != d or qd[d].is_zero():
-                raise SingularSystem("gamma restriction lost degree")
-            b = residual[d] / qd[d]
-            coeffs[d] = b
-            residual = padd(residual, pscale(qd, -b))
-        if residual:
-            raise SingularSystem("triangular solve left a residual")
-        out.append(ExpPolyCharacter([(lam, n, pnormalize(coeffs))]))
+        basis = [_restrict_poly(pmonomial(d), g, lam) for d in range(len(q))]
+        rows = [[gd[k] if k < len(gd) else Scalar(0) for gd in basis] for k in range(len(q))]
+        out.append(ExpPolyCharacter([(lam, n, pnormalize(_solve_linear(rows, list(q))))]))
     return out
 
 
@@ -427,7 +414,7 @@ class RestrictedCharacter:
         the coefficients of F (a_0 != 0 sits on the diagonal).
         """
         F = self.tail.ambient
-        a = F.coeffs
+        a = F.terms
         a0 = a[0]
         hat = {}
         for j in range(2 * self.m, self.m - 1, -1):
@@ -450,7 +437,7 @@ class RestrictedCharacter:
                      hat_{2m-1} = display / a_0^3.
         """
         F = self.tail.ambient
-        a = F.coeffs
+        a = F.terms
         a0 = a[0]
         out = {}
         if self.m == 0:
@@ -489,7 +476,7 @@ class RestrictedCharacter:
         tail = ExpPolyCharacter.from_json(obj)
         r = json_map(obj["restriction"], "a restriction")
         window = json_map(r.get("window", {}), "a window")
-        window = {int(j): Scalar.from_json(v) for j, v in window.items()}
+        window = {json_index(j, "a window index"): Scalar.from_json(v) for j, v in window.items()}
         z = Scalar.from_json(r.get("z", "0"))
         return RestrictedCharacter(json_int(r["m"], "the restriction index m"), tail, window, z)
 

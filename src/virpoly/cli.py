@@ -113,6 +113,8 @@ def _cmd_char_validate(raw, args):
     if len(bounds) != 2:
         raise ValueError("the range must hold exactly two integers")
     lo, hi = (json_int(x, "a range bound") for x in bounds)
+    if lo > hi:
+        raise ValueError(f"the range [{lo}, {hi}] holds no index")
     return {"valid": mu.validate(range(lo, hi + 1)), "range": [lo, hi]}
 
 

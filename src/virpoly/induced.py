@@ -181,7 +181,7 @@ class InducedModule:
             for idx, c in self._act_idx(k, d).items():
                 accumulate(out, self._lmul_idx(l, idx), c)
             # [t^k, f^l] = sum_i f^l[i] (i - k) t^(k+i)
-            for i, c in self.fpow(l).coeffs.items():
+            for i, c in self.fpow(l).terms.items():
                 if i != k:
                     accumulate(out, self._act_idx(k + i, d), c * sc(i - k))
         self._act_cache[key] = out
@@ -200,7 +200,7 @@ class InducedModule:
         for idx, c in self._lmul_idx(l, d).items():
             accumulate(out, self._lmul_idx(l2, idx), c)
         # [f^l, f^l2] = (l2 - l) sum_i f^(l+l2-1)[i] t^(i+1)
-        for i, c in self.fpow(l + l2 - 1).coeffs.items():
+        for i, c in self.fpow(l + l2 - 1).terms.items():
             accumulate(out, self._act_idx(i + 1, d), c * sc(l2 - l))
         self._lmul_cache[key] = out
         return out
@@ -210,7 +210,7 @@ class InducedModule:
     def act_on_index(self, g: LaurentPoly, s: tuple) -> dict:
         """Monomial-split action on one basis index; shares the recursion cache."""
         out = {}
-        for k, gc in g.coeffs.items():
+        for k, gc in g.terms.items():
             accumulate(out, self._act_idx(k, s), gc)
         return out
 
@@ -324,6 +324,8 @@ def bracket_action_oracle(mu: ExpPolyCharacter, j: int, m: int, s) -> ModuleElem
 
 # -- leading-index reduction -----------------------------------------------------
 
+REDUCE_MAX_STEPS = 64  # bound on the descent; each step lowers the leading index
+
 
 def _expanding(window: int):
     yield 0
@@ -361,11 +363,11 @@ def reduce_step(mu: ExpPolyCharacter, v: ModuleElement, j_window: int = 16):
     raise SearchExhausted(f"no j in [-{j_window}, {j_window}] realized the reduction")
 
 
-def reduce_to_generator(mu: ExpPolyCharacter, v: ModuleElement, j_window: int = 16, max_steps: int = 64):
+def reduce_to_generator(mu: ExpPolyCharacter, v: ModuleElement, j_window: int = 16):
     """Iterate reduce_step until the span of the generator is reached."""
     trace = []
     cur = v
-    for _ in range(max_steps):
+    for _ in range(REDUCE_MAX_STEPS):
         if set(cur.terms) == {get_engine(mu).zero_index}:
             return trace, cur
         op, cur = reduce_step(mu, cur, j_window)
@@ -431,10 +433,10 @@ def _omega_equivariant(spec: OmegaSpec, mu: ExpPolyCharacter, depth: int) -> boo
 
 # -- the small-degree quotient ------------------------------------------------------
 
+QUOTIENT_J_RANGE = range(-4, 5)  # the shifts j at which the eigen relations are checked
 
-def quotient_smalldegree(
-    mu: ExpPolyCharacter, j_range=range(-4, 5), allow_linear: bool = False
-):
+
+def quotient_smalldegree(mu: ExpPolyCharacter, allow_linear: bool = False):
     """Submodule verification and quotient character for small-degree mu.
 
     For n >= 2 and r <= n-3 the vector f^{n-1} v generates a proper
@@ -453,7 +455,7 @@ def quotient_smalldegree(
     if n == 1:
         if not allow_linear:
             raise HypothesisViolation("n >= 2 required (pass allow_linear for n = 1)")
-        for k in j_range:
+        for k in QUOTIENT_J_RANGE:
             for s0 in range(1, 5):
                 moved = eng.act(LaurentPoly({k: 1}), eng.basis((s0,)))
                 if any(idx[0] < 1 for idx in moved.terms):
@@ -462,7 +464,7 @@ def quotient_smalldegree(
                         "character admits the quotient"
                     )
         report = {
-            "eigen_range": [min(j_range), max(j_range)],
+            "eigen_range": [min(QUOTIENT_J_RANGE), max(QUOTIENT_J_RANGE)],
             "submodule": "indices with s_0 >= 1",
             "quotient": "one-dimensional trivial module",
         }
@@ -470,7 +472,7 @@ def quotient_smalldegree(
     if r > n - 3:
         raise HypothesisViolation("quotient construction needs r <= n-3")
     gen = eng.basis((0,) * (n - 1) + (1,))
-    for j in j_range:
+    for j in QUOTIENT_J_RANGE:
         g = eng.fpow(n).shift(j)
         got = eng.act(g, gen)
         want = gen * mu.value_power(j, n)
@@ -485,7 +487,7 @@ def quotient_smalldegree(
         q = ()
     mu_prime = single_root_character(lam, n - 1, q)
     report = {
-        "eigen_range": [min(j_range), max(j_range)],
+        "eigen_range": [min(QUOTIENT_J_RANGE), max(QUOTIENT_J_RANGE)],
         "eigen_ok": True,
         "submodule": f"indices with s_{n-1} >= 1",
         "quotient_degree": pdeg(q),

@@ -8,18 +8,16 @@ zeros.  The same objects serve as the associative algebra C[t^+-] and, via
 from __future__ import annotations
 
 from .errors import BadModulus, NotCoprime, NotDivisible
-from .scalars import ONE, Scalar, json_map, sc
-from .sparse import accumulate, clean
+from .scalars import ONE, Scalar, json_index, json_map, sc
+from .sparse import SparseVector, accumulate
 
 
-class LaurentPoly:
-    """Immutable sparse Laurent polynomial."""
+class LaurentPoly(SparseVector):
+    """Immutable sparse Laurent polynomial, exponent -> Scalar in ``terms``; the
+    container operations come from ``SparseVector``, the ring product from here."""
 
-    __slots__ = ("coeffs", "_hash")
-
-    def __init__(self, coeffs=None):
-        self.coeffs = clean(coeffs, int)
-        self._hash = None
+    __slots__ = ()
+    _key = int
 
     # -- constructors ---------------------------------------------------
 
@@ -30,29 +28,26 @@ class LaurentPoly:
     @staticmethod
     def from_json(obj) -> "LaurentPoly":
         obj = json_map(obj, "a Laurent polynomial")
-        return LaurentPoly({int(e): Scalar.from_json(c) for e, c in obj.items()})
+        return LaurentPoly({json_index(e, "an exponent"): Scalar.from_json(c) for e, c in obj.items()})
 
     def to_json(self):
-        return {str(e): self.coeffs[e].to_json() for e in sorted(self.coeffs)}
+        return {str(e): self.terms[e].to_json() for e in sorted(self.terms)}
 
     # -- basic structure --------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def degree(self) -> int:
-        if not self.coeffs:
+        if not self.terms:
             raise ValueError("degree of the zero Laurent polynomial is undefined")
-        return max(self.coeffs)
+        return max(self.terms)
 
     def valuation(self) -> int:
-        if not self.coeffs:
+        if not self.terms:
             raise ValueError("valuation of the zero Laurent polynomial is undefined")
-        return min(self.coeffs)
+        return min(self.terms)
 
     def is_polynomial(self) -> bool:
         """True when the support is nonnegative (an element of C[t])."""
-        return not self.coeffs or min(self.coeffs) >= 0
+        return not self.terms or min(self.terms) >= 0
 
     def is_monic_nonzero_const(self) -> bool:
         """Monic element of C[t] of degree >= 1 with nonzero constant term."""
@@ -60,45 +55,32 @@ class LaurentPoly:
             not self.is_zero()
             and self.is_polynomial()
             and self.degree() >= 1
-            and self.coeffs[self.degree()] == ONE
-            and 0 in self.coeffs
+            and self.terms[self.degree()] == ONE
+            and 0 in self.terms
         )
 
     def leading_coeff(self) -> Scalar:
-        return self.coeffs[self.degree()]
+        return self.terms[self.degree()]
 
     def __getitem__(self, e: int) -> Scalar:
-        return self.coeffs.get(e, Scalar(0))
+        return self.terms.get(e, Scalar(0))
 
     def evaluate(self, x) -> Scalar:
         x = sc(x)
         out = Scalar(0)
-        for e, c in self.coeffs.items():
+        for e, c in self.terms.items():
             out = out + c * x**e
         return out
 
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly(accumulate(dict(self.coeffs), other.coeffs))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly(accumulate(dict(self.coeffs), (-other).coeffs))
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+    # -- ring structure ------------------------------------------------------
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (Scalar, int)):
-            other = sc(other)
-            return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
+        if not isinstance(other, LaurentPoly):
+            return super().__mul__(other)
         out = {}
-        for e1, c1 in self.coeffs.items():
-            accumulate(out, {e1 + e2: c2 for e2, c2 in other.coeffs.items()}, c1)
+        for e1, c1 in self.terms.items():
+            accumulate(out, {e1 + e2: c2 for e2, c2 in other.terms.items()}, c1)
         return LaurentPoly(out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -114,29 +96,11 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+        return LaurentPoly({e + k: c for e, c in self.terms.items()})
 
     def derivative(self) -> "LaurentPoly":
         """Termwise t^n -> n t^(n-1)."""
-        return LaurentPoly({e - 1: c * e for e, c in self.coeffs.items() if e != 0})
-
-    # -- equality ------------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.coeffs.items()))
-        return self._hash
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "LaurentPoly(0)"
-        parts = [f"({self.coeffs[e]})t^{e}" for e in sorted(self.coeffs)]
-        return "LaurentPoly(" + " + ".join(parts) + ")"
+        return LaurentPoly({e - 1: c * e for e, c in self.terms.items() if e != 0})
 
 
 ZERO_POLY = LaurentPoly()
@@ -164,14 +128,14 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly):
     if not (a.is_polynomial() and b.is_polynomial()):
         raise ValueError("poly_divmod needs nonnegative support")
     q = {}
-    r = dict(a.coeffs)
+    r = dict(a.terms)
     db = b.degree()
     lb = b.leading_coeff()
     while r and max(r) >= db:
         dr = max(r)
         c = r[dr] / lb
         q[dr - db] = c
-        accumulate(r, {dr - db + e: bc for e, bc in b.coeffs.items()}, -c)
+        accumulate(r, {dr - db + e: bc for e, bc in b.terms.items()}, -c)
     return LaurentPoly(q), LaurentPoly(r)
 
 
@@ -192,8 +156,12 @@ def divide_exact(g: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     return q.shift(vg - vd)
 
 
-def poly_gcd_bezout(a: LaurentPoly, b: LaurentPoly):
-    """Extended Euclid in C[t]: returns (g, u, v) with u a + v b = g, g monic."""
+def bezout(a: LaurentPoly, b: LaurentPoly):
+    """Cofactors (u, v) in C[t] with u a + v b = 1 for coprime a, b (extended Euclid)."""
+    if a.is_zero() or b.is_zero():
+        raise ValueError("bezout needs nonzero polynomials")
+    if not (a.is_polynomial() and b.is_polynomial()):
+        raise ValueError("bezout needs nonnegative support")
     r0, r1 = a, b
     u0, u1 = ONE_POLY, ZERO_POLY
     v0, v1 = ZERO_POLY, ONE_POLY
@@ -202,21 +170,10 @@ def poly_gcd_bezout(a: LaurentPoly, b: LaurentPoly):
         r0, r1 = r1, r
         u0, u1 = u1, u0 - q * u1
         v0, v1 = v1, v0 - q * v1
-    lc = r0.leading_coeff()
-    inv = Scalar(1) / lc
-    return r0 * inv, u0 * inv, v0 * inv
-
-
-def bezout(a: LaurentPoly, b: LaurentPoly):
-    """Cofactors (u, v) in C[t] with u a + v b = 1 for coprime a, b."""
-    if a.is_zero() or b.is_zero():
-        raise ValueError("bezout needs nonzero polynomials")
-    if not (a.is_polynomial() and b.is_polynomial()):
-        raise ValueError("bezout needs nonnegative support")
-    g, u, v = poly_gcd_bezout(a, b)
-    if g != ONE_POLY:
-        raise NotCoprime(f"gcd has degree {g.degree()}")
-    return u, v
+    if r0.degree() != 0:
+        raise NotCoprime(f"gcd has degree {r0.degree()}")
+    inv = ONE / r0.leading_coeff()
+    return u0 * inv, v0 * inv
 
 
 def t_inverse_mod(modulus: LaurentPoly) -> LaurentPoly:
@@ -236,7 +193,7 @@ def taylor(g: LaurentPoly, lam, order: int) -> list:
     lam = sc(lam)
     inv = ONE / lam
     out = [Scalar(0)] * order
-    for j, c in g.coeffs.items():
+    for j, c in g.terms.items():
         term = c * lam**j
         binom = 1
         # C(j, i) vanishes for 0 <= j < i

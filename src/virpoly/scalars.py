@@ -240,6 +240,16 @@ def json_int(obj, what: str) -> int:
     return obj
 
 
+def json_index(key: str, what: str) -> int:
+    """The integer a JSON object key spells in canonical decimal ("-3", not "-03", "+3" or " 3")."""
+    try:
+        if str(int(key)) == key:
+            return int(key)
+    except ValueError:
+        pass
+    raise ValueError(f"{what} must be a canonical decimal integer key, not {key!r}")
+
+
 def json_list(obj, what: str) -> list:
     """obj itself when it is a JSON array; anything else raises ValueError."""
     if not isinstance(obj, list):

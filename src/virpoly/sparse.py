@@ -1,9 +1,10 @@
 """The sparse exact kernel: finite maps key -> Scalar with no stored zeros.
 
 Laurent polynomials, Virasoro elements, PBW vectors and tensor vectors are
-all such maps; they share the accumulate loop below, the module and tensor
-vectors share the container base, and slice ranks and linear solves share
-the exact elimination.
+all such maps and share the accumulate loop below.  All but the Virasoro
+elements share the container base too: a Virasoro element carries its central
+coefficient z beside the map, which the base's operations would drop.  Slice
+ranks and linear solves share the exact elimination.
 """
 
 from __future__ import annotations

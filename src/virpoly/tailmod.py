@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import VirpolyError
-from .scalars import Scalar, json_int, json_map, sc
+from .scalars import Scalar, json_index, json_int, json_map, sc
 from .sparse import accumulate, clean
 from .virasoro import VirElement, _cocycle
 
@@ -114,7 +114,8 @@ class TailModuleSpec:
             return TailModuleSpec.verma(Scalar.from_json(obj.get("h", "0")), c)
         if kind == "mbar":
             return TailModuleSpec.mbar(c)
-        psi = {int(j): Scalar.from_json(v) for j, v in json_map(obj.get("psi", {}), "psi").items()}
+        psi = json_map(obj.get("psi", {}), "psi")
+        psi = {json_index(j, "a psi index"): Scalar.from_json(v) for j, v in psi.items()}
         return TailModuleSpec.whittaker(json_int(obj["m"], "the tail index m"), psi, c)
 
     def params(self):

@@ -174,12 +174,11 @@ def _tail_ann_bound(spec: TensorSpec, v: TensorElement) -> int:
     return ann_bound(spec.tail, monos)
 
 
-def cyclic_reduce(
-    spec: TensorSpec,
-    w: TensorElement,
-    max_steps: int = 64,
-    j_window: int = 16,
-):
+CYCLIC_MAX_STEPS = 64  # bound on the descent
+CYCLIC_J_WINDOW = 16  # width of each step's shift search
+
+
+def cyclic_reduce(spec: TensorSpec, w: TensorElement):
     """Reduce w to an element supported on the joint generator index.
 
     Implements the leading-index descent: pick the first slot i0 whose
@@ -200,7 +199,7 @@ def cyclic_reduce(
     engines = spec.engines()
     trace = []
     cur = w
-    for _ in range(max_steps):
+    for _ in range(CYCLIC_MAX_STEPS):
         lead_parts = max(parts for parts, _ in cur.terms)
         if all(not any(p) for p in lead_parts):
             return trace, cur
@@ -222,7 +221,7 @@ def cyclic_reduce(
         g_hat = poly_divmod(fm * vbez, F_lead)[1]
         L = _tail_ann_bound(spec, cur)
         found = False
-        for j in range(L, L + j_window + 1):
+        for j in range(L, L + CYCLIC_J_WINDOW + 1):
             op = (g_hat * F_hat).shift(j)
             w2 = tensor_act_poly(spec, op, cur) - cur * mu.value_power(j, m)
             if not w2.is_zero() and w2.leading_concat() < cur.leading_concat():
@@ -232,9 +231,9 @@ def cyclic_reduce(
                 break
         if not found:
             raise SearchExhausted(
-                f"no shift in [{L}, {L + j_window}] decreased the leading index"
+                f"no shift in [{L}, {L + CYCLIC_J_WINDOW}] decreased the leading index"
             )
-    raise SearchExhausted("reduction did not terminate within max_steps")
+    raise SearchExhausted(f"reduction did not terminate within {CYCLIC_MAX_STEPS} steps")
 
 
 def simplicity_verdict(spec: TensorSpec, kac_level: int = 20) -> dict:
@@ -384,7 +383,7 @@ def _poly_quotient_reducer(F: LaurentPoly):
         residue = poly_divmod(shifted, F)[1]
         if v < 0:
             residue = poly_divmod(residue * tinv ** (-v), F)[1]
-        return {("r", e): c for e, c in residue.coeffs.items()}
+        return {("r", e): c for e, c in residue.terms.items()}
 
     return reduce
 
@@ -400,14 +399,14 @@ def _restricted_quotient_reducer(F: LaurentPoly, m: int):
         g = theta(x)
         out = {}
         high = {}
-        for e, c in g.coeffs.items():
+        for e, c in g.terms.items():
             if e < m:
                 out[("e", e)] = c
             else:
                 high[e - m] = c
         if high:
             residue = poly_divmod(LaurentPoly(high), F)[1]
-            for e, c in residue.coeffs.items():
+            for e, c in residue.terms.items():
                 out[("w", e)] = c
         return out
 

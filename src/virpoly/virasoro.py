@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import IndexOutOfSubalgebra, ZeroLambda
 from .laurent import LaurentPoly
-from .scalars import Scalar, json_map, sc
+from .scalars import Scalar, json_index, json_map, sc
 from .sparse import accumulate, clean
 
 
@@ -39,7 +39,7 @@ class VirElement:
     @staticmethod
     def from_laurent(g: LaurentPoly) -> "VirElement":
         """Lift a Laurent polynomial through theta (z component zero)."""
-        return VirElement(dict(g.coeffs))
+        return VirElement(g.terms)
 
     def is_zero(self) -> bool:
         return not self.e_part and self.z_part.is_zero()
@@ -84,7 +84,7 @@ class VirElement:
         obj = json_map(obj, "a Virasoro element")
         e_part = json_map(obj.get("e", {}), "the e part")
         return VirElement(
-            {int(j): Scalar.from_json(c) for j, c in e_part.items()},
+            {json_index(j, "an e index"): Scalar.from_json(c) for j, c in e_part.items()},
             Scalar.from_json(obj.get("z", "0")),
         )
 
@@ -106,7 +106,7 @@ def vir_bracket(x: VirElement, y: VirElement) -> VirElement:
 
 def theta(x: VirElement) -> LaurentPoly:
     """Projection e_j -> t^j, z -> 0; a surjective Lie homomorphism."""
-    return LaurentPoly(dict(x.e_part))
+    return LaurentPoly(x.e_part)
 
 
 def twist(x: VirElement, lam) -> VirElement:
@@ -144,7 +144,7 @@ class SubalgebraSpec:
             raise IndexOutOfSubalgebra(
                 f"x_{j} is outside b_{self.restriction}^f"
             )
-        return VirElement({j + i: c for i, c in self.fn.coeffs.items()})
+        return VirElement({j + i: c for i, c in self.fn.terms.items()})
 
 
 def x_basis(spec: SubalgebraSpec, j: int) -> VirElement:
@@ -160,7 +160,7 @@ def central_defect(spec: SubalgebraSpec, j: int, k: int) -> Scalar:
     b = vir_bracket(spec.x_basis(j), spec.x_basis(k))
     predicted = VirElement()
     ambient = SubalgebraSpec(spec.f, spec.n)  # ignore restriction for the identity
-    for i, a in spec.fn.coeffs.items():
+    for i, a in spec.fn.terms.items():
         predicted = predicted + ambient.x_basis(j + k + i) * (a * (k - j))
     diff = b - predicted
     if diff.e_part:

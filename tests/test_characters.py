@@ -34,7 +34,7 @@ class TestValidate:
 
     def test_tampered_sequence_fails(self):
         mu = single_root_character(1, 1, [5])
-        coefs = mu.ambient.coeffs
+        coefs = mu.ambient.terms
         # recurrence with mu_0 bumped by one must fail at the touched indices
         def bad_seq(j):
             return mu.seq(j) + (sc(1) if j == 0 else sc(0))
@@ -215,7 +215,7 @@ class TestRestrictedCharacter:
                 F = rc.ambient()
                 for j in range(m, 2 * m + p + 1):
                     hat_xj = Scalar(0)
-                    for i, a in F.coeffs.items():
+                    for i, a in F.terms.items():
                         hat_xj = hat_xj + a * hat["window"].get(j + i, Scalar(0))
                     assert ddot.seq(j) + hat_xj == rc.mu_x(j)
 

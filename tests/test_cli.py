@@ -216,11 +216,14 @@ def test_invalid_input_exit_code(tmp_path, capsys):
         "float_scalar": dict(good, a={"e": {"2": 1.5}}),
         "list_for_map": dict(good, a={"e": ["1", "2"]}),
         "top_level_array": [good],
+        # two spellings of one index must not overwrite each other
+        "noncanonical_laurent_key": {"kind": "laurent", "a": {"1": "2", "01": "3"}, "b": {"2": "1"}},
+        "noncanonical_vir_key": dict(good, a={"e": {"+1": "1"}}),
     }
     for name, payload in malformed.items():
         code, err = run_invalid(capsys, "bracket", "--spec", write(tmp_path, name + ".json", payload))
         assert code == 2, name
-        assert err.startswith("invalid input"), name
+        assert err.startswith("invalid input") and len(err.splitlines()) == 1, name
     factor = {"lambda": "2", "n": 2, "p": ["1"]}
     restricted = {"factors": [{"lambda": "1", "n": 1, "p": ["9"]}], "restriction": {"m": 0}}
     wrong_type = {
@@ -229,6 +232,11 @@ def test_invalid_input_exit_code(tmp_path, capsys):
         "string_for_p": ("char-validate", {"character": {"factors": [dict(factor, p="12")]}}),
         "int_for_factors": ("char-decompose", {"character": {"factors": 5}}),
         "int_for_range": ("char-validate", {"character": {"factors": [factor]}, "range": 5}),
+        "reversed_range": ("char-validate", {"character": {"factors": [factor]}, "range": [5, 1]}),
+        "noncanonical_window_key": (
+            "char-split",
+            {"character": dict(restricted, restriction={"m": 0, "window": {"00": "4"}})},
+        ),
         "list_for_m": (
             "char-split",
             {"character": dict(restricted, restriction={"m": [0], "window": {"0": "4"}})},
@@ -256,7 +264,7 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     for name, (command, payload) in wrong_type.items():
         code, err = run_invalid(capsys, command, "--spec", write(tmp_path, name + ".json", payload))
         assert code == 2, name
-        assert err.startswith("invalid input"), name
+        assert err.startswith("invalid input") and len(err.splitlines()) == 1, name
 
 
 def test_module_indices_are_validated(tmp_path, capsys):

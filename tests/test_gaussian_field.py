@@ -74,7 +74,7 @@ def test_restricted_split_with_gaussian_window():
     F = rc.ambient()
     for j in range(1, 4):
         hat_xj = Scalar(0)
-        for i, a in F.coeffs.items():
+        for i, a in F.terms.items():
             hat_xj = hat_xj + a * hat["window"].get(j + i, Scalar(0))
         assert ddot.seq(j) + hat_xj == rc.mu_x(j)
 

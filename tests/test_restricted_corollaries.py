@@ -32,7 +32,7 @@ def random_restricted(rng, roots, m):
 def window_sum(rc, base):
     F = rc.ambient()
     out = Scalar(0)
-    for i, a in F.coeffs.items():
+    for i, a in F.terms.items():
         out = out + a * rc.mu_x(base + i)
     return out
 

@@ -6,6 +6,7 @@ from conftest import rand_scalar
 from virpoly.characters import _solve_linear
 from virpoly.errors import SingularSystem
 from virpoly.induced import ModuleElement
+from virpoly.laurent import LaurentPoly
 from virpoly.scalars import Scalar, sc
 from virpoly.sparse import accumulate, clean, echelon
 from virpoly.tensor import TensorElement
@@ -41,6 +42,7 @@ class TestContainers:
     def test_module_and_tensor_elements_share_the_base(self):
         rng = random.Random(7)
         for cls, keys in (
+            (LaurentPoly, [-2, 0, 3]),
             (ModuleElement, [(0, 1), (1, 0), (2, 2)]),
             (TensorElement, [(((0,), (1,)), ()), (((1,), (0,)), (-1,))]),
         ):
@@ -51,7 +53,7 @@ class TestContainers:
             assert -u == u * -1 == -1 * u
             assert hash(u * 2) == hash(u + u)
             assert repr(cls()) == f"{cls.__name__}(0)"
-            assert u != ModuleElement() and u != TensorElement()
+            assert u != ModuleElement() and u != TensorElement() and u != LaurentPoly()
 
 
 class TestEchelon:
