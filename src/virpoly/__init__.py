@@ -25,28 +25,22 @@ from .virasoro import (
     theta,
     twist,
     vir_bracket,
-    x_basis,
 )
 from .characters import (
     ExpPolyCharacter,
     RestrictedCharacter,
     compose,
     decompose,
-    derived_power,
     restrict,
     single_root_character,
     solve_exp_poly,
-    split_muhat,
 )
 from .induced import (
     InducedModule,
     ModuleElement,
     OmegaSpec,
-    act_laurent,
-    act_vir,
     closed_form_bracket,
     get_engine,
-    leading_index,
     omega_action,
     omega_iso_check,
     quotient_smalldegree,
@@ -91,25 +85,19 @@ __all__ = [
     "SubalgebraSpec",
     "vir_bracket",
     "theta",
-    "x_basis",
     "central_defect",
     "twist",
     "codim1_closure_check",
     "ExpPolyCharacter",
     "RestrictedCharacter",
     "single_root_character",
-    "derived_power",
     "restrict",
     "compose",
     "decompose",
     "solve_exp_poly",
-    "split_muhat",
     "ModuleElement",
     "InducedModule",
     "get_engine",
-    "act_laurent",
-    "act_vir",
-    "leading_index",
     "closed_form_bracket",
     "reduce_step",
     "OmegaSpec",

@@ -117,13 +117,6 @@ class ExpPolyCharacter:
 
     # -- degree data ------------------------------------------------------
 
-    def degree_profile(self):
-        """(lambda_i, n_i, r_i) with r_i = deg p_i (zero polynomial -> -1)."""
-        return [(lam, n, pdeg(p)) for lam, n, p in self.factors]
-
-    def is_large_degree(self) -> bool:
-        return all(pdeg(p) >= n - 2 for _, n, p in self.factors)
-
     def is_zero_map(self) -> bool:
         return all(not p for _, _, p in self.factors)
 
@@ -214,14 +207,6 @@ def derived_power_recurrence(lam, p, steps: int = 1):
     for _ in range(steps):
         cur = pscale(padd(pshift(cur, 1), pscale(cur, -1)), lam)
     return cur
-
-
-def derived_power(mu: ExpPolyCharacter, m: int):
-    """The polynomial p_m of mu(t^j f^m) for a single-root character, m >= n."""
-    lam, n, _ = mu.root_data()
-    if m < n:
-        raise ValueError("derived powers require m >= n")
-    return mu.power_poly(m)
 
 
 def _restrict_poly(p, g: LaurentPoly, lam: Scalar):
@@ -482,7 +467,3 @@ class RestrictedCharacter:
 
     def __repr__(self):
         return f"RestrictedCharacter(m={self.m}, F={self.tail.ambient!r})"
-
-
-def split_muhat(mu: RestrictedCharacter):
-    return mu.split_muhat()

@@ -17,7 +17,7 @@ from .characters import (
     decompose,
 )
 from .errors import VirpolyError
-from .induced import ModuleElement, act_laurent, act_vir, get_engine, reduce_to_generator
+from .induced import ModuleElement, get_engine, reduce_to_generator
 from .laurent import LaurentPoly, lie_bracket
 from .scalars import Scalar, json_int, json_list, json_map
 from .tensor import (
@@ -99,11 +99,12 @@ def _module_vector(raw):
 
 def _cmd_act(raw, args):
     mu, v = _module_vector(raw)
+    eng = get_engine(mu)
     elem = json_map(raw["element"], "the element")
     if "vir" in elem:
-        out = act_vir(mu, VirElement.from_json(elem["vir"]), v)
+        out = eng.act_vir(VirElement.from_json(elem["vir"]), v)
     else:
-        out = act_laurent(mu, LaurentPoly.from_json(elem["laurent"]), v)
+        out = eng.act(LaurentPoly.from_json(elem["laurent"]), v)
     return {"result": out}
 
 

@@ -62,10 +62,6 @@ def dtilde(s) -> tuple:
     return (0,) + tuple(s[1:])
 
 
-def index_weight(s) -> int:
-    return sum(s)
-
-
 def _bump(s, i: int) -> tuple:
     return tuple(v + 1 if k == i else v for k, v in enumerate(s))
 
@@ -87,6 +83,7 @@ class ModuleElement(SparseVector):
         return ModuleElement({tuple(s): 1})
 
     def leading_index(self) -> tuple:
+        """Lexicographically maximal index with nonzero coefficient."""
         if not self.terms:
             raise ZeroVector("the zero vector has no leading index")
         return max(self.terms)
@@ -107,11 +104,6 @@ class ModuleElement(SparseVector):
                 raise ValueError(f"a module index must be a list of integers, not {s!r}")
             accumulate(terms, {tuple(s): Scalar.from_json(t["c"])})
         return ModuleElement(terms)
-
-
-def leading_index(v: ModuleElement) -> tuple:
-    """Lexicographically maximal index with nonzero coefficient."""
-    return v.leading_index()
 
 
 # -- the straightening engine -------------------------------------------------
@@ -236,14 +228,6 @@ def get_engine(mu: ExpPolyCharacter) -> InducedModule:
     return eng
 
 
-def act_laurent(mu: ExpPolyCharacter, g: LaurentPoly, v: ModuleElement) -> ModuleElement:
-    return get_engine(mu).act(g, v)
-
-
-def act_vir(mu: ExpPolyCharacter, x: VirElement, v: ModuleElement) -> ModuleElement:
-    return get_engine(mu).act_vir(x, v)
-
-
 # -- closed-form bracket values ------------------------------------------------
 
 
@@ -347,7 +331,7 @@ def reduce_step(mu: ExpPolyCharacter, v: ModuleElement, j_window: int = 16):
     r = pdeg(p)
     if r <= n - 3 or mu.is_zero_map():
         raise HypothesisViolation("reduction needs a nonzero character of degree > n-3")
-    lead = leading_index(v)
+    lead = v.leading_index()
     if not any(lead):
         raise HypothesisViolation("vector is already in the span of the generator")
     l = ell(lead)
@@ -436,7 +420,7 @@ def _omega_equivariant(spec: OmegaSpec, mu: ExpPolyCharacter, depth: int) -> boo
 QUOTIENT_J_RANGE = range(-4, 5)  # the shifts j at which the eigen relations are checked
 
 
-def quotient_smalldegree(mu: ExpPolyCharacter, allow_linear: bool = False):
+def quotient_smalldegree(mu: ExpPolyCharacter):
     """Submodule verification and quotient character for small-degree mu.
 
     For n >= 2 and r <= n-3 the vector f^{n-1} v generates a proper
@@ -445,16 +429,14 @@ def quotient_smalldegree(mu: ExpPolyCharacter, allow_linear: bool = False):
     partial-sum transform of p, computed here through the power-sum
     polynomials; deg mu' = r + 1 (zero map stays zero).
 
-    The linear case n = 1 sits behind ``allow_linear``: there the invariant
-    slice exists exactly for the zero character, and the check below is the
-    action oracle that rejects the nonzero reading.
+    In the linear case n = 1 the invariant slice exists exactly for the zero
+    character, and the check below is the action oracle that rejects the
+    nonzero reading.
     """
     lam, n, p = mu.root_data()
     r = pdeg(p)
     eng = get_engine(mu)
     if n == 1:
-        if not allow_linear:
-            raise HypothesisViolation("n >= 2 required (pass allow_linear for n = 1)")
         for k in QUOTIENT_J_RANGE:
             for s0 in range(1, 5):
                 moved = eng.act(LaurentPoly({k: 1}), eng.basis((s0,)))

@@ -26,6 +26,9 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
+# The operand types a Scalar operator converts; for any other it returns
+# NotImplemented, so the other operand (a vector scaled from the left) may act.
+_OPERANDS = (int, Fraction, str)
 _new = object.__new__
 
 
@@ -82,7 +85,7 @@ class Scalar:
     def coerce(x) -> "Scalar":
         if isinstance(x, Scalar):
             return x
-        if isinstance(x, (int, Fraction, str)):
+        if isinstance(x, _OPERANDS):
             return Scalar(x)
         raise TypeError(f"cannot coerce {x!r} to Scalar")
 
@@ -116,7 +119,9 @@ class Scalar:
 
     def __add__(self, other):
         if other.__class__ is not Scalar:
-            other = Scalar.coerce(other)
+            if not isinstance(other, _OPERANDS):
+                return NotImplemented
+            other = Scalar(other)
         d, f = self._d, other._d
         if d == f:
             if d == 1:
@@ -128,7 +133,9 @@ class Scalar:
 
     def __sub__(self, other):
         if other.__class__ is not Scalar:
-            other = Scalar.coerce(other)
+            if not isinstance(other, _OPERANDS):
+                return NotImplemented
+            other = Scalar(other)
         d, f = self._d, other._d
         if d == f:
             if d == 1:
@@ -137,11 +144,15 @@ class Scalar:
         return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other):
-        return Scalar.coerce(other) - self
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
+        return Scalar(other) - self
 
     def __mul__(self, other):
         if other.__class__ is not Scalar:
-            other = Scalar.coerce(other)
+            if not isinstance(other, _OPERANDS):
+                return NotImplemented
+            other = Scalar(other)
         a, b = self._a, self._b
         c, e = other._a, other._b
         if e == 0:
@@ -159,7 +170,9 @@ class Scalar:
 
     def __truediv__(self, other):
         if other.__class__ is not Scalar:
-            other = Scalar.coerce(other)
+            if not isinstance(other, _OPERANDS):
+                return NotImplemented
+            other = Scalar(other)
         a, b = self._a, self._b
         c, e, f = other._a, other._b, other._d
         if e == 0:
@@ -175,7 +188,9 @@ class Scalar:
         return _reduced(re, im, d)
 
     def __rtruediv__(self, other):
-        return Scalar.coerce(other) / self
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
+        return Scalar(other) / self
 
     def __neg__(self):
         return _make(-self._a, -self._b, self._d)

@@ -1,10 +1,10 @@
 """The sparse exact kernel: finite maps key -> Scalar with no stored zeros.
 
-Laurent polynomials, Virasoro elements, PBW vectors and tensor vectors are
-all such maps and share the accumulate loop below.  All but the Virasoro
-elements share the container base too: a Virasoro element carries its central
-coefficient z beside the map, which the base's operations would drop.  Slice
-ranks and linear solves share the exact elimination.
+Laurent polynomials, PBW vectors and tensor vectors are such maps and share
+the accumulate loop and the container base below.  A Virasoro element holds
+a Laurent polynomial as its e-part and its central coefficient z beside it,
+which the base's operations would drop.  Slice ranks and linear solves share
+the exact elimination.
 """
 
 from __future__ import annotations

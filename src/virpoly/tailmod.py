@@ -19,68 +19,57 @@ from .scalars import Scalar, json_index, json_int, json_map, sc
 from .sparse import accumulate, clean
 from .virasoro import VirElement, _cocycle
 
-_KINDS = ("trivial", "verma", "mbar", "whittaker")
+_FAMILIES = {-1: "mbar", 0: "verma"}  # every m >= 1 is Whittaker
 
 
 class TailModuleSpec:
-    """Parameters of a b_m-induced module (or the trivial module).
+    """Parameters of a b_m-induced module, or of the trivial module (m None).
 
-    kind "verma": m = 0, window {0: h};  kind "mbar": m = -1, empty window;
-    kind "whittaker": m >= 1, window inside [m, 2m].  The z value c is free
-    in every family; the trivial module ignores all of it.
+    The family is a function of m: the quotient family at m = -1, Verma at
+    m = 0 and Whittaker for m >= 1.  The character is free on the window
+    [m, 2m] and zero above it, so the window is empty at m = -1 and {e_0} (the
+    weight h) for Verma.  The z value c is free in every family; the trivial
+    module ignores all of it.
     """
 
-    __slots__ = ("kind", "m", "window", "c")
+    __slots__ = ("m", "window", "c")
 
-    def __init__(self, kind: str, m=None, window=None, c=0):
-        if kind not in _KINDS:
-            raise ValueError(f"unknown tail module kind {kind!r}")
-        self.kind = kind
-        self.c = sc(c)
+    def __init__(self, m=None, window=None, c=0):
         window = clean(window, int)
-        if kind == "trivial":
-            self.m = None
-            self.window = {}
-            return
-        if kind == "verma":
-            m = 0 if m is None else int(m)
-            if m != 0 or not set(window) <= {0}:
-                raise ValueError("a Verma spec has m = 0 and support {e_0}")
-        elif kind == "mbar":
-            m = -1 if m is None else int(m)
-            if m != -1 or window:
-                raise ValueError("the quotient spec has m = -1 and a zero character")
-        else:
-            m = int(m)
-            if m < 1:
-                raise ValueError("a Whittaker spec needs m >= 1")
-            if not all(m <= j <= 2 * m for j in window):
-                raise ValueError("Whittaker support must lie in [m, 2m]")
+        if m is not None and (m < -1 or not all(m <= j <= 2 * m for j in window)):
+            raise ValueError(f"a b_m character needs m >= -1 and support in [m, 2m], not m = {m}")
         self.m = m
         self.window = window
+        self.c = sc(c)
 
     @staticmethod
     def trivial() -> "TailModuleSpec":
-        return TailModuleSpec("trivial")
+        return TailModuleSpec()
 
     @staticmethod
     def verma(h, c) -> "TailModuleSpec":
-        return TailModuleSpec("verma", 0, {0: h}, c)
+        return TailModuleSpec(0, {0: h}, c)
 
     @staticmethod
     def mbar(c) -> "TailModuleSpec":
-        return TailModuleSpec("mbar", -1, {}, c)
+        return TailModuleSpec(-1, {}, c)
 
     @staticmethod
     def whittaker(m, psi, c) -> "TailModuleSpec":
-        return TailModuleSpec("whittaker", m, psi, c)
+        if m < 1:
+            raise ValueError("a Whittaker spec needs m >= 1")
+        return TailModuleSpec(m, psi, c)
+
+    @property
+    def kind(self) -> str:
+        return "trivial" if self.m is None else _FAMILIES.get(self.m, "whittaker")
 
     def is_trivial(self) -> bool:
-        return self.kind == "trivial"
+        return self.m is None
 
     def psi(self, j: int) -> Scalar:
         """Character value on e_j, defined for j >= m; zero beyond 2m."""
-        if self.kind == "trivial":
+        if self.m is None:
             return Scalar(0)
         if j < self.m:
             raise ValueError(f"e_{j} is not in b_{self.m}")
@@ -88,8 +77,6 @@ class TailModuleSpec:
 
     def support_top(self) -> int:
         """Largest index the character may be nonzero at (window end)."""
-        if self.kind == "mbar":
-            return self.m - 1
         return 2 * self.m
 
     def to_json(self):
@@ -114,12 +101,14 @@ class TailModuleSpec:
             return TailModuleSpec.verma(Scalar.from_json(obj.get("h", "0")), c)
         if kind == "mbar":
             return TailModuleSpec.mbar(c)
+        if kind != "whittaker":
+            raise ValueError(f"unknown tail module type {kind!r}")
         psi = json_map(obj.get("psi", {}), "psi")
         psi = {json_index(j, "a psi index"): Scalar.from_json(v) for j, v in psi.items()}
         return TailModuleSpec.whittaker(json_int(obj["m"], "the tail index m"), psi, c)
 
     def params(self):
-        return (self.kind, self.m, tuple(sorted((j, v) for j, v in self.window.items())), self.c)
+        return (self.m, tuple(sorted(self.window.items())), self.c)
 
     def __eq__(self, other):
         if not isinstance(other, TailModuleSpec):
@@ -178,7 +167,7 @@ class TailModule:
     def act_vir(self, x: VirElement, v: dict) -> dict:
         out = {}
         for mono, coeff in v.items():
-            for i, a in x.e_part.items():
+            for i, a in x.e_part.terms.items():
                 accumulate(out, self._act_e(i, mono), a * coeff)
             zc = x.z_part * self.spec.c * coeff
             if not zc.is_zero():
@@ -332,7 +321,7 @@ def whittaker_simple(spec: TailModuleSpec) -> bool:
 
 def tail_simplicity(spec: TailModuleSpec, kac_level: int = 20) -> dict:
     """Uniform simplicity verdict for a tail module."""
-    if spec.kind == "trivial":
+    if spec.is_trivial():
         return {"kind": "trivial", "simple": True}
     if spec.kind == "verma":
         v = verma_simple_upto(spec.psi(0), spec.c, kac_level)

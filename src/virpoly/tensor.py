@@ -123,10 +123,6 @@ def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement) -> TensorEleme
     return TensorElement(out)
 
 
-def tensor_act_poly(spec: TensorSpec, g: LaurentPoly, v: TensorElement) -> TensorElement:
-    return tensor_act(spec, VirElement.from_laurent(g), v)
-
-
 def _annihilation_exponents(spec: TensorSpec, v: TensorElement):
     """Safe per-factor exponents N_i with <f_i^{N_i}> killing slot i of v.
 
@@ -223,7 +219,7 @@ def cyclic_reduce(spec: TensorSpec, w: TensorElement):
         found = False
         for j in range(L, L + CYCLIC_J_WINDOW + 1):
             op = (g_hat * F_hat).shift(j)
-            w2 = tensor_act_poly(spec, op, cur) - cur * mu.value_power(j, m)
+            w2 = tensor_act(spec, VirElement.from_laurent(op), cur) - cur * mu.value_power(j, m)
             if not w2.is_zero() and w2.leading_concat() < cur.leading_concat():
                 trace.append({"factor": i0, "j": j, "m": m})
                 cur = w2
@@ -284,19 +280,13 @@ def restricted_to_tensor(rc: RestrictedCharacter):
 
     Splits the character into its full-subalgebra part and the hat part, then
     decomposes the former into single-root factors; the hat part becomes the
-    matching tail family (Verma for m = 0, the quotient for m = -1, Whittaker
-    for m >= 1).  Returns the spec together with the closed-form hat values.
+    b_m tail, whose family follows m (the quotient for m = -1, Verma for
+    m = 0, Whittaker for m >= 1).  Returns the spec together with the
+    closed-form hat values.
     """
     ddot, hat = rc.split_muhat()
-    parts = decompose(ddot)
     window = hat["window"]
-    if rc.m == -1:
-        tail = TailModuleSpec.mbar(hat["z"])
-    elif rc.m == 0:
-        tail = TailModuleSpec.verma(window.get(0, Scalar(0)), hat["z"])
-    else:
-        tail = TailModuleSpec.whittaker(rc.m, window, hat["z"])
-    spec = TensorSpec(parts, tail)
+    spec = TensorSpec(decompose(ddot), TailModuleSpec(rc.m, window, hat["z"]))
     report = {
         "m": rc.m,
         "hat_window": {str(j): window[j].to_json() for j in sorted(window)},
@@ -354,6 +344,7 @@ def _word_vectors(spec: TensorSpec, letters, depth: int):
     is W_(d-2) plus the images that were new at layer d-1, only those are
     acted on again; each image is reduced as it arrives.
     """
+    letters = [VirElement.from_laurent(g) for g in letters]
     v0 = spec.generator()
     rows = echelon((v0.terms,))
     layer = [v0]
@@ -361,38 +352,20 @@ def _word_vectors(spec: TensorSpec, letters, depth: int):
         nxt = []
         for v in layer:
             for g in letters:
-                w = tensor_act_poly(spec, g, v)
+                w = tensor_act(spec, g, v)
                 if _extends(rows, w.terms):
                     nxt.append(w)
         layer = nxt
     return [row for _, row in rows]
 
 
-def _poly_quotient_reducer(F: LaurentPoly):
-    """Coordinates of theta(x) in C[t^+-]/<F> (t is invertible mod F)."""
-    from .laurent import t_inverse_mod
-
-    tinv = t_inverse_mod(F)
-
-    def reduce(x: VirElement) -> dict:
-        g = theta(x)
-        if g.is_zero():
-            return {}
-        v = min(g.valuation(), 0)
-        shifted = g.shift(-v)
-        residue = poly_divmod(shifted, F)[1]
-        if v < 0:
-            residue = poly_divmod(residue * tinv ** (-v), F)[1]
-        return {("r", e): c for e, c in residue.terms.items()}
-
-    return reduce
-
-
-def _restricted_quotient_reducer(F: LaurentPoly, m: int):
+def _quotient_reducer(F: LaurentPoly, m: int):
     """Coordinates of theta(x) in C[t^+-]/span{t^j F : j >= m}.
 
     Exponents below m survive untouched; the part above reduces modulo F
-    inside t^m C[t].
+    inside t^m C[t].  The polynomial kind passes m = 0: its letters
+    t^0 .. t^(deg F - 1) bracket inside C[t], and C[t] meets the ideal
+    F C[t^+-] in F C[t], so there this is the quotient by the ideal.
     """
 
     def reduce(x: VirElement) -> dict:
@@ -441,7 +414,7 @@ def _abstract_slice_dim(letters, reduce, depth: int) -> int:
         if k > 1:
             layer = [vir_bracket(b, l) for b in layer for l in letter_elems]
         span = []
-        layer = [x for x in layer if _extends(span, x.e_part)]
+        layer = [x for x in layer if _extends(span, x.e_part.terms)]
         counts.append(sum(_extends(images, reduce(x)) for x in layer))
     series = [1] + [0] * depth
     for k, n in enumerate(counts, 1):
@@ -479,7 +452,7 @@ def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
         value = composite.seq
         z_value = Scalar(0)
         letters = [LaurentPoly({i: 1}) for i in range(F.degree())]
-        reducer = _poly_quotient_reducer(F)
+        m = 0
     elif kind == "restricted":
         rc = source
         spec, _report = restricted_to_tensor(rc)
@@ -487,8 +460,8 @@ def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
         window = range(rc.m, rc.m + 2 * depth + 1)
         value = rc.mu_x
         z_value = rc.z_value
-        letters = [LaurentPoly({i: 1}) for i in range(rc.m - depth, rc.m + F.degree())]
-        reducer = _restricted_quotient_reducer(F, rc.m)
+        m = rc.m
+        letters = [LaurentPoly({i: 1}) for i in range(m - depth, m + F.degree())]
     else:
         raise ValueError(f"unknown verification kind {kind!r}")
     gen = spec.generator()
@@ -497,7 +470,7 @@ def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
         for j in window
     ) and tensor_act(spec, VirElement.z(), gen) == gen * z_value
     rank = _rank(_word_vectors(spec, letters, depth))
-    expected = _abstract_slice_dim(letters, reducer, depth)
+    expected = _abstract_slice_dim(letters, _quotient_reducer(F, m), depth)
     return {
         "kind": kind,
         "depth": depth,

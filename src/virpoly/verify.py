@@ -24,7 +24,6 @@ from .induced import (
     dtilde,
     ell,
     get_engine,
-    index_weight,
     omega_iso_check,
     quotient_smalldegree,
     reduce_step,
@@ -159,9 +158,7 @@ def suite_brack_tuple_size(nmax: int = 3, **_kw):
                     for m in range(n + s[0], n + s[0] + 3):
                         for j in range(-3, 4):
                             out = bracket_action_oracle(mu, j, m, s)
-                            ok = all(
-                                index_weight(idx) < index_weight(s) for idx in out.terms
-                            )
+                            ok = all(sum(idx) < sum(s) for idx in out.terms)
                             rec.record(
                                 ok,
                                 {"n": n, "r": r, "lambda": str(sc(lam)), "s": list(s), "j": j, "m": m},
@@ -187,9 +184,7 @@ def suite_reducedegree(nmax: int = 3, j_window: int = 16, **_kw):
                         ok = w.leading_index() == target
                         if ok:
                             trace, final = reduce_to_generator(mu, v, j_window)
-                            ok = len(trace) <= index_weight(s) + 3 and set(
-                                final.terms
-                            ) == {eng.zero_index}
+                            ok = len(trace) <= sum(s) + 3 and set(final.terms) == {eng.zero_index}
                     except HypothesisViolation:
                         ok = False
                     rec.record(

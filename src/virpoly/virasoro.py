@@ -15,17 +15,17 @@ from fractions import Fraction
 
 from .errors import IndexOutOfSubalgebra, ZeroLambda
 from .laurent import LaurentPoly
-from .scalars import Scalar, json_index, json_map, sc
-from .sparse import accumulate, clean
+from .scalars import Scalar, json_map, sc
+from .sparse import accumulate
 
 
 class VirElement:
-    """Finite linear combination of the e_j plus a central z coefficient."""
+    """A Laurent polynomial e-part (e_j stored as t^j) plus a central z coefficient."""
 
     __slots__ = ("e_part", "z_part")
 
     def __init__(self, e_part=None, z_part=0):
-        self.e_part = clean(e_part, int)
+        self.e_part = e_part if isinstance(e_part, LaurentPoly) else LaurentPoly(e_part)
         self.z_part = sc(z_part)
 
     @staticmethod
@@ -39,23 +39,23 @@ class VirElement:
     @staticmethod
     def from_laurent(g: LaurentPoly) -> "VirElement":
         """Lift a Laurent polynomial through theta (z component zero)."""
-        return VirElement(g.terms)
+        return VirElement(g)
 
     def is_zero(self) -> bool:
-        return not self.e_part and self.z_part.is_zero()
+        return self.e_part.is_zero() and self.z_part.is_zero()
 
     def __add__(self, other: "VirElement") -> "VirElement":
-        return VirElement(accumulate(dict(self.e_part), other.e_part), self.z_part + other.z_part)
+        return VirElement(self.e_part + other.e_part, self.z_part + other.z_part)
 
     def __sub__(self, other: "VirElement") -> "VirElement":
         return self + (-other)
 
     def __neg__(self) -> "VirElement":
-        return VirElement({j: -c for j, c in self.e_part.items()}, -self.z_part)
+        return VirElement(-self.e_part, -self.z_part)
 
     def __mul__(self, other) -> "VirElement":
         c = sc(other)
-        return VirElement({j: a * c for j, a in self.e_part.items()}, self.z_part * c)
+        return VirElement(self.e_part * c, self.z_part * c)
 
     __rmul__ = __mul__
 
@@ -65,28 +65,21 @@ class VirElement:
         return self.e_part == other.e_part and self.z_part == other.z_part
 
     def __hash__(self):
-        return hash((frozenset(self.e_part.items()), self.z_part))
+        return hash((self.e_part, self.z_part))
 
     def __repr__(self):
-        parts = [f"({c})e_{j}" for j, c in sorted(self.e_part.items())]
+        parts = [f"({c})e_{j}" for j, c in sorted(self.e_part.terms.items())]
         if not self.z_part.is_zero():
             parts.append(f"({self.z_part})z")
         return "VirElement(" + (" + ".join(parts) if parts else "0") + ")"
 
     def to_json(self):
-        return {
-            "e": {str(j): self.e_part[j].to_json() for j in sorted(self.e_part)},
-            "z": self.z_part.to_json(),
-        }
+        return {"e": self.e_part.to_json(), "z": self.z_part.to_json()}
 
     @staticmethod
     def from_json(obj) -> "VirElement":
         obj = json_map(obj, "a Virasoro element")
-        e_part = json_map(obj.get("e", {}), "the e part")
-        return VirElement(
-            {json_index(j, "an e index"): Scalar.from_json(c) for j, c in e_part.items()},
-            Scalar.from_json(obj.get("z", "0")),
-        )
+        return VirElement(LaurentPoly.from_json(obj.get("e", {})), Scalar.from_json(obj.get("z", "0")))
 
 
 def _cocycle(j: int) -> Scalar:
@@ -95,18 +88,19 @@ def _cocycle(j: int) -> Scalar:
 
 def vir_bracket(x: VirElement, y: VirElement) -> VirElement:
     """Bilinear extension of the defining relations; z is central."""
+    ys = y.e_part.terms
     out = {}
     zc = Scalar(0)
-    for j, a in x.e_part.items():
-        accumulate(out, {j + k: b * (k - j) for k, b in y.e_part.items() if k != j}, a)
-        if -j in y.e_part:
-            zc = zc + a * y.e_part[-j] * _cocycle(j)
+    for j, a in x.e_part.terms.items():
+        accumulate(out, {j + k: b * (k - j) for k, b in ys.items() if k != j}, a)
+        if -j in ys:
+            zc = zc + a * ys[-j] * _cocycle(j)
     return VirElement(out, zc)
 
 
 def theta(x: VirElement) -> LaurentPoly:
     """Projection e_j -> t^j, z -> 0; a surjective Lie homomorphism."""
-    return LaurentPoly(x.e_part)
+    return x.e_part
 
 
 def twist(x: VirElement, lam) -> VirElement:
@@ -114,7 +108,7 @@ def twist(x: VirElement, lam) -> VirElement:
     lam = sc(lam)
     if lam.is_zero():
         raise ZeroLambda("twist parameter must be nonzero")
-    return VirElement({k: c * lam**k for k, c in x.e_part.items()}, x.z_part)
+    return VirElement({k: c * lam**k for k, c in x.e_part.terms.items()}, x.z_part)
 
 
 class SubalgebraSpec:
@@ -144,11 +138,7 @@ class SubalgebraSpec:
             raise IndexOutOfSubalgebra(
                 f"x_{j} is outside b_{self.restriction}^f"
             )
-        return VirElement({j + i: c for i, c in self.fn.terms.items()})
-
-
-def x_basis(spec: SubalgebraSpec, j: int) -> VirElement:
-    return spec.x_basis(j)
+        return VirElement(self.fn.shift(j))
 
 
 def central_defect(spec: SubalgebraSpec, j: int, k: int) -> Scalar:
@@ -163,7 +153,7 @@ def central_defect(spec: SubalgebraSpec, j: int, k: int) -> Scalar:
     for i, a in spec.fn.terms.items():
         predicted = predicted + ambient.x_basis(j + k + i) * (a * (k - j))
     diff = b - predicted
-    if diff.e_part:
+    if not diff.e_part.is_zero():
         raise AssertionError("bracket defect is not central; internal inconsistency")
     return diff.z_part
 
@@ -173,7 +163,7 @@ def span_member(w: VirElement, c: Scalar, step: int = 1) -> bool:
 
     Greedy elimination from the lowest index; the z component is free.
     """
-    rem = dict(w.e_part)
+    rem = dict(w.e_part.terms)
     if not rem:
         return True
     top = max(rem)

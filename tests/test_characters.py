@@ -7,7 +7,6 @@ from virpoly.characters import (
     RestrictedCharacter,
     compose,
     decompose,
-    derived_power,
     derived_power_recurrence,
     restrict,
     single_root_character,
@@ -85,7 +84,7 @@ class TestDerivedPower:
                 p = tuple(sc(1) for _ in range(r + 1))
                 mu = single_root_character(2, n, p)
                 for m in range(n, n + r + 3):
-                    assert pdeg(derived_power(mu, m)) == max(n + r - m, -1)
+                    assert pdeg(mu.power_poly(m)) == max(n + r - m, -1)
 
     def test_cross_check_with_eval(self):
         mu = single_root_character(2, 2, [0, 1])
@@ -232,14 +231,3 @@ class TestRestrictedCharacter:
         assert back.window == rc.window and back.z_value == rc.z_value
         assert back.tail == rc.tail
 
-
-class TestDegreeProfile:
-    def test_boundary_cases(self):
-        assert single_root_character(1, 1, []).is_large_degree()
-        assert not single_root_character(1, 3, [1]).is_large_degree()
-        assert single_root_character(1, 2, [0, 1]).is_large_degree()
-
-    def test_profile_values(self):
-        mu = ExpPolyCharacter([(sc(1), 3, [sc(1), sc(1)]), (sc(2), 1, [])])
-        prof = mu.degree_profile()
-        assert [(n, r) for _, n, r in prof] == [(3, 1), (1, -1)]

@@ -242,6 +242,11 @@ def test_invalid_input_exit_code(tmp_path, capsys):
             {"character": dict(restricted, restriction={"m": [0], "window": {"0": "4"}})},
         ),
         "int_for_tensor_spec": ("iso", {"a": {"factors": [factor]}, "b": 5}),
+        # a tail type outside the four families is not read as Whittaker
+        "unknown_tail_type": (
+            "simplicity",
+            {"factors": [factor], "tail": {"type": "bogus", "m": 1, "psi": {"1": "1"}}},
+        ),
     }
     # a valid source under an unknown kind must not run either check
     tensor_map = {

@@ -10,15 +10,12 @@ from virpoly.induced import (
     InducedModule,
     ModuleElement,
     OmegaSpec,
-    act_vir,
     bracket_action_oracle,
     closed_form_bracket,
     dstep,
     dtilde,
     ell,
     get_engine,
-    index_weight,
-    leading_index,
     omega_action,
     omega_iso_check,
     quotient_smalldegree,
@@ -49,10 +46,10 @@ class TestMultiIndex:
 
     def test_leading_index(self):
         v = ModuleElement({(0, 1): 3, (2, 0): 2})
-        assert leading_index(v) == (2, 0)
-        assert leading_index(ModuleElement.basis((0, 0))) == (0, 0)
+        assert v.leading_index() == (2, 0)
+        assert ModuleElement.basis((0, 0)).leading_index() == (0, 0)
         with pytest.raises(ZeroVector):
-            leading_index(ModuleElement())
+            ModuleElement().leading_index()
 
 
 class TestActLaurent:
@@ -198,7 +195,7 @@ class TestSizeBound:
                 for s in _small_indices(n):
                     for m in range(n + s[0], n + s[0] + 2):
                         out = bracket_action_oracle(mu, 2, m, s)
-                        assert all(index_weight(i) < index_weight(s) for i in out.terms)
+                        assert all(sum(i) < sum(s) for i in out.terms)
 
 
 class TestReduceStep:
@@ -207,7 +204,7 @@ class TestReduceStep:
         eng = get_engine(mu)
         (j, m), w = reduce_step(mu, eng.basis((1,)))
         assert m == 2
-        assert leading_index(w) == (0,)
+        assert w.leading_index() == (0,)
 
     def test_generator_rejected(self):
         mu = single_root_character(1, 1, [2])
@@ -220,7 +217,7 @@ class TestReduceStep:
         eng = get_engine(mu)
         (j, m), w = reduce_step(mu, eng.basis((0, 1)))
         assert m == 3  # n + r + 1 - ell = 2 + 1 + 1 - 1
-        assert leading_index(w) == (0, 0)
+        assert w.leading_index() == (0, 0)
         assert abs(j) <= 5
 
     def test_strict_descent_to_generator(self):
@@ -231,7 +228,7 @@ class TestReduceStep:
             for s in _small_indices(n):
                 trace, final = reduce_to_generator(mu, eng.basis(s))
                 assert set(final.terms) == {eng.zero_index}
-                assert len(trace) <= index_weight(s) + 3
+                assert len(trace) <= sum(s) + 3
 
     def test_small_degree_rejected(self):
         mu = ones_character(1, 3, 0)
@@ -253,12 +250,12 @@ class TestReduceStep:
                 v = ModuleElement(terms)
                 if not any(any(s) for s in v.terms):
                     continue
-                lead = leading_index(v)
+                lead = v.leading_index()
                 if not any(lead):
                     continue
                 (j, m), w = reduce_step(mu, v)
                 target = dstep(lead) if ell(lead) > 0 else dtilde(lead)
-                assert leading_index(w) == target
+                assert w.leading_index() == target
                 trace, final = reduce_to_generator(mu, v)
                 assert set(final.terms) == {eng.zero_index}
 
@@ -337,15 +334,15 @@ class TestQuotient:
         with pytest.raises(HypothesisViolation):
             quotient_smalldegree(single_root_character(1, 2, [1]))  # r > n-3
         with pytest.raises(HypothesisViolation):
-            quotient_smalldegree(single_root_character(1, 1, []))  # linear w/o flag
+            quotient_smalldegree(single_root_character(1, 1, [2]))  # linear, nonzero mu
 
-    def test_linear_flag_readings(self):
+    def test_linear_readings(self):
         # zero character: slice invariant, quotient exists
-        rep, mp = quotient_smalldegree(single_root_character(1, 1, []), allow_linear=True)
+        rep, mp = quotient_smalldegree(single_root_character(1, 1, []))
         assert mp is None and "quotient" in rep
         # nonzero character: the action oracle rejects the reading
         with pytest.raises(HypothesisViolation):
-            quotient_smalldegree(single_root_character(1, 1, [2]), allow_linear=True)
+            quotient_smalldegree(single_root_character(1, 1, [3]))
 
 
 class TestNonSimplicityWitness:

@@ -10,6 +10,7 @@ from virpoly.laurent import LaurentPoly
 from virpoly.scalars import Scalar, sc
 from virpoly.sparse import accumulate, clean, echelon
 from virpoly.tensor import TensorElement
+from virpoly.virasoro import VirElement
 
 
 class TestAccumulate:
@@ -51,9 +52,15 @@ class TestContainers:
             assert (u + v) - v == u
             assert (u - u).is_zero()
             assert -u == u * -1 == -1 * u
+            # a Scalar on the left leaves the product to the vector
+            assert sc(2) * u == u * 2 == 2 * u
+            assert sc("-1/3") * u == u * sc("-1/3")
             assert hash(u * 2) == hash(u + u)
             assert repr(cls()) == f"{cls.__name__}(0)"
             assert u != ModuleElement() and u != TensorElement() and u != LaurentPoly()
+        # a Virasoro element is no SparseVector but scales the same way
+        x = VirElement({-1: sc("1/2"), 2: sc(3)}, sc(-4))
+        assert sc(2) * x == x * 2 == 2 * x == VirElement({-1: 1, 2: 6}, -8)
 
 
 class TestEchelon:

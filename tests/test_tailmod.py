@@ -182,11 +182,15 @@ class TestWhittaker:
 class TestSpecValidation:
     def test_shapes(self):
         with pytest.raises(ValueError):
-            TailModuleSpec("whittaker", 0, {0: sc(1)}, sc(0))
+            TailModuleSpec.whittaker(0, {0: sc(1)}, sc(0))
         with pytest.raises(ValueError):
-            TailModuleSpec("whittaker", 1, {3: sc(1)}, sc(0))
+            TailModuleSpec(1, {3: sc(1)}, sc(0))
         with pytest.raises(ValueError):
-            TailModuleSpec("mbar", -1, {-1: sc(1)}, sc(0))
+            TailModuleSpec(-1, {-1: sc(1)}, sc(0))
+        with pytest.raises(ValueError):
+            TailModuleSpec(0, {1: sc(1)}, sc(0))
+        with pytest.raises(ValueError):
+            TailModuleSpec(-2, {}, sc(0))
 
     def test_json_round_trip(self):
         for spec in SPECS.values():

@@ -15,8 +15,7 @@ from virpoly.tensor import (
     TensorElement,
     TensorSpec,
     _abstract_slice_dim,
-    _poly_quotient_reducer,
-    _restricted_quotient_reducer,
+    _quotient_reducer,
     annihilating_shift,
     cyclic_reduce,
     general_tensor_map,
@@ -24,7 +23,6 @@ from virpoly.tensor import (
     restricted_to_tensor,
     simplicity_verdict,
     tensor_act,
-    tensor_act_poly,
 )
 from virpoly.virasoro import VirElement, vir_bracket
 
@@ -116,7 +114,9 @@ class TestAnnihilatingShift:
             w = basis(spec, parts)
             ht = annihilating_shift(spec, h, L, w)
             assert ht.is_zero() or ht.valuation() >= L
-            assert tensor_act_poly(spec, ht, w) == tensor_act_poly(spec, h, w)
+            assert tensor_act(spec, VirElement.from_laurent(ht), w) == tensor_act(
+                spec, VirElement.from_laurent(h), w
+            )
 
     def test_already_shifted(self):
         spec = TensorSpec([ones(1, 1, 0)])
@@ -296,11 +296,11 @@ def slice_letters(source, depth):
     """The letters and the quotient reducer general_tensor_map uses for a source."""
     if source[0] == "polynomial":
         F = compose(POLY_SOURCES[source[1]]).ambient
-        return [t(i) for i in range(F.degree())], _poly_quotient_reducer(F)
+        return [t(i) for i in range(F.degree())], _quotient_reducer(F, 0)
     _, roots, m = source
     F = restricted(roots, m).ambient()
     letters = [t(i) for i in range(m - depth, m + F.degree())]
-    return letters, _restricted_quotient_reducer(F, m)
+    return letters, _quotient_reducer(F, m)
 
 
 def enumerated_slice_dim(letters, reduce, depth):
@@ -339,7 +339,7 @@ class TestGeneralTensorMap:
     # elimination is checked against more than the rank == expected_rank verdict
 
     def test_polynomial_two_roots(self):
-        for depth, rank in ((1, 3), (2, 6), (3, 10)):
+        for depth, rank in ((1, 3), (2, 6), (3, 10), (4, 15), (5, 21)):
             rep = general_tensor_map(POLY_SOURCES["two_roots"], depth, kind="polynomial")
             assert rep["passed"] and rep["equivariance"] and rep["injective"]
             assert rep["rank"] == rep["expected_rank"] == rank

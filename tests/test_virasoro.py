@@ -15,7 +15,6 @@ from virpoly.virasoro import (
     theta,
     twist,
     vir_bracket,
-    x_basis,
 )
 
 e = VirElement.e
@@ -56,20 +55,20 @@ class TestTheta:
 class TestXBasis:
     def test_examples(self):
         s1 = SubalgebraSpec(linear_factor(1))
-        assert x_basis(s1, 0) == VirElement({1: 1, 0: -1})
+        assert s1.x_basis(0) == VirElement({1: 1, 0: -1})
         s2 = SubalgebraSpec(linear_factor(1), 2)
-        assert x_basis(s2, -1) == VirElement({1: 1, 0: -2, -1: 1})
+        assert s2.x_basis(-1) == VirElement({1: 1, 0: -2, -1: 1})
 
     def test_restriction_cutoff(self):
         s = SubalgebraSpec(linear_factor(1), 1, restriction=1)
         with pytest.raises(IndexOutOfSubalgebra):
-            x_basis(s, 0)
-        assert theta(x_basis(s, 1)) == LaurentPoly.t_power(1) * linear_factor(1)
+            s.x_basis(0)
+        assert theta(s.x_basis(1)) == LaurentPoly.t_power(1) * linear_factor(1)
 
     def test_theta_image(self):
         s = SubalgebraSpec(linear_factor(2), 3)
         for j in range(-4, 5):
-            assert theta(x_basis(s, j)) == LaurentPoly.t_power(j) * linear_factor(2) ** 3
+            assert theta(s.x_basis(j)) == LaurentPoly.t_power(j) * linear_factor(2) ** 3
 
 
 class TestCentralDefect:
