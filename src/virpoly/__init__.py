@@ -16,7 +16,7 @@ from .laurent import (
     lie_bracket,
     linear_factor,
 )
-from .faulhaber import FaulhaberPoly, bernoulli_numbers, faulhaber, faulhaber_sum, neg_faulhaber_sum
+from .faulhaber import bernoulli_numbers, faulhaber, faulhaber_sum, neg_faulhaber_sum
 from .virasoro import (
     SubalgebraSpec,
     VirElement,
@@ -76,7 +76,6 @@ __all__ = [
     "f_adic_decompose",
     "bezout",
     "linear_factor",
-    "FaulhaberPoly",
     "bernoulli_numbers",
     "faulhaber",
     "faulhaber_sum",

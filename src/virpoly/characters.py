@@ -12,17 +12,7 @@ all higher indices.
 
 from __future__ import annotations
 
-from .densepoly import (
-    p_from_json,
-    p_to_json,
-    padd,
-    pdeg,
-    peval,
-    pmonomial,
-    pnormalize,
-    pscale,
-    pshift,
-)
+from .densepoly import index_poly, p_from_json, p_to_json, pdeg, pshift
 from .errors import (
     IndexOutOfSubalgebra,
     NotDivisible,
@@ -31,7 +21,7 @@ from .errors import (
     SingularSystem,
 )
 from .laurent import ONE_POLY, LaurentPoly, divide_exact, linear_factor
-from .scalars import Scalar, json_index, json_int, json_list, json_map, sc
+from .scalars import ONE, Scalar, json_index, json_int, json_list, json_map, sc
 from .sparse import accumulate, echelon
 
 
@@ -42,8 +32,9 @@ def _sort_key(lam: Scalar):
 class ExpPolyCharacter:
     """Character data in exponential-polynomial form.
 
-    factors is a tuple of (lambda, n, p) with distinct nonzero lambda and
-    deg p < n; the defining ideal is generated by
+    factors is a tuple of (lambda, n, p) with distinct nonzero lambda and p
+    an index polynomial (a ``LaurentPoly`` with support >= 0) of degree below
+    n; the defining ideal is generated by
     ambient = extra * prod (t - lambda_i)^{n_i}, where extra is a monic
     polynomial multiplier with extra(0) != 0 that vanishes at none of the
     lambda_i (the identity multiplier except for restriction images).
@@ -57,7 +48,7 @@ class ExpPolyCharacter:
         seen = set()
         for lam, n, p in factors:
             lam = sc(lam)
-            p = pnormalize(p)
+            p = index_poly(p)
             if lam.is_zero():
                 raise ValueError("character roots must be nonzero")
             if lam in seen:
@@ -65,8 +56,8 @@ class ExpPolyCharacter:
             seen.add(lam)
             if n < 1:
                 raise ValueError("root multiplicities must be positive")
-            if pdeg(p) >= n:
-                raise ValueError("deg p must be smaller than the root multiplicity")
+            if pdeg(p) >= n or not p.is_polynomial():
+                raise ValueError("p must be a polynomial of degree below the root multiplicity")
             norm.append((lam, int(n), p))
         norm.sort(key=lambda t: _sort_key(t[0]))
         self.factors = tuple(norm)
@@ -89,8 +80,8 @@ class ExpPolyCharacter:
         """mu_j = mu(t^j ambient)."""
         out = Scalar(0)
         for lam, _, p in self.factors:
-            if p:
-                out = out + peval(p, j) * lam**j
+            if not p.is_zero():
+                out = out + p.evaluate(j) * lam**j
         return out
 
     def eval(self, g: LaurentPoly) -> Scalar:
@@ -118,7 +109,7 @@ class ExpPolyCharacter:
     # -- degree data ------------------------------------------------------
 
     def is_zero_map(self) -> bool:
-        return all(not p for _, _, p in self.factors)
+        return all(p.is_zero() for _, _, p in self.factors)
 
     # -- single-root helpers ----------------------------------------------
 
@@ -142,16 +133,16 @@ class ExpPolyCharacter:
             start = max(k for k in cache if k <= m)
             cur = cache[start]
             for k in range(start + 1, m + 1):
-                cur = derived_power_recurrence(lam, cur, 1)
+                cur = derived_power_recurrence(lam, cur)
                 cache[k] = cur
         return cache[m]
 
     def value_power(self, j: int, m: int) -> Scalar:
         lam, _, _ = self.root_data()
         pm = self.power_poly(m)
-        if not pm:
+        if pm.is_zero():
             return Scalar(0)
-        return peval(pm, j) * lam**j
+        return pm.evaluate(j) * lam**j
 
     # -- plumbing ----------------------------------------------------------
 
@@ -164,7 +155,7 @@ class ExpPolyCharacter:
         return hash((self.factors, self.extra))
 
     def __repr__(self):
-        fs = ", ".join(f"(lam={lam}, n={n}, p={list(map(str, p))})" for lam, n, p in self.factors)
+        fs = ", ".join(f"(lam={lam}, n={n}, p={p_to_json(p)})" for lam, n, p in self.factors)
         return f"ExpPolyCharacter([{fs}])"
 
     def to_json(self):
@@ -192,29 +183,25 @@ class ExpPolyCharacter:
 
 
 def single_root_character(lam, n: int, p) -> ExpPolyCharacter:
-    return ExpPolyCharacter([(sc(lam), n, pnormalize(p))])
+    return ExpPolyCharacter([(sc(lam), n, p)])
 
 
-def derived_power_recurrence(lam, p, steps: int = 1):
-    """Apply p -> lambda * (p(x+1) - p(x)) the given number of times.
+def derived_power_recurrence(lam, p: LaurentPoly) -> LaurentPoly:
+    """One step p -> lambda * (p(x+1) - p(x)).
 
     For a character on <f^n> with f = t - lambda and associated polynomial p,
     iterating from m = n gives the polynomials p_m of mu(t^j f^m); each step
     drops the degree by exactly one until the zero polynomial is reached.
     """
-    lam = sc(lam)
-    cur = pnormalize(p)
-    for _ in range(steps):
-        cur = pscale(padd(pshift(cur, 1), pscale(cur, -1)), lam)
-    return cur
+    return (pshift(p, 1) - p) * sc(lam)
 
 
-def _restrict_poly(p, g: LaurentPoly, lam: Scalar):
+def _restrict_poly(p: LaurentPoly, g: LaurentPoly, lam: Scalar) -> LaurentPoly:
     """q(x) = sum_i c_i lam^i p(x + i) for g = sum_i c_i t^i."""
-    out = ()
+    out = {}
     for i, c in g.terms.items():
-        out = padd(out, pscale(pshift(p, i), c * lam**i))
-    return out
+        accumulate(out, pshift(p, i).terms, c * lam**i)
+    return LaurentPoly(out)
 
 
 def restrict(mu: ExpPolyCharacter, g: LaurentPoly) -> ExpPolyCharacter:
@@ -234,8 +221,8 @@ def restrict(mu: ExpPolyCharacter, g: LaurentPoly) -> ExpPolyCharacter:
     if g.evaluate(lam).is_zero():
         raise RootCollision("multiplier vanishes at the character root")
     lc = g.leading_coeff()
-    q = pscale(_restrict_poly(p, g, lam), Scalar(1) / lc)
-    ghat = g * (Scalar(1) / lc)
+    q = _restrict_poly(p, g, lam) * (ONE / lc)
+    ghat = g * (ONE / lc)
     extra = mu.extra * ghat if not (ghat == ONE_POLY) else mu.extra
     return ExpPolyCharacter([(lam, n, q)], extra)
 
@@ -278,9 +265,10 @@ def decompose(mu: ExpPolyCharacter):
         for j2, (lam2, n2, _) in enumerate(mu.factors):
             if j2 != i:
                 g = g * linear_factor(lam2) ** n2
-        basis = [_restrict_poly(pmonomial(d), g, lam) for d in range(len(q))]
-        rows = [[gd[k] if k < len(gd) else Scalar(0) for gd in basis] for k in range(len(q))]
-        out.append(ExpPolyCharacter([(lam, n, pnormalize(_solve_linear(rows, list(q))))]))
+        size = pdeg(q) + 1
+        basis = [_restrict_poly(LaurentPoly({d: 1}), g, lam) for d in range(size)]
+        rows = [[gd[k] for gd in basis] for k in range(size)]
+        out.append(ExpPolyCharacter([(lam, n, _solve_linear(rows, [q[k] for k in range(size)]))]))
     return out
 
 
@@ -326,7 +314,7 @@ def solve_exp_poly(values, roots, j0: int) -> ExpPolyCharacter:
     factors = []
     pos = 0
     for lam, n in roots:
-        factors.append((lam, n, pnormalize(sol[pos : pos + n])))
+        factors.append((lam, n, sol[pos : pos + n]))
         pos += n
     return ExpPolyCharacter(factors)
 

@@ -221,12 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--depth", type=int, default=3)
     common.add_argument("--seed", type=int, default=0)
     for name in _WITH_SPEC:
-        sp = sub.add_parser(name, parents=[common])
-        sp.set_defaults(needs_spec=True)
+        sub.add_parser(name, parents=[common])
     vp = sub.add_parser("verify", parents=[common])
     vp.add_argument("--suite", choices=sorted(SUITES), default=None)
     vp.add_argument("--nmax", type=int, default=3)
-    vp.set_defaults(needs_spec=False)
     return ap
 
 

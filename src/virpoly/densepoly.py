@@ -1,78 +1,51 @@
-"""Dense univariate polynomials over Scalar, used for index polynomials.
+"""Index polynomials: the p with mu(t^j f^n) = p(j) lambda^j.
 
-Characters carry polynomials p with mu(t^j f^n) = p(j) lambda^j; those p
-live in a separate variable (the exponent j) from the Laurent variable t,
-so they get their own light representation: a tuple of coefficients from the
-constant term up, with no trailing zeros.  The zero polynomial is the empty
-tuple and has degree -1 by convention.
+An index polynomial lives in the exponent variable j, not in the Laurent
+variable t, but it is the same kind of object: a ``LaurentPoly`` with
+support >= 0, so its ring operations and ``evaluate`` are the shared
+kernel's.  This module keeps only what index polynomials need beyond the
+ring: the reader from the constant-first coefficient list, the degree
+(-1 for zero), the translation p(x) -> p(x + a) and the JSON list form.
 """
 
 from __future__ import annotations
 
 from math import comb
 
+from .laurent import LaurentPoly
 from .scalars import Scalar, sc
+from .sparse import accumulate
 
 
-def pnormalize(coeffs) -> tuple:
-    cs = [sc(c) for c in coeffs]
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return tuple(cs)
+def index_poly(coeffs) -> LaurentPoly:
+    """The polynomial sum_d coeffs[d] x^d; a ``LaurentPoly`` is returned unchanged."""
+    if isinstance(coeffs, LaurentPoly):
+        return coeffs
+    return LaurentPoly(dict(enumerate(coeffs)))
 
 
-def pdeg(p) -> int:
-    return len(p) - 1
+def pdeg(p: LaurentPoly) -> int:
+    return max(p.terms, default=-1)
 
 
-def peval(p, x) -> Scalar:
-    x = sc(x)
-    out = Scalar(0)
-    for c in reversed(p):
-        out = out * x + c
-    return out
+def pshift(p: LaurentPoly, a) -> LaurentPoly:
+    """Compose with a translation: p(x + a), by the binomial expansion.
 
-
-def padd(p, q) -> tuple:
-    n = max(len(p), len(q))
-    return pnormalize(
-        [(p[i] if i < len(p) else Scalar(0)) + (q[i] if i < len(q) else Scalar(0)) for i in range(n)]
-    )
-
-
-def pscale(p, c) -> tuple:
-    c = sc(c)
-    return pnormalize([a * c for a in p])
-
-
-def pmul(p, q) -> tuple:
-    if not p or not q:
-        return ()
-    out = [Scalar(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return pnormalize(out)
-
-
-def pshift(p, a) -> tuple:
-    """Compose with a translation: returns the coefficients of p(x + a)."""
+    The closed forms reach this through ``power_poly``; it stays apart from
+    ``laurent.taylor``, which the straightening engine reads, so the two
+    routes that the verify suites compare share no expansion.
+    """
     a = sc(a)
-    out = [Scalar(0)] * len(p)
-    for d, c in enumerate(p):
+    out = {}
+    for d, c in p.terms.items():
         # c * (x + a)^d
-        for t in range(d + 1):
-            out[t] = out[t] + c * comb(d, t) * a ** (d - t)
-    return pnormalize(out)
+        accumulate(out, {t: c * comb(d, t) * a ** (d - t) for t in range(d + 1)})
+    return LaurentPoly(out)
 
 
-def pmonomial(d, c=1) -> tuple:
-    return pnormalize([Scalar(0)] * d + [sc(c)])
+def p_to_json(p: LaurentPoly):
+    return [p[d].to_json() for d in range(pdeg(p) + 1)]
 
 
-def p_to_json(p):
-    return [c.to_json() for c in p]
-
-
-def p_from_json(obj) -> tuple:
-    return pnormalize([Scalar.from_json(c) for c in obj])
+def p_from_json(obj) -> LaurentPoly:
+    return index_poly([Scalar.from_json(c) for c in obj])

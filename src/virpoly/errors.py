@@ -51,7 +51,3 @@ class SearchExhausted(VirpolyError):
 
 class DepthTooSmall(VirpolyError):
     """Slice verification requested at a vacuous depth."""
-
-
-class NonRationalCentralCharge(VirpolyError):
-    """A rational central charge was required."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .densepoly import peval, pnormalize
+from .laurent import LaurentPoly
 from .scalars import Scalar
 
 
@@ -33,37 +33,20 @@ def bernoulli_numbers(n: int) -> tuple:
     return tuple(out)
 
 
-class FaulhaberPoly:
-    """The degree k+1 power-sum polynomial P_k."""
-
-    __slots__ = ("k", "coeffs")
-
-    def __init__(self, k: int):
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        self.k = k
-        bern = bernoulli_numbers(k)
-        dense = [Scalar(0)] * (k + 2)
-        for i in range(k + 1):
-            c = Fraction((-1) ** i * comb(k + 1, i), k + 1) * bern[i]
-            dense[k + 1 - i] = Scalar(c)
-        self.coeffs = pnormalize(dense)
-
-    def __call__(self, x) -> Scalar:
-        return peval(self.coeffs, x)
-
-    def __repr__(self):
-        return f"FaulhaberPoly(k={self.k})"
-
-
 @lru_cache(maxsize=None)
-def faulhaber(k: int) -> FaulhaberPoly:
-    return FaulhaberPoly(k)
+def faulhaber(k: int) -> LaurentPoly:
+    """The degree k+1 power-sum polynomial P_k, a ``LaurentPoly`` with support >= 0."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    bern = bernoulli_numbers(k)
+    return LaurentPoly(
+        {k + 1 - i: Fraction((-1) ** i * comb(k + 1, i), k + 1) * bern[i] for i in range(k + 1)}
+    )
 
 
 def faulhaber_sum(k: int, j: int) -> Scalar:
     """P_k(j); equals sum_{i=1}^{j} i^k for j >= 1 and 0 at j = 0."""
-    return faulhaber(k)(j)
+    return faulhaber(k).evaluate(j)
 
 
 def neg_faulhaber_sum(k: int, j: int) -> Scalar:
@@ -73,5 +56,5 @@ def neg_faulhaber_sum(k: int, j: int) -> Scalar:
     numbers above B_1 vanishing); for k = 0 the sum is plainly P_0(j) = j.
     """
     if k == 0:
-        return faulhaber(0)(j)
-    return -faulhaber(k)(-j - 1)
+        return faulhaber(0).evaluate(j)
+    return -faulhaber(k).evaluate(-j - 1)

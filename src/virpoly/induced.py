@@ -25,11 +25,11 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .characters import ExpPolyCharacter, single_root_character
-from .densepoly import padd, pdeg, pmonomial, pmul, pnormalize, pscale, pshift
+from .densepoly import index_poly, pdeg, pshift
 from .errors import HypothesisViolation, SearchExhausted, ZeroLambda, ZeroVector
 from .faulhaber import faulhaber
 from .laurent import LaurentPoly, linear_factor, taylor
-from .scalars import Scalar, json_list, json_map, sc
+from .scalars import ONE, Scalar, json_list, json_map, sc
 from .sparse import SparseVector, accumulate
 from .virasoro import VirElement, theta
 
@@ -374,20 +374,15 @@ class OmegaSpec:
             raise ZeroLambda("lambda must be nonzero")
 
 
-def omega_action(spec: OmegaSpec, k: int, poly) -> tuple:
-    """Action of e_k on a dense polynomial in the formal variable d; z acts by 0."""
-    poly = pnormalize(poly)
-    # (d + k(b-1)) and (d - k) as dense polynomials
-    front = pnormalize([sc(k) * (spec.b - sc(1)), sc(1)])
-    base = pnormalize([sc(-k), sc(1)])
-    out = ()
-    power = pnormalize([sc(1)])
-    for i, c in enumerate(poly):
-        if i > 0:
-            power = pmul(power, base)
-        if not c.is_zero():
-            out = padd(out, pscale(pmul(front, power), c))
-    return pscale(out, spec.lam**k)
+def omega_action(spec: OmegaSpec, k: int, poly) -> LaurentPoly:
+    """Action of e_k on a polynomial in the formal variable d; z acts by 0."""
+    # (d + k(b-1)) and (d - k)
+    front = LaurentPoly({1: 1, 0: sc(k) * (spec.b - ONE)})
+    base = LaurentPoly({1: 1, 0: -k})
+    out = {}
+    for i, c in index_poly(poly).terms.items():
+        accumulate(out, (front * base**i).terms, c)
+    return LaurentPoly(out) * spec.lam**k
 
 
 def omega_iso_check(spec: OmegaSpec, depth: int) -> bool:
@@ -407,10 +402,8 @@ def _omega_equivariant(spec: OmegaSpec, mu: ExpPolyCharacter, depth: int) -> boo
     for s0 in range(depth + 1):
         for k in range(-depth, depth + 1):
             left = eng.act(LaurentPoly({k: 1}), eng.basis((s0,)))
-            top = max((s[0] for s in left.terms), default=-1)
-            lp = pnormalize([left.terms.get((i,), Scalar(0)) for i in range(top + 1)])
-            rp = omega_action(spec, k, pmonomial(s0) if s0 else (sc(1),))
-            if lp != rp:
+            lp = LaurentPoly({s[0]: c for s, c in left.terms.items()})
+            if lp != omega_action(spec, k, LaurentPoly({s0: 1})):
                 return False
     return True
 
@@ -460,14 +453,10 @@ def quotient_smalldegree(mu: ExpPolyCharacter):
         want = gen * mu.value_power(j, n)
         if got != want:
             raise HypothesisViolation(f"eigen relation failed at j = {j}")
-    if p:
-        q = pscale(pmonomial(1), p[0])
-        for k in range(1, len(p)):
-            q = padd(q, pscale(pshift(faulhaber(k).coeffs, -1), p[k]))
-        q = pscale(q, sc(1) / lam)
-    else:
-        q = ()
-    mu_prime = single_root_character(lam, n - 1, q)
+    q = LaurentPoly({1: p[0]})
+    for k in range(1, r + 1):
+        q = q + pshift(faulhaber(k), -1) * p[k]
+    mu_prime = single_root_character(lam, n - 1, q * (ONE / lam))
     report = {
         "eigen_range": [min(QUOTIENT_J_RANGE), max(QUOTIENT_J_RANGE)],
         "eigen_ok": True,

@@ -65,6 +65,9 @@ class LaurentPoly(SparseVector):
     def __getitem__(self, e: int) -> Scalar:
         return self.terms.get(e, Scalar(0))
 
+    # __getitem__ answers every exponent, so the fallback iteration would never stop
+    __iter__ = None
+
     def evaluate(self, x) -> Scalar:
         x = sc(x)
         out = Scalar(0)

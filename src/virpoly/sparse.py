@@ -1,7 +1,9 @@
 """The sparse exact kernel: finite maps key -> Scalar with no stored zeros.
 
 Laurent polynomials, PBW vectors and tensor vectors are such maps and share
-the accumulate loop and the container base below.  A Virasoro element holds
+the accumulate loop and the container base below; the Laurent polynomials
+include the characters' index polynomials and the power sums P_k, which
+have support >= 0.  A Virasoro element holds
 a Laurent polynomial as its e-part and its central coefficient z beside it,
 which the base's operations would drop.  Slice ranks and linear solves share
 the exact elimination.

@@ -20,6 +20,8 @@ from .sparse import accumulate, clean
 from .virasoro import VirElement, _cocycle
 
 _FAMILIES = {-1: "mbar", 0: "verma"}  # every m >= 1 is Whittaker
+# the JSON fields each family reads besides "type"; another family's field is a contradiction
+_FIELDS = {"trivial": (), "verma": ("m", "c", "h"), "mbar": ("m", "c"), "whittaker": ("m", "c", "psi")}
 
 
 class TailModuleSpec:
@@ -94,18 +96,28 @@ class TailModuleSpec:
     @staticmethod
     def from_json(obj) -> "TailModuleSpec":
         kind = json_map(obj, "a tail module")["type"]
+        if not isinstance(kind, str) or kind not in _FIELDS:
+            raise ValueError(f"unknown tail module type {kind!r}")
+        stray = [name for name in ("m", "c", "h", "psi") if name in obj and name not in _FIELDS[kind]]
+        if stray:
+            raise ValueError(f"a {kind} tail takes no {', '.join(stray)}")
         if kind == "trivial":
             return TailModuleSpec.trivial()
+        m = json_int(obj["m"], "the tail index m") if "m" in obj else None
         c = Scalar.from_json(obj.get("c", "0"))
         if kind == "verma":
-            return TailModuleSpec.verma(Scalar.from_json(obj.get("h", "0")), c)
-        if kind == "mbar":
-            return TailModuleSpec.mbar(c)
-        if kind != "whittaker":
-            raise ValueError(f"unknown tail module type {kind!r}")
-        psi = json_map(obj.get("psi", {}), "psi")
-        psi = {json_index(j, "a psi index"): Scalar.from_json(v) for j, v in psi.items()}
-        return TailModuleSpec.whittaker(json_int(obj["m"], "the tail index m"), psi, c)
+            spec = TailModuleSpec.verma(Scalar.from_json(obj.get("h", "0")), c)
+        elif kind == "mbar":
+            spec = TailModuleSpec.mbar(c)
+        else:
+            if m is None:
+                raise ValueError("a whittaker tail needs its m")
+            psi = json_map(obj.get("psi", {}), "psi")
+            psi = {json_index(j, "a psi index"): Scalar.from_json(v) for j, v in psi.items()}
+            spec = TailModuleSpec.whittaker(m, psi, c)
+        if m is not None and m != spec.m:
+            raise ValueError(f"a {kind} tail has m = {spec.m}, not {m}")
+        return spec
 
     def params(self):
         return (self.m, tuple(sorted(self.window.items())), self.c)

@@ -19,7 +19,7 @@ from virpoly.characters import (
     decompose,
     single_root_character,
 )
-from virpoly.densepoly import pdeg, peval
+from virpoly.densepoly import pdeg
 from virpoly.faulhaber import faulhaber, faulhaber_sum, neg_faulhaber_sum
 from virpoly.induced import (
     OmegaSpec,
@@ -236,11 +236,11 @@ def test_c06_quotient():
                     want = Scalar(0)
                 elif j > 0:
                     want = lam ** (j - 1) * sum(
-                        (peval(p, i) for i in range(0, j)), Scalar(0)
+                        (p.evaluate(i) for i in range(0, j)), Scalar(0)
                     )
                 else:
                     want = -(lam ** (j - 1)) * sum(
-                        (peval(p, -i) for i in range(1, -j + 1)), Scalar(0)
+                        (p.evaluate(-i) for i in range(1, -j + 1)), Scalar(0)
                     )
                 assert mu_prime.value_power(j, n - 1) == want
 
@@ -254,7 +254,7 @@ def test_c07_faulhaber():
             direct_neg = sum((Scalar(-i) ** k for i in range(1, j + 1)), Scalar(0))
             assert neg_faulhaber_sum(k, j) == direct_neg
             if k >= 1:
-                assert -faulhaber(k)(-j - 1) == direct_neg
+                assert -faulhaber(k).evaluate(-j - 1) == direct_neg
 
 
 @criterion(8, "tensor simplicity, both directions")

@@ -12,8 +12,9 @@ from virpoly.characters import (
     single_root_character,
     solve_exp_poly,
 )
-from virpoly.densepoly import pdeg
+from virpoly.densepoly import index_poly, p_from_json, p_to_json, pdeg, pshift
 from virpoly.errors import NotInIdeal, RootCollision
+from virpoly.induced import get_engine
 from virpoly.laurent import LaurentPoly, linear_factor
 from virpoly.scalars import Scalar, sc
 
@@ -68,15 +69,39 @@ class TestEval:
             assert mu.eval(a + b) == mu.eval(a) + mu.eval(b)
 
 
+class TestIndexPoly:
+    def test_shift_is_translation(self):
+        p = index_poly([sc(3), sc(-2), sc("1/2"), sc(1)])
+        for a in (0, 1, -1, 3, Scalar(1, 1)):
+            shifted = pshift(p, a)
+            assert pdeg(shifted) == pdeg(p)
+            for x in (-2, 0, 5, Scalar(0, 1)):
+                assert shifted.evaluate(x) == p.evaluate(sc(x) + sc(a))
+
+    def test_json_round_trip(self):
+        for coeffs in ([], [0, 1], [sc("1/3"), 0, Scalar(2, -1)]):
+            p = index_poly(coeffs)
+            assert p_from_json(p_to_json(p)) == p
+        assert p_to_json(index_poly([0, 0, 1])) == ["0", "0", "1"]
+
+    def test_list_tuple_and_poly_give_one_character(self):
+        forms = ([1, 2], (sc(1), sc(2)), index_poly([1, 2]))
+        chars = [single_root_character(2, 2, p) for p in forms]
+        assert all(isinstance(mu.factors[0][2], LaurentPoly) for mu in chars)
+        assert len(set(chars)) == 1 and len({hash(mu) for mu in chars}) == 1
+        assert len({id(get_engine(mu)) for mu in chars}) == 1
+
+
 class TestDerivedPower:
     def test_recurrence_examples(self):
         # lam=1, p(j)=j: one step gives a constant, two steps zero
-        assert derived_power_recurrence(1, (sc(0), sc(1)), 1) == (sc(1),)
-        assert derived_power_recurrence(1, (sc(0), sc(1)), 2) == ()
+        x = index_poly([0, 1])
+        assert derived_power_recurrence(1, x) == index_poly([1])
+        assert derived_power_recurrence(1, derived_power_recurrence(1, x)) == index_poly([])
         # constants die in one step
-        assert derived_power_recurrence(3, (sc(7),), 1) == ()
+        assert derived_power_recurrence(3, index_poly([7])) == index_poly([])
         # lam=2: p(x)=x -> 2((x+1) - x) = 2
-        assert derived_power_recurrence(2, (sc(0), sc(1)), 1) == (sc(2),)
+        assert derived_power_recurrence(2, x) == index_poly([2])
 
     def test_degree_law(self):
         for n in range(1, 4):
@@ -98,7 +123,7 @@ class TestRestrict:
     def test_constant_against_linear_multiplier(self):
         mu = single_root_character(1, 1, [1])
         out = restrict(mu, linear_factor(2))
-        assert out.factors[0][2] == (sc(-1),)
+        assert out.factors[0][2] == index_poly([-1])
         assert pdeg(out.factors[0][2]) == 0
 
     def test_identity_multiplier(self):
@@ -123,8 +148,8 @@ class TestDecompose:
     def test_two_constant_factors(self):
         comp = ExpPolyCharacter([(sc(1), 1, [sc(3)]), (sc(2), 1, [sc(5)])])
         p1, p2 = decompose(comp)
-        assert p1.factors[0][2] == (sc(-3),)
-        assert p2.factors[0][2] == (sc(5),)
+        assert p1.factors[0][2] == index_poly([-3])
+        assert p2.factors[0][2] == index_poly([5])
         back = compose([p1, p2])
         for j in range(-5, 6):
             assert back.seq(j) == comp.seq(j)
@@ -160,17 +185,17 @@ class TestDecompose:
 class TestSolveExpPoly:
     def test_single_value(self):
         out = solve_exp_poly([sc(5)], [(1, 1)], 1)
-        assert out.factors[0][2] == (sc(5),)
+        assert out.factors[0][2] == index_poly([5])
 
     def test_double_root(self):
         out = solve_exp_poly([sc(1), sc(2)], [(1, 2)], 1)
-        assert out.factors[0][2] == (sc(0), sc(1))
+        assert out.factors[0][2] == index_poly([0, 1])
         # forward recurrence extension: mu_3 = 2 mu_2 - mu_1 = 3
         assert out.seq(3) == sc(3)
 
     def test_two_roots(self):
         out = solve_exp_poly([sc(3), sc(5)], [(1, 1), (2, 1)], 0)
-        assert [f[2] for f in out.factors] == [(sc(1),), (sc(2),)]
+        assert [f[2] for f in out.factors] == [index_poly([1]), index_poly([2])]
         # forward recurrence for (t-1)(t-2): mu_2 = 3 mu_1 - 2 mu_0 = 9 = 1 + 2*4
         assert out.seq(2) == sc(9)
 

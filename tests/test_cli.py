@@ -247,6 +247,16 @@ def test_invalid_input_exit_code(tmp_path, capsys):
             "simplicity",
             {"factors": [factor], "tail": {"type": "bogus", "m": 1, "psi": {"1": "1"}}},
         ),
+        "list_for_tail_type": ("simplicity", {"factors": [factor], "tail": {"type": ["verma"]}}),
+        # a field that contradicts the tail's family is not ignored
+        "verma_with_m_and_psi": (
+            "simplicity",
+            {"factors": [factor], "tail": {"type": "verma", "m": 5, "h": "1", "psi": {"7": "3"}}},
+        ),
+        "mbar_with_m_and_h": (
+            "simplicity",
+            {"factors": [factor], "tail": {"type": "mbar", "m": 3, "c": "1", "h": "5"}},
+        ),
     }
     # a valid source under an unknown kind must not run either check
     tensor_map = {

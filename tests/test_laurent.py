@@ -21,6 +21,14 @@ def t(k, c=1):
     return LaurentPoly.t_power(k, c)
 
 
+def test_coefficients_are_read_by_exponent_not_iterated():
+    p = LaurentPoly({0: 1, 2: 3})
+    assert [p[e] for e in range(3)] == [sc(1), sc(0), sc(3)]
+    for consume in (list, any, tuple):
+        with pytest.raises(TypeError):
+            consume(p)
+
+
 class TestLieBracket:
     def test_monomials(self):
         assert lie_bracket(t(2), t(3)) == t(5)

@@ -197,3 +197,17 @@ class TestSpecValidation:
             assert TailModuleSpec.from_json(spec.to_json()) == spec
         triv = TailModuleSpec.trivial()
         assert TailModuleSpec.from_json(triv.to_json()) == triv
+
+    def test_contradictory_fields_are_rejected(self):
+        for obj in (
+            {"type": "trivial", "m": 0},
+            {"type": "verma", "m": 5, "h": "1"},
+            {"type": "verma", "psi": {"0": "1"}},
+            {"type": "mbar", "m": 0},
+            {"type": "mbar", "h": "5"},
+            {"type": "whittaker", "m": 1, "h": "1"},
+            {"type": "whittaker", "psi": {"1": "1"}},
+        ):
+            with pytest.raises(ValueError):
+                TailModuleSpec.from_json(obj)
+        assert TailModuleSpec.from_json({"type": "verma", "m": 0, "h": "2"}).m == 0
