@@ -13,12 +13,14 @@ enough up to kill the tail, then strictly decrease the leading index.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .characters import ExpPolyCharacter, RestrictedCharacter, compose, decompose
 from .densepoly import pdeg
 from .errors import DepthTooSmall, HypothesisViolation, SearchExhausted
 from .induced import ell, get_engine
 from .laurent import ONE_POLY, LaurentPoly, bezout, poly_divmod
-from .scalars import Scalar, json_list, json_map
+from .scalars import ONE, Scalar, json_list, json_map
 from .sparse import SparseVector, accumulate, echelon
 from .tailmod import TailModuleSpec, ann_bound, get_tail_engine, tail_simplicity
 from .virasoro import VirElement, theta, vir_bracket
@@ -27,7 +29,7 @@ from .virasoro import VirElement, theta, vir_bracket
 class TensorSpec:
     """Factors (single-root characters with pairwise distinct roots) plus a tail."""
 
-    __slots__ = ("factors", "tail")
+    __slots__ = ("factors", "tail", "_columns")
 
     def __init__(self, factors, tail: TailModuleSpec = None):
         factors = tuple(factors)
@@ -43,9 +45,34 @@ class TensorSpec:
             seen.add(lam)
         self.factors = factors
         self.tail = tail if tail is not None else TailModuleSpec.trivial()
+        self._columns = {}
 
     def engines(self):
         return [get_engine(mu) for mu in self.factors]
+
+    def column(self, k: int, key):
+        """e_k on the basis vector key = (parts, mono), keyed by tensor keys.
+
+        The Leibniz sum over the induced slots and the tail, without z.  The
+        map is memoized on the spec for its lifetime and shared, so it is
+        handed out read-only.
+        """
+        col = self._columns.get((k, key))
+        if col is None:
+            parts, mono = key
+            ek = LaurentPoly.t_power(k)
+            out = {}
+            for i, eng in enumerate(self.engines()):
+                moved = eng.act_on_index(ek, parts[i])
+                accumulate(
+                    out,
+                    {(parts[:i] + (idx,) + parts[i + 1 :], mono): c for idx, c in moved.items()},
+                )
+            if not self.tail.is_trivial():
+                moved = get_tail_engine(self.tail).act_vir(VirElement.e(k), {mono: ONE})
+                accumulate(out, {(parts, mono2): c for mono2, c in moved.items()})
+            col = self._columns[(k, key)] = MappingProxyType(out)
+        return col
 
     def zero_index(self):
         return tuple(eng.zero_index for eng in self.engines())
@@ -104,22 +131,14 @@ class TensorElement(SparseVector):
 
 
 def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement) -> TensorElement:
-    """Leibniz action: each slot in turn, z only through the tail."""
-    engines = spec.engines()
-    tail_engine = None if spec.tail.is_trivial() else get_tail_engine(spec.tail)
+    """Leibniz action: the e part through the spec's columns, z only through the tail."""
     g = theta(x)
     out = {}
-    for (parts, mono), coeff in v.terms.items():
-        for i, eng in enumerate(engines):
-            moved = eng.act_on_index(g, parts[i])
-            accumulate(
-                out,
-                {(parts[:i] + (idx,) + parts[i + 1 :], mono): c for idx, c in moved.items()},
-                coeff,
-            )
-        if tail_engine is not None:
-            moved = tail_engine.act_vir(x, {mono: Scalar(1)})
-            accumulate(out, {(parts, mono2): c for mono2, c in moved.items()}, coeff)
+    for key, coeff in v.terms.items():
+        for k, a in g.terms.items():
+            accumulate(out, spec.column(k, key), a * coeff)
+    if not spec.tail.is_trivial():
+        accumulate(out, v.terms, x.z_part * spec.tail.c)
     return TensorElement(out)
 
 
@@ -340,9 +359,15 @@ def _extends(pivots, vec) -> bool:
 def _word_vectors(spec: TensorSpec, letters, depth: int):
     """Echelon rows spanning the images word . v0 of the words of length <= depth.
 
-    The span grows by layers, W_d = W_(d-1) + sum_g g W_(d-1).  Since W_(d-1)
-    is W_(d-2) plus the images that were new at layer d-1, only those are
-    acted on again; each image is reduced as it arrives.
+    The span grows by layers, W_d = W_(d-1) + sum_g g W_(d-1), and each image
+    is reduced into the rows as it arrives.  Let N_d be the rows that layer d
+    added.  A row is r = w - sum_j c_j p_j for its image w and pivots p_j that
+    came before it, each in W_(d-1) or in N_d; by induction along the layer,
+    span N_d + W_(d-1) is the span of the layer's images plus W_(d-1), which
+    is W_d.  So W_d = W_(d-1) + span N_d, and since g W_(d-1) lies in W_d,
+    W_(d+1) = W_d + sum_g g span N_d: only the new rows are acted on again.
+    A row, already reduced, tends to be shorter than its image, so the next
+    layer acts on fewer terms.
     """
     letters = [VirElement.from_laurent(g) for g in letters]
     v0 = spec.generator()
@@ -352,9 +377,8 @@ def _word_vectors(spec: TensorSpec, letters, depth: int):
         nxt = []
         for v in layer:
             for g in letters:
-                w = tensor_act(spec, g, v)
-                if _extends(rows, w.terms):
-                    nxt.append(w)
+                if _extends(rows, tensor_act(spec, g, v).terms):
+                    nxt.append(TensorElement(rows[-1][1]))
         layer = nxt
     return [row for _, row in rows]
 

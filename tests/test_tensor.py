@@ -8,14 +8,16 @@ from virpoly.characters import RestrictedCharacter, compose, single_root_charact
 from virpoly.errors import DepthTooSmall, HypothesisViolation
 from virpoly.induced import get_engine
 from virpoly.laurent import LaurentPoly
-from virpoly.scalars import sc
+from virpoly.scalars import Scalar, sc
 from virpoly.sparse import accumulate, echelon
-from virpoly.tailmod import TailModuleSpec
+from virpoly.tailmod import TailModuleSpec, b_act
 from virpoly.tensor import (
     TensorElement,
     TensorSpec,
     _abstract_slice_dim,
     _quotient_reducer,
+    _rank,
+    _word_vectors,
     annihilating_shift,
     cyclic_reduce,
     general_tensor_map,
@@ -78,6 +80,36 @@ class TestTensorAct:
             {(((1,), (0,)), ()): 1, (((0,), (1,)), ()): 1}
         )
 
+    @pytest.mark.parametrize("tail", TAILS, ids=lambda tail: tail.kind)
+    def test_matches_leibniz_reference(self, tail):
+        # a Gaussian root beside a rational one; a single letter on a single
+        # basis vector is exactly one memoized column
+        gaussian = single_root_character(Scalar(1, 1), 2, [Scalar(0, 1), 1])
+        spec = TensorSpec([ones(2, 1, 0), gaussian], tail)
+        rng = random.Random(109)
+
+        def rand_basis():
+            parts = ((rng.randint(0, 1),), (rng.randint(0, 1), rng.randint(0, 1)))
+            mono = () if tail.is_trivial() else tuple(
+                sorted(rng.randint(tail.m - 3, tail.m - 1) for _ in range(rng.randint(0, 2)))
+            )
+            return basis(spec, parts, mono)
+
+        for _ in range(15):
+            b = rand_basis()
+            v = b + rand_basis() * sc(rng.randint(2, 3))
+            xs = (VirElement.e(rng.randint(-3, 3)), rand_vir(rng, -3, 3) + VirElement.z(sc("2/3")))
+            for x, w in product(xs, (b, v)):
+                want = leibniz_reference(spec, x, w)
+                got = tensor_act(spec, x, w)
+                assert got == want
+                # the memoized columns are never handed out: mutating a result
+                # leaves the next one, taken on a warm memo, unchanged
+                for key in list(got.terms):
+                    got.terms[key] = sc(99)
+                got.terms[(((7,), (7, 7)), ())] = sc(1)
+                assert tensor_act(spec, x, w) == want
+
     def test_representation_property_all_tails(self):
         rng = random.Random(89)
         for tail in TAILS:
@@ -94,6 +126,21 @@ class TestTensorAct:
                     spec, y, tensor_act(spec, x, v)
                 )
                 assert lhs == tensor_act(spec, vir_bracket(x, y), v)
+
+
+def leibniz_reference(spec, x, v):
+    """tensor_act written out: each induced slot, the tail on the e part, z through the tail."""
+    g = x.e_part
+    out = {}
+    for (parts, mono), coeff in v.terms.items():
+        for i, mu in enumerate(spec.factors):
+            for idx, c in get_engine(mu).act_on_index(g, parts[i]).items():
+                accumulate(out, {(parts[:i] + (idx,) + parts[i + 1 :], mono): c * coeff})
+        if not spec.tail.is_trivial():
+            for mono2, c in b_act(spec.tail, VirElement(g), {mono: sc(1)}).items():
+                accumulate(out, {(parts, mono2): c * coeff})
+            accumulate(out, {(parts, mono): x.z_part * spec.tail.c * coeff})
+    return TensorElement(out)
 
 
 class TestAnnihilatingShift:
@@ -292,6 +339,23 @@ POLY_SOURCES = {
 }
 
 
+SLICE_SOURCES = [
+    ("restricted", roots, m) for roots in ([(2, 1)], [(2, 2)], [(1, 1), (2, 1)]) for m in (-1, 0, 1)
+] + [("polynomial", shape) for shape in ("two_roots", "multiplicity", "three_factors")]
+
+
+def source_id(source):
+    return "-".join(map(str, source)).replace(" ", "")
+
+
+def slice_spec(source):
+    """The tensor realization general_tensor_map checks for a source."""
+    if source[0] == "polynomial":
+        return TensorSpec(POLY_SOURCES[source[1]])
+    _, roots, m = source
+    return restricted_to_tensor(restricted(roots, m))[0]
+
+
 def slice_letters(source, depth):
     """The letters and the quotient reducer general_tensor_map uses for a source."""
     if source[0] == "polynomial":
@@ -334,6 +398,21 @@ def enumerated_slice_dim(letters, reduce, depth):
     return len(echelon(products))
 
 
+def word_image_rank(spec, letters, depth):
+    """Rank of every word image of length <= depth, an oracle for the word span.
+
+    Each image is built by repeated tensor_act from the generator with no
+    reduction in between, and all of them are eliminated once at the end.
+    """
+    letters = [VirElement.from_laurent(g) for g in letters]
+    layer = [spec.generator()]
+    images = list(layer)
+    for _ in range(depth):
+        layer = [tensor_act(spec, g, v) for v in layer for g in letters]
+        images += layer
+    return len(echelon([w.terms for w in images]))
+
+
 class TestGeneralTensorMap:
     # the slice ranks are pinned to fixed numbers, so a change to the exact
     # elimination is checked against more than the rank == expected_rank verdict
@@ -366,12 +445,7 @@ class TestGeneralTensorMap:
         rep = general_tensor_map(POLY_SOURCES["three_factors"], 2, kind="polynomial")
         assert rep["passed"]
 
-    @pytest.mark.parametrize(
-        "source",
-        [("restricted", roots, m) for roots in ([(2, 1)], [(2, 2)], [(1, 1), (2, 1)]) for m in (-1, 0, 1)]
-        + [("polynomial", shape) for shape in ("two_roots", "multiplicity", "three_factors")],
-        ids=lambda source: "-".join(map(str, source)).replace(" ", ""),
-    )
+    @pytest.mark.parametrize("source", SLICE_SOURCES, ids=source_id)
     def test_slice_dim_counts_what_enumeration_finds(self, source):
         for depth in range(1, 5):
             letters, reduce = slice_letters(source, depth)
@@ -379,10 +453,22 @@ class TestGeneralTensorMap:
                 letters, reduce, depth
             ), depth
 
+    @pytest.mark.parametrize("source", SLICE_SOURCES, ids=source_id)
+    def test_word_span_rank_matches_all_word_images(self, source):
+        spec = slice_spec(source)
+        for depth in range(1, 4):
+            letters, _reduce = slice_letters(source, depth)
+            assert _rank(_word_vectors(spec, letters, depth)) == word_image_rank(
+                spec, letters, depth
+            ), depth
+
     def test_depth_five_expected_ranks(self):
         for m, rank in ((0, 1068), (1, 912)):
             letters, reduce = slice_letters(("restricted", [(2, 1)], m), 5)
             assert _abstract_slice_dim(letters, reduce, 5) == rank
+        rep = general_tensor_map(restricted([(2, 1)], 1), 5, kind="restricted")
+        assert rep["passed"]
+        assert rep["rank"] == rep["expected_rank"] == 912
 
     def test_depth_zero_rejected(self):
         with pytest.raises(DepthTooSmall):
