@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -206,7 +207,15 @@ _WITH_SPEC = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process, on the first call.
+
+    ``main(argv)`` may be called repeatedly in one process: every call
+    parses with this same parser into a fresh ``Namespace``, so no flag
+    carries over from one call to the next.  Importing the module builds
+    nothing.
+    """
     ap = argparse.ArgumentParser(
         prog="virpoly",
         description="Exact computations with polynomial subalgebras of the "

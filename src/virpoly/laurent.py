@@ -69,11 +69,23 @@ class LaurentPoly(SparseVector):
     __iter__ = None
 
     def evaluate(self, x) -> Scalar:
+        """The value at x, by Horner's rule over the descending exponents.
+
+        The gaps between exponents are powers of x, and the least exponent
+        is applied last, so x = 0 with negative support divides by zero.
+        """
         x = sc(x)
-        out = Scalar(0)
-        for e, c in self.terms.items():
-            out = out + c * x**e
-        return out
+        terms = self.terms
+        if not terms:
+            return Scalar(0)
+        exps = sorted(terms, reverse=True)
+        prev = exps[0]
+        out = terms[prev]
+        for e in exps[1:]:
+            gap = prev - e
+            out = out * (x if gap == 1 else x**gap) + terms[e]
+            prev = e
+        return out * x**prev if prev else out
 
     # -- ring structure ------------------------------------------------------
 

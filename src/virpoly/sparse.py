@@ -50,6 +50,19 @@ class SparseVector:
     def __init__(self, terms=None):
         self.terms = clean(terms, self._key)
 
+    @classmethod
+    def adopt(cls, terms: dict):
+        """Wrap a map that is already clean, without copying or re-checking it.
+
+        The map must hold ``Scalar`` values, no zeros and keys already in the
+        subclass's canonical shape, and nobody may mutate it afterwards: an
+        ``accumulate`` result the caller drops, or a pivot row of ``echelon``,
+        which is never changed once appended.
+        """
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
     def is_zero(self) -> bool:
         return not self.terms
 

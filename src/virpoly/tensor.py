@@ -139,7 +139,7 @@ def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement) -> TensorEleme
             accumulate(out, spec.column(k, key), a * coeff)
     if not spec.tail.is_trivial():
         accumulate(out, v.terms, x.z_part * spec.tail.c)
-    return TensorElement(out)
+    return TensorElement.adopt(out)
 
 
 def _annihilation_exponents(spec: TensorSpec, v: TensorElement):
@@ -378,7 +378,7 @@ def _word_vectors(spec: TensorSpec, letters, depth: int):
         for v in layer:
             for g in letters:
                 if _extends(rows, tensor_act(spec, g, v).terms):
-                    nxt.append(TensorElement(rows[-1][1]))
+                    nxt.append(TensorElement.adopt(rows[-1][1]))
         layer = nxt
     return [row for _, row in rows]
 

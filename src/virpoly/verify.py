@@ -195,10 +195,12 @@ def suite_reducedegree(nmax: int = 3, j_window: int = 16, **_kw):
 def suite_faulhaber(**_kw):
     rec = _Recorder("faulhaber", {"k_max": 10, "j_max": 25})
     for k in range(0, 11):
+        # running direct sums of i^k and (-i)^k over 1 <= i <= j
+        direct = direct_neg = Scalar(0)
         for j in range(1, 26):
-            direct = sum((Scalar(i) ** k for i in range(1, j + 1)), Scalar(0))
+            direct = direct + Scalar(j) ** k
             rec.record(faulhaber_sum(k, j) == direct, {"k": k, "j": j, "part": "i"})
-            direct_neg = sum((Scalar(-i) ** k for i in range(1, j + 1)), Scalar(0))
+            direct_neg = direct_neg + Scalar(-j) ** k
             rec.record(
                 neg_faulhaber_sum(k, j) == direct_neg, {"k": k, "j": j, "part": "ii"}
             )

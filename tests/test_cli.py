@@ -192,6 +192,43 @@ def test_verify_suite(capsys):
     assert out["suites"][0]["suite"] == "faulhaber"
 
 
+def test_parser_is_reused_without_leaking_flags(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "faulhaber", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    code, out = run_cli(capsys, "verify", "--suite", "faulhaber", "--seed", "5")
+    assert code == 0 and out["seed"] == 5
+    code, out = run_cli(capsys, "verify", "--suite", "faulhaber")
+    assert code == 0 and out["seed"] == 0
+
+
+def test_import_builds_no_parser():
+    # a fresh interpreter: this one has long since built its parser
+    script = (
+        "import argparse, contextlib, io\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "from virpoly import cli\n"
+        "counts = [len(built)]\n"
+        "for seed in ('0', '3'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.main(['verify', '--suite', 'faulhaber', '--seed', seed])\n"
+        "    counts.append(len(built))\n"
+        "print(*counts)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=cli_env()
+    )
+    at_import, first, second = map(int, proc.stdout.split())
+    assert at_import == 0 and first > 0 and second == first
+
+
 def run_invalid(capsys, *argv):
     """Exit code and stderr of a request that must be rejected as invalid input."""
     code = main(list(argv))

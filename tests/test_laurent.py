@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import rand_laurent
+from conftest import rand_laurent, rand_scalar
 from virpoly.errors import BadModulus, NotCoprime, NotDivisible
 from virpoly.laurent import (
     LaurentPoly,
@@ -56,6 +56,53 @@ class TestLieBracket:
                 + lie_bracket(lie_bracket(h, f), g)
             )
             assert total.is_zero()
+
+
+def termwise(p, x):
+    """The value at x as the sum of c x^e over the terms."""
+    return sum((c * x**e for e, c in p.terms.items()), Scalar(0))
+
+
+class TestEvaluate:
+    def test_matches_termwise_sum(self):
+        rng = random.Random(211)
+        xs = [sc(2), sc(-1), sc("1/3"), sc("-5/2"), Scalar(1, 1), Scalar("1/2", -2), Scalar(0, 1)]
+        for _ in range(60):
+            gaussian = rng.random() < 0.5
+
+            def coeff():
+                im = Scalar(0, rng.randint(-2, 2)) if gaussian else 0
+                return rand_scalar(rng) + im
+
+            # sparse support: exponents spread over a wide range, both signs
+            p = LaurentPoly({rng.randint(-12, 12): coeff() for _ in range(rng.randint(1, 5))})
+            for x in xs:
+                assert p.evaluate(x) == termwise(p, x), (p, x)
+
+    def test_shapes(self):
+        x = Scalar(2, -1)
+        cases = [
+            LaurentPoly(),
+            t(0, 7),
+            t(1),
+            t(-1),
+            t(9, "2/3"),
+            t(-7, Scalar(0, 1)),
+            LaurentPoly({-3: 1, 0: 2, 5: -1}),
+            LaurentPoly({-10: 1, -9: 1}),
+            LaurentPoly({20: 1, 0: 1}),
+        ]
+        for p in cases:
+            for y in (x, sc(3), sc(1), sc(-1)):
+                assert p.evaluate(y) == termwise(p, y), (p, y)
+
+    def test_at_zero(self):
+        assert LaurentPoly({0: 5, 2: 1}).evaluate(0) == sc(5)
+        assert LaurentPoly({1: 5, 2: 1}).evaluate(0) == sc(0)
+        assert LaurentPoly().evaluate(0) == sc(0)
+        for p in (t(-1), LaurentPoly({-2: 1, 3: 1}), LaurentPoly({-1: 1, 0: 1})):
+            with pytest.raises(ZeroDivisionError):
+                p.evaluate(0)
 
 
 class TestDerivative:

@@ -62,6 +62,12 @@ class TestContainers:
         x = VirElement({-1: sc("1/2"), 2: sc(3)}, sc(-4))
         assert sc(2) * x == x * 2 == 2 * x == VirElement({-1: 1, 2: 6}, -8)
 
+    def test_adopt_wraps_the_map_itself(self):
+        terms = {(0, 1): sc(2), (1, 0): sc("-1/3")}
+        v = ModuleElement.adopt(terms)
+        assert type(v) is ModuleElement and v.terms is terms
+        assert v == ModuleElement(terms)
+
 
 class TestEchelon:
     def test_rank_and_pivot_shape(self):

@@ -110,6 +110,31 @@ class TestTensorAct:
                 got.terms[(((7,), (7, 7)), ())] = sc(1)
                 assert tensor_act(spec, x, w) == want
 
+    def test_adopted_results_are_clean(self):
+        """tensor_act and the word rows wrap their maps without re-cleaning:
+        each adopted element equals the one TensorElement builds from its map."""
+
+        def assert_clean(v):
+            assert v == TensorElement(v.terms)
+            for key, c in v.terms.items():
+                assert TensorElement._key(key) == key and type(c) is Scalar and not c.is_zero()
+
+        rng = random.Random(223)
+        gaussian = single_root_character(Scalar(1, 1), 2, [Scalar(0, 1), 1])
+        for tail in TAILS:
+            spec = TensorSpec([ones(2, 1, 0), gaussian], tail)
+            for _ in range(12):
+                parts = ((rng.randint(0, 1),), (rng.randint(0, 1), rng.randint(0, 1)))
+                mono = () if tail.is_trivial() else tuple(
+                    sorted(rng.randint(tail.m - 3, tail.m - 1) for _ in range(rng.randint(0, 2)))
+                )
+                v = basis(spec, parts, mono) + spec.generator() * sc(rng.randint(-2, 2))
+                for x in (rand_vir(rng, -3, 3), VirElement.z(sc("2/3")), VirElement.e(0) * 0):
+                    assert_clean(tensor_act(spec, x, v))
+            letters = [t(k) for k in range(-1, 3)]
+            for row in _word_vectors(spec, letters, 2):
+                assert_clean(TensorElement.adopt(row))
+
     def test_representation_property_all_tails(self):
         rng = random.Random(89)
         for tail in TAILS:
