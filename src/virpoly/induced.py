@@ -30,7 +30,7 @@ from .errors import HypothesisViolation, SearchExhausted, ZeroLambda, ZeroVector
 from .faulhaber import faulhaber
 from .laurent import LaurentPoly, linear_factor, taylor
 from .scalars import ONE, Scalar, json_list, json_map, sc
-from .sparse import SparseVector, accumulate
+from .sparse import SparseVector, accumulate, bilinear
 from .virasoro import VirElement, theta
 
 # -- multi-indices -----------------------------------------------------------
@@ -73,10 +73,6 @@ class ModuleElement(SparseVector):
     """Sparse vector in the PBW basis: finite map multi-index -> Scalar."""
 
     __slots__ = ()
-
-    @staticmethod
-    def _key(s):
-        return tuple(int(x) for x in s)
 
     @staticmethod
     def basis(s) -> "ModuleElement":
@@ -201,16 +197,10 @@ class InducedModule:
 
     def act_on_index(self, g: LaurentPoly, s: tuple) -> dict:
         """Monomial-split action on one basis index; shares the recursion cache."""
-        out = {}
-        for k, gc in g.terms.items():
-            accumulate(out, self._act_idx(k, s), gc)
-        return out
+        return bilinear(self._act_idx, g.terms, {s: ONE})
 
     def act(self, g: LaurentPoly, v: ModuleElement) -> ModuleElement:
-        out = {}
-        for s, c in v.terms.items():
-            accumulate(out, self.act_on_index(g, s), c)
-        return ModuleElement(out)
+        return ModuleElement.adopt(bilinear(self._act_idx, g.terms, v.terms))
 
     def act_vir(self, x: VirElement, v: ModuleElement) -> ModuleElement:
         """z acts by zero; the e part acts through theta."""

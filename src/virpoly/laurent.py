@@ -8,7 +8,7 @@ zeros.  The same objects serve as the associative algebra C[t^+-] and, via
 from __future__ import annotations
 
 from .errors import BadModulus, NotCoprime, NotDivisible
-from .scalars import ONE, Scalar, json_index, json_map, sc
+from .scalars import ONE, Scalar, json_index, json_map, power, sc
 from .sparse import SparseVector, accumulate
 
 
@@ -17,7 +17,6 @@ class LaurentPoly(SparseVector):
     container operations come from ``SparseVector``, the ring product from here."""
 
     __slots__ = ()
-    _key = int
 
     # -- constructors ---------------------------------------------------
 
@@ -100,14 +99,7 @@ class LaurentPoly(SparseVector):
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             raise ValueError("negative Laurent polynomial powers not supported")
-        out = LaurentPoly({0: 1})
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, ONE_POLY)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""

@@ -14,6 +14,7 @@ input, for the ``re``/``im`` views and to format output.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -25,6 +26,9 @@ def _frac(x) -> Fraction:
         return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
+
+# The one spelling of a scalar part in JSON: [+-]digits or [+-]digits/digits.
+_JSON_SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 # The operand types a Scalar operator converts; for any other it returns
 # NotImplemented, so the other operand (a vector scaled from the left) may act.
@@ -93,13 +97,18 @@ class Scalar:
     def from_json(obj) -> "Scalar":
         """Parse "p/q" (rational) or {"re": "p/q", "im": "r/s"} (Gaussian).
 
-        Anything else, floats, booleans and zero denominators included, is
-        malformed input and raises ValueError.
+        Each part is a string of an optional sign, decimal digits and an
+        optional "/digits".  Anything else, numbers, booleans, decimals,
+        exponents, spaces and zero denominators included, is malformed
+        input and raises ValueError; an exponent such as "1e10000000" would
+        otherwise build its huge integer before any check could see it.
         """
-        parts = (obj.get("re", 0), obj.get("im", 0)) if isinstance(obj, dict) else (obj, 0)
+        parts = (obj.get("re", "0"), obj.get("im", "0")) if isinstance(obj, dict) else (obj, "0")
+        if not all(isinstance(x, str) and _JSON_SCALAR.fullmatch(x) for x in parts):
+            raise ValueError(f"bad scalar JSON: {obj!r}")
         try:
             return Scalar(*parts)
-        except (TypeError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise ValueError(f"bad scalar JSON: {obj!r}") from exc
 
     def to_json(self):
@@ -199,15 +208,8 @@ class Scalar:
         if not isinstance(k, int):
             raise TypeError("Scalar powers must be integers")
         if k < 0:
-            return (ONE / self) ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+            return power(ONE / self, -k, ONE)
+        return power(self, k, ONE)
 
     def conjugate(self) -> "Scalar":
         return _make(self._a, -self._b, self._d)
@@ -239,6 +241,27 @@ class Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+
+
+def power(x, k: int, one):
+    """x**k for k >= 0 by square-and-multiply, shared by Scalars and Laurent polynomials.
+
+    Nothing is multiplied by ``one`` and x is not squared past the top bit of
+    k, so k = 1 takes no product, k = 2 one and k = 8 three.
+    """
+    if k == 0:
+        return one
+    while not k & 1:
+        x = x * x
+        k >>= 1
+    out = x
+    k >>= 1
+    while k:
+        x = x * x
+        if k & 1:
+            out = out * x
+        k >>= 1
+    return out
 
 
 def json_map(obj, what: str) -> dict:

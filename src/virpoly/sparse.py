@@ -1,9 +1,9 @@
 """The sparse exact kernel: finite maps key -> Scalar with no stored zeros.
 
 Laurent polynomials, PBW vectors and tensor vectors are such maps and share
-the accumulate loop and the container base below; the Laurent polynomials
-include the characters' index polynomials and the power sums P_k, which
-have support >= 0.  A Virasoro element holds
+the accumulate loop, the bilinear action loop and the container base below;
+the Laurent polynomials include the characters' index polynomials and the
+power sums P_k, which have support >= 0.  A Virasoro element holds
 a Laurent polynomial as its e-part and its central coefficient z beside it,
 which the base's operations would drop.  Slice ranks and linear solves share
 the exact elimination.
@@ -11,17 +11,18 @@ the exact elimination.
 
 from __future__ import annotations
 
-from .scalars import ONE, sc
+from .scalars import ONE, Scalar, sc
 
 
-def clean(terms, key) -> dict:
-    """A fresh map key(k) -> Scalar from terms, with the zeros dropped."""
+def clean(terms) -> dict:
+    """A fresh map of terms with Scalar values and the zeros dropped; keys are kept as given."""
     out = {}
     if terms:
         for k, c in terms.items():
-            c = sc(c)
+            if c.__class__ is not Scalar:
+                c = sc(c)
             if not c.is_zero():
-                out[key(k)] = c
+                out[k] = c
     return out
 
 
@@ -42,22 +43,35 @@ def accumulate(target: dict, src: dict, coeff=None) -> dict:
     return target
 
 
+def bilinear(column, g: dict, v: dict) -> dict:
+    """The fresh map sum of g[k] v[key] column(k, key) over k in g and key in v.
+
+    This is every module action: column(k, key) is e_k on one basis vector,
+    often a memo entry, so it is only read.
+    """
+    out = {}
+    for key, c in v.items():
+        for k, a in g.items():
+            accumulate(out, column(k, key), a * c)
+    return out
+
+
 class SparseVector:
-    """A map key -> Scalar in ``terms``; a subclass fixes the key shape in ``_key``."""
+    """A map key -> Scalar in ``terms``; a subclass gives the keys their meaning."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = clean(terms, self._key)
+        self.terms = clean(terms)
 
     @classmethod
     def adopt(cls, terms: dict):
         """Wrap a map that is already clean, without copying or re-checking it.
 
-        The map must hold ``Scalar`` values, no zeros and keys already in the
-        subclass's canonical shape, and nobody may mutate it afterwards: an
-        ``accumulate`` result the caller drops, or a pivot row of ``echelon``,
-        which is never changed once appended.
+        The map must hold ``Scalar`` values and no zeros, and nobody may
+        mutate it afterwards: an ``accumulate`` or ``bilinear`` result the
+        caller drops, or a pivot row of ``echelon``, which is never changed
+        once appended.
         """
         out = cls.__new__(cls)
         out.terms = terms

@@ -16,7 +16,7 @@ from math import isqrt
 
 from .errors import VirpolyError
 from .scalars import Scalar, json_index, json_int, json_map, sc
-from .sparse import accumulate, clean
+from .sparse import accumulate, bilinear, clean
 from .virasoro import VirElement, _cocycle
 
 _FAMILIES = {-1: "mbar", 0: "verma"}  # every m >= 1 is Whittaker
@@ -37,7 +37,7 @@ class TailModuleSpec:
     __slots__ = ("m", "window", "c")
 
     def __init__(self, m=None, window=None, c=0):
-        window = clean(window, int)
+        window = clean(window)
         if m is not None and (m < -1 or not all(m <= j <= 2 * m for j in window)):
             raise ValueError(f"a b_m character needs m >= -1 and support in [m, 2m], not m = {m}")
         self.m = m
@@ -177,14 +177,7 @@ class TailModule:
         return out
 
     def act_vir(self, x: VirElement, v: dict) -> dict:
-        out = {}
-        for mono, coeff in v.items():
-            for i, a in x.e_part.terms.items():
-                accumulate(out, self._act_e(i, mono), a * coeff)
-            zc = x.z_part * self.spec.c * coeff
-            if not zc.is_zero():
-                accumulate(out, {mono: zc})
-        return out
+        return accumulate(bilinear(self._act_e, x.e_part.terms, v), v, x.z_part * self.spec.c)
 
 
 _tail_engines = {}

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from math import comb
 
 import pytest
@@ -185,6 +186,18 @@ def test_tensor_map_polynomial(tmp_path, capsys, monkeypatch):
     assert code == 1 and failed["passed"] is False
 
 
+def test_tensor_map_refuses_a_slice_above_the_rank_bound(tmp_path, capsys):
+    character = {
+        "factors": [{"lambda": "2", "n": 1, "p": ["1"]}],
+        "restriction": {"m": 0, "window": {"0": "4"}, "z": "5"},
+    }
+    spec = write(tmp_path, "t.json", {"kind": "restricted", "character": character})
+    start = time.perf_counter()
+    code, err = run_invalid(capsys, "tensor-map", "--spec", spec, "--depth", "7")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and "25889" in err and len(err.splitlines()) == 1
+
+
 def test_verify_suite(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "faulhaber")
     assert code == 0
@@ -256,11 +269,21 @@ def test_invalid_input_exit_code(tmp_path, capsys):
         # two spellings of one index must not overwrite each other
         "noncanonical_laurent_key": {"kind": "laurent", "a": {"1": "2", "01": "3"}, "b": {"2": "1"}},
         "noncanonical_vir_key": dict(good, a={"e": {"+1": "1"}}),
+        # a scalar is "p/q" only: Fraction's decimals, exponents and spaces are not read
+        "exponent_scalar": dict(good, a={"e": {"2": "1e3"}}),
+        "decimal_scalar": dict(good, a={"e": {"2": "1.5"}}),
+        "spaced_scalar": dict(good, a={"e": {"2": " 1"}}),
+        "gaussian_exponent_scalar": dict(good, a={"e": {"2": {"re": "1", "im": "2e1"}}}),
+        "int_scalar": dict(good, a={"e": {"2": 1}}),
+        # the exponent is refused before 10**(10**7) is built
+        "huge_exponent_scalar": dict(good, a={"e": {"2": "1e10000000"}}),
     }
     for name, payload in malformed.items():
+        start = time.perf_counter()
         code, err = run_invalid(capsys, "bracket", "--spec", write(tmp_path, name + ".json", payload))
         assert code == 2, name
         assert err.startswith("invalid input") and len(err.splitlines()) == 1, name
+        assert time.perf_counter() - start < 1.0, name
     factor = {"lambda": "2", "n": 2, "p": ["1"]}
     restricted = {"factors": [{"lambda": "1", "n": 1, "p": ["9"]}], "restriction": {"m": 0}}
     wrong_type = {

@@ -29,6 +29,25 @@ def test_coefficients_are_read_by_exponent_not_iterated():
             consume(p)
 
 
+def test_powers_skip_the_unit_and_the_last_square(monkeypatch):
+    f = linear_factor(sc("-3/2"))
+    want = [LaurentPoly({0: 1})]
+    for _ in range(8):
+        want.append(want[-1] * f)
+    mul = LaurentPoly.__mul__
+    products = []
+
+    def counting(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    for k, count in ((0, 0), (1, 0), (2, 1), (3, 2), (5, 3), (8, 3)):
+        products.clear()
+        assert f**k == want[k], k
+        assert len(products) == count, k
+
+
 class TestLieBracket:
     def test_monomials(self):
         assert lie_bracket(t(2), t(3)) == t(5)

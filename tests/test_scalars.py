@@ -35,6 +35,17 @@ def test_powers_include_negative():
     assert Scalar(0, 2) ** -1 == Scalar(0, "-1/2")
 
 
+@pytest.mark.parametrize("x", [sc("-2/3"), Scalar("1/2", "-3")], ids=["Q", "Qi"])
+def test_powers_match_repeated_products(x):
+    for k in (-3, 0, 1, 2, 5):
+        want = sc(1)
+        for _ in range(abs(k)):
+            want = want * x
+        if k < 0:
+            want = sc(1) / want
+        assert x**k == want, k
+
+
 def test_zero_division_rejected():
     with pytest.raises(ZeroDivisionError):
         sc(1) / sc(0)

@@ -8,7 +8,7 @@ from virpoly.errors import SingularSystem
 from virpoly.induced import ModuleElement
 from virpoly.laurent import LaurentPoly
 from virpoly.scalars import Scalar, sc
-from virpoly.sparse import accumulate, clean, echelon
+from virpoly.sparse import accumulate, bilinear, clean, echelon
 from virpoly.tensor import TensorElement
 from virpoly.virasoro import VirElement
 
@@ -34,9 +34,41 @@ class TestAccumulate:
         accumulate(target, {(1, 0): sc("-1/2"), (2, 0): sc(3)})
         assert target == {(0, 1): sc(1), (2, 0): sc(3)}
 
-    def test_clean_normalises_keys_and_drops_zeros(self):
-        assert clean({"1": 2, "2": 0, "-3": "1/2"}, int) == {1: sc(2), -3: sc("1/2")}
-        assert clean(None, int) == {}
+    def test_bilinear_matches_a_direct_double_sum(self):
+        rng = random.Random(17)
+        memo = {}
+
+        def column(k, key):
+            # e_0 kills everything, and some images cancel to zero coefficients
+            if (k, key) not in memo:
+                memo[(k, key)] = {} if k == 0 else {key + k: rand_scalar(rng), key - k: sc(k)}
+            return memo[(k, key)]
+
+        for _ in range(30):
+            g = {k: rand_scalar(rng) for k in rng.sample(range(-2, 3), rng.randint(0, 4))}
+            v = {key: rand_scalar(rng) for key in rng.sample(range(-3, 4), rng.randint(0, 4))}
+            if g and v:
+                g[next(iter(g))] = sc(0)
+            want = {}
+            for k, a in g.items():
+                for key, c in v.items():
+                    for j, b in column(k, key).items():
+                        want[j] = want.get(j, Scalar(0)) + a * c * b
+            frozen = {kk: dict(col) for kk, col in memo.items()}
+            out = bilinear(column, g, v)
+            assert out == {j: c for j, c in want.items() if not c.is_zero()}
+            assert all(type(c) is Scalar and not c.is_zero() for c in out.values())
+            # the columns are only read
+            assert memo == frozen and all(out is not col for col in memo.values())
+
+    def test_clean_coerces_values_and_drops_zeros(self):
+        terms = {1: 2, 2: 0, -3: "1/2", 4: sc(0), 5: Scalar(1, 1)}
+        out = clean(terms)
+        assert out == {1: sc(2), -3: sc("1/2"), 5: Scalar(1, 1)} and out is not terms
+        assert all(type(c) is Scalar for c in out.values())
+        # the keys are kept as given, not rebuilt
+        assert clean({"1": 1}) == {"1": sc(1)}
+        assert clean(None) == {} and clean({}) == {}
 
 
 class TestContainers:

@@ -9,6 +9,7 @@ from virpoly.tailmod import (
     TailModuleSpec,
     ann_bound,
     b_act,
+    get_tail_engine,
     kac_h,
     kac_phi,
     mbar_excluded_bruteforce,
@@ -64,6 +65,29 @@ class TestBAct:
                 y = VirElement({rng.randint(-3, 3): sc(rng.randint(-2, 2))})
                 lhs = _minus(b_act(spec, x, b_act(spec, y, v)), b_act(spec, y, b_act(spec, x, v)))
                 assert lhs == b_act(spec, vir_bracket(x, y), v)
+
+    @pytest.mark.parametrize("m", sorted(SPECS))
+    def test_act_vir_matches_the_per_monomial_formula(self, m):
+        """x v = sum_mono v[mono] (sum_i x_i e_i mono + z(x) c mono), term by term."""
+        spec = SPECS[m]
+        eng = get_tail_engine(spec)
+        rng = random.Random(97 + m)
+        for _ in range(20):
+            v = {}
+            for _ in range(rng.randint(1, 3)):
+                mono = tuple(sorted(rng.randint(m - 3, m - 1) for _ in range(rng.randint(0, 3))))
+                v[mono] = sc(rng.randint(-3, 3)) / sc(rng.randint(1, 3))
+            x = VirElement(
+                {rng.randint(-3, 3): sc(rng.randint(-2, 2)) for _ in range(2)},
+                sc(rng.randint(-2, 2)) / sc(3),
+            )
+            want = {}
+            for mono, coeff in v.items():
+                for i, a in x.e_part.terms.items():
+                    for mono2, c in eng._act_e(i, mono).items():
+                        want[mono2] = want.get(mono2, Scalar(0)) + a * coeff * c
+                want[mono] = want.get(mono, Scalar(0)) + x.z_part * spec.c * coeff
+            assert b_act(spec, x, v) == {k: c for k, c in want.items() if not c.is_zero()}
 
 
 class TestAnnBound:

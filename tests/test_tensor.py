@@ -12,6 +12,7 @@ from virpoly.scalars import Scalar, sc
 from virpoly.sparse import accumulate, echelon
 from virpoly.tailmod import TailModuleSpec, b_act
 from virpoly.tensor import (
+    MAX_SLICE_RANK,
     TensorElement,
     TensorSpec,
     _abstract_slice_dim,
@@ -116,8 +117,11 @@ class TestTensorAct:
 
         def assert_clean(v):
             assert v == TensorElement(v.terms)
-            for key, c in v.terms.items():
-                assert TensorElement._key(key) == key and type(c) is Scalar and not c.is_zero()
+            for (parts, mono), c in v.terms.items():
+                assert type(parts) is tuple and type(mono) is tuple
+                assert all(type(p) is tuple and all(type(i) is int for i in p) for p in parts)
+                assert all(type(j) is int for j in mono)
+                assert type(c) is Scalar and not c.is_zero()
 
         rng = random.Random(223)
         gaussian = single_root_character(Scalar(1, 1), 2, [Scalar(0, 1), 1])
@@ -494,6 +498,13 @@ class TestGeneralTensorMap:
         rep = general_tensor_map(restricted([(2, 1)], 1), 5, kind="restricted")
         assert rep["passed"]
         assert rep["rank"] == rep["expected_rank"] == 912
+
+    def test_counted_ranks_past_depth_five(self):
+        # depth 6 stays under MAX_SLICE_RANK for every m; depth 7 is refused
+        for depth, m, rank in ((6, 0, 5222), (6, 1, 4436), (6, -1, 6069), (7, 0, 25889), (7, 1, 21915)):
+            letters, reduce = slice_letters(("restricted", [(2, 1)], m), depth)
+            assert _abstract_slice_dim(letters, reduce, depth) == rank, (depth, m)
+            assert (rank <= MAX_SLICE_RANK) == (depth == 6)
 
     def test_depth_zero_rejected(self):
         with pytest.raises(DepthTooSmall):
