@@ -276,20 +276,22 @@ def _solve_linear(rows, rhs):
     """Exact solution of a square system; raises SingularSystem unless it is unique.
 
     The right-hand side sits at label n, above every column, so it is a pivot
-    only for a row whose coefficients vanished.  Back-substitution clears the
-    later pivot labels from each pivot row, leaving x_label at its label n.
+    only for a row whose coefficients vanished.  A pivot row holds no label
+    below its own, so x_label is its entry at n less its later labels'
+    unknowns, and substitution in decreasing label order reads each pivot
+    row once without changing it.
     """
     n = len(rows)
     pivots = echelon({**dict(enumerate(r)), n: b} for r, b in zip(rows, rhs))
-    if {label for label, _ in pivots} != set(range(n)):
+    if set(pivots) != set(range(n)):
         raise SingularSystem("no pivot available")
-    for i in range(n - 1, -1, -1):
-        row = pivots[i][1]
-        for label, later in pivots[i + 1 :]:
-            c = row.get(label)
-            if c is not None:
-                accumulate(row, later, -c)
-    return [row.get(n, Scalar(0)) for _, row in sorted(pivots, key=lambda p: p[0])]
+    x = [Scalar(0)] * n
+    for label in range(n - 1, -1, -1):
+        row = pivots[label]
+        x[label] = row.get(n, Scalar(0)) - sum(
+            (c * x[k] for k, c in row.items() if label < k < n), Scalar(0)
+        )
+    return x
 
 
 def solve_exp_poly(values, roots, j0: int) -> ExpPolyCharacter:

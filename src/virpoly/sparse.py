@@ -71,7 +71,7 @@ class SparseVector:
         The map must hold ``Scalar`` values and no zeros, and nobody may
         mutate it afterwards: an ``accumulate`` or ``bilinear`` result the
         caller drops, or a pivot row of ``echelon``, which is never changed
-        once appended.
+        once inserted.
         """
         out = cls.__new__(cls)
         out.terms = terms
@@ -110,23 +110,24 @@ class SparseVector:
         return f"{name}(" + " + ".join(parts) + ")"
 
 
-def echelon(rows, pivots=None) -> list:
-    """Exact row echelon form of sparse rows: the list of (label, pivot row).
+def echelon(rows, pivots=None) -> dict:
+    """Exact row echelon form of sparse rows: the map label -> pivot row.
 
-    Each row is reduced against the pivots so far, in order, and a nonzero
-    remainder becomes a pivot normalised to 1 at its least label; every pivot
-    is then zero at all earlier labels, so there are rank-many.  The least
-    label, not the first in dict order, keeps the pivots independent of
-    insertion order and makes a label above all others (a right-hand side) a
-    pivot only when nothing else is left of its row.  Given ``pivots`` (an
-    earlier result), the rows extend that list in place and it is returned,
-    so a span grows row by row and a row is new exactly when the list grows.
+    Each row is reduced against the pivots so far, in insertion order, and a
+    nonzero remainder becomes a pivot normalised to 1 at its least label;
+    every pivot is then zero at all earlier labels, so there are rank-many,
+    and no pivot row holds a label below its own.  The least label, not the
+    first in dict order, keeps the pivots independent of insertion order and
+    makes a label above all others (a right-hand side) a pivot only when
+    nothing else is left of its row.  Given ``pivots`` (an earlier result),
+    the rows extend that map in place and it is returned, so a span grows row
+    by row and a row is new exactly when the map grows.
     """
     if pivots is None:
-        pivots = []
+        pivots = {}
     for vec in rows:
         row = {k: c for k, c in vec.items() if not c.is_zero()}
-        for label, prow in pivots:
+        for label, prow in pivots.items():
             c = row.get(label)
             if c is not None:
                 accumulate(row, prow, -c)
@@ -135,5 +136,5 @@ def echelon(rows, pivots=None) -> list:
             lead = row[label]
             if lead != ONE:
                 row = accumulate({}, row, ONE / lead)
-            pivots.append((label, row))
+            pivots[label] = row
     return pivots

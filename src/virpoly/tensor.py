@@ -171,13 +171,6 @@ def annihilating_shift(spec: TensorSpec, h: LaurentPoly, L: int, w: TensorElemen
     return g1 * tL
 
 
-def _tail_ann_bound(spec: TensorSpec, v: TensorElement) -> int:
-    if spec.tail.is_trivial():
-        return 0
-    monos = {mono: Scalar(1) for (_parts, mono) in v.terms}
-    return ann_bound(spec.tail, monos)
-
-
 CYCLIC_MAX_STEPS = 64  # bound on the descent
 CYCLIC_J_WINDOW = 16  # width of each step's shift search
 
@@ -223,7 +216,7 @@ def cyclic_reduce(spec: TensorSpec, w: TensorElement):
         ubez, vbez = bezout(F_lead, F_hat)
         fm = engines[i0].fpow(m)
         g_hat = poly_divmod(fm * vbez, F_lead)[1]
-        L = _tail_ann_bound(spec, cur)
+        L = ann_bound(spec.tail, [mono for _, mono in cur.terms])
         found = False
         for j in range(L, L + CYCLIC_J_WINDOW + 1):
             op = (g_hat * F_hat).shift(j)
@@ -338,13 +331,6 @@ def _rank(vectors) -> int:
     return len(echelon(vectors))
 
 
-def _extends(pivots, vec) -> bool:
-    """Reduce vec into the echelon rows in place; True when it was independent."""
-    size = len(pivots)
-    echelon((vec,), pivots)
-    return len(pivots) > size
-
-
 def _word_vectors(spec: TensorSpec, letters, depth: int):
     """Echelon rows spanning the images word . v0 of the words of length <= depth.
 
@@ -359,17 +345,13 @@ def _word_vectors(spec: TensorSpec, letters, depth: int):
     layer acts on fewer terms.
     """
     letters = [VirElement.from_laurent(g) for g in letters]
-    v0 = spec.generator()
-    rows = echelon((v0.terms,))
-    layer = [v0]
+    rows = echelon((spec.generator().terms,))
+    size = 0
     for _ in range(depth):
-        nxt = []
-        for v in layer:
-            for g in letters:
-                if _extends(rows, tensor_act(spec, g, v).terms):
-                    nxt.append(TensorElement.adopt(rows[-1][1]))
-        layer = nxt
-    return [row for _, row in rows]
+        layer = [TensorElement.adopt(row) for row in list(rows.values())[size:]]
+        size = len(rows)
+        echelon((tensor_act(spec, g, v).terms for v in layer for g in letters), rows)
+    return list(rows.values())
 
 
 def _quotient_reducer(F: LaurentPoly, m: int):
@@ -421,14 +403,16 @@ def _abstract_slice_dim(letters, reduce, depth: int) -> int:
     """
     letter_elems = [VirElement.from_laurent(g) for g in letters]
     layer = letter_elems
-    images = []
+    images = {}
     counts = []
     for k in range(1, depth + 1):
         if k > 1:
             layer = [vir_bracket(b, l) for b in layer for l in letter_elems]
-        span = []
-        layer = [x for x in layer if _extends(span, x.e_part.terms)]
-        counts.append(sum(_extends(images, reduce(x)) for x in layer))
+        span = echelon(x.e_part.terms for x in layer)
+        layer = [VirElement(row) for row in span.values()]
+        size = len(images)
+        echelon(map(reduce, layer), images)
+        counts.append(len(images) - size)
     series = [1] + [0] * depth
     for k, n in enumerate(counts, 1):
         for _ in range(n):

@@ -1,15 +1,19 @@
+import argparse
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from conftest import cli_env
 from virpoly import cli
 from virpoly.cli import main
+from virpoly.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -196,6 +200,49 @@ def test_tensor_map_refuses_a_slice_above_the_rank_bound(tmp_path, capsys):
     code, err = run_invalid(capsys, "tensor-map", "--spec", spec, "--depth", "7")
     assert time.perf_counter() - start < 2.0
     assert code == 2 and "25889" in err and len(err.splitlines()) == 1
+
+
+def test_loops_the_input_sizes_are_bounded(tmp_path, capsys):
+    factor = {"lambda": "1", "n": 1, "p": ["1"]}
+    verma = {
+        "restricted": {
+            "factors": [{"lambda": "1", "n": 1, "p": ["3"]}],
+            "restriction": {"m": 0, "window": {"0": "2"}, "z": "5"},
+        }
+    }
+    refused = {
+        "huge_range": ("char-validate", {"character": {"factors": [factor]}, "range": [0, 10**11]}, ()),
+        "range_of_2002": ("char-validate", {"character": {"factors": [factor]}, "range": [-1000, 1001]}, ()),
+        "huge_kac_level": ("simplicity", verma, ("--kac-level", "100000000")),
+        "kac_level_10001": ("simplicity", verma, ("--kac-level", "10001")),
+    }
+    for name, (command, payload, flags) in refused.items():
+        spec = write(tmp_path, name + ".json", payload)
+        start = time.perf_counter()
+        code, err = run_invalid(capsys, command, "--spec", spec, *flags)
+        assert time.perf_counter() - start < 1.0, name
+        assert code == 2 and err.startswith("invalid input") and len(err.splitlines()) == 1, name
+    spec = write(tmp_path, "range.json", {"character": {"factors": [factor]}, "range": [-1000, 1000]})
+    code, out = run_cli(capsys, "char-validate", "--spec", spec)
+    assert code == 0 and out["valid"] is True
+
+
+def test_readme_names_every_command_option_and_suite():
+    readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
+    words = set(re.findall(r"[\w-]+", readme))
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        option
+        for p in sub.choices.values()
+        for action in p._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    }
+    assert set(sub.choices) == set(cli._WITH_SPEC) | {"verify"}
+    assert options >= {"--spec", "--kac-level", "--nmax"}
+    missing = (set(sub.choices) | options | set(SUITES)) - words
+    assert not missing
 
 
 def test_verify_suite(capsys):

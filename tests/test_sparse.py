@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import rand_scalar
+from conftest import dense_rank, rand_scalar
 from virpoly.characters import _solve_linear
 from virpoly.errors import SingularSystem
 from virpoly.induced import ModuleElement
@@ -103,24 +103,35 @@ class TestContainers:
 
 class TestEchelon:
     def test_rank_and_pivot_shape(self):
-        rows = [{0: sc(1), 1: sc(2)}, {0: sc(2), 1: sc(4)}, {1: sc(1), 2: sc(0)}, {}]
-        pivots = echelon(rows)
-        assert len(pivots) == 2
-        for i, (label, row) in enumerate(pivots):
-            assert row[label] == sc(1)
-            assert all(earlier not in row for earlier, _ in pivots[:i])
-        # extending a pivot list row by row gives the pivots of one batch call
         rng = random.Random(5)
-        rows += [
-            {k: rand_scalar(rng) for k in rng.sample(range(6), rng.randint(0, 4))}
-            for _ in range(12)
+        rows = [{0: sc(1), 1: sc(2)}, {0: sc(2), 1: sc(4)}, {1: sc(1), 2: sc(0)}, {}]
+        # four random rows and eight combinations of them: rank at most 6 in 8 columns;
+        # keys descend, so the least label is not the first in dict order
+        base = [
+            {k: rand_scalar(rng) for k in sorted(rng.sample(range(8), rng.randint(2, 5)), reverse=True)}
+            for _ in range(4)
         ]
-        grown = []
-        for i, row in enumerate(rows):
-            size = len(grown)
-            assert echelon([row], grown) is grown
-            assert len(grown) - size == len(echelon(rows[: i + 1])) - len(echelon(rows[:i]))
-        assert grown == echelon(rows)
+        extra = base + [
+            accumulate(dict(rng.choice(base)), rng.choice(base), rand_scalar(rng)) for _ in range(8)
+        ]
+        rng.shuffle(extra)
+        rows += extra
+        pivots = echelon(rows)
+        assert type(pivots) is dict
+        assert len(echelon(rows[:4])) == dense_rank(rows[:4]) == 2
+        assert len(pivots) == dense_rank(rows) < 8
+        for i, (label, row) in enumerate(pivots.items()):
+            # a pivot sits at the least key of its row, normalised to 1
+            assert label == min(row) and row[label] == sc(1)
+            # and its row is zero at every label inserted before it
+            assert not set(row) & set(list(pivots)[:i])
+        # extending the map in batches gives the map of one call
+        for cuts in ((), (1,), (3, 4, 9), tuple(range(1, len(rows)))):
+            grown = {}
+            for lo, hi in zip((0,) + cuts, cuts + (len(rows),)):
+                assert echelon(rows[lo:hi], grown) is grown
+            assert grown == pivots
+            assert list(grown) == list(pivots)
 
     def test_solve_matches_the_system(self):
         rng = random.Random(11)
@@ -138,6 +149,14 @@ class TestEchelon:
         # the second row reduces to (0, -1 | 4): a pivot must not fall on the rhs
         x = _solve_linear([[sc(1), sc(1)], [sc(1), sc(0)]], [sc(1), sc(5)])
         assert x == [sc(5), sc(-4)]
+
+    def test_solve_with_pivots_out_of_label_order(self):
+        # the first row pivots at label 1, the second at label 0
+        rows = [[sc(0), sc(1)], [sc(1), sc(1)]]
+        rhs = [sc(2), sc(5)]
+        pivots = echelon({**dict(enumerate(r)), 2: b} for r, b in zip(rows, rhs))
+        assert list(pivots) == [1, 0]
+        assert _solve_linear(rows, rhs) == [sc(3), sc(2)]
 
     @pytest.mark.parametrize(
         "rows, rhs",

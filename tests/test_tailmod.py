@@ -6,6 +6,7 @@ import pytest
 from virpoly.errors import VirpolyError
 from virpoly.scalars import Scalar, sc
 from virpoly.tailmod import (
+    MAX_KAC_LEVEL,
     TailModuleSpec,
     ann_bound,
     b_act,
@@ -168,6 +169,9 @@ class TestKac:
         assert verma_simple_upto(sc("1/4"), sc(1), 6)["degenerate"] == (1, 2) or (
             verma_simple_upto(sc("1/4"), sc(1), 6)["degenerate"] == (2, 1)
         )
+        for level in (0, MAX_KAC_LEVEL + 1):
+            with pytest.raises(ValueError):
+                verma_simple_upto(sc(1), sc(100), level)
 
 
 class TestMbar:

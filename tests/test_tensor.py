@@ -3,13 +3,13 @@ from itertools import product
 
 import pytest
 
-from conftest import rand_vir
+from conftest import dense_rank, rand_vir
 from virpoly.characters import RestrictedCharacter, compose, single_root_character
 from virpoly.errors import DepthTooSmall, HypothesisViolation
 from virpoly.induced import get_engine
 from virpoly.laurent import LaurentPoly
 from virpoly.scalars import Scalar, sc
-from virpoly.sparse import accumulate, echelon
+from virpoly.sparse import accumulate
 from virpoly.tailmod import TailModuleSpec, b_act
 from virpoly.tensor import (
     MAX_SLICE_RANK,
@@ -402,7 +402,7 @@ def enumerated_slice_dim(letters, reduce, depth):
     Every iterated bracket of k letters (all |L|^k of them) is reduced into
     the quotient; every product of total bracket length <= depth is formed
     as a symbol in the symmetric algebra on the quotient labels; the answer
-    is the rank of those symbols.
+    is the rank of those symbols, by dense elimination.
     """
     letter_elems = [VirElement.from_laurent(g) for g in letters]
     by_len = {1: list(letter_elems)}
@@ -424,14 +424,15 @@ def enumerated_slice_dim(letters, reduce, depth):
                 grow(idx, budget - k, new)
 
     grow(0, depth, {(): sc(1)})
-    return len(echelon(products))
+    return dense_rank(products)
 
 
 def word_image_rank(spec, letters, depth):
     """Rank of every word image of length <= depth, an oracle for the word span.
 
     Each image is built by repeated tensor_act from the generator with no
-    reduction in between, and all of them are eliminated once at the end.
+    reduction in between, and all of them are eliminated once at the end,
+    by dense elimination rather than the sparse kernel's.
     """
     letters = [VirElement.from_laurent(g) for g in letters]
     layer = [spec.generator()]
@@ -439,7 +440,7 @@ def word_image_rank(spec, letters, depth):
     for _ in range(depth):
         layer = [tensor_act(spec, g, v) for v in layer for g in letters]
         images += layer
-    return len(echelon([w.terms for w in images]))
+    return dense_rank(w.terms for w in images)
 
 
 class TestGeneralTensorMap:
