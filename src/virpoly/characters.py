@@ -276,22 +276,15 @@ def _solve_linear(rows, rhs):
     """Exact solution of a square system; raises SingularSystem unless it is unique.
 
     The right-hand side sits at label n, above every column, so it is a pivot
-    only for a row whose coefficients vanished.  A pivot row holds no label
-    below its own, so x_label is its entry at n less its later labels'
-    unknowns, and substitution in decreasing label order reads each pivot
-    row once without changing it.
+    only for a row whose coefficients vanished.  With a pivot at every column,
+    each reduced pivot row is zero at every other unknown, so x_label is the
+    row's entry at n.
     """
     n = len(rows)
     pivots = echelon({**dict(enumerate(r)), n: b} for r, b in zip(rows, rhs))
     if set(pivots) != set(range(n)):
         raise SingularSystem("no pivot available")
-    x = [Scalar(0)] * n
-    for label in range(n - 1, -1, -1):
-        row = pivots[label]
-        x[label] = row.get(n, Scalar(0)) - sum(
-            (c * x[k] for k, c in row.items() if label < k < n), Scalar(0)
-        )
-    return x
+    return [pivots[label].get(n, Scalar(0)) for label in range(n)]
 
 
 def solve_exp_poly(values, roots, j0: int) -> ExpPolyCharacter:

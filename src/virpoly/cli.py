@@ -114,6 +114,12 @@ def _cmd_act(raw, args):
 MAX_VALIDATE_INDICES = 2001
 
 
+# The verify grids grow fast with --nmax: the full run takes about 3.9 s at
+# 4, 10.8 s at 5 and 26.9 s at 6 (2-core host), and repRootPowerComp1 alone
+# did not finish in 60 s at 10.
+MAX_VERIFY_NMAX = 6
+
+
 def _cmd_char_validate(raw, args):
     mu = ExpPolyCharacter.from_json(raw["character"])
     bounds = json_list(raw.get("range", [-10, 10]), "the range")
@@ -189,6 +195,8 @@ def _cmd_tensor_map(raw, args):
 
 
 def _cmd_verify(args):
+    if args.nmax > MAX_VERIFY_NMAX:
+        raise ValueError(f"--nmax {args.nmax} is too large; the verify grids run up to {MAX_VERIFY_NMAX}")
     names = [args.suite] if args.suite else sorted(SUITES)
     suites = [
         run_suite(

@@ -70,8 +70,8 @@ class SparseVector:
 
         The map must hold ``Scalar`` values and no zeros, and nobody may
         mutate it afterwards: an ``accumulate`` or ``bilinear`` result the
-        caller drops, or a pivot row of ``echelon``, which is never changed
-        once inserted.
+        caller drops, or a pivot row of ``echelon``, which a later pivot
+        may replace in the map but never mutates.
         """
         out = cls.__new__(cls)
         out.terms = terms
@@ -111,30 +111,37 @@ class SparseVector:
 
 
 def echelon(rows, pivots=None) -> dict:
-    """Exact row echelon form of sparse rows: the map label -> pivot row.
+    """Exact reduced row echelon form of sparse rows: the map label -> pivot row.
 
-    Each row is reduced against the pivots so far, in insertion order, and a
-    nonzero remainder becomes a pivot normalised to 1 at its least label;
-    every pivot is then zero at all earlier labels, so there are rank-many,
-    and no pivot row holds a label below its own.  The least label, not the
-    first in dict order, keeps the pivots independent of insertion order and
-    makes a label above all others (a right-hand side) a pivot only when
-    nothing else is left of its row.  Given ``pivots`` (an earlier result),
-    the rows extend that map in place and it is returned, so a span grows row
-    by row and a row is new exactly when the map grows.
+    Every pivot row is 1 at its own label and 0 at every other label, and its
+    label is its least key.  A row is reduced by one pass over its own keys,
+    subtracting the pivot of each key that is a label; a reduced pivot holds
+    no other label, so nothing new needs reducing.  A nonzero remainder
+    becomes a pivot normalised to 1 at its least key, and that label is then
+    removed from every earlier pivot row that holds it; its other keys lie
+    above the new label, which lies above the earlier row's own.  The least
+    label, not the first in dict order, keeps the pivots independent of
+    insertion order and makes a label above all others (a right-hand side) a
+    pivot only when nothing else is left of its row.  An earlier row is
+    replaced by a fresh dict, never changed in place, so a caller may keep
+    the rows it was handed.  Given ``pivots`` (an earlier result), the rows
+    extend that map in place and it is returned, so a span grows row by row
+    and a row is new exactly when the map grows.
     """
     if pivots is None:
         pivots = {}
     for vec in rows:
         row = {k: c for k, c in vec.items() if not c.is_zero()}
-        for label, prow in pivots.items():
-            c = row.get(label)
-            if c is not None:
-                accumulate(row, prow, -c)
+        for k, c in [(k, c) for k, c in row.items() if k in pivots]:
+            accumulate(row, pivots[k], -c)
         if row:
             label = min(row)
             lead = row[label]
             if lead != ONE:
                 row = accumulate({}, row, ONE / lead)
+            for other, prow in pivots.items():
+                c = prow.get(label)
+                if c is not None:
+                    pivots[other] = accumulate(dict(prow), row, -c)
             pivots[label] = row
     return pivots

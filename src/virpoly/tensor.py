@@ -335,14 +335,20 @@ def _word_vectors(spec: TensorSpec, letters, depth: int):
     """Echelon rows spanning the images word . v0 of the words of length <= depth.
 
     The span grows by layers, W_d = W_(d-1) + sum_g g W_(d-1), and each image
-    is reduced into the rows as it arrives.  Let N_d be the rows that layer d
-    added.  A row is r = w - sum_j c_j p_j for its image w and pivots p_j that
-    came before it, each in W_(d-1) or in N_d; by induction along the layer,
-    span N_d + W_(d-1) is the span of the layer's images plus W_(d-1), which
-    is W_d.  So W_d = W_(d-1) + span N_d, and since g W_(d-1) lies in W_d,
-    W_(d+1) = W_d + sum_g g span N_d: only the new rows are acted on again.
-    A row, already reduced, tends to be shorter than its image, so the next
-    layer acts on fewer terms.
+    is reduced into the rows as it arrives.  Let N_d be the rows of the labels
+    that layer d added, read after the layer's call.  While the layer runs, a
+    new row is r = w - sum_j c_j p_j for its image w and the rows p_j so far,
+    and its insertion subtracts multiples of r from earlier rows: a row of an
+    earlier layer stays in W_(d-1) + span of the layer's rows, and a row of
+    the layer changes triangularly, which keeps the span of the layer's rows.
+    By induction along the layer, W_(d-1) + span of the layer's rows is
+    W_(d-1) + span of its images so far; at the end of the call that is W_d.
+    So W_d = W_(d-1) + span N_d, and since g W_(d-1) lies in W_d,
+    W_(d+1) = W_d + sum_g g span N_d: only the new rows are acted on again,
+    as they stand after their layer's call.  ``echelon`` replaces a row
+    instead of changing it, so the layer being acted on stays fixed while
+    the next layer's rows arrive.  A row, already reduced, tends to be
+    shorter than its image, so the next layer acts on fewer terms.
     """
     letters = [VirElement.from_laurent(g) for g in letters]
     rows = echelon((spec.generator().terms,))
@@ -422,8 +428,9 @@ def _abstract_slice_dim(letters, reduce, depth: int) -> int:
 
 
 # The largest slice rank the word span is built for: just above 6,069, the
-# largest depth-6 rank of one linear factor (m = -1); depth 7 counts 21,915
-# and more, out of reach of dict elimination in Python.
+# largest depth-6 rank of one linear factor (m = -1), which the reduced
+# elimination checks in seconds; depth 7 counts 21,915 and more, out of
+# reach of dict elimination in Python.
 MAX_SLICE_RANK = 6100
 
 

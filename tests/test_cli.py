@@ -215,6 +215,8 @@ def test_loops_the_input_sizes_are_bounded(tmp_path, capsys):
         "range_of_2002": ("char-validate", {"character": {"factors": [factor]}, "range": [-1000, 1001]}, ()),
         "huge_kac_level": ("simplicity", verma, ("--kac-level", "100000000")),
         "kac_level_10001": ("simplicity", verma, ("--kac-level", "10001")),
+        "huge_nmax": ("verify", {}, ("--suite", "repRootPowerComp1", "--nmax", "10")),
+        "nmax_7": ("verify", {}, ("--nmax", "7")),
     }
     for name, (command, payload, flags) in refused.items():
         spec = write(tmp_path, name + ".json", payload)
@@ -225,6 +227,8 @@ def test_loops_the_input_sizes_are_bounded(tmp_path, capsys):
     spec = write(tmp_path, "range.json", {"character": {"factors": [factor]}, "range": [-1000, 1000]})
     code, out = run_cli(capsys, "char-validate", "--spec", spec)
     assert code == 0 and out["valid"] is True
+    code, out = run_cli(capsys, "verify", "--suite", "degreehom", "--nmax", str(cli.MAX_VERIFY_NMAX))
+    assert code == 0 and out["failed_total"] == 0
 
 
 def test_readme_names_every_command_option_and_suite():

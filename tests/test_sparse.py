@@ -120,11 +120,11 @@ class TestEchelon:
         assert type(pivots) is dict
         assert len(echelon(rows[:4])) == dense_rank(rows[:4]) == 2
         assert len(pivots) == dense_rank(rows) < 8
-        for i, (label, row) in enumerate(pivots.items()):
+        for label, row in pivots.items():
             # a pivot sits at the least key of its row, normalised to 1
             assert label == min(row) and row[label] == sc(1)
-            # and its row is zero at every label inserted before it
-            assert not set(row) & set(list(pivots)[:i])
+            # and its row is zero at every other label: the form is reduced
+            assert set(row) & set(pivots) == {label}
         # extending the map in batches gives the map of one call
         for cuts in ((), (1,), (3, 4, 9), tuple(range(1, len(rows)))):
             grown = {}
@@ -132,6 +132,21 @@ class TestEchelon:
                 assert echelon(rows[lo:hi], grown) is grown
             assert grown == pivots
             assert list(grown) == list(pivots)
+
+    def test_extending_never_mutates_a_row_handed_out(self):
+        rng = random.Random(7)
+        rows = [
+            {k: rand_scalar(rng) for k in rng.sample(range(10), rng.randint(1, 6))}
+            for _ in range(12)
+        ]
+        for cut in (1, 3, 6, 9):
+            pivots = echelon(rows[:cut])
+            handed = {label: (row, dict(row)) for label, row in pivots.items()}
+            echelon(rows[cut:], pivots)
+            # later pivots are cleared from earlier rows by replacing them
+            assert any(pivots[label] is not row for label, (row, _) in handed.items())
+            for row, copy in handed.values():
+                assert row == copy
 
     def test_solve_matches_the_system(self):
         rng = random.Random(11)

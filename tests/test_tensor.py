@@ -500,6 +500,11 @@ class TestGeneralTensorMap:
         assert rep["passed"]
         assert rep["rank"] == rep["expected_rank"] == 912
 
+    def test_depth_six_with_a_linear_factor(self):
+        rep = general_tensor_map(restricted([(2, 1)], 1), 6, kind="restricted")
+        assert rep["passed"]
+        assert rep["rank"] == rep["expected_rank"] == 4436
+
     def test_counted_ranks_past_depth_five(self):
         # depth 6 stays under MAX_SLICE_RANK for every m; depth 7 is refused
         for depth, m, rank in ((6, 0, 5222), (6, 1, 4436), (6, -1, 6069), (7, 0, 25889), (7, 1, 21915)):
