@@ -158,7 +158,7 @@ def _cmd_char_decompose(raw, args):
 
 def _cmd_reduce(raw, args):
     mu, v = _module_vector(raw)
-    trace, final = reduce_to_generator(mu, v, j_window=args.j_window)
+    trace, final = reduce_to_generator(mu, v)
     return {
         "steps": [{"j": j, "m": m} for j, m in trace],
         "final": final,
@@ -198,16 +198,7 @@ def _cmd_verify(args):
     if args.nmax > MAX_VERIFY_NMAX:
         raise ValueError(f"--nmax {args.nmax} is too large; the verify grids run up to {MAX_VERIFY_NMAX}")
     names = [args.suite] if args.suite else sorted(SUITES)
-    suites = [
-        run_suite(
-            name,
-            nmax=args.nmax,
-            seed=args.seed,
-            depth=args.depth,
-            j_window=args.j_window,
-        )
-        for name in names
-    ]
+    suites = [run_suite(name, nmax=args.nmax, seed=args.seed, depth=args.depth) for name in names]
     return {"failed_total": sum(s["failed"] for s in suites), "seed": args.seed, "suites": suites}
 
 
@@ -243,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--spec", required=False, help="path to the input JSON file")
     common.add_argument("--field", choices=["Q", "Qi"], default="Q")
     common.add_argument("--kac-level", type=int, default=20, dest="kac_level")
-    common.add_argument("--j-window", type=int, default=16, dest="j_window")
     common.add_argument("--depth", type=int, default=3)
     common.add_argument("--seed", type=int, default=0)
     for name in _WITH_SPEC:
@@ -257,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     verify = args.command == "verify"
-    if args.kac_level < 1 or args.depth < 0 or args.j_window < 1 or verify and args.nmax < 1:
+    if args.kac_level < 1 or args.depth < 0 or verify and args.nmax < 1:
         print("flag out of range", file=sys.stderr)
         return 2
     if not verify and not args.spec:

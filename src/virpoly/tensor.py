@@ -13,8 +13,6 @@ enough up to kill the tail, then strictly decrease the leading index.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-
 from .characters import ExpPolyCharacter, RestrictedCharacter, compose, decompose
 from .densepoly import pdeg
 from .errors import DepthTooSmall, HypothesisViolation, SearchExhausted, VirpolyError
@@ -29,7 +27,7 @@ from .virasoro import VirElement, theta, vir_bracket
 class TensorSpec:
     """Factors (single-root characters with pairwise distinct roots) plus a tail."""
 
-    __slots__ = ("factors", "tail", "_columns")
+    __slots__ = ("factors", "tail")
 
     def __init__(self, factors, tail: TailModuleSpec = None):
         factors = tuple(factors)
@@ -45,7 +43,6 @@ class TensorSpec:
             seen.add(lam)
         self.factors = factors
         self.tail = tail if tail is not None else TailModuleSpec.trivial()
-        self._columns = {}
 
     def engines(self):
         return [get_engine(mu) for mu in self.factors]
@@ -53,26 +50,22 @@ class TensorSpec:
     def column(self, k: int, key):
         """e_k on the basis vector key = (parts, mono), keyed by tensor keys.
 
-        The Leibniz sum over the induced slots and the tail, without z.  The
-        map is memoized on the spec for its lifetime and shared, so it is
-        handed out read-only.
+        The Leibniz sum over the induced slots and the tail, without z, as a
+        fresh map on every call.
         """
-        col = self._columns.get((k, key))
-        if col is None:
-            parts, mono = key
-            ek = LaurentPoly.t_power(k)
-            out = {}
-            for i, eng in enumerate(self.engines()):
-                moved = eng.act_on_index(ek, parts[i])
-                accumulate(
-                    out,
-                    {(parts[:i] + (idx,) + parts[i + 1 :], mono): c for idx, c in moved.items()},
-                )
-            if not self.tail.is_trivial():
-                moved = get_tail_engine(self.tail).act_vir(VirElement.e(k), {mono: ONE})
-                accumulate(out, {(parts, mono2): c for mono2, c in moved.items()})
-            col = self._columns[(k, key)] = MappingProxyType(out)
-        return col
+        parts, mono = key
+        ek = LaurentPoly.t_power(k)
+        out = {}
+        for i, eng in enumerate(self.engines()):
+            moved = eng.act_on_index(ek, parts[i])
+            accumulate(
+                out,
+                {(parts[:i] + (idx,) + parts[i + 1 :], mono): c for idx, c in moved.items()},
+            )
+        if not self.tail.is_trivial():
+            moved = get_tail_engine(self.tail).act_vir(VirElement.e(k), {mono: ONE})
+            accumulate(out, {(parts, mono2): c for mono2, c in moved.items()})
+        return out
 
     def zero_index(self):
         return tuple(eng.zero_index for eng in self.engines())
@@ -172,7 +165,6 @@ def annihilating_shift(spec: TensorSpec, h: LaurentPoly, L: int, w: TensorElemen
 
 
 CYCLIC_MAX_STEPS = 64  # bound on the descent
-CYCLIC_J_WINDOW = 16  # width of each step's shift search
 
 
 def cyclic_reduce(spec: TensorSpec, w: TensorElement):
@@ -180,8 +172,10 @@ def cyclic_reduce(spec: TensorSpec, w: TensorElement):
 
     Implements the leading-index descent: pick the first slot i0 whose
     leading part is nonzero, Bezout-split f_{i0}^m against the other slots'
-    annihilators, shift above the tail's annihilation bound, and search j
-    until the leading concatenated index strictly drops.  Hypotheses: every
+    annihilators, and shift by j = L, the tail's annihilation bound.  The
+    coefficient that lowers the leading index is a nonzero constant times
+    lambda^j, so the leading concatenated index strictly drops at any shift
+    that kills the tail; the drop is still checked.  Hypotheses: every
     factor degree r_i >= n_i - 2 with a nonzero character (the tail itself
     is untouched, so its simplicity is not needed for the descent).
     """
@@ -217,19 +211,12 @@ def cyclic_reduce(spec: TensorSpec, w: TensorElement):
         fm = engines[i0].fpow(m)
         g_hat = poly_divmod(fm * vbez, F_lead)[1]
         L = ann_bound(spec.tail, [mono for _, mono in cur.terms])
-        found = False
-        for j in range(L, L + CYCLIC_J_WINDOW + 1):
-            op = (g_hat * F_hat).shift(j)
-            w2 = tensor_act(spec, VirElement.from_laurent(op), cur) - cur * mu.value_power(j, m)
-            if not w2.is_zero() and w2.leading_concat() < cur.leading_concat():
-                trace.append({"factor": i0, "j": j, "m": m})
-                cur = w2
-                found = True
-                break
-        if not found:
-            raise SearchExhausted(
-                f"no shift in [{L}, {L + CYCLIC_J_WINDOW}] decreased the leading index"
-            )
+        op = (g_hat * F_hat).shift(L)
+        w2 = tensor_act(spec, VirElement.from_laurent(op), cur) - cur * mu.value_power(L, m)
+        if w2.is_zero() or not w2.leading_concat() < cur.leading_concat():
+            raise SearchExhausted(f"the shift j = {L} did not decrease the leading index")
+        trace.append({"factor": i0, "j": L, "m": m})
+        cur = w2
     raise SearchExhausted(f"reduction did not terminate within {CYCLIC_MAX_STEPS} steps")
 
 
@@ -326,13 +313,18 @@ def iso_decide(a: TensorSpec, b: TensorSpec) -> dict:
 # -- slice verification of the induction isomorphisms ----------------------------
 
 
-def _rank(vectors) -> int:
-    """Exact rank of sparse Scalar vectors (dicts keyed by basis labels)."""
-    return len(echelon(vectors))
+def _rank(pivots) -> int:
+    """Rank of the span of an ``echelon`` pivot map: its number of labels.
+
+    The rows are in reduced form with distinct labels, so they are already
+    independent and nothing is eliminated again.
+    """
+    return len(pivots)
 
 
 def _word_vectors(spec: TensorSpec, letters, depth: int):
-    """Echelon rows spanning the images word . v0 of the words of length <= depth.
+    """The ``echelon`` pivot map (label -> reduced row) whose rows span the
+    images word . v0 of the words of length <= depth.
 
     The span grows by layers, W_d = W_(d-1) + sum_g g W_(d-1), and each image
     is reduced into the rows as it arrives.  Let N_d be the rows of the labels
@@ -357,7 +349,7 @@ def _word_vectors(spec: TensorSpec, letters, depth: int):
         layer = [TensorElement.adopt(row) for row in list(rows.values())[size:]]
         size = len(rows)
         echelon((tensor_act(spec, g, v).terms for v in layer for g in letters), rows)
-    return list(rows.values())
+    return rows
 
 
 def _quotient_reducer(F: LaurentPoly, m: int):

@@ -447,7 +447,7 @@ def test_verify_empty_suite_fails(capsys):
 
 
 def test_verify_flag_ranges(capsys):
-    for argv in (["--nmax", "0"], ["--nmax", "-1"], ["--j-window", "0"], ["--kac-level", "0"]):
+    for argv in (["--nmax", "0"], ["--nmax", "-1"], ["--kac-level", "0"]):
         code, err = run_invalid(capsys, "verify", "--suite", "faulhaber", *argv)
         assert code == 2 and "flag out of range" in err, argv
 

@@ -84,7 +84,7 @@ class TestTensorAct:
     @pytest.mark.parametrize("tail", TAILS, ids=lambda tail: tail.kind)
     def test_matches_leibniz_reference(self, tail):
         # a Gaussian root beside a rational one; a single letter on a single
-        # basis vector is exactly one memoized column
+        # basis vector is exactly one column
         gaussian = single_root_character(Scalar(1, 1), 2, [Scalar(0, 1), 1])
         spec = TensorSpec([ones(2, 1, 0), gaussian], tail)
         rng = random.Random(109)
@@ -104,8 +104,8 @@ class TestTensorAct:
                 want = leibniz_reference(spec, x, w)
                 got = tensor_act(spec, x, w)
                 assert got == want
-                # the memoized columns are never handed out: mutating a result
-                # leaves the next one, taken on a warm memo, unchanged
+                # no column is shared between results: mutating a result
+                # leaves the next one unchanged
                 for key in list(got.terms):
                     got.terms[key] = sc(99)
                 got.terms[(((7,), (7, 7)), ())] = sc(1)
@@ -136,7 +136,7 @@ class TestTensorAct:
                 for x in (rand_vir(rng, -3, 3), VirElement.z(sc("2/3")), VirElement.e(0) * 0):
                     assert_clean(tensor_act(spec, x, v))
             letters = [t(k) for k in range(-1, 3)]
-            for row in _word_vectors(spec, letters, 2):
+            for row in _word_vectors(spec, letters, 2).values():
                 assert_clean(TensorElement.adopt(row))
 
     def test_representation_property_all_tails(self):
@@ -219,7 +219,6 @@ class TestCyclicReduce:
         assert set(p for p, _ in final.terms) == {((0,), (0,))}
 
     def test_grid_with_tails(self):
-        rng = random.Random(101)
         pairs = [(sc(1), sc(2)), (sc(1), sc(-1))]
         shapes = [((1, 0), (1, 0)), ((2, 0), (1, 0)), ((2, 1), (2, 0))]
         for (l1, l2), ((n1, r1), (n2, r2)) in product(pairs, shapes):
@@ -235,6 +234,52 @@ class TestCyclicReduce:
                 trace, final = cyclic_reduce(spec, basis(spec, parts))
                 assert len(trace) <= 8
                 assert all(not any(p0) for p, _ in final.terms for p0 in p)
+
+    def test_seeded_sweep_reaches_the_generator(self):
+        # 1-3 factors of large degree, every tail family, rational, fractional
+        # and Gaussian roots; each step shifts by the tail bound alone
+        rng = random.Random(101)
+        roots = [sc(1), sc(2), sc(-3), sc("1/2"), sc("-2/3"), Scalar(1, 1), Scalar(2, -1)]
+
+        def scalar(nonzero=False):
+            while True:
+                c = sc(f"{rng.randint(-3, 3)}/{rng.choice((1, 2))}")
+                if rng.random() < 0.3:
+                    c = c + Scalar(0, rng.randint(-1, 1))
+                if not (nonzero and c.is_zero()):
+                    return c
+
+        def tail(kind):
+            if kind == "trivial":
+                return TailModuleSpec.trivial()
+            if kind == "verma":
+                return TailModuleSpec.verma(scalar(), scalar())
+            if kind == "mbar":
+                return TailModuleSpec.mbar(scalar())
+            m = rng.randint(1, 2)
+            return TailModuleSpec.whittaker(m, {j: scalar() for j in range(m, 2 * m + 1)}, scalar())
+
+        kinds = ["trivial", "verma", "mbar", "whittaker"]
+        steps = 0
+        for k in range(200):
+            factors = []
+            for lam in rng.sample(roots, rng.randint(1, 3)):
+                n = rng.randint(1, 3)
+                r = rng.randint(max(n - 2, 0), n - 1)
+                factors.append(single_root_character(lam, n, [scalar() for _ in range(r)] + [scalar(True)]))
+            spec = TensorSpec(factors, tail(kinds[k % 4]))
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                parts = tuple(tuple(rng.randint(0, 1) for _ in range(mu.root_data()[1])) for mu in factors)
+                mono = () if spec.tail.is_trivial() else tuple(
+                    sorted(rng.randint(spec.tail.m - 3, spec.tail.m - 1) for _ in range(rng.randint(0, 2)))
+                )
+                terms[(parts, mono)] = scalar(True)
+            trace, final = cyclic_reduce(spec, TensorElement(terms))
+            steps += len(trace)
+            assert not final.is_zero(), k
+            assert all(not any(p0) for p, _ in final.terms for p0 in p), k
+        assert steps > 200
 
     def test_strict_descent(self):
         spec = TensorSpec([ones(1, 2, 1), ones(2, 1, 0)])
@@ -267,6 +312,11 @@ class TestCyclicReduce:
         spec = TensorSpec([ones(1, 3, 0)])
         with pytest.raises(HypothesisViolation):
             cyclic_reduce(spec, basis(spec, [(1, 0, 0)]))
+
+    def test_zero_linear_factor_rejected(self):
+        spec = TensorSpec([ones(2, 1, 0), single_root_character(1, 1, [])], TAILS[1])
+        with pytest.raises(HypothesisViolation):
+            cyclic_reduce(spec, basis(spec, [(0,), (1,)]))
 
 
 class TestNonSimpleWitness:
