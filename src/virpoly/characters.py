@@ -22,7 +22,7 @@ from .errors import (
 )
 from .laurent import ONE_POLY, LaurentPoly, divide_exact, linear_factor
 from .scalars import ONE, Scalar, json_index, json_int, json_list, json_map, sc
-from .sparse import accumulate, echelon
+from .sparse import Echelon, accumulate
 
 
 def _sort_key(lam: Scalar):
@@ -281,7 +281,7 @@ def _solve_linear(rows, rhs):
     row's entry at n.
     """
     n = len(rows)
-    pivots = echelon({**dict(enumerate(r)), n: b} for r, b in zip(rows, rhs))
+    pivots = Echelon({**dict(enumerate(r)), n: b} for r, b in zip(rows, rhs)).pivots
     if set(pivots) != set(range(n)):
         raise SingularSystem("no pivot available")
     return [pivots[label].get(n, Scalar(0)) for label in range(n)]

@@ -196,7 +196,12 @@ class InducedModule:
     # public action entry points
 
     def act_on_index(self, g: LaurentPoly, s: tuple) -> dict:
-        """Monomial-split action on one basis index; shares the recursion cache."""
+        """Monomial-split action on one basis index; shares the recursion cache.
+
+        No code in this package calls it any more (the tensor columns read
+        ``_act_idx`` directly).  It stays as the entry point of the Leibniz
+        oracle in the tests and of the traced benchmark's spans.
+        """
         return bilinear(self._act_idx, g.terms, {s: ONE})
 
     def act(self, g: LaurentPoly, v: ModuleElement) -> ModuleElement:

@@ -6,7 +6,8 @@ the Laurent polynomials include the characters' index polynomials and the
 power sums P_k, which have support >= 0.  A Virasoro element holds
 a Laurent polynomial as its e-part and its central coefficient z beside it,
 which the base's operations would drop.  Slice ranks and linear solves share
-the exact elimination.
+one exact elimination, ``Echelon``: reduced row echelon form kept beside a
+column index, so a new pivot visits only the rows that hold its label.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class SparseVector:
 
         The map must hold ``Scalar`` values and no zeros, and nobody may
         mutate it afterwards: an ``accumulate`` or ``bilinear`` result the
-        caller drops, or a pivot row of ``echelon``, which a later pivot
+        caller drops, or a pivot row of an ``Echelon``, which a later pivot
         may replace in the map but never mutates.
         """
         out = cls.__new__(cls)
@@ -110,10 +111,11 @@ class SparseVector:
         return f"{name}(" + " + ".join(parts) + ")"
 
 
-def echelon(rows, pivots=None) -> dict:
-    """Exact reduced row echelon form of sparse rows: the map label -> pivot row.
+class Echelon:
+    """Exact reduced row echelon form of sparse rows, grown row by row.
 
-    Every pivot row is 1 at its own label and 0 at every other label, and its
+    ``pivots`` maps each label to its pivot row, in insertion order.  Every
+    pivot row is 1 at its own label and 0 at every other label, and its
     label is its least key.  A row is reduced by one pass over its own keys,
     subtracting the pivot of each key that is a label; a reduced pivot holds
     no other label, so nothing new needs reducing.  A nonzero remainder
@@ -124,24 +126,59 @@ def echelon(rows, pivots=None) -> dict:
     insertion order and makes a label above all others (a right-hand side) a
     pivot only when nothing else is left of its row.  An earlier row is
     replaced by a fresh dict, never changed in place, so a caller may keep
-    the rows it was handed.  Given ``pivots`` (an earlier result), the rows
-    extend that map in place and it is returned, so a span grows row by row
-    and a row is new exactly when the map grows.
+    the rows it was handed; a row is new exactly when the map grows.
+
+    ``holders`` is the column index of sparse direct solvers: each key maps
+    to the set of labels whose rows hold it, leaving out a row's own label,
+    and a key no row holds has no entry.  A new pivot replaces exactly the
+    rows its label's set names, instead of scanning every row.  Iterating
+    gives the labels and ``len`` the rank.
     """
-    if pivots is None:
-        pivots = {}
-    for vec in rows:
-        row = {k: c for k, c in vec.items() if not c.is_zero()}
-        for k, c in [(k, c) for k, c in row.items() if k in pivots]:
-            accumulate(row, pivots[k], -c)
-        if row:
+
+    __slots__ = ("pivots", "holders")
+
+    def __init__(self, rows=()):
+        self.pivots = {}
+        self.holders = {}
+        self.extend(rows)
+
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    def __iter__(self):
+        return iter(self.pivots)
+
+    def extend(self, rows) -> "Echelon":
+        """Reduce each row into the form in turn; returns self.
+
+        Replacing a row p by p - c r, with r the new pivot row, can change
+        only whether p holds a key of r, so the index is updated by the
+        difference of the old and new key sets over those keys alone.  A key
+        p loses that way is still held by r, so no set is ever left empty.
+        """
+        pivots, holders = self.pivots, self.holders
+        for vec in rows:
+            row = {k: c for k, c in vec.items() if not c.is_zero()}
+            for k, c in [(k, c) for k, c in row.items() if k in pivots]:
+                accumulate(row, pivots[k], -c)
+            if not row:
+                continue
             label = min(row)
             lead = row[label]
             if lead != ONE:
                 row = accumulate({}, row, ONE / lead)
-            for other, prow in pivots.items():
-                c = prow.get(label)
-                if c is not None:
-                    pivots[other] = accumulate(dict(prow), row, -c)
+            keys = [k for k in row if k != label]
+            for k in keys:
+                holders.setdefault(k, set()).add(label)
+            for other in holders.pop(label, ()):
+                prow = pivots[other]
+                new = accumulate(dict(prow), row, -prow[label])
+                for k in keys:
+                    if k in new:
+                        if k not in prow:
+                            holders[k].add(other)
+                    elif k in prow:
+                        holders[k].discard(other)
+                pivots[other] = new
             pivots[label] = row
-    return pivots
+        return self

@@ -18,8 +18,8 @@ from .densepoly import pdeg
 from .errors import DepthTooSmall, HypothesisViolation, SearchExhausted, VirpolyError
 from .induced import ell, get_engine
 from .laurent import ONE_POLY, LaurentPoly, bezout, poly_divmod
-from .scalars import ONE, Scalar, json_list, json_map
-from .sparse import SparseVector, accumulate, bilinear, echelon
+from .scalars import Scalar, json_list, json_map
+from .sparse import Echelon, SparseVector, accumulate, bilinear
 from .tailmod import TailModuleSpec, ann_bound, get_tail_engine, tail_simplicity
 from .virasoro import VirElement, theta, vir_bracket
 
@@ -27,7 +27,7 @@ from .virasoro import VirElement, theta, vir_bracket
 class TensorSpec:
     """Factors (single-root characters with pairwise distinct roots) plus a tail."""
 
-    __slots__ = ("factors", "tail")
+    __slots__ = ("factors", "tail", "_engines", "_tail_engine")
 
     def __init__(self, factors, tail: TailModuleSpec = None):
         factors = tuple(factors)
@@ -43,32 +43,30 @@ class TensorSpec:
             seen.add(lam)
         self.factors = factors
         self.tail = tail if tail is not None else TailModuleSpec.trivial()
+        # the engines are looked up once, through the registries, and live
+        # as long as the spec even when the registries are emptied
+        self._engines = tuple(get_engine(mu) for mu in factors)
+        self._tail_engine = None if self.tail.is_trivial() else get_tail_engine(self.tail)
 
-    def engines(self):
-        return [get_engine(mu) for mu in self.factors]
+    def engines(self) -> tuple:
+        return self._engines
 
     def column(self, k: int, key):
-        """e_k on the basis vector key = (parts, mono), keyed by tensor keys.
+        """e_k on the induced slots of the basis vector key = (parts, mono).
 
-        The Leibniz sum over the induced slots and the tail, without z, as a
-        fresh map on every call.
+        The Leibniz sum over the factors: each slot's memo entry, re-keyed by
+        tensor keys into a fresh map.  The tail acts in ``tensor_act``.
         """
         parts, mono = key
-        ek = LaurentPoly.t_power(k)
         out = {}
-        for i, eng in enumerate(self.engines()):
-            moved = eng.act_on_index(ek, parts[i])
-            accumulate(
-                out,
-                {(parts[:i] + (idx,) + parts[i + 1 :], mono): c for idx, c in moved.items()},
-            )
-        if not self.tail.is_trivial():
-            moved = get_tail_engine(self.tail).act_vir(VirElement.e(k), {mono: ONE})
-            accumulate(out, {(parts, mono2): c for mono2, c in moved.items()})
+        for i, eng in enumerate(self._engines):
+            head, rest = parts[:i], parts[i + 1 :]
+            moved = eng._act_idx(k, parts[i])
+            accumulate(out, {(head + (idx,) + rest, mono): c for idx, c in moved.items()})
         return out
 
     def zero_index(self):
-        return tuple(eng.zero_index for eng in self.engines())
+        return tuple(eng.zero_index for eng in self._engines)
 
     def generator(self) -> "TensorElement":
         return TensorElement({(self.zero_index(), ()): 1})
@@ -119,9 +117,16 @@ class TensorElement(SparseVector):
 
 
 def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement) -> TensorElement:
-    """Leibniz action: the e part through the spec's columns, z by the tail's c (0 if trivial)."""
+    """Leibniz action: the e part through the spec's columns on the induced
+    slots, then the tail's ``act_vir`` on each term, which also carries z
+    (the induced factors kill it, so a trivial tail leaves z nothing)."""
     out = bilinear(spec.column, theta(x).terms, v.terms)
-    return TensorElement.adopt(accumulate(out, v.terms, x.z_part * spec.tail.c))
+    tail = spec._tail_engine
+    if tail is not None:
+        for (parts, mono), c in v.terms.items():
+            moved = tail.act_vir(x, {mono: c})
+            accumulate(out, {(parts, mono2): c2 for mono2, c2 in moved.items()})
+    return TensorElement.adopt(out)
 
 
 def _annihilation_exponents(spec: TensorSpec, v: TensorElement):
@@ -313,18 +318,19 @@ def iso_decide(a: TensorSpec, b: TensorSpec) -> dict:
 # -- slice verification of the induction isomorphisms ----------------------------
 
 
-def _rank(pivots) -> int:
-    """Rank of the span of an ``echelon`` pivot map: its number of labels.
+def _rank(labels) -> int:
+    """Rank of the span of an ``Echelon``: its number of labels.
 
     The rows are in reduced form with distinct labels, so they are already
-    independent and nothing is eliminated again.
+    independent and nothing is eliminated again.  Any sized iterable of the
+    labels will do.
     """
-    return len(pivots)
+    return len(labels)
 
 
 def _word_vectors(spec: TensorSpec, letters, depth: int):
-    """The ``echelon`` pivot map (label -> reduced row) whose rows span the
-    images word . v0 of the words of length <= depth.
+    """The ``Echelon`` whose pivot rows span the images word . v0 of the
+    words of length <= depth.
 
     The span grows by layers, W_d = W_(d-1) + sum_g g W_(d-1), and each image
     is reduced into the rows as it arrives.  Let N_d be the rows of the labels
@@ -337,18 +343,18 @@ def _word_vectors(spec: TensorSpec, letters, depth: int):
     W_(d-1) + span of its images so far; at the end of the call that is W_d.
     So W_d = W_(d-1) + span N_d, and since g W_(d-1) lies in W_d,
     W_(d+1) = W_d + sum_g g span N_d: only the new rows are acted on again,
-    as they stand after their layer's call.  ``echelon`` replaces a row
+    as they stand after their layer's call.  ``Echelon`` replaces a row
     instead of changing it, so the layer being acted on stays fixed while
     the next layer's rows arrive.  A row, already reduced, tends to be
     shorter than its image, so the next layer acts on fewer terms.
     """
     letters = [VirElement.from_laurent(g) for g in letters]
-    rows = echelon((spec.generator().terms,))
+    rows = Echelon((spec.generator().terms,))
     size = 0
     for _ in range(depth):
-        layer = [TensorElement.adopt(row) for row in list(rows.values())[size:]]
+        layer = [TensorElement.adopt(row) for row in list(rows.pivots.values())[size:]]
         size = len(rows)
-        echelon((tensor_act(spec, g, v).terms for v in layer for g in letters), rows)
+        rows.extend(tensor_act(spec, g, v).terms for v in layer for g in letters)
     return rows
 
 
@@ -401,15 +407,15 @@ def _abstract_slice_dim(letters, reduce, depth: int) -> int:
     """
     letter_elems = [VirElement.from_laurent(g) for g in letters]
     layer = letter_elems
-    images = {}
+    images = Echelon()
     counts = []
     for k in range(1, depth + 1):
         if k > 1:
             layer = [vir_bracket(b, l) for b in layer for l in letter_elems]
-        span = echelon(x.e_part.terms for x in layer)
-        layer = [VirElement(row) for row in span.values()]
+        span = Echelon(x.e_part.terms for x in layer)
+        layer = [VirElement(row) for row in span.pivots.values()]
         size = len(images)
-        echelon(map(reduce, layer), images)
+        images.extend(map(reduce, layer))
         counts.append(len(images) - size)
     series = [1] + [0] * depth
     for k, n in enumerate(counts, 1):
@@ -419,11 +425,11 @@ def _abstract_slice_dim(letters, reduce, depth: int) -> int:
     return sum(series)
 
 
-# The largest slice rank the word span is built for: just above 6,069, the
-# largest depth-6 rank of one linear factor (m = -1), which the reduced
-# elimination checks in seconds; depth 7 counts 21,915 and more, out of
-# reach of dict elimination in Python.
-MAX_SLICE_RANK = 6100
+# The largest slice rank the word span is built for: just above 30,232, the
+# largest depth-7 rank of one linear factor (m = -1), which the indexed
+# elimination checks cold in about 5-8 s and 82 MB; depth 8 counts 109,486
+# and more, and takes 29-48 s and 279-463 MB, too near half a gigabyte.
+MAX_SLICE_RANK = 30300
 
 
 def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:

@@ -39,7 +39,7 @@ def rand_vir(rng: random.Random, lo=-6, hi=6, terms=2, with_z=True) -> VirElemen
 def dense_rank(vectors) -> int:
     """Exact rank of sparse vectors by dense Gaussian elimination.
 
-    A reference that shares no code with ``sparse.echelon``: each vector is
+    A reference that shares no code with ``sparse.Echelon``: each vector is
     laid out as a list over the columns in order of first appearance and
     reduced left to right against one pivot per column, kept as the
     (column, value) pairs of its nonzero entries.  It stops once every

@@ -197,9 +197,9 @@ def test_tensor_map_refuses_a_slice_above_the_rank_bound(tmp_path, capsys):
     }
     spec = write(tmp_path, "t.json", {"kind": "restricted", "character": character})
     start = time.perf_counter()
-    code, err = run_invalid(capsys, "tensor-map", "--spec", spec, "--depth", "7")
+    code, err = run_invalid(capsys, "tensor-map", "--spec", spec, "--depth", "8")
     assert time.perf_counter() - start < 2.0
-    assert code == 2 and "25889" in err and len(err.splitlines()) == 1
+    assert code == 2 and "129671" in err and len(err.splitlines()) == 1
 
 
 def test_loops_the_input_sizes_are_bounded(tmp_path, capsys):

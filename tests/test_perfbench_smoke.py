@@ -6,7 +6,10 @@ plan against the modules this process already imported, and every op's
 block per family in each field (``reduce`` passes ``J_WINDOW`` to
 ``reduce_to_generator`` by position) and one ``cli-session`` round.  A
 change to a signature, an option or a result the benchmark reads fails
-here instead of only in a benchmark run.
+here instead of only in a benchmark run.  One ``slice-depth`` cycle also
+runs traced, and every per-layer metric the benchmark's own tests name for
+that workload must move, so a faster path that skips a traced function
+fails here too.
 """
 
 import importlib
@@ -27,7 +30,8 @@ def bench():
         mp.syspath_prepend(str(PERFBENCH))
         yield SimpleNamespace(
             **{name: importlib.import_module(name)
-               for name in ("common", "slice_depth", "oracle_grid", "cli_session")}
+               for name in ("common", "slice_depth", "oracle_grid", "cli_session", "run",
+                            "test_perfbench")}
         )
 
 
@@ -62,6 +66,26 @@ def test_slice_depth_cycle(bench, vp, tmp_path):
     ops = group()
     assert len(ops) == len(module.KNOWN_RANK)
     assert failures(ops) == []
+
+
+def test_traced_slice_depth_cycle_moves_every_named_metric(bench, vp, tmp_path):
+    # theta, TailModule.act_vir and tensor._rank among them: the traced
+    # layers of the tensor path must stay on it
+    module, run = bench.slice_depth, bench.run
+    plan = module.generate(SEED)
+    state = module.prepare(vp, plan, tmp_path)
+    plain, res, tracer, checks = run.trace_unit(module, vp, plan, state, tmp_path, 1)
+    assert res["attempted"] == len(module.KNOWN_RANK) and res["failed"] == 0
+    assert all(ok for _, ok, _ in checks)
+    metrics = tracer.metrics(bench.common.cache_sizes(vp), run._ops_per_s(plain) / run._ops_per_s(res))
+    named = bench.test_perfbench.MUST_MOVE["slice-depth"]
+    assert {"virasoro.theta.calls", "tailmod.act_vir.calls", "tensor.rank.rows"} <= set(named)
+    assert [m for m in named if not metrics[m]["value"] > 0] == []
+    # _quotient_reducer calls theta too: tensor_act itself must call both
+    name = {sid: span for sid, _, _, span, *_ in tracer.spans}
+    called = {(name.get(parent), span) for _, parent, _, span, *_ in tracer.spans}
+    assert {("tensor.tensor_act", "virasoro.theta"),
+            ("tensor.tensor_act", "tailmod.TailModule.act_vir")} <= called
 
 
 @pytest.mark.parametrize("field", ["Q", "Qi"])

@@ -8,7 +8,7 @@ from virpoly.errors import SingularSystem
 from virpoly.induced import ModuleElement
 from virpoly.laurent import LaurentPoly
 from virpoly.scalars import Scalar, sc
-from virpoly.sparse import accumulate, bilinear, clean, echelon
+from virpoly.sparse import Echelon, accumulate, bilinear, clean
 from virpoly.tensor import TensorElement
 from virpoly.virasoro import VirElement
 
@@ -116,9 +116,12 @@ class TestEchelon:
         ]
         rng.shuffle(extra)
         rows += extra
-        pivots = echelon(rows)
+        ech = Echelon(rows)
+        pivots = ech.pivots
         assert type(pivots) is dict
-        assert len(echelon(rows[:4])) == dense_rank(rows[:4]) == 2
+        # iterating gives the labels in insertion order, len the rank
+        assert list(ech) == list(pivots) and len(ech) == len(pivots)
+        assert len(Echelon(rows[:4])) == dense_rank(rows[:4]) == 2
         assert len(pivots) == dense_rank(rows) < 8
         for label, row in pivots.items():
             # a pivot sits at the least key of its row, normalised to 1
@@ -127,11 +130,12 @@ class TestEchelon:
             assert set(row) & set(pivots) == {label}
         # extending the map in batches gives the map of one call
         for cuts in ((), (1,), (3, 4, 9), tuple(range(1, len(rows)))):
-            grown = {}
+            grown = Echelon()
             for lo, hi in zip((0,) + cuts, cuts + (len(rows),)):
-                assert echelon(rows[lo:hi], grown) is grown
-            assert grown == pivots
-            assert list(grown) == list(pivots)
+                assert grown.extend(rows[lo:hi]) is grown
+            assert grown.pivots == pivots
+            assert list(grown.pivots) == list(pivots)
+            assert grown.holders == ech.holders
 
     def test_extending_never_mutates_a_row_handed_out(self):
         rng = random.Random(7)
@@ -140,13 +144,49 @@ class TestEchelon:
             for _ in range(12)
         ]
         for cut in (1, 3, 6, 9):
-            pivots = echelon(rows[:cut])
+            ech = Echelon(rows[:cut])
+            pivots = ech.pivots
             handed = {label: (row, dict(row)) for label, row in pivots.items()}
-            echelon(rows[cut:], pivots)
+            assert ech.extend(rows[cut:]).pivots is pivots
             # later pivots are cleared from earlier rows by replacing them
             assert any(pivots[label] is not row for label, (row, _) in handed.items())
             for row, copy in handed.values():
                 assert row == copy
+
+    def test_column_index_names_the_rows_holding_each_key(self):
+        # small integer rows over few keys, half of them combinations of
+        # others, so replaced rows both gain keys and lose them to cancellation
+        rng = random.Random(13)
+        base = [
+            {k: sc(rng.choice((-2, -1, 1, 2))) for k in rng.sample(range(9), rng.randint(2, 6))}
+            for _ in range(8)
+        ]
+        rows = base + [
+            accumulate(dict(rng.choice(base)), rng.choice(base), sc(rng.choice((-1, 1))))
+            for _ in range(8)
+        ]
+        rng.shuffle(rows)
+
+        def holders(pivots):
+            out = {}
+            for label, row in pivots.items():
+                for k in row:
+                    if k != label:
+                        out.setdefault(k, set()).add(label)
+            return out
+
+        gained = lost = 0
+        for cuts in ((), (2,), (3, 7, 11), tuple(range(1, len(rows)))):
+            ech = Echelon()
+            for lo, hi in zip((0,) + cuts, cuts + (len(rows),)):
+                before = {label: set(row) for label, row in ech.pivots.items()}
+                ech.extend(rows[lo:hi])
+                assert ech.holders == holders(ech.pivots), (cuts, lo)
+                for label, keys in before.items():
+                    gained += bool(set(ech.pivots[label]) - keys)
+                    lost += bool(keys - set(ech.pivots[label]) - set(ech.pivots))
+        # the rows exercise both kinds of update, not only the cleared labels
+        assert gained and lost
 
     def test_solve_matches_the_system(self):
         rng = random.Random(11)
@@ -169,8 +209,8 @@ class TestEchelon:
         # the first row pivots at label 1, the second at label 0
         rows = [[sc(0), sc(1)], [sc(1), sc(1)]]
         rhs = [sc(2), sc(5)]
-        pivots = echelon({**dict(enumerate(r)), 2: b} for r, b in zip(rows, rhs))
-        assert list(pivots) == [1, 0]
+        ech = Echelon({**dict(enumerate(r)), 2: b} for r, b in zip(rows, rhs))
+        assert list(ech) == [1, 0]
         assert _solve_linear(rows, rhs) == [sc(3), sc(2)]
 
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from conftest import dense_rank, rand_vir
+from virpoly import induced, tailmod
 from virpoly.characters import RestrictedCharacter, compose, single_root_character
 from virpoly.errors import DepthTooSmall, HypothesisViolation
 from virpoly.induced import get_engine
@@ -110,6 +111,29 @@ class TestTensorAct:
                     got.terms[key] = sc(99)
                 got.terms[(((7,), (7, 7)), ())] = sc(1)
                 assert tensor_act(spec, x, w) == want
+        if not tail.is_trivial():
+            # two terms at the same parts with different tail monomials: the
+            # tail acts on each term alone, and z on both through the tail
+            parts = ((1,), (0, 1))
+            w = basis(spec, parts, (tail.m - 1,))
+            w = w + basis(spec, parts, (tail.m - 2, tail.m - 1)) * sc(3)
+            for x in (VirElement.e(1) + VirElement.z(sc(5)), rand_vir(rng, -3, 3) + VirElement.z(1)):
+                assert tensor_act(spec, x, w) == leibniz_reference(spec, x, w)
+
+    def test_bound_engines_outlive_the_registries(self):
+        # a spec looks its engines up once, when it is built: emptying the
+        # registries afterwards leaves it acting with its own
+        gaussian = single_root_character(Scalar(1, 1), 2, [Scalar(0, 1), 1])
+        spec = TensorSpec([ones(2, 1, 0), gaussian], TailModuleSpec.verma(sc(2), sc(1)))
+        induced._engines.clear()
+        tailmod._tail_engines.clear()
+        rng = random.Random(131)
+        v = basis(spec, ((1,), (0, 1)), (-2, -1)) + spec.generator() * sc(2)
+        for _ in range(5):
+            x = rand_vir(rng, -3, 3)
+            assert tensor_act(spec, x, v) == leibniz_reference(spec, x, v)
+        # the reference built fresh engines; the spec kept the ones it bound
+        assert all(eng is not get_engine(mu) for eng, mu in zip(spec.engines(), spec.factors))
 
     def test_adopted_results_are_clean(self):
         """tensor_act and the word rows wrap their maps without re-cleaning:
@@ -136,7 +160,7 @@ class TestTensorAct:
                 for x in (rand_vir(rng, -3, 3), VirElement.z(sc("2/3")), VirElement.e(0) * 0):
                     assert_clean(tensor_act(spec, x, v))
             letters = [t(k) for k in range(-1, 3)]
-            for row in _word_vectors(spec, letters, 2).values():
+            for row in _word_vectors(spec, letters, 2).pivots.values():
                 assert_clean(TensorElement.adopt(row))
 
     def test_representation_property_all_tails(self):
@@ -556,11 +580,16 @@ class TestGeneralTensorMap:
         assert rep["rank"] == rep["expected_rank"] == 4436
 
     def test_counted_ranks_past_depth_five(self):
-        # depth 6 stays under MAX_SLICE_RANK for every m; depth 7 is refused
-        for depth, m, rank in ((6, 0, 5222), (6, 1, 4436), (6, -1, 6069), (7, 0, 25889), (7, 1, 21915)):
+        # depths 6 and 7 stay under MAX_SLICE_RANK for every m; depth 8 is refused
+        cases = (
+            (6, 0, 5222), (6, 1, 4436), (6, -1, 6069),
+            (7, 0, 25889), (7, 1, 21915), (7, -1, 30232),
+            (8, 0, 129671), (8, 1, 109486), (8, -1, 151974),
+        )
+        for depth, m, rank in cases:
             letters, reduce = slice_letters(("restricted", [(2, 1)], m), depth)
             assert _abstract_slice_dim(letters, reduce, depth) == rank, (depth, m)
-            assert (rank <= MAX_SLICE_RANK) == (depth == 6)
+            assert (rank <= MAX_SLICE_RANK) == (depth <= 7)
 
     def test_depth_zero_rejected(self):
         with pytest.raises(DepthTooSmall):
