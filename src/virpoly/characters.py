@@ -193,7 +193,16 @@ def derived_power_recurrence(lam, p: LaurentPoly) -> LaurentPoly:
     iterating from m = n gives the polynomials p_m of mu(t^j f^m); each step
     drops the degree by exactly one until the zero polynomial is reached.
     """
-    return (pshift(p, 1) - p) * sc(lam)
+    return _restrict_poly(p, linear_factor(lam), sc(lam))
+
+
+def _cofactor(roots, i: int) -> LaurentPoly:
+    """prod over j != i of (t - lambda_j)^{n_j}, for roots a list of (lambda_j, n_j)."""
+    g = ONE_POLY
+    for j, (lam, n) in enumerate(roots):
+        if j != i:
+            g = g * linear_factor(lam) ** n
+    return g
 
 
 def _restrict_poly(p: LaurentPoly, g: LaurentPoly, lam: Scalar) -> LaurentPoly:
@@ -238,15 +247,11 @@ def compose(parts) -> ExpPolyCharacter:
     for mu in parts:
         if not mu.is_single_root():
             raise ValueError("compose needs single-root characters")
+    roots = [(lam, n) for lam, n, _ in (mu.factors[0] for mu in parts)]
     factors = []
     for i, mu in enumerate(parts):
         lam, n, p = mu.factors[0]
-        g = ONE_POLY
-        for j, other in enumerate(parts):
-            if j != i:
-                lam2, n2, _ = other.factors[0]
-                g = g * linear_factor(lam2) ** n2
-        factors.append((lam, n, _restrict_poly(p, g, lam)))
+        factors.append((lam, n, _restrict_poly(p, _cofactor(roots, i), lam)))
     return ExpPolyCharacter(factors)
 
 
@@ -259,12 +264,10 @@ def decompose(mu: ExpPolyCharacter):
     """
     if not (mu.extra == ONE_POLY):
         raise ValueError("decompose needs a fully factored ambient polynomial")
+    roots = [(lam, n) for lam, n, _ in mu.factors]
     out = []
     for i, (lam, n, q) in enumerate(mu.factors):
-        g = ONE_POLY
-        for j2, (lam2, n2, _) in enumerate(mu.factors):
-            if j2 != i:
-                g = g * linear_factor(lam2) ** n2
+        g = _cofactor(roots, i)
         size = pdeg(q) + 1
         basis = [_restrict_poly(LaurentPoly({d: 1}), g, lam) for d in range(size)]
         rows = [[gd[k] for gd in basis] for k in range(size)]

@@ -3,20 +3,25 @@
 For f = t - lambda and a character mu of Vir^{f^n}, the induced module has
 PBW basis f^s v = (f^0)^[s_0] (f^1)^[s_1] ... (f^{n-1})^[s_{n-1}] v indexed
 by tuples s of nonnegative integers.  The action of a Laurent polynomial g
-is computed by straightening:
+is computed by straightening, with the Witt bracket [t^k, t^i] = (i - k)
+t^(k+i) as the only rule:
 
   * on the generator, take the Taylor coefficients a_i of g at lambda:
     a_0 .. a_{n-1} bump basis directions and mu eats sum_k a_{n+k} f^{n+k};
   * on f^s v with s nonzero, split off the lowest occupied direction l and
-    use t^k . f^l = f^l . t^k + [t^k, f^l], where the Witt bracket
-    [t^k, t^i] = (i - k) t^(k+i) expands [t^k, f^l] into monomials read off
-    the coefficients of f^l; the recursion strictly decreases |s| in every
-    bracket branch, which is the termination argument.
+    use t^k . f^l = f^l . t^k + [t^k, f^l], expanding [t^k, f^l] into
+    monomials read off the coefficients of f^l;
+  * left multiplication f^l . f^s v against an index occupied below l is
+    the action of the Laurent polynomial f^l, monomial by monomial.
 
-Left multiplication by a generator f^l against an index occupied below l is
-straightened the same way through [f^l, f^l'] = (l' - l) t f^{l+l'-1}.  A
-Laurent polynomial acts monomial by monomial, so both memos are keyed on
-integers: (k, s) for t^k f^s v and (l, s) for f^l f^s v.
+Termination: t^k f^s v only involves indices of weight at most |s| + 1,
+and every ``_act_idx`` call made for (k, s), directly or through
+``_lmul_idx``, is on an index lower in (|s|, ell(s)) taken
+lexicographically: the split-off index d has weight |s| - 1, and
+``_lmul_idx(l, idx)`` with l = ell(s) acts on an index idx of t^k f^d v, of
+weight at most |s|, only when ell(idx) < l.  An ``_lmul_idx`` at level 0
+only bumps.  Both memos are keyed on integers: (k, s) for
+t^k f^s v and (l, s) for f^l f^s v.
 """
 
 from __future__ import annotations
@@ -182,14 +187,7 @@ class InducedModule:
         hit = self._lmul_cache.get(key)
         if hit is not None:
             return hit
-        l2 = ell(s)
-        d = dstep(s)
-        out = {}
-        for idx, c in self._lmul_idx(l, d).items():
-            accumulate(out, self._lmul_idx(l2, idx), c)
-        # [f^l, f^l2] = (l2 - l) sum_i f^(l+l2-1)[i] t^(i+1)
-        for i, c in self.fpow(l + l2 - 1).terms.items():
-            accumulate(out, self._act_idx(i + 1, d), c * sc(l2 - l))
+        out = bilinear(self._act_idx, self.fpow(l).terms, {s: ONE})
         self._lmul_cache[key] = out
         return out
 
@@ -306,44 +304,60 @@ def bracket_action_oracle(mu: ExpPolyCharacter, j: int, m: int, s) -> ModuleElem
 REDUCE_MAX_STEPS = 64  # bound on the descent; each step lowers the leading index
 
 
-def _expanding(window: int):
-    yield 0
-    for a in range(1, window + 1):
-        yield a
-        yield -a
+def descent_power(mu: ExpPolyCharacter, s) -> tuple:
+    """(m, target) of one descent step from the nonzero index s.
+
+    With l = ell(s): m = n+r+1-l and target D(s) when l > 0, and m = n+r+s_0
+    and target Dt(s) when l = 0.  Raises HypothesisViolation unless mu is a
+    nonzero character with r >= n-2.
+
+    Why the shift j = 0 lowers the leading index to the target: by the
+    closed forms (``closed_form_bracket``) the target's coefficient in
+    [t^j f^m, f^s] v is (l-m) s_l mu(t^{j+1} f^{n+r}) when l > 1,
+    (1-m) s_1 mu(t^{j+1} f^{n+r}) when l = 1, and
+    +-(n+r+s_0)!/(n+r)! mu(t^{j+s_0} f^{n+r}) when l = 0, and every other
+    index it reaches lies below the target.  mu(t^j f^{n+r}) is a nonzero
+    constant times lambda^j, since each derived power lowers the degree of
+    p by exactly one.  r >= n-2 makes l - m = 2l - n - r - 1 <= -1 (l <= n-1),
+    and 1 - m = 1 - n - r <= -1 (n >= 2 and r >= 0 when l = 1).  So no
+    coefficient vanishes, at any j.
+    """
+    _, n, p = mu.root_data()
+    r = pdeg(p)
+    if r < n - 2 or mu.is_zero_map():
+        raise HypothesisViolation("the descent needs a nonzero character of degree >= n-2")
+    l = ell(s)
+    if l > 0:
+        return n + r + 1 - l, dstep(s)
+    return n + r + s[0], dtilde(s)
 
 
 def reduce_step(mu: ExpPolyCharacter, v: ModuleElement, j_window: int = 16):
-    """One strict decrease of the leading index.
+    """One strict decrease of the leading index, by f^m at the shift j = 0.
 
-    Requires a nonzero character of degree r > n-3 and a vector outside the
-    span of the generator.  Chooses m = n+r+1-ell (or n+r+s_0 when the first
-    coordinate leads) and searches j until (t^j f^m - mu(t^j f^m)) v is
-    nonzero with leading index exactly D (resp. Dt) of the old one; all but
-    finitely many j work, so the default window is generous.
+    Requires a vector outside the span of the generator; ``descent_power``
+    gives m and the target and checks the character.  Returns ((0, m), w)
+    with w = (f^m - mu(f^m)) v, whose leading index must be the target (see
+    ``descent_power`` for why), else SearchExhausted.  ``j_window`` is
+    unused: no shift is searched, and the parameter stays only for callers
+    that still pass it by position or report it.
     """
-    lam, n, p = mu.root_data()
-    r = pdeg(p)
-    if r <= n - 3 or mu.is_zero_map():
-        raise HypothesisViolation("reduction needs a nonzero character of degree > n-3")
     lead = v.leading_index()
     if not any(lead):
         raise HypothesisViolation("vector is already in the span of the generator")
-    l = ell(lead)
-    m = n + r + 1 - l if l > 0 else n + r + lead[0]
-    target = dstep(lead) if l > 0 else dtilde(lead)
+    m, target = descent_power(mu, lead)
     eng = get_engine(mu)
-    g_base = eng.fpow(m)
-    for j in _expanding(j_window):
-        g = g_base.shift(j)
-        w = eng.act(g, v) - v * mu.value_power(j, m)
-        if not w.is_zero() and w.leading_index() == target:
-            return (j, m), w
-    raise SearchExhausted(f"no j in [-{j_window}, {j_window}] realized the reduction")
+    w = eng.act(eng.fpow(m), v) - v * mu.value_power(0, m)
+    if w.is_zero() or w.leading_index() != target:
+        raise SearchExhausted(f"f^{m} did not lower the leading index to {list(target)}")
+    return (0, m), w
 
 
 def reduce_to_generator(mu: ExpPolyCharacter, v: ModuleElement, j_window: int = 16):
-    """Iterate reduce_step until the span of the generator is reached."""
+    """Iterate reduce_step until the span of the generator is reached.
+
+    ``j_window`` is unused, as in ``reduce_step``.
+    """
     trace = []
     cur = v
     for _ in range(REDUCE_MAX_STEPS):

@@ -6,9 +6,11 @@ action is the Leibniz sum across the slots.  The central element acts only
 through the tail: the induced factors kill z.
 
 The cyclicity engine walks an element down to the span of the joint
-generator by the leading-index reduction: annihilate every slot except the
-leading one with a Bezout-split power of its linear factor, shifted far
-enough up to kill the tail, then strictly decrease the leading index.
+generator by the single-root descent of ``induced.descent_power``, one slot
+at a time: the step's power of the leading slot's linear factor is lifted
+(``_lift``) to a multiple of the other slots' annihilators and shifted far
+enough up to kill the tail, so it lowers the leading slot's part to the
+descent's target and touches nothing else.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from .characters import ExpPolyCharacter, RestrictedCharacter, compose, decompose
 from .densepoly import pdeg
 from .errors import DepthTooSmall, HypothesisViolation, SearchExhausted, VirpolyError
-from .induced import ell, get_engine
+from .induced import REDUCE_MAX_STEPS, descent_power, get_engine
 from .laurent import ONE_POLY, LaurentPoly, bezout, poly_divmod
 from .scalars import Scalar, json_list, json_map
 from .sparse import Echelon, SparseVector, accumulate, bilinear
@@ -146,83 +148,75 @@ def _annihilation_exponents(spec: TensorSpec, v: TensorElement):
     return out
 
 
+def _lift(a: LaurentPoly, A: LaurentPoly, B: LaurentPoly) -> LaurentPoly:
+    """The multiple of B congruent to a modulo A, for coprime A and B in C[t].
+
+    With u A + v B = 1 it is (a v mod A) B, the one whose cofactor has degree
+    below deg A.
+    """
+    _u, v = bezout(A, B)
+    return poly_divmod(a * v, A)[1] * B
+
+
 def annihilating_shift(spec: TensorSpec, h: LaurentPoly, L: int, w: TensorElement) -> LaurentPoly:
     """A polynomial supported in degrees >= L acting on w like h.
 
-    Write h = g1 t^L + g2 F with F the product of the per-factor annihilating
-    powers; the F part acts by zero on the induced slots, so g1 t^L does the
-    job.  Coprimality of t^L and F is automatic for nonzero roots.
+    The multiple of t^L congruent to h modulo F, the product of the
+    per-factor annihilating powers: F acts by zero on the induced slots.
+    Coprimality of t^L and F is automatic for nonzero roots.
     """
     if L < 0:
         raise ValueError("L must be nonnegative")
     if not h.is_polynomial():
         raise ValueError("h must lie in C[t]")
-    exps = _annihilation_exponents(spec, w)
-    F = ONE_POLY
-    for eng, N in zip(spec.engines(), exps):
-        F = F * eng.fpow(N)
     if L == 0:
         return h
-    tL = LaurentPoly({L: 1})
-    u, _v = bezout(tL, F)
-    g1 = poly_divmod(h * u, F)[1]
-    return g1 * tL
-
-
-CYCLIC_MAX_STEPS = 64  # bound on the descent
+    F = ONE_POLY
+    for eng, N in zip(spec.engines(), _annihilation_exponents(spec, w)):
+        F = F * eng.fpow(N)
+    return _lift(h, F, LaurentPoly({L: 1}))
 
 
 def cyclic_reduce(spec: TensorSpec, w: TensorElement):
     """Reduce w to an element supported on the joint generator index.
 
-    Implements the leading-index descent: pick the first slot i0 whose
-    leading part is nonzero, Bezout-split f_{i0}^m against the other slots'
-    annihilators, and shift by j = L, the tail's annihilation bound.  The
-    coefficient that lowers the leading index is a nonzero constant times
-    lambda^j, so the leading concatenated index strictly drops at any shift
-    that kills the tail; the drop is still checked.  Hypotheses: every
-    factor degree r_i >= n_i - 2 with a nonzero character (the tail itself
-    is untouched, so its simplicity is not needed for the descent).
+    Each step is the single-root descent on the first slot i0 whose leading
+    part u is nonzero: ``descent_power`` gives (m, target) and checks that
+    factor (a nonzero character of degree r >= n-2).  f^m is lifted to the
+    multiple of the other slots' annihilators congruent to it modulo a power
+    of f_{i0} above m, and shifted by j = L, the tail's annihilation bound.
+    That operator is zero on every other slot and on the tail, and acts on
+    slot i0 as t^L f^m, so the new leading parts are the old ones with u
+    replaced by the target; that is checked, else SearchExhausted.  The tail
+    is untouched, so its simplicity is not needed for the descent.
     """
-    for mu in spec.factors:
-        _, n, p = mu.root_data()
-        if pdeg(p) < n - 2 or mu.is_zero_map():
-            raise HypothesisViolation(
-                "cyclic reduction needs nonzero factors of degree >= n-2"
-            )
     if w.is_zero():
         raise HypothesisViolation("cannot reduce the zero vector")
     engines = spec.engines()
     trace = []
     cur = w
-    for _ in range(CYCLIC_MAX_STEPS):
+    for _ in range(REDUCE_MAX_STEPS):
         lead_parts = max(parts for parts, _ in cur.terms)
         if all(not any(p) for p in lead_parts):
             return trace, cur
         i0 = next(i for i, p in enumerate(lead_parts) if any(p))
         mu = spec.factors[i0]
-        _, n, p = mu.root_data()
-        r = pdeg(p)
-        u = lead_parts[i0]
-        l = ell(u)
-        m = n + r + 1 - l if l > 0 else n + r + u[0]
+        m, target = descent_power(mu, lead_parts[i0])
         exps = _annihilation_exponents(spec, cur)
         F_lead = engines[i0].fpow(max(exps[i0], m + 1))
         F_hat = ONE_POLY
         for i, eng in enumerate(engines):
             if i != i0:
                 F_hat = F_hat * eng.fpow(exps[i])
-        ubez, vbez = bezout(F_lead, F_hat)
-        fm = engines[i0].fpow(m)
-        g_hat = poly_divmod(fm * vbez, F_lead)[1]
         L = ann_bound(spec.tail, [mono for _, mono in cur.terms])
-        op = (g_hat * F_hat).shift(L)
+        op = _lift(engines[i0].fpow(m), F_lead, F_hat).shift(L)
         w2 = tensor_act(spec, VirElement.from_laurent(op), cur) - cur * mu.value_power(L, m)
-        if w2.is_zero() or not w2.leading_concat() < cur.leading_concat():
-            raise SearchExhausted(f"the shift j = {L} did not decrease the leading index")
+        want = lead_parts[:i0] + (target,) + lead_parts[i0 + 1 :]
+        if w2.is_zero() or max(parts for parts, _ in w2.terms) != want:
+            raise SearchExhausted(f"the step at j = {L} did not lower slot {i0} to {list(target)}")
         trace.append({"factor": i0, "j": L, "m": m})
         cur = w2
-    raise SearchExhausted(f"reduction did not terminate within {CYCLIC_MAX_STEPS} steps")
+    raise SearchExhausted(f"reduction did not terminate within {REDUCE_MAX_STEPS} steps")
 
 
 def simplicity_verdict(spec: TensorSpec, kac_level: int = 20) -> dict:

@@ -50,6 +50,15 @@ def _grid_character(lam, n: int, r: int):
     return single_root_character(lam, n, [sc(1)] * (r + 1))
 
 
+def _grid(nmax: int, n_min: int):
+    """The suites' character grid: (n, r, lam, mu, where) for n_min <= n <= nmax,
+    -1 <= r < n and lam in {1, 2}, with ``where`` the case's {"n", "r", "lambda"}."""
+    for n in range(n_min, nmax + 1):
+        for r in range(-1, n):
+            for lam in (1, 2):
+                yield n, r, lam, _grid_character(lam, n, r), {"n": n, "r": r, "lambda": str(sc(lam))}
+
+
 class _Recorder:
     def __init__(self, suite, parameters):
         self.report = {
@@ -83,22 +92,13 @@ def suite_rep_root_power_comp1(nmax: int = 3, **_kw):
         "repRootPowerComp1",
         {"nmax": nmax, "lambdas": ["1", "2"], "j": [-3, 3], "weight_max": 3},
     )
-    for n in range(2, nmax + 1):
-        for r in range(-1, n):
-            for lam in (1, 2):
-                mu = _grid_character(lam, n, r)
-                for s in _indices(n, 3, min_ell=1):
-                    l = ell(s)
-                    m_lo = max(n, n + r + 1 - l)
-                    for m in range(m_lo, n + r + 3):
-                        for j in range(-3, 4):
-                            closed = closed_form_bracket(mu, j, m, s)
-                            oracle = bracket_action_oracle(mu, j, m, s)
-                            ok = closed == oracle
-                            rec.record(
-                                ok,
-                                {"n": n, "r": r, "lambda": str(sc(lam)), "s": list(s), "j": j, "m": m},
-                            )
+    for n, r, _lam, mu, where in _grid(nmax, 2):
+        for s in _indices(n, 3, min_ell=1):
+            m_lo = max(n, n + r + 1 - ell(s))
+            for m in range(m_lo, n + r + 3):
+                for j in range(-3, 4):
+                    ok = closed_form_bracket(mu, j, m, s) == bracket_action_oracle(mu, j, m, s)
+                    rec.record(ok, {**where, "s": list(s), "j": j, "m": m})
     return rec.done()
 
 
@@ -108,33 +108,25 @@ def suite_rep_root_power_comp3(nmax: int = 3, **_kw):
         {"nmax": nmax, "lambdas": ["1", "2"], "j": [-3, 3], "weight_max": 3},
     )
     control = 0
-    for n in range(1, nmax + 1):
-        for r in range(-1, n):
-            for lam in (1, 2):
-                mu = _grid_character(lam, n, r)
-                for s in _indices(n, 3):
-                    if ell(s) != 0:
-                        continue
-                    m_eq = n + r + s[0]
-                    for m in range(m_eq, m_eq + 3):
-                        if m == m_eq and r < 0:
-                            continue  # the equality closed form needs mu != 0
-                        if m < n:
-                            continue
-                        for j in range(-3, 4):
-                            closed = closed_form_bracket(mu, j, m, s)
-                            oracle = bracket_action_oracle(mu, j, m, s)
-                            ok = closed == oracle
-                            rec.record(
-                                ok,
-                                {"n": n, "r": r, "lambda": str(sc(lam)), "s": list(s), "j": j, "m": m},
-                            )
-                            if ok and m == m_eq and s[0] != r:
-                                alt = closed_form_bracket(
-                                    mu, j, m, s, literal_denominator=True
-                                )
-                                if alt != oracle:
-                                    control += 1
+    for n, r, _lam, mu, where in _grid(nmax, 1):
+        for s in _indices(n, 3):
+            if ell(s) != 0:
+                continue
+            m_eq = n + r + s[0]
+            for m in range(m_eq, m_eq + 3):
+                if m == m_eq and r < 0:
+                    continue  # the equality closed form needs mu != 0
+                if m < n:
+                    continue
+                for j in range(-3, 4):
+                    closed = closed_form_bracket(mu, j, m, s)
+                    oracle = bracket_action_oracle(mu, j, m, s)
+                    ok = closed == oracle
+                    rec.record(ok, {**where, "s": list(s), "j": j, "m": m})
+                    if ok and m == m_eq and s[0] != r:
+                        alt = closed_form_bracket(mu, j, m, s, literal_denominator=True)
+                        if alt != oracle:
+                            control += 1
     report = rec.done()
     # the (n+s_0)! reading of the ambiguous factorial must disagree somewhere
     report["negative_control_mismatches"] = control
@@ -149,19 +141,13 @@ def suite_brack_tuple_size(nmax: int = 3, **_kw):
         "brack-tupleSize",
         {"nmax": nmax, "lambdas": ["1", "2"], "j": [-3, 3], "weight_max": 3},
     )
-    for n in range(1, nmax + 1):
-        for r in range(-1, n):
-            for lam in (1, 2):
-                mu = _grid_character(lam, n, r)
-                for s in _indices(n, 3):
-                    for m in range(n + s[0], n + s[0] + 3):
-                        for j in range(-3, 4):
-                            out = bracket_action_oracle(mu, j, m, s)
-                            ok = all(sum(idx) < sum(s) for idx in out.terms)
-                            rec.record(
-                                ok,
-                                {"n": n, "r": r, "lambda": str(sc(lam)), "s": list(s), "j": j, "m": m},
-                            )
+    for n, r, _lam, mu, where in _grid(nmax, 1):
+        for s in _indices(n, 3):
+            for m in range(n + s[0], n + s[0] + 3):
+                for j in range(-3, 4):
+                    out = bracket_action_oracle(mu, j, m, s)
+                    ok = all(sum(idx) < sum(s) for idx in out.terms)
+                    rec.record(ok, {**where, "s": list(s), "j": j, "m": m})
     return rec.done()
 
 
@@ -170,25 +156,22 @@ def suite_reducedegree(nmax: int = 3, j_window: int = 16, **_kw):
         "reducedegree",
         {"nmax": nmax, "lambdas": ["1", "2"], "weight_max": 3, "j_window": j_window},
     )
-    for n in range(1, nmax + 1):
-        for r in range(max(n - 2, 0), n):
-            for lam in (1, 2):
-                mu = _grid_character(lam, n, r)
-                eng = get_engine(mu)
-                for s in _indices(n, 3):
-                    v = eng.basis(s)
-                    try:
-                        (j, m), w = reduce_step(mu, v, j_window)
-                        target = dstep(s) if ell(s) > 0 else dtilde(s)
-                        ok = w.leading_index() == target
-                        if ok:
-                            trace, final = reduce_to_generator(mu, v, j_window)
-                            ok = len(trace) <= sum(s) + 3 and set(final.terms) == {eng.zero_index}
-                    except HypothesisViolation:
-                        ok = False
-                    rec.record(
-                        ok, {"n": n, "r": r, "lambda": str(sc(lam)), "s": list(s)}
-                    )
+    for n, r, _lam, mu, where in _grid(nmax, 1):
+        if r < max(n - 2, 0):
+            continue  # the descent needs a nonzero character of degree >= n-2
+        eng = get_engine(mu)
+        for s in _indices(n, 3):
+            v = eng.basis(s)
+            try:
+                (j, m), w = reduce_step(mu, v, j_window)
+                target = dstep(s) if ell(s) > 0 else dtilde(s)
+                ok = w.leading_index() == target
+                if ok:
+                    trace, final = reduce_to_generator(mu, v, j_window)
+                    ok = len(trace) <= sum(s) + 3 and set(final.terms) == {eng.zero_index}
+            except HypothesisViolation:
+                ok = False
+            rec.record(ok, {**where, "s": list(s)})
     return rec.done()
 
 
@@ -215,21 +198,16 @@ def suite_faulhaber(**_kw):
 
 def suite_degreehom(nmax: int = 3, **_kw):
     rec = _Recorder("degreehom", {"nmax": nmax, "lambdas": ["1", "2"], "j": [-3, 3]})
-    for n in range(1, nmax + 1):
-        for r in range(-1, n):
-            for lam in (1, 2):
-                mu = _grid_character(lam, n, r)
-                eng = get_engine(mu)
-                for m in range(n, n + r + 3):
-                    pm = mu.power_poly(m)
-                    ok = pdeg(pm) == max(n + r - m, -1)
-                    if ok:
-                        for j in range(-3, 4):
-                            g = eng.fpow(m).shift(j)
-                            if mu.eval(g) != mu.value_power(j, m):
-                                ok = False
-                                break
-                    rec.record(ok, {"n": n, "r": r, "lambda": str(sc(lam)), "m": m})
+    for n, r, _lam, mu, where in _grid(nmax, 1):
+        eng = get_engine(mu)
+        for m in range(n, n + r + 3):
+            ok = pdeg(mu.power_poly(m)) == max(n + r - m, -1)
+            if ok:
+                for j in range(-3, 4):
+                    if mu.eval(eng.fpow(m).shift(j)) != mu.value_power(j, m):
+                        ok = False
+                        break
+            rec.record(ok, {**where, "m": m})
     return rec.done()
 
 

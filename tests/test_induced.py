@@ -5,13 +5,15 @@ import pytest
 from conftest import rand_vir
 from virpoly.characters import single_root_character
 from virpoly.densepoly import index_poly, pdeg
-from virpoly.errors import HypothesisViolation, ZeroVector
+from virpoly import induced
+from virpoly.errors import HypothesisViolation, SearchExhausted, ZeroVector
 from virpoly.induced import (
     InducedModule,
     ModuleElement,
     OmegaSpec,
     bracket_action_oracle,
     closed_form_bracket,
+    descent_power,
     dstep,
     dtilde,
     ell,
@@ -110,10 +112,18 @@ class TestActLaurent:
 
     def test_straightening_work_is_bounded(self):
         # a work guard: with integer (k, s) keys every bracket branch that
-        # reaches t^k f^d v shares one memo entry; this action needs 590
+        # reaches t^k f^d v shares one memo entry; this action needs 821
         eng = InducedModule(single_root_character(2, 3, [1, 1]))
         eng.act(t(1), eng.basis((22, 21, 21)))
         assert len(eng._act_cache) + len(eng._lmul_cache) <= 2000
+
+    def test_deep_index_within_the_stack(self):
+        # f^l f^s v below l is the action of f^l, so the recursion still
+        # reaches weight 500 at the default limit: t = f + lam f^0 lands in
+        # PBW order on f^1-powers
+        eng = InducedModule(single_root_character(2, 2, [1, 1]))
+        got = eng.act(t(1), eng.basis((0, 500)))
+        assert got == ModuleElement({(0, 501): 1, (1, 500): 2})
 
     def test_act_vir_kills_z(self):
         mu = single_root_character(1, 2, [1])
@@ -198,6 +208,24 @@ class TestSizeBound:
                         assert all(sum(i) < sum(s) for i in out.terms)
 
 
+class TestDescentPower:
+    @pytest.mark.parametrize(
+        "n, p, s, m, target",
+        [
+            (3, [1, 1], (0, 0, 2), 3, (0, 0, 1)),  # l = 2: m = n+r+1-l, D(s)
+            (3, [1, 1, 1], (0, 2, 1), 5, (0, 1, 1)),  # l = 1
+            (2, [1], (2, 1), 4, (0, 1)),  # l = 0: m = n+r+s_0, Dt(s)
+        ],
+    )
+    def test_power_and_target(self, n, p, s, m, target):
+        assert descent_power(single_root_character(2, n, p), s) == (m, target)
+
+    @pytest.mark.parametrize("n, p", [(3, [1]), (1, [])])  # r = n-3; the zero character
+    def test_hypotheses(self, n, p):
+        with pytest.raises(HypothesisViolation):
+            descent_power(single_root_character(2, n, p), (1,) + (0,) * (n - 1))
+
+
 class TestReduceStep:
     def test_linear_example(self):
         mu = single_root_character(1, 1, [2])
@@ -219,6 +247,16 @@ class TestReduceStep:
         assert m == 3  # n + r + 1 - ell = 2 + 1 + 1 - 1
         assert w.leading_index() == (0, 0)
         assert abs(j) <= 5
+
+    def test_wrong_power_is_caught(self, monkeypatch):
+        # negative control: one power too high kills the target's coefficient
+        mu = single_root_character(1, 2, [0, 1])
+        v = get_engine(mu).basis((0, 1))
+        assert reduce_step(mu, v)[0] == (0, 3)
+        real = induced.descent_power
+        monkeypatch.setattr(induced, "descent_power", lambda mu, s: (real(mu, s)[0] + 1, real(mu, s)[1]))
+        with pytest.raises(SearchExhausted):
+            reduce_step(mu, v)
 
     def test_strict_descent_to_generator(self):
         rng = random.Random(55)

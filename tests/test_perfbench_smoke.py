@@ -9,7 +9,8 @@ change to a signature, an option or a result the benchmark reads fails
 here instead of only in a benchmark run.  One ``slice-depth`` cycle also
 runs traced, and every per-layer metric the benchmark's own tests name for
 that workload must move, so a faster path that skips a traced function
-fails here too.
+fails here too; one small ``oracle-grid`` unit runs traced for the induced
+engine's metrics the same way.
 """
 
 import importlib
@@ -86,6 +87,25 @@ def test_traced_slice_depth_cycle_moves_every_named_metric(bench, vp, tmp_path):
     called = {(name.get(parent), span) for _, parent, _, span, *_ in tracer.spans}
     assert {("tensor.tensor_act", "virasoro.theta"),
             ("tensor.tensor_act", "tailmod.TailModule.act_vir")} <= called
+
+
+def test_traced_oracle_grid_unit_moves_the_induced_metrics(bench, vp, tmp_path):
+    # The laurent.* metrics named for oracle-grid read 0: straightening reads
+    # Taylor data at lambda, and nothing on this path calls the division
+    # routines they watch, so they are the benchmark's own known failures
+    # until its metric list is mended.  Every other named metric must move,
+    # among them reduce_step's calls and the entries of both induced memos.
+    module, run = bench.oracle_grid, bench.run
+    plan, n_groups = bench.test_perfbench._small_plan("oracle-grid")
+    state = module.prepare(vp, plan, tmp_path)
+    plain, res, tracer, checks = run.trace_unit(module, vp, plan, state, tmp_path, n_groups)
+    assert res["attempted"] > 0 and res["failed"] == 0
+    assert all(ok for _, ok, _ in checks)
+    metrics = tracer.metrics(bench.common.cache_sizes(vp), run._ops_per_s(plain) / run._ops_per_s(res))
+    named = [m for m in bench.test_perfbench.MUST_MOVE["oracle-grid"] if not m.startswith("laurent.")]
+    assert {"induced.reduce_step.calls", "induced.lmul_cache_entries",
+            "induced.act_cache_entries"} <= set(named)
+    assert [m for m in named if not metrics[m]["value"] > 0] == []
 
 
 @pytest.mark.parametrize("field", ["Q", "Qi"])

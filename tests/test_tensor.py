@@ -4,11 +4,11 @@ from itertools import product
 import pytest
 
 from conftest import dense_rank, rand_vir
-from virpoly import induced, tailmod
+from virpoly import induced, tailmod, tensor
 from virpoly.characters import RestrictedCharacter, compose, single_root_character
-from virpoly.errors import DepthTooSmall, HypothesisViolation
+from virpoly.errors import DepthTooSmall, HypothesisViolation, SearchExhausted
 from virpoly.induced import get_engine
-from virpoly.laurent import LaurentPoly
+from virpoly.laurent import LaurentPoly, linear_factor, poly_divmod
 from virpoly.scalars import Scalar, sc
 from virpoly.sparse import accumulate
 from virpoly.tailmod import TailModuleSpec, b_act
@@ -17,6 +17,7 @@ from virpoly.tensor import (
     TensorElement,
     TensorSpec,
     _abstract_slice_dim,
+    _lift,
     _quotient_reducer,
     _rank,
     _word_vectors,
@@ -223,6 +224,14 @@ class TestAnnihilatingShift:
         h = t(2) + t(3)
         assert annihilating_shift(spec, h, 0, spec.generator()) == h
 
+    def test_lift_is_the_crt_multiple(self):
+        A, B = linear_factor(1) ** 3, linear_factor(-2) ** 2 * t(1)
+        a = t(5, 3) - t(1) + t(0, 7)
+        x = _lift(a, A, B)
+        assert poly_divmod(x, B)[1].is_zero()
+        assert poly_divmod(x - a, A)[1].is_zero()
+        assert x.degree() < A.degree() + B.degree()
+
 
 class TestCyclicReduce:
     def test_generator_gives_empty_trace(self):
@@ -336,6 +345,28 @@ class TestCyclicReduce:
         spec = TensorSpec([ones(1, 3, 0)])
         with pytest.raises(HypothesisViolation):
             cyclic_reduce(spec, basis(spec, [(1, 0, 0)]))
+
+    def _two_roots(self):
+        spec = TensorSpec([single_root_character(1, 1, [1]), single_root_character(2, 1, [1])])
+        w = basis(spec, [(1,), (1,)])
+        trace, final = cyclic_reduce(spec, w)
+        assert len(trace) == 2 and {p for p, _ in final.terms} == {((0,), (0,))}
+        return spec, w
+
+    def test_wrong_power_is_caught(self, monkeypatch):
+        # negative control: one power too high kills the target's coefficient
+        spec, w = self._two_roots()
+        real = tensor.descent_power
+        monkeypatch.setattr(tensor, "descent_power", lambda mu, s: (real(mu, s)[0] + 1, real(mu, s)[1]))
+        with pytest.raises(SearchExhausted):
+            cyclic_reduce(spec, w)
+
+    def test_unlifted_power_is_caught(self, monkeypatch):
+        # negative control: f^m itself also moves the other slot
+        spec, w = self._two_roots()
+        monkeypatch.setattr(tensor, "_lift", lambda a, A, B: a)
+        with pytest.raises(SearchExhausted):
+            cyclic_reduce(spec, w)
 
     def test_zero_linear_factor_rejected(self):
         spec = TensorSpec([ones(2, 1, 0), single_root_character(1, 1, [])], TAILS[1])
