@@ -103,15 +103,30 @@ def _cmd_act(raw, args):
     eng = get_engine(mu)
     elem = json_map(raw["element"], "the element")
     if "vir" in elem:
-        out = eng.act_vir(VirElement.from_json(elem["vir"]), v)
+        x = VirElement.from_json(elem["vir"])
+        _check_indices(x.e_part.terms, "an element exponent")
+        out = eng.act_vir(x, v)
     else:
-        out = eng.act(LaurentPoly.from_json(elem["laurent"]), v)
+        g = LaurentPoly.from_json(elem["laurent"])
+        _check_indices(g.terms, "an element exponent")
+        out = eng.act(g, v)
     return {"result": out}
 
 
 # seq(j) builds lambda^j exactly, so the cost of a check climbs with |j|: at
 # +-1000 it takes about 2.6 s for the roots 3+4i and -5+12i (2-core host).
 MAX_VALIDATE_INDICES = 2001
+
+# The largest |j| of an element exponent in `act` or a `char-validate` range
+# bound.  Each one builds lambda^j exactly: t^(10^6) takes about 5-9 s in
+# `act`, t^(10^5) about 0.1 s, and t^(10^8) did not finish in 30 s.
+MAX_INDEX = 10**5
+
+
+def _check_indices(indices, what: str) -> None:
+    for j in indices:
+        if abs(j) > MAX_INDEX:
+            raise ValueError(f"{what} {j} is out of range; |j| is at most {MAX_INDEX}")
 
 
 # The verify grids grow fast with --nmax: the full run takes about 3.9 s at
@@ -126,6 +141,7 @@ def _cmd_char_validate(raw, args):
     if len(bounds) != 2:
         raise ValueError("the range must hold exactly two integers")
     lo, hi = (json_int(x, "a range bound") for x in bounds)
+    _check_indices((lo, hi), "the range bound")
     if lo > hi:
         raise ValueError(f"the range [{lo}, {hi}] holds no index")
     if hi - lo >= MAX_VALIDATE_INDICES:

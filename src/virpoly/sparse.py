@@ -7,7 +7,9 @@ power sums P_k, which have support >= 0.  A Virasoro element holds
 a Laurent polynomial as its e-part and its central coefficient z beside it,
 which the base's operations would drop.  Slice ranks and linear solves share
 one exact elimination, ``Echelon``: reduced row echelon form kept beside a
-column index, so a new pivot visits only the rows that hold its label.
+column index, so a new pivot visits only the rows that hold its label.  A
+coefficient of one is never multiplied in, and a pivot row {label: 1}, the
+usual row of a span of basis vectors, reduces a row by deleting its label.
 """
 
 from __future__ import annotations
@@ -28,9 +30,12 @@ def clean(terms) -> dict:
 
 
 def accumulate(target: dict, src: dict, coeff=None) -> dict:
-    """target += coeff * src in place, dropping zeros; coeff None adds src unmultiplied."""
-    if coeff is not None and coeff.is_zero():
-        return target
+    """target += coeff * src in place, dropping zeros; coeff None or one adds src unmultiplied."""
+    if coeff is not None:
+        if coeff.is_zero():
+            return target
+        if coeff == ONE:
+            coeff = None
     for k, c in src.items():
         if coeff is not None:
             c = c * coeff
@@ -48,12 +53,13 @@ def bilinear(column, g: dict, v: dict) -> dict:
     """The fresh map sum of g[k] v[key] column(k, key) over k in g and key in v.
 
     This is every module action: column(k, key) is e_k on one basis vector,
-    often a memo entry, so it is only read.
+    often a memo entry, so it is only read.  A unit factor is not multiplied
+    in: a word span acts with letters t^k on rows that are often {label: 1}.
     """
     out = {}
     for key, c in v.items():
         for k, a in g.items():
-            accumulate(out, column(k, key), a * c)
+            accumulate(out, column(k, key), c if a == ONE else a if c == ONE else a * c)
     return out
 
 
@@ -118,7 +124,9 @@ class Echelon:
     pivot row is 1 at its own label and 0 at every other label, and its
     label is its least key.  A row is reduced by one pass over its own keys,
     subtracting the pivot of each key that is a label; a reduced pivot holds
-    no other label, so nothing new needs reducing.  A nonzero remainder
+    no other label, so nothing new needs reducing.  A pivot row of length 1
+    is exactly {label: 1}, so that subtraction is the deletion of the key
+    and takes no arithmetic.  A nonzero remainder
     becomes a pivot normalised to 1 at its least key, and that label is then
     removed from every earlier pivot row that holds it; its other keys lie
     above the new label, which lies above the earlier row's own.  The least
@@ -160,7 +168,11 @@ class Echelon:
         for vec in rows:
             row = {k: c for k, c in vec.items() if not c.is_zero()}
             for k, c in [(k, c) for k, c in row.items() if k in pivots]:
-                accumulate(row, pivots[k], -c)
+                prow = pivots[k]
+                if len(prow) == 1:
+                    del row[k]
+                else:
+                    accumulate(row, prow, -c)
             if not row:
                 continue
             label = min(row)

@@ -177,7 +177,10 @@ class TailModule:
         return out
 
     def act_vir(self, x: VirElement, v: dict) -> dict:
-        return accumulate(bilinear(self._act_e, x.e_part.terms, v), v, x.z_part * self.spec.c)
+        out = bilinear(self._act_e, x.e_part.terms, v)
+        if x.z_part.is_zero():
+            return out
+        return accumulate(out, v, x.z_part * self.spec.c)
 
 
 _tail_engines = {}

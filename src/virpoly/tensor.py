@@ -21,7 +21,7 @@ from .errors import DepthTooSmall, HypothesisViolation, SearchExhausted, Virpoly
 from .induced import REDUCE_MAX_STEPS, descent_power, get_engine
 from .laurent import ONE_POLY, LaurentPoly, bezout, poly_divmod
 from .scalars import Scalar, json_list, json_map
-from .sparse import Echelon, SparseVector, accumulate, bilinear
+from .sparse import Echelon, SparseVector, bilinear
 from .tailmod import TailModuleSpec, ann_bound, get_tail_engine, tail_simplicity
 from .virasoro import VirElement, theta, vir_bracket
 
@@ -56,15 +56,29 @@ class TensorSpec:
     def column(self, k: int, key):
         """e_k on the induced slots of the basis vector key = (parts, mono).
 
-        The Leibniz sum over the factors: each slot's memo entry, re-keyed by
-        tensor keys into a fresh map.  The tail acts in ``tensor_act``.
+        The Leibniz sum over the factors: each slot's memo entry is written
+        straight into one fresh map under tensor keys.  A term that moves
+        slot i differs from key in slot i alone, so the terms of different
+        slots never meet except at key itself, whose coefficients are summed
+        apart and set last.  The tail acts in ``tensor_act``.
         """
         parts, mono = key
         out = {}
+        stay = None
         for i, eng in enumerate(self._engines):
+            s = parts[i]
+            moved = eng._act_idx(k, s)
             head, rest = parts[:i], parts[i + 1 :]
-            moved = eng._act_idx(k, parts[i])
-            accumulate(out, {(head + (idx,) + rest, mono): c for idx, c in moved.items()})
+            for idx, c in moved.items():
+                out[(head + (idx,) + rest, mono)] = c
+            c = moved.get(s)
+            if c is not None:
+                stay = c if stay is None else stay + c
+        if stay is not None:
+            if stay.is_zero():
+                del out[key]
+            else:
+                out[key] = stay
         return out
 
     def zero_index(self):
@@ -126,8 +140,15 @@ def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement) -> TensorEleme
     tail = spec._tail_engine
     if tail is not None:
         for (parts, mono), c in v.terms.items():
-            moved = tail.act_vir(x, {mono: c})
-            accumulate(out, {(parts, mono2): c2 for mono2, c2 in moved.items()})
+            for mono2, c2 in tail.act_vir(x, {mono: c}).items():
+                key = (parts, mono2)
+                old = out.get(key)
+                if old is not None:
+                    c2 = old + c2
+                    if c2.is_zero():
+                        del out[key]
+                        continue
+                out[key] = c2
     return TensorElement.adopt(out)
 
 
@@ -379,7 +400,7 @@ def _quotient_reducer(F: LaurentPoly, m: int):
     return reduce
 
 
-def _abstract_slice_dim(letters, reduce, depth: int) -> int:
+def _abstract_slice_dim(letters, reduce, depth: int, bound=None) -> int:
     """Dimension of the depth-d slice of the induced module, by PBW counting.
 
     The words of length <= d over the letters, pushed into the induced module,
@@ -398,11 +419,18 @@ def _abstract_slice_dim(letters, reduce, depth: int) -> int:
 
     Since [span B, L] = span [B, L], each length is bracketed from a basis of
     the span of the previous length's brackets (modulo z, which is central).
+
+    The series is multiplied out one generator at a time, as each length is
+    counted, so its running sum counts the monomials in the generators so
+    far: a lower bound on the dimension, since later ones only add to it.
+    With a ``bound``, the count stops as soon as that sum exceeds it and
+    returns the sum, so a refused slice costs no more brackets than it takes
+    to see that; a dimension within the bound is exact either way.
     """
     letter_elems = [VirElement.from_laurent(g) for g in letters]
     layer = letter_elems
     images = Echelon()
-    counts = []
+    series = [1] + [0] * depth
     for k in range(1, depth + 1):
         if k > 1:
             layer = [vir_bracket(b, l) for b in layer for l in letter_elems]
@@ -410,20 +438,27 @@ def _abstract_slice_dim(letters, reduce, depth: int) -> int:
         layer = [VirElement(row) for row in span.pivots.values()]
         size = len(images)
         images.extend(map(reduce, layer))
-        counts.append(len(images) - size)
-    series = [1] + [0] * depth
-    for k, n in enumerate(counts, 1):
-        for _ in range(n):
+        for _ in range(len(images) - size):
             for j in range(k, depth + 1):
                 series[j] += series[j - k]
+            if bound is not None and sum(series) > bound:
+                return sum(series)
     return sum(series)
 
 
 # The largest slice rank the word span is built for: just above 30,232, the
-# largest depth-7 rank of one linear factor (m = -1), which the indexed
-# elimination checks cold in about 5-8 s and 82 MB; depth 8 counts 109,486
-# and more, and takes 29-48 s and 279-463 MB, too near half a gigabyte.
+# largest depth-7 rank of one linear factor (m = -1), which is checked cold
+# in about 3-5 s and 78 MB; depth 8 counts 109,486 and more, and takes about
+# 20 s and 261 MB at m = 1 (2-core host), with the tail memo the largest
+# structure.  The count stops once it passes the bound, so a refusal is
+# prompt at any depth.
 MAX_SLICE_RANK = 30300
+
+
+def _over_bound(depth: int, at_least: int) -> VirpolyError:
+    return VirpolyError(
+        f"the depth-{depth} slice has rank at least {at_least}; slices are checked up to rank {MAX_SLICE_RANK}"
+    )
 
 
 def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
@@ -443,11 +478,17 @@ def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
         the tensor realization equals the abstract slice dimension counted
         from PBW filtration dimensions alone.
 
-    The count comes first and is cheap; a slice whose counted rank exceeds
-    ``MAX_SLICE_RANK`` raises VirpolyError before any word is formed.
+    The count comes first and is cheap; it stops as soon as it passes
+    ``MAX_SLICE_RANK``, and such a slice raises VirpolyError before any word
+    is formed.
     """
     if depth < 1:
         raise DepthTooSmall("slice comparison is vacuous below depth 1")
+    if depth >= MAX_SLICE_RANK:
+        # v0 and the powers g^j v0 (j <= depth) of a letter g outside the
+        # subalgebra are independent, so the rank is at least depth + 1:
+        # refused before an alphabet of depth letters is formed
+        raise _over_bound(depth, depth + 1)
     if kind == "polynomial":
         parts = list(source)
         spec = TensorSpec(parts, TailModuleSpec.trivial())
@@ -469,11 +510,9 @@ def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
         letters = [LaurentPoly({i: 1}) for i in range(m - depth, m + F.degree())]
     else:
         raise ValueError(f"unknown verification kind {kind!r}")
-    expected = _abstract_slice_dim(letters, _quotient_reducer(F, m), depth)
+    expected = _abstract_slice_dim(letters, _quotient_reducer(F, m), depth, MAX_SLICE_RANK)
     if expected > MAX_SLICE_RANK:
-        raise VirpolyError(
-            f"the depth-{depth} slice has rank {expected}; slices are checked up to rank {MAX_SLICE_RANK}"
-        )
+        raise _over_bound(depth, expected)
     gen = spec.generator()
     equiv = all(
         tensor_act(spec, VirElement.from_laurent(F.shift(j)), gen) == gen * value(j)

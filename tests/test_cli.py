@@ -13,6 +13,7 @@ import pytest
 from conftest import cli_env
 from virpoly import cli
 from virpoly.cli import main
+from virpoly.tensor import MAX_SLICE_RANK
 from virpoly.verify import SUITES
 
 
@@ -196,14 +197,22 @@ def test_tensor_map_refuses_a_slice_above_the_rank_bound(tmp_path, capsys):
         "restriction": {"m": 0, "window": {"0": "4"}, "z": "5"},
     }
     spec = write(tmp_path, "t.json", {"kind": "restricted", "character": character})
-    start = time.perf_counter()
-    code, err = run_invalid(capsys, "tensor-map", "--spec", spec, "--depth", "8")
-    assert time.perf_counter() - start < 2.0
-    assert code == 2 and "129671" in err and len(err.splitlines()) == 1
+    # the count stops once its running sum passes the bound, a lower bound
+    # on the full count (129,671 at depth 8), so every refusal is prompt
+    for depth, budget in (("8", 2.0), ("400", 0.5), (str(10**9), 0.5)):
+        start = time.perf_counter()
+        code, err = run_invalid(capsys, "tensor-map", "--spec", spec, "--depth", depth)
+        assert time.perf_counter() - start < budget, depth
+        assert code == 2 and err.startswith("invalid input") and len(err.splitlines()) == 1, depth
+        at_least = int(re.search(r"rank at least (\d+);", err).group(1))
+        assert MAX_SLICE_RANK < at_least, depth
+        if depth == "8":
+            assert at_least <= 129671
 
 
 def test_loops_the_input_sizes_are_bounded(tmp_path, capsys):
     factor = {"lambda": "1", "n": 1, "p": ["1"]}
+    vector = {"character": {"factors": [factor]}, "vector": {"terms": [{"s": [1], "c": "1"}]}}
     verma = {
         "restricted": {
             "factors": [{"lambda": "1", "n": 1, "p": ["3"]}],
@@ -217,6 +226,10 @@ def test_loops_the_input_sizes_are_bounded(tmp_path, capsys):
         "kac_level_10001": ("simplicity", verma, ("--kac-level", "10001")),
         "huge_nmax": ("verify", {}, ("--suite", "repRootPowerComp1", "--nmax", "10")),
         "nmax_7": ("verify", {}, ("--nmax", "7")),
+        "huge_exponent": ("act", dict(vector, element={"laurent": {str(10**8): "1"}}), ()),
+        "exponent_above_bound": ("act", dict(vector, element={"vir": {"e": {str(-10**5 - 1): "1"}}}), ()),
+        "huge_range_bound": ("char-validate", {"character": {"factors": [factor]}, "range": [10**8, 10**8 + 2]}, ()),
+        "range_bound_above": ("char-validate", {"character": {"factors": [factor]}, "range": [-10**5 - 1, -10**5]}, ()),
     }
     for name, (command, payload, flags) in refused.items():
         spec = write(tmp_path, name + ".json", payload)
@@ -227,6 +240,14 @@ def test_loops_the_input_sizes_are_bounded(tmp_path, capsys):
     spec = write(tmp_path, "range.json", {"character": {"factors": [factor]}, "range": [-1000, 1000]})
     code, out = run_cli(capsys, "char-validate", "--spec", spec)
     assert code == 0 and out["valid"] is True
+    # the index bound itself is accepted
+    bound = cli.MAX_INDEX
+    spec = write(tmp_path, "edge.json", {"character": {"factors": [factor]}, "range": [bound - 2, bound]})
+    code, out = run_cli(capsys, "char-validate", "--spec", spec)
+    assert code == 0 and out["valid"] is True
+    spec = write(tmp_path, "edge_act.json", dict(vector, element={"laurent": {str(-bound): "1"}}))
+    code, out = run_cli(capsys, "act", "--spec", spec)
+    assert code == 0
     code, out = run_cli(capsys, "verify", "--suite", "degreehom", "--nmax", str(cli.MAX_VERIFY_NMAX))
     assert code == 0 and out["failed_total"] == 0
 

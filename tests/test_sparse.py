@@ -13,6 +13,16 @@ from virpoly.tensor import TensorElement
 from virpoly.virasoro import VirElement
 
 
+def held_keys(pivots):
+    """The column index written out: each key mapped to the labels of the other rows holding it."""
+    out = {}
+    for label, row in pivots.items():
+        for k in row:
+            if k != label:
+                out.setdefault(k, set()).add(label)
+    return out
+
+
 class TestAccumulate:
     def test_scaled_add_drops_zeros(self):
         target = {"a": sc(2), "b": sc(1)}
@@ -33,6 +43,17 @@ class TestAccumulate:
         target = {(1, 0): sc("1/2"), (0, 1): sc(1)}
         accumulate(target, {(1, 0): sc("-1/2"), (2, 0): sc(3)})
         assert target == {(0, 1): sc(1), (2, 0): sc(3)}
+
+    def test_unit_coefficient_adds_without_multiplying(self, monkeypatch):
+        def no_mul(a, b):
+            raise AssertionError("a coefficient of one must not multiply")
+
+        monkeypatch.setattr(Scalar, "__mul__", no_mul)
+        target = {"a": sc(2), "b": sc("1/3")}
+        out = accumulate(target, {"a": sc(-2), "c": sc(5)}, sc(1))
+        assert out is target and target == {"b": sc("1/3"), "c": sc(5)}
+        # bilinear passes the unit on: a unit letter on a unit row multiplies nothing
+        assert bilinear(lambda k, key: {key + k: sc(3)}, {1: sc(1)}, {0: sc(1)}) == {1: sc(3)}
 
     def test_bilinear_matches_a_direct_double_sum(self):
         rng = random.Random(17)
@@ -167,26 +188,60 @@ class TestEchelon:
         ]
         rng.shuffle(rows)
 
-        def holders(pivots):
-            out = {}
-            for label, row in pivots.items():
-                for k in row:
-                    if k != label:
-                        out.setdefault(k, set()).add(label)
-            return out
-
         gained = lost = 0
         for cuts in ((), (2,), (3, 7, 11), tuple(range(1, len(rows)))):
             ech = Echelon()
             for lo, hi in zip((0,) + cuts, cuts + (len(rows),)):
                 before = {label: set(row) for label, row in ech.pivots.items()}
                 ech.extend(rows[lo:hi])
-                assert ech.holders == holders(ech.pivots), (cuts, lo)
+                assert ech.holders == held_keys(ech.pivots), (cuts, lo)
                 for label, keys in before.items():
                     gained += bool(set(ech.pivots[label]) - keys)
                     lost += bool(keys - set(ech.pivots[label]) - set(ech.pivots))
         # the rows exercise both kinds of update, not only the cleared labels
         assert gained and lost
+
+    def test_unit_and_scaled_pivots_together(self):
+        # unit rows {k: 1} beside rows that pivot at a coefficient other than
+        # one, and combinations of both, so an incoming row meets both kinds
+        rng = random.Random(19)
+        units = [{k: sc(1)} for k in rng.sample(range(12), 5)]
+        scaled = [
+            {k: rand_scalar(rng) for k in rng.sample(range(12), rng.randint(2, 5))}
+            for _ in range(5)
+        ]
+        mixed = [
+            accumulate(dict(rng.choice(units)), rng.choice(scaled), rand_scalar(rng)) for _ in range(6)
+        ]
+        rows = units + scaled + mixed
+        rng.shuffle(rows)
+
+        for cuts in ((), (4,), (2, 7, 11), tuple(range(1, len(rows)))):
+            ech = Echelon()
+            for lo, hi in zip((0,) + cuts, cuts + (len(rows),)):
+                ech.extend(rows[lo:hi])
+                assert len(ech) == dense_rank(rows[:hi]), (cuts, hi)
+                assert ech.holders == held_keys(ech.pivots), (cuts, hi)
+                for label, row in ech.pivots.items():
+                    assert label == min(row) and row[label] == sc(1)
+                    assert set(row) & set(ech.pivots) == {label}
+        # some final rows are units and some are not
+        assert any(len(row) == 1 for row in ech.pivots.values())
+        assert any(len(row) > 1 for row in ech.pivots.values())
+
+    def test_unit_pivots_reduce_without_multiplying(self, monkeypatch):
+        ech = Echelon({k: sc(1)} for k in (0, 2, 3))
+        pivots = dict(ech.pivots)
+
+        def no_mul(a, b):
+            raise AssertionError("a unit pivot must reduce by deletion")
+
+        monkeypatch.setattr(Scalar, "__mul__", no_mul)
+        # an integer row that the unit pivots reduce to zero, and one that
+        # leaves a remainder already 1 at its least key
+        ech.extend([{0: sc(3), 2: sc(-2), 3: sc(7)}, {3: sc(-4), 5: sc(1), 0: sc(2), 8: sc(-6)}])
+        assert ech.pivots == {**pivots, 5: {5: sc(1), 8: sc(-6)}}
+        assert ech.holders == {8: {5}}
 
     def test_solve_matches_the_system(self):
         rng = random.Random(11)

@@ -121,6 +121,19 @@ class TestTensorAct:
             for x in (VirElement.e(1) + VirElement.z(sc(5)), rand_vir(rng, -3, 3) + VirElement.z(1)):
                 assert tensor_act(spec, x, w) == leibniz_reference(spec, x, w)
 
+    def test_slots_sum_at_the_key_they_keep(self):
+        # each slot may leave its index in place; those terms all land on the
+        # key itself and must add up, here to -4 + 6 = 2 and to -1 + 1 = 0
+        spec = TensorSpec([ones(2, 1, 0), ones(3, 1, 0)])
+        for parts, k, stay in ((((1,), (0,)), 2, sc(2)), (((1,), (0,)), 1, None)):
+            key = (parts, ())
+            got = tensor_act(spec, VirElement.e(k), TensorElement({key: 1}))
+            assert got == leibniz_reference(spec, VirElement.e(k), TensorElement({key: 1}))
+            assert got.terms.get(key) == stay and all(not c.is_zero() for c in got.terms.values())
+            # the column itself stores no zero either
+            assert spec.column(k, key) == got.terms
+            assert all(eng._act_idx(k, s).get(s) is not None for eng, s in zip(spec.engines(), parts))
+
     def test_bound_engines_outlive_the_registries(self):
         # a spec looks its engines up once, when it is built: emptying the
         # registries afterwards leaves it acting with its own
