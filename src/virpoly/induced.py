@@ -176,13 +176,13 @@ class InducedModule:
             # [t^k, f^l] = sum_i f^l[i] (i - k) t^(k+i)
             for i, c in self.fpow(l).terms.items():
                 if i != k:
-                    accumulate(out, self._act_idx(k + i, d), c * sc(i - k))
+                    accumulate(out, self._act_idx(k + i, d), c * Scalar(i - k))
         self._act_cache[key] = out
         return out
 
     def _lmul_idx(self, l: int, s: tuple) -> dict:
         if not any(s) or ell(s) >= l:
-            return {_bump(s, l): Scalar(1)}
+            return {_bump(s, l): ONE}
         key = (l, s)
         hit = self._lmul_cache.get(key)
         if hit is not None:
@@ -196,7 +196,7 @@ class InducedModule:
     def act_on_index(self, g: LaurentPoly, s: tuple) -> dict:
         """Monomial-split action on one basis index; shares the recursion cache.
 
-        No code in this package calls it any more (the tensor columns read
+        No code in this package calls it any more (``tensor_act`` reads
         ``_act_idx`` directly).  It stays as the entry point of the Leibniz
         oracle in the tests and of the traced benchmark's spans.
         """

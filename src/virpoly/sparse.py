@@ -1,9 +1,10 @@
 """The sparse exact kernel: finite maps key -> Scalar with no stored zeros.
 
 Laurent polynomials, PBW vectors and tensor vectors are such maps and share
-the accumulate loop, the bilinear action loop and the container base below;
-the Laurent polynomials include the characters' index polynomials and the
-power sums P_k, which have support >= 0.  A Virasoro element holds
+the accumulate loop and the container base below; the induced and tail
+engines act through the bilinear loop.  The Laurent polynomials include the
+characters' index polynomials and the power sums P_k, which have support
+>= 0.  A Virasoro element holds
 a Laurent polynomial as its e-part and its central coefficient z beside it,
 which the base's operations would drop.  Slice ranks and linear solves share
 one exact elimination, ``Echelon``: reduced row echelon form kept beside a
@@ -49,12 +50,23 @@ def accumulate(target: dict, src: dict, coeff=None) -> dict:
     return target
 
 
+def add_term(target: dict, key, c) -> None:
+    """target[key] += c in place for a nonzero c, dropping a zero sum."""
+    old = target.get(key)
+    if old is not None:
+        c = old + c
+        if c.is_zero():
+            del target[key]
+            return
+    target[key] = c
+
+
 def bilinear(column, g: dict, v: dict) -> dict:
     """The fresh map sum of g[k] v[key] column(k, key) over k in g and key in v.
 
-    This is every module action: column(k, key) is e_k on one basis vector,
-    often a memo entry, so it is only read.  A unit factor is not multiplied
-    in: a word span acts with letters t^k on rows that are often {label: 1}.
+    This is the action of the induced and tail engines: column(k, key) is
+    e_k on one basis vector, often a memo entry, so it is only read.  A unit
+    factor is not multiplied in.
     """
     out = {}
     for key, c in v.items():
@@ -125,8 +137,9 @@ class Echelon:
     label is its least key.  A row is reduced by one pass over its own keys,
     subtracting the pivot of each key that is a label; a reduced pivot holds
     no other label, so nothing new needs reducing.  A pivot row of length 1
-    is exactly {label: 1}, so that subtraction is the deletion of the key
-    and takes no arithmetic.  A nonzero remainder
+    is exactly {label: 1}, so that subtraction is the deletion of the key:
+    such keys are dropped, with the zeros, while the row is copied, and it
+    is then reduced against the longer pivots alone.  A nonzero remainder
     becomes a pivot normalised to 1 at its least key, and that label is then
     removed from every earlier pivot row that holds it; its other keys lie
     above the new label, which lies above the earlier row's own.  The least
@@ -166,13 +179,19 @@ class Echelon:
         """
         pivots, holders = self.pivots, self.holders
         for vec in rows:
-            row = {k: c for k, c in vec.items() if not c.is_zero()}
-            for k, c in [(k, c) for k, c in row.items() if k in pivots]:
-                prow = pivots[k]
-                if len(prow) == 1:
-                    del row[k]
-                else:
-                    accumulate(row, prow, -c)
+            row = {}
+            longer = []
+            for k, c in vec.items():
+                if c.is_zero():
+                    continue
+                prow = pivots.get(k)
+                if prow is not None:
+                    if len(prow) == 1:
+                        continue
+                    longer.append((prow, c))
+                row[k] = c
+            for prow, c in longer:
+                accumulate(row, prow, -c)
             if not row:
                 continue
             label = min(row)

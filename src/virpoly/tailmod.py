@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import VirpolyError
-from .scalars import Scalar, json_index, json_int, json_map, sc
-from .sparse import accumulate, bilinear, clean
+from .scalars import ONE, Scalar, json_index, json_int, json_map, sc
+from .sparse import accumulate, add_term, bilinear, clean
 from .virasoro import VirElement, _cocycle
 
 _FAMILIES = {-1: "mbar", 0: "verma"}  # every m >= 1 is Whittaker
@@ -150,33 +150,45 @@ class TailModule:
         self._cache = {}
 
     def _act_e(self, i: int, mono: tuple) -> dict:
+        """e_i on the basis monomial mono; the map must not be mutated.
+
+        Only real straightening, i above the first entry j0 of mono, is
+        memoized in ``_cache``: the cyclic vector and a product already in
+        PBW order are answered directly.  With rest = mono[1:],
+        e_i e_j0 rest = e_j0 (e_i rest) + (j0 - i) e_(i+j0) rest, plus the
+        cocycle times c on rest when j0 = -i.  A monomial of e_i rest that
+        e_j0 meets in PBW order (it is empty, since j0 < m, or starts at j0
+        or above) takes e_j0 in front, written in place.
+        """
+        if not mono:
+            if i < self.spec.m:
+                return {(i,): ONE}
+            val = self.spec.psi(i)
+            return {(): val} if not val.is_zero() else {}
+        j0 = mono[0]
+        if i <= j0:
+            return {(i,) + mono: ONE}
         key = (i, mono)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        m = self.spec.m
-        if not mono:
-            if i >= m:
-                val = self.spec.psi(i)
-                out = {(): val} if not val.is_zero() else {}
-            else:
-                out = {(i,): Scalar(1)}
-        elif i <= mono[0]:
-            out = {(i,) + mono: Scalar(1)}
-        else:
-            j0, rest = mono[0], mono[1:]
-            out = {}
-            for mono2, c in self._act_e(i, rest).items():
+        rest = mono[1:]
+        out = {}
+        for mono2, c in self._act_e(i, rest).items():
+            if mono2 and mono2[0] < j0:
                 accumulate(out, self._act_e(j0, mono2), c)
-            accumulate(out, self._act_e(i + j0, rest), sc(j0 - i))
-            if j0 == -i:
-                zc = _cocycle(i) * self.spec.c
-                if not zc.is_zero():
-                    accumulate(out, {rest: zc})
+            else:
+                add_term(out, (j0,) + mono2, c)
+        accumulate(out, self._act_e(i + j0, rest), Scalar(j0 - i))
+        if j0 == -i:
+            zc = _cocycle(i) * self.spec.c
+            if not zc.is_zero():
+                add_term(out, rest, zc)
         self._cache[key] = out
         return out
 
     def act_vir(self, x: VirElement, v: dict) -> dict:
+        """x v for v a map monomial -> Scalar; z scales v by c whatever its keys."""
         out = bilinear(self._act_e, x.e_part.terms, v)
         if x.z_part.is_zero():
             return out

@@ -20,8 +20,8 @@ from .densepoly import pdeg
 from .errors import DepthTooSmall, HypothesisViolation, SearchExhausted, VirpolyError
 from .induced import REDUCE_MAX_STEPS, descent_power, get_engine
 from .laurent import ONE_POLY, LaurentPoly, bezout, poly_divmod
-from .scalars import Scalar, json_list, json_map
-from .sparse import Echelon, SparseVector, bilinear
+from .scalars import ONE, Scalar, json_list, json_map
+from .sparse import Echelon, SparseVector, add_term
 from .tailmod import TailModuleSpec, ann_bound, get_tail_engine, tail_simplicity
 from .virasoro import VirElement, theta, vir_bracket
 
@@ -52,34 +52,6 @@ class TensorSpec:
 
     def engines(self) -> tuple:
         return self._engines
-
-    def column(self, k: int, key):
-        """e_k on the induced slots of the basis vector key = (parts, mono).
-
-        The Leibniz sum over the factors: each slot's memo entry is written
-        straight into one fresh map under tensor keys.  A term that moves
-        slot i differs from key in slot i alone, so the terms of different
-        slots never meet except at key itself, whose coefficients are summed
-        apart and set last.  The tail acts in ``tensor_act``.
-        """
-        parts, mono = key
-        out = {}
-        stay = None
-        for i, eng in enumerate(self._engines):
-            s = parts[i]
-            moved = eng._act_idx(k, s)
-            head, rest = parts[:i], parts[i + 1 :]
-            for idx, c in moved.items():
-                out[(head + (idx,) + rest, mono)] = c
-            c = moved.get(s)
-            if c is not None:
-                stay = c if stay is None else stay + c
-        if stay is not None:
-            if stay.is_zero():
-                del out[key]
-            else:
-                out[key] = stay
-        return out
 
     def zero_index(self):
         return tuple(eng.zero_index for eng in self._engines)
@@ -133,22 +105,40 @@ class TensorElement(SparseVector):
 
 
 def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement) -> TensorElement:
-    """Leibniz action: the e part through the spec's columns on the induced
-    slots, then the tail's ``act_vir`` on each term, which also carries z
-    (the induced factors kill it, so a trivial tail leaves z nothing)."""
-    out = bilinear(spec.column, theta(x).terms, v.terms)
+    """Leibniz action, in one pass over the terms of v.
+
+    For a term (parts, mono) with coefficient c and each e_k of theta(x)
+    with coefficient a, every slot's memo entry ``_act_idx(k, s)`` and the
+    tail's ``_act_e(k, mono)`` are added straight into the result under
+    tensor keys, multiplied by a c, and not at all when that is one.  Each
+    addition drops a zero sum: the slots and the tail meet at the term's own
+    key, and the terms of v may meet anywhere.  z is central and acts through
+    the tail's ``act_vir``, which only scales the map it is given (the
+    induced factors kill z, so a trivial tail leaves z nothing).
+    """
     tail = spec._tail_engine
-    if tail is not None:
-        for (parts, mono), c in v.terms.items():
-            for mono2, c2 in tail.act_vir(x, {mono: c}).items():
-                key = (parts, mono2)
-                old = out.get(key)
-                if old is not None:
-                    c2 = old + c2
-                    if c2.is_zero():
-                        del out[key]
-                        continue
-                out[key] = c2
+    out = {}
+    if tail is not None and not x.z_part.is_zero():
+        out = tail.act_vir(VirElement.z(x.z_part), v.terms)
+    g = theta(x).terms
+    engines = spec._engines
+
+    for key, c in v.terms.items():
+        parts, mono = key
+        scales = []
+        for k, a in g.items():
+            f = a * c
+            scales.append((k, None if f == ONE else f))
+        for i, eng in enumerate(engines):
+            s = parts[i]
+            head, rest = parts[:i], parts[i + 1 :]
+            for k, f in scales:
+                for idx, d in eng._act_idx(k, s).items():
+                    add_term(out, (head + (idx,) + rest, mono), d if f is None else d * f)
+        if tail is not None:
+            for k, f in scales:
+                for mono2, d in tail._act_e(k, mono).items():
+                    add_term(out, (parts, mono2), d if f is None else d * f)
     return TensorElement.adopt(out)
 
 
@@ -448,8 +438,8 @@ def _abstract_slice_dim(letters, reduce, depth: int, bound=None) -> int:
 
 # The largest slice rank the word span is built for: just above 30,232, the
 # largest depth-7 rank of one linear factor (m = -1), which is checked cold
-# in about 3-5 s and 78 MB; depth 8 counts 109,486 and more, and takes about
-# 20 s and 261 MB at m = 1 (2-core host), with the tail memo the largest
+# in about 2.5 s and 75 MB; depth 8 counts 109,486 and more, and takes about
+# 12 s and 263 MB at m = 1 (2-core host), with the tail memo the largest
 # structure.  The count stops once it passes the bound, so a refusal is
 # prompt at any depth.
 MAX_SLICE_RANK = 30300

@@ -8,7 +8,7 @@ from virpoly.errors import SingularSystem
 from virpoly.induced import ModuleElement
 from virpoly.laurent import LaurentPoly
 from virpoly.scalars import Scalar, sc
-from virpoly.sparse import Echelon, accumulate, bilinear, clean
+from virpoly.sparse import Echelon, accumulate, add_term, bilinear, clean
 from virpoly.tensor import TensorElement
 from virpoly.virasoro import VirElement
 
@@ -29,6 +29,13 @@ class TestAccumulate:
         out = accumulate(target, {"a": sc(1), "c": sc(3)}, sc(-2))
         assert out is target
         assert target == {"b": sc(1), "c": sc(-6)}
+
+    def test_add_term_adds_inserts_and_drops_a_zero_sum(self):
+        target = {"a": sc(2), "b": sc(1)}
+        add_term(target, "a", sc(3))
+        add_term(target, "b", sc(-1))
+        add_term(target, "c", sc("1/2"))
+        assert target == {"a": sc(5), "c": sc("1/2")}
 
     def test_zero_coefficient_leaves_target(self):
         target = {"a": sc(2)}
@@ -228,6 +235,43 @@ class TestEchelon:
         # some final rows are units and some are not
         assert any(len(row) == 1 for row in ech.pivots.values())
         assert any(len(row) > 1 for row in ech.pivots.values())
+
+    def test_rows_with_zeros_and_both_pivot_kinds(self):
+        # each incoming row holds explicit zeros, keys of unit pivots and keys
+        # of longer pivots at once: the copy drops the zeros and the unit
+        # keys, and the longer pivots reduce what is left
+        rng = random.Random(23)
+        units = [{k: sc(1)} for k in rng.sample(range(12), 4)]
+        longer = [
+            {k: sc(rng.choice((-2, -1, 1, 3))) for k in rng.sample(range(12), rng.randint(2, 4))}
+            for _ in range(4)
+        ]
+        first = Echelon(units + longer)
+        unit_keys = [label for label, row in first.pivots.items() if len(row) == 1]
+        long_keys = [label for label, row in first.pivots.items() if len(row) > 1]
+        assert unit_keys and long_keys
+        mixed = [{k: sc(0) for k in unit_keys + [12, 13]}]  # zeros at unit labels: nothing to add
+        for _ in range(8):
+            row = {k: rand_scalar(rng) for k in rng.sample(range(12), 3)}
+            row.update({rng.choice(unit_keys): sc(rng.choice((-2, 3))), rng.choice(long_keys): sc("1/2")})
+            row[rng.choice((12, 13))] = sc(0)
+            mixed.append(row)
+        assert any(c.is_zero() for row in mixed for c in row.values())
+        rows = units + longer + mixed
+
+        for cuts in ((), (8,), (3, 9, 12), tuple(range(1, len(rows)))):
+            ech = Echelon()
+            for lo, hi in zip((0,) + cuts, cuts + (len(rows),)):
+                ech.extend(rows[lo:hi])
+                assert len(ech) == dense_rank(rows[:hi]), (cuts, hi)
+                assert ech.holders == held_keys(ech.pivots), (cuts, hi)
+                for label, row in ech.pivots.items():
+                    assert label == min(row) and row[label] == sc(1)
+                    assert set(row) & set(ech.pivots) == {label}
+                    assert all(not c.is_zero() for c in row.values())
+                # a key only ever given zeros is held by no row
+                assert not {12, 13} & {k for row in ech.pivots.values() for k in row}
+        assert ech.pivots == Echelon(rows).pivots
 
     def test_unit_pivots_reduce_without_multiplying(self, monkeypatch):
         ech = Echelon({k: sc(1)} for k in (0, 2, 3))

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from virpoly import tailmod
+from virpoly.characters import RestrictedCharacter
 from virpoly.errors import VirpolyError
 from virpoly.scalars import Scalar, sc
 from virpoly.tailmod import (
@@ -18,6 +20,7 @@ from virpoly.tailmod import (
     verma_simple_upto,
     whittaker_simple,
 )
+from virpoly.tensor import general_tensor_map
 from virpoly.virasoro import VirElement, vir_bracket
 
 e = VirElement.e
@@ -115,6 +118,68 @@ class TestAnnBound:
         v = {(-2,): sc(1)}
         assert b_act(spec, e(2), v) != {}  # e_2 against e_-2 leaves (1/2) c v
         assert ann_bound(spec, v) > 2
+
+
+def straighten(spec: TailModuleSpec, word: tuple) -> dict:
+    """e_(w_0) ... e_(w_k) v in the PBW basis, from the bracket alone, with no memo.
+
+    Rewrites words: an index j >= m at the right end acts on v by psi(j);
+    otherwise the first adjacent pair out of weakly increasing order is
+    swapped by e_i e_j = e_j e_i + (j - i) e_(i+j) + delta_(i+j,0) (i^3 - i)/12 c.
+    Every rewrite removes an inversion or shortens the word, so it stops.
+    """
+    out = {}
+    todo = [(word, Scalar(1))]
+    while todo:
+        w, c = todo.pop()
+        if w and w[-1] >= spec.m:
+            val = spec.psi(w[-1])
+            if not val.is_zero():
+                todo.append((w[:-1], c * val))
+            continue
+        p = next((p for p in range(len(w) - 1) if w[p] > w[p + 1]), None)
+        if p is None:
+            out[w] = out.get(w, Scalar(0)) + c
+            continue
+        i, j = w[p], w[p + 1]
+        head, tail = w[:p], w[p + 2 :]
+        todo.append((head + (j, i) + tail, c))
+        todo.append((head + (i + j,) + tail, c * sc(j - i)))
+        if i + j == 0:
+            todo.append((head + tail, c * sc(Fraction(i**3 - i, 12)) * spec.c))
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+class TestStraighteningMemo:
+    def test_reference_straightening_small_cases(self):
+        # [e_1, e_-1] = -2 e_0 + 0 z on the Verma vector: -2h
+        assert straighten(SPECS[0], (1, -1)) == {(): sc(-10)}
+        # [e_2, e_-2] = -4 e_0 + (1/2) z: -4h + c/2
+        assert straighten(SPECS[0], (2, -2)) == {(): sc(-20) + sc("7/2")}
+        assert straighten(SPECS[-1], (-3, -2)) == {(-3, -2): sc(1)}
+
+    @pytest.mark.parametrize("m", sorted(SPECS))
+    def test_act_e_matches_the_reference(self, m):
+        spec = SPECS[m]
+        eng = get_tail_engine(spec)
+        rng = random.Random(151 + m)
+        for _ in range(40):
+            mono = tuple(sorted(rng.randint(m - 4, m - 1) for _ in range(rng.randint(0, 3))))
+            i = rng.randint(m - 4, 2 * m + 2)
+            assert eng._act_e(i, mono) == straighten(spec, (i,) + mono), (i, mono)
+
+    @pytest.mark.parametrize("m", [-1, 0, 1])
+    def test_memo_after_a_slice_holds_only_real_straightening(self, m):
+        window = {j: sc(j + 3) for j in range(m, 2 * m + 2)}
+        rc = RestrictedCharacter.from_window([(sc(2), 1)], m, window, sc(5))
+        tailmod._tail_engines.clear()
+        assert general_tensor_map(rc, 4, "restricted")["passed"]
+        (eng,) = tailmod._tail_engines.values()
+        assert eng._cache
+        for (i, mono), got in eng._cache.items():
+            # the cyclic vector and products already in PBW order are not kept
+            assert mono and i > mono[0], (i, mono)
+            assert got == straighten(eng.spec, (i,) + mono), (i, mono)
 
 
 class TestKac:

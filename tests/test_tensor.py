@@ -130,9 +130,61 @@ class TestTensorAct:
             got = tensor_act(spec, VirElement.e(k), TensorElement({key: 1}))
             assert got == leibniz_reference(spec, VirElement.e(k), TensorElement({key: 1}))
             assert got.terms.get(key) == stay and all(not c.is_zero() for c in got.terms.values())
-            # the column itself stores no zero either
-            assert spec.column(k, key) == got.terms
             assert all(eng._act_idx(k, s).get(s) is not None for eng, s in zip(spec.engines(), parts))
+
+    @pytest.mark.parametrize("gaussian", [False, True], ids=["Q", "Qi"])
+    @pytest.mark.parametrize("tail", TAILS + [TailModuleSpec.whittaker(2, {3: sc(2), 4: sc(-1)}, sc(3))],
+                             ids=lambda tail: f"{tail.kind}{tail.m}")
+    def test_fused_action_sweep(self, tail, gaussian):
+        # one to three factors, multi-term v with coefficients other than
+        # one, and x with a nonzero z, over Q and over Q(i)
+        rng = random.Random(f"fused:{tail.m}:{gaussian}")
+        roots = [sc(2), sc(-1), sc(3), Scalar(1, 1), Scalar(2, -1)] if gaussian else [sc(2), sc(-1), sc(3)]
+
+        def field():
+            # nonzero, and in Q(i) mostly not rational
+            im = rng.randint(-2, 2) if gaussian else 0
+            return Scalar(rng.choice((-3, -1, 1, 2, 3)), im) / sc(rng.choice((1, 2, 3)))
+
+        for n_factors in (1, 2, 3):
+            for _ in range(4):
+                factors = []
+                for lam in rng.sample(roots, n_factors):
+                    n = rng.randint(1, 2)
+                    factors.append(single_root_character(lam, n, [field() for _ in range(rng.randint(0, n))]))
+                spec = TensorSpec(factors, tail)
+                terms = {}
+                while len(terms) < 3:
+                    parts = tuple(tuple(rng.randint(0, 2) for _ in range(mu.root_data()[1])) for mu in factors)
+                    mono = () if tail.is_trivial() else tuple(
+                        sorted(rng.randint(tail.m - 3, tail.m - 1) for _ in range(rng.randint(0, 2)))
+                    )
+                    terms[(parts, mono)] = field()
+                v = TensorElement(terms)
+                assert any(c != sc(1) for c in v.terms.values())
+                x = VirElement({rng.randint(-3, 3): field() for _ in range(2)}, field())
+                assert tensor_act(spec, x, v) == leibniz_reference(spec, x, v)
+
+    def test_slot_and_tail_cancel_at_the_key(self):
+        # e_1 keeps the slot index (1,) with some coefficient a and acts on
+        # the Whittaker vector by psi(1); at psi(1) = -a the key must vanish
+        mu = ones(2, 1, 0)
+        k, s = 1, (1,)
+        a = get_engine(mu)._act_idx(k, s).get(s)
+        assert a is not None and not a.is_zero()
+        spec = TensorSpec([mu], TailModuleSpec.whittaker(1, {1: -a, 2: sc(1)}, sc(1)))
+        key = ((s,), ())
+        for c in (sc(1), sc("-2/3")):
+            v = TensorElement({key: c})
+            got = tensor_act(spec, VirElement.e(k), v)
+            assert key not in got.terms and not got.is_zero()
+            assert got == leibniz_reference(spec, VirElement.e(k), v)
+        # beside the generator, whose image lands on that key: it stays
+        gen = (((0,),), ())
+        assert get_engine(mu)._act_idx(k, (0,)).get(s) is not None
+        v = TensorElement({key: sc(3), gen: sc(-1)})
+        got = tensor_act(spec, VirElement.e(k), v)
+        assert key in got.terms and got == leibniz_reference(spec, VirElement.e(k), v)
 
     def test_bound_engines_outlive_the_registries(self):
         # a spec looks its engines up once, when it is built: emptying the
