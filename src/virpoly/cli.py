@@ -134,6 +134,11 @@ def _check_indices(indices, what: str) -> None:
 # did not finish in 60 s at 10.
 MAX_VERIFY_NMAX = 6
 
+# The verify suites' --depth: omega-iso, the slowest, grows about as depth^3.
+# It takes about 1.2 s at 20, 4.0 s at 30 and 9.3 s at 40 (2-core host), and
+# ran for minutes at 80.
+MAX_VERIFY_DEPTH = 20
+
 
 def _cmd_char_validate(raw, args):
     mu = ExpPolyCharacter.from_json(raw["character"])
@@ -213,6 +218,8 @@ def _cmd_tensor_map(raw, args):
 def _cmd_verify(args):
     if args.nmax > MAX_VERIFY_NMAX:
         raise ValueError(f"--nmax {args.nmax} is too large; the verify grids run up to {MAX_VERIFY_NMAX}")
+    if args.depth > MAX_VERIFY_DEPTH:
+        raise ValueError(f"--depth {args.depth} is too large; the verify suites run up to {MAX_VERIFY_DEPTH}")
     names = [args.suite] if args.suite else sorted(SUITES)
     suites = [run_suite(name, nmax=args.nmax, seed=args.seed, depth=args.depth) for name in names]
     return {"failed_total": sum(s["failed"] for s in suites), "seed": args.seed, "suites": suites}

@@ -19,9 +19,11 @@ and every ``_act_idx`` call made for (k, s), directly or through
 ``_lmul_idx``, is on an index lower in (|s|, ell(s)) taken
 lexicographically: the split-off index d has weight |s| - 1, and
 ``_lmul_idx(l, idx)`` with l = ell(s) acts on an index idx of t^k f^d v, of
-weight at most |s|, only when ell(idx) < l.  An ``_lmul_idx`` at level 0
-only bumps.  Both memos are keyed on integers: (k, s) for
-t^k f^s v and (l, s) for f^l f^s v.
+weight at most |s|, only when ell(idx) < l.  When nothing in idx lies below
+l, f^l f^idx v is already in PBW order, and ``_act_idx`` adds its
+coefficient at the bumped index in place; so ``_lmul_idx`` sees only
+out-of-order products, level 0 never among them.  Both memos are keyed on
+integers: (k, s) for t^k f^s v and (l, s) for f^l f^s v.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import HypothesisViolation, SearchExhausted, ZeroLambda, ZeroVector
 from .faulhaber import faulhaber
 from .laurent import LaurentPoly, linear_factor, taylor
 from .scalars import ONE, Scalar, json_list, json_map, sc
-from .sparse import SparseVector, accumulate, bilinear
+from .sparse import SparseVector, accumulate, add_term, bilinear
 from .virasoro import VirElement, theta
 
 # -- multi-indices -----------------------------------------------------------
@@ -65,10 +67,6 @@ def dpow(s, j: int) -> tuple:
 def dtilde(s) -> tuple:
     """Zero the first coordinate, keep the rest."""
     return (0,) + tuple(s[1:])
-
-
-def _bump(s, i: int) -> tuple:
-    return tuple(v + 1 if k == i else v for k, v in enumerate(s))
 
 
 # -- elements ----------------------------------------------------------------
@@ -162,17 +160,22 @@ class InducedModule:
             out = {}
             for i, c in enumerate(a[: self.n]):
                 if not c.is_zero():
-                    out[_bump(s, i)] = c
+                    out[s[:i] + (1,) + s[i + 1 :]] = c
             val = sum((c * mu_f for c, mu_f in zip(a[self.n :], self._mu_fpow)), Scalar(0))
             # the window bumps never land on the zero index s itself
             if not val.is_zero():
                 out[s] = val
         else:
             l = ell(s)
-            d = dstep(s)
+            head = s[:l]  # all zero, below the lowest occupied direction
+            d = head + (s[l] - 1,) + s[l + 1 :]
             out = {}
             for idx, c in self._act_idx(k, d).items():
-                accumulate(out, self._lmul_idx(l, idx), c)
+                if idx[:l] == head:
+                    # f^l f^idx v is already in PBW order: bump idx at l
+                    add_term(out, head + (idx[l] + 1,) + idx[l + 1 :], c)
+                else:
+                    accumulate(out, self._lmul_idx(l, idx), c)
             # [t^k, f^l] = sum_i f^l[i] (i - k) t^(k+i)
             for i, c in self.fpow(l).terms.items():
                 if i != k:
@@ -181,8 +184,7 @@ class InducedModule:
         return out
 
     def _lmul_idx(self, l: int, s: tuple) -> dict:
-        if not any(s) or ell(s) >= l:
-            return {_bump(s, l): ONE}
+        """f^l f^s v for an s occupied below l, out of PBW order: the action of f^l."""
         key = (l, s)
         hit = self._lmul_cache.get(key)
         if hit is not None:

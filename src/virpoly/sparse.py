@@ -2,20 +2,24 @@
 
 Laurent polynomials, PBW vectors and tensor vectors are such maps and share
 the accumulate loop and the container base below; the induced and tail
-engines act through the bilinear loop.  The Laurent polynomials include the
-characters' index polynomials and the power sums P_k, which have support
->= 0.  A Virasoro element holds
-a Laurent polynomial as its e-part and its central coefficient z beside it,
-which the base's operations would drop.  Slice ranks and linear solves share
-one exact elimination, ``Echelon``: reduced row echelon form kept beside a
-column index, so a new pivot visits only the rows that hold its label.  A
-coefficient of one is never multiplied in, and a pivot row {label: 1}, the
-usual row of a span of basis vectors, reduces a row by deleting its label.
+engines act through the bilinear loop.  ``accumulate`` works each term out
+on the integer triples (a, b, d) of ``scalars`` and tests zero there, so a
+term costs one Scalar, built through ``scalars``' own canonical
+constructors, and a cancelled one costs none; the Scalar operators stay the
+reference it agrees with.  The Laurent polynomials include the characters'
+index polynomials and the power sums P_k, which have support >= 0.  A
+Virasoro element holds a Laurent polynomial as its e-part and its central
+coefficient z beside it, which the base's operations would drop.  Slice
+ranks and linear solves share one exact elimination, ``Echelon``: reduced
+row echelon form kept beside a column index, so a new pivot visits only the
+rows that hold its label.  A coefficient of one is never multiplied in,
+and a pivot row {label: 1}, the usual row of a span of basis vectors,
+reduces a row by deleting its label.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, Scalar, sc
+from .scalars import ONE, Scalar, _make, _reduced, sc
 
 
 def clean(terms) -> dict:
@@ -31,22 +35,49 @@ def clean(terms) -> dict:
 
 
 def accumulate(target: dict, src: dict, coeff=None) -> dict:
-    """target += coeff * src in place, dropping zeros; coeff None or one adds src unmultiplied."""
+    """target += coeff * src in place, dropping zeros; coeff None or one adds src unmultiplied.
+
+    Each term is old + c * coeff worked out on the integer triples (a, b, d)
+    of ``scalars``, with the zero test on the integers, so a term allocates
+    one Scalar, through ``_make``/``_reduced``, or none when the sum is zero.
+    The unreduced product c * coeff has a positive denominator, and
+    ``_reduced`` divides the final triple by its full gcd, so the value
+    stored is the canonical form the Scalar operators would give.
+    """
+    get = target.get
     if coeff is not None:
-        if coeff.is_zero():
+        p, q, g = coeff._a, coeff._b, coeff._d
+        if not (p or q):
             return target
-        if coeff == ONE:
+        if p == 1 and g == 1 and not q:
             coeff = None
     for k, c in src.items():
+        x, y, e = c._a, c._b, c._d
         if coeff is not None:
-            c = c * coeff
-        v = target.get(k)
-        if v is not None:
-            c = v + c
-        if c.is_zero():
-            target.pop(k, None)
+            if q == 0:
+                x, y = x * p, y * p
+            elif y == 0:
+                x, y = x * p, x * q
+            else:
+                x, y = x * p - y * q, x * q + y * p
+            e *= g
+        old = get(k)
+        if old is None:
+            if x or y:
+                target[k] = c if coeff is None else _make(x, y, 1) if e == 1 else _reduced(x, y, e)
+            continue
+        d = old._d
+        if d == e:
+            x += old._a
+            y += old._b
         else:
-            target[k] = c
+            x = old._a * e + x * d
+            y = old._b * e + y * d
+            e *= d
+        if x or y:
+            target[k] = _make(x, y, 1) if e == 1 else _reduced(x, y, e)
+        else:
+            del target[k]
     return target
 
 
@@ -55,7 +86,7 @@ def add_term(target: dict, key, c) -> None:
     old = target.get(key)
     if old is not None:
         c = old + c
-        if c.is_zero():
+        if not (c._a or c._b):
             del target[key]
             return
     target[key] = c
@@ -182,7 +213,7 @@ class Echelon:
             row = {}
             longer = []
             for k, c in vec.items():
-                if c.is_zero():
+                if not (c._a or c._b):
                     continue
                 prow = pivots.get(k)
                 if prow is not None:

@@ -110,9 +110,10 @@ def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement) -> TensorEleme
     For a term (parts, mono) with coefficient c and each e_k of theta(x)
     with coefficient a, every slot's memo entry ``_act_idx(k, s)`` and the
     tail's ``_act_e(k, mono)`` are added straight into the result under
-    tensor keys, multiplied by a c, and not at all when that is one.  Each
-    addition drops a zero sum: the slots and the tail meet at the term's own
-    key, and the terms of v may meet anywhere.  z is central and acts through
+    tensor keys, multiplied by a c, and not at all when that is one; as in
+    ``bilinear``, a unit a or c is not multiplied in.  Each addition drops a
+    zero sum: the slots and the tail meet at the term's own key, and the
+    terms of v may meet anywhere.  z is central and acts through
     the tail's ``act_vir``, which only scales the map it is given (the
     induced factors kill z, so a trivial tail leaves z nothing).
     """
@@ -127,7 +128,7 @@ def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement) -> TensorEleme
         parts, mono = key
         scales = []
         for k, a in g.items():
-            f = a * c
+            f = c if a == ONE else a if c == ONE else a * c
             scales.append((k, None if f == ONE else f))
         for i, eng in enumerate(engines):
             s = parts[i]

@@ -252,6 +252,23 @@ def test_loops_the_input_sizes_are_bounded(tmp_path, capsys):
     assert code == 0 and out["failed_total"] == 0
 
 
+def test_verify_depth_is_bounded(capsys):
+    # omega-iso grows about as depth^3; above the cap every suite is refused
+    # before any runs, and the cap itself still runs in seconds
+    cap = cli.MAX_VERIFY_DEPTH
+    for argv in (["--suite", "omega-iso"], []):
+        for depth in (cap + 1, 10**9):
+            start = time.perf_counter()
+            code, err = run_invalid(capsys, "verify", *argv, "--depth", str(depth))
+            assert time.perf_counter() - start < 1.0, (argv, depth)
+            assert code == 2 and err.startswith("invalid input") and len(err.splitlines()) == 1
+            assert f"--depth {depth} is too large" in err
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "verify", "--suite", "omega-iso", "--depth", str(cap))
+    assert time.perf_counter() - start < 10.0
+    assert code == 0 and out["failed_total"] == 0 and out["suites"][0]["cases"] > 0
+
+
 def test_readme_names_every_command_option_and_suite():
     readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
     words = set(re.findall(r"[\w-]+", readme))

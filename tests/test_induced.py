@@ -197,6 +197,38 @@ def _small_indices(n, top=3):
             yield s
 
 
+class TestInPlaceBump:
+    @pytest.mark.parametrize("lam, coeff", [(sc(2), sc(1)), (Scalar(1, 1), Scalar(2, -1))], ids=["Q", "Qi"])
+    def test_lmul_memo_holds_only_out_of_order_products(self, monkeypatch, lam, coeff):
+        # f^l f^s v in PBW order (nothing in s below l) is bumped in place by
+        # _act_idx, so after a comp1/comp3/reduce sweep on n = 3 every
+        # _lmul_cache key (l, s) is occupied below l, and the closed forms
+        # still match straightening
+        monkeypatch.setattr(induced, "_engines", {})
+        n, cases = 3, 0
+        for r in range(-1, n):
+            mu = single_root_character(lam, n, [coeff] * (r + 1))
+            for s in _small_indices(n):
+                l = ell(s)
+                if l > 0:
+                    ms = range(max(n, n + r + 1 - l), n + r + 3)
+                else:
+                    ms = [m for m in range(n + r + s[0], n + r + s[0] + 3) if m >= n]
+                    if r < 0:
+                        ms = ms[1:]  # the equality closed form needs mu != 0
+                for m in ms:
+                    for j in (-3, 0, 2):
+                        assert closed_form_bracket(mu, j, m, s) == bracket_action_oracle(mu, j, m, s)
+                        cases += 1
+                if r >= n - 2:
+                    _, final = reduce_to_generator(mu, get_engine(mu).basis(s))
+                    assert set(final.terms) == {(0,) * n}
+            memo = get_engine(mu)._lmul_cache
+            assert memo or r < 0
+            assert all(any(idx[:l]) for l, idx in memo)
+        assert cases > 500
+
+
 class TestSizeBound:
     def test_weight_drops(self):
         for n in range(1, 4):

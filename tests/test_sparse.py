@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,7 +9,8 @@ from virpoly.characters import _solve_linear
 from virpoly.errors import SingularSystem
 from virpoly.induced import ModuleElement
 from virpoly.laurent import LaurentPoly
-from virpoly.scalars import Scalar, sc
+from virpoly import sparse
+from virpoly.scalars import ONE, Scalar, _make, sc
 from virpoly.sparse import Echelon, accumulate, add_term, bilinear, clean
 from virpoly.tensor import TensorElement
 from virpoly.virasoro import VirElement
@@ -23,7 +26,68 @@ def held_keys(pivots):
     return out
 
 
+def canonical(c) -> bool:
+    """A stored value is a Scalar triple (a, b, d) in canonical form: d > 0 and gcd(a, b, d) == 1."""
+    return type(c) is Scalar and c._d > 0 and gcd(c._a, c._b, c._d) == 1
+
+
+def reference_accumulate(target: dict, src: dict, coeff) -> dict:
+    """target + coeff * src written with the Scalar operators alone, zeros dropped."""
+    out = dict(target)
+    for k, c in src.items():
+        if coeff is not None:
+            c = c * coeff
+        out[k] = out.get(k, Scalar(0)) + c
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
 class TestAccumulate:
+    def test_seeded_sweep_matches_the_scalar_operators(self):
+        rng = random.Random(20)
+        dens = (1, 2, 3, 4, 6, 9)
+
+        def value(gaussian):
+            re = Fraction(rng.randint(-6, 6), rng.choice(dens))
+            im = Fraction(rng.randint(-6, 6), rng.choice(dens)) if gaussian else 0
+            return Scalar(re, im)
+
+        cancelled = zeros = 0
+        for trial in range(600):
+            gaussian = trial % 2 == 1
+            target = clean({k: value(gaussian) for k in rng.sample(range(8), rng.randint(0, 6))})
+            src = {k: value(gaussian) for k in rng.sample(range(8), rng.randint(0, 6))}
+            coeff = rng.choice([None, ONE, sc(-1), sc(0), sc("1/2"), value(gaussian), value(gaussian)])
+            # some terms cancel a target term exactly, so their key must go
+            if coeff is not None and not coeff.is_zero():
+                for k in rng.sample(sorted(target), min(2, len(target))):
+                    src[k] = -target[k] / coeff
+            want = reference_accumulate(target, src, coeff)
+            got = accumulate(dict(target), src, coeff)
+            assert got == want, (target, src, coeff)
+            assert all(canonical(c) and hash(c) == hash(want[k]) for k, c in got.items())
+            cancelled += len(set(target) - set(got))
+            zeros += coeff is not None and coeff.is_zero()
+            # the one-term form agrees too, a zero sum dropped
+            for k, c in src.items():
+                if not c.is_zero():
+                    add_term(got, k, c)
+                    want = reference_accumulate(want, {k: c}, None)
+            assert got == want and all(canonical(c) for c in got.values())
+        assert cancelled > 100 and zeros > 50
+
+    def test_canonical_sums_and_the_negative_control(self, monkeypatch):
+        half = {"a": sc("1/2")}
+        got = accumulate(dict(half), half)["a"]
+        assert got == Scalar(1) and hash(got) == hash(Scalar(1)) and canonical(got)
+        got = accumulate({"a": sc("1/3")}, {"a": sc("1/6")}, sc(4))["a"]
+        assert (got._a, got._b, got._d) == (1, 0, 1)
+        got = accumulate({}, {"a": Scalar("1/2", "1/2")}, Scalar(1, -1))["a"]
+        assert got == Scalar(1) and canonical(got)
+        # a triple that skips the reduction is caught by the same check
+        monkeypatch.setattr(sparse, "_reduced", _make)
+        got = accumulate(dict(half), half)["a"]
+        assert (got._a, got._b, got._d) == (2, 0, 2) and not canonical(got)
+
     def test_scaled_add_drops_zeros(self):
         target = {"a": sc(2), "b": sc(1)}
         out = accumulate(target, {"a": sc(1), "c": sc(3)}, sc(-2))
