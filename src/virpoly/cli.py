@@ -28,7 +28,7 @@ from .tensor import (
     restricted_to_tensor,
     simplicity_verdict,
 )
-from .verify import SUITES, run_suite
+from .verify import SUITES, check_tensor_map_depth, run_suite
 from .virasoro import VirElement, vir_bracket
 
 
@@ -135,8 +135,7 @@ def _check_indices(indices, what: str) -> None:
 MAX_VERIFY_NMAX = 6
 
 # The verify suites' --depth: omega-iso, the slowest, grows about as depth^3.
-# It takes about 1.2 s at 20, 4.0 s at 30 and 9.3 s at 40 (2-core host), and
-# ran for minutes at 80.
+# It takes about 0.5 s at 20, 1.7 s at 30 and 4.5 s at 40 (2-core host).
 MAX_VERIFY_DEPTH = 20
 
 
@@ -221,6 +220,8 @@ def _cmd_verify(args):
     if args.depth > MAX_VERIFY_DEPTH:
         raise ValueError(f"--depth {args.depth} is too large; the verify suites run up to {MAX_VERIFY_DEPTH}")
     names = [args.suite] if args.suite else sorted(SUITES)
+    if "tensor-map" in names:
+        check_tensor_map_depth(args.depth)  # refused before any suite runs
     suites = [run_suite(name, nmax=args.nmax, seed=args.seed, depth=args.depth) for name in names]
     return {"failed_total": sum(s["failed"] for s in suites), "seed": args.seed, "suites": suites}
 

@@ -400,7 +400,8 @@ def omega_iso_check(spec: OmegaSpec, depth: int) -> bool:
     """Equivariance of index (s_0) -> d^{s_0} between the two realizations.
 
     The matching character sends t^k f to lam^{k+1} (b - 1), i.e. the
-    constant polynomial lam (b - 1) at the root lam.
+    constant polynomial lam (b - 1) at the root lam.  Every e_k is checked,
+    on the indices s_0 <= depth (see ``_omega_equivariant``).
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -409,9 +410,17 @@ def omega_iso_check(spec: OmegaSpec, depth: int) -> bool:
 
 
 def _omega_equivariant(spec: OmegaSpec, mu: ExpPolyCharacter, depth: int) -> bool:
+    """e_k on the index (s_0) against e_k d^{s_0}, for every k and each s_0 <= depth.
+
+    mu is linear with deg p <= 0, so t^k is sum_i C(k, i) lam^(k-i) f^i
+    modulo f^(s_0+2), which kills (s_0): both sides are lam^k times a
+    polynomial in k of degree at most s_0 + 1, the right one
+    (d + k(b-1))(d - k)^{s_0}.  Such a sequence is zero for all k once it is
+    zero at s_0 + 2 consecutive k (lam != 0), so k in [0, s_0 + 1] covers Z.
+    """
     eng = get_engine(mu)
     for s0 in range(depth + 1):
-        for k in range(-depth, depth + 1):
+        for k in range(s0 + 2):
             left = eng.act(LaurentPoly({k: 1}), eng.basis((s0,)))
             lp = LaurentPoly({s[0]: c for s, c in left.terms.items()})
             if lp != omega_action(spec, k, LaurentPoly({s0: 1})):
@@ -458,7 +467,12 @@ def quotient_smalldegree(mu: ExpPolyCharacter):
     if r > n - 3:
         raise HypothesisViolation("quotient construction needs r <= n-3")
     gen = eng.basis((0,) * (n - 1) + (1,))
-    for j in QUOTIENT_J_RANGE:
+    # both sides are lam^j times a polynomial in j of degree at most n + r + 1
+    # (the Taylor data to order n + r, and one bracket for the index s_{n-1}),
+    # so n + r + 2 consecutive j certify the relation for every j
+    low = QUOTIENT_J_RANGE.start
+    eigen = range(low, max(QUOTIENT_J_RANGE.stop, low + n + r + 2))
+    for j in eigen:
         g = eng.fpow(n).shift(j)
         got = eng.act(g, gen)
         want = gen * mu.value_power(j, n)
@@ -469,7 +483,7 @@ def quotient_smalldegree(mu: ExpPolyCharacter):
         q = q + pshift(faulhaber(k), -1) * p[k]
     mu_prime = single_root_character(lam, n - 1, q * (ONE / lam))
     report = {
-        "eigen_range": [min(QUOTIENT_J_RANGE), max(QUOTIENT_J_RANGE)],
+        "eigen_range": [eigen.start, eigen.stop - 1],
         "eigen_ok": True,
         "submodule": f"indices with s_{n-1} >= 1",
         "quotient_degree": pdeg(q),

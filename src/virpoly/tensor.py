@@ -15,6 +15,8 @@ descent's target and touches nothing else.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .characters import ExpPolyCharacter, RestrictedCharacter, compose, decompose
 from .densepoly import pdeg
 from .errors import DepthTooSmall, HypothesisViolation, SearchExhausted, VirpolyError
@@ -358,7 +360,9 @@ def _word_vectors(spec: TensorSpec, letters, depth: int):
     rows = Echelon((spec.generator().terms,))
     size = 0
     for _ in range(depth):
-        layer = [TensorElement.adopt(row) for row in list(rows.pivots.values())[size:]]
+        # the rows of the labels the last layer added, in insertion order
+        new = list(islice(reversed(rows.pivots.values()), len(rows) - size))
+        layer = [TensorElement.adopt(row) for row in reversed(new)]
         size = len(rows)
         rows.extend(tensor_act(spec, g, v).terms for v in layer for g in letters)
     return rows
@@ -452,26 +456,12 @@ def _over_bound(depth: int, at_least: int) -> VirpolyError:
     )
 
 
-def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
-    """Slice verification of the induced-module tensor factorizations.
+def counted_slice(source, depth: int, kind: str = "polynomial"):
+    """(F, letters, counted rank) of a depth-d slice check of the given kind.
 
-    kind "polynomial": ``source`` is a list of single-root characters; the
-    claim is that the module induced from the product subalgebra matches the
-    tensor of the single-root modules.  kind "restricted": ``source`` is a
-    RestrictedCharacter; the claim matches the module induced from b_m^F
-    with the tensor of the full-subalgebra module and the hat tail.
-
-    Two checks at the given depth:
-      * generator equivariance: every subalgebra basis element within the
-        depth window acts on the joint generator by the composed character
-        value (and z by its value);
-      * injectivity: the rank of all word images over a letter alphabet in
-        the tensor realization equals the abstract slice dimension counted
-        from PBW filtration dimensions alone.
-
-    The count comes first and is cheap; it stops as soon as it passes
-    ``MAX_SLICE_RANK``, and such a slice raises VirpolyError before any word
-    is formed.
+    The count is cheap and stops as soon as it passes ``MAX_SLICE_RANK``;
+    such a slice raises VirpolyError before any word is formed, and so does
+    a depth of ``MAX_SLICE_RANK`` or more, before any counting.
     """
     if depth < 1:
         raise DepthTooSmall("slice comparison is vacuous below depth 1")
@@ -481,29 +471,57 @@ def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
         # refused before an alphabet of depth letters is formed
         raise _over_bound(depth, depth + 1)
     if kind == "polynomial":
-        parts = list(source)
-        spec = TensorSpec(parts, TailModuleSpec.trivial())
-        composite = compose(parts)
-        F = composite.ambient
-        window = range(-depth, depth + 1)
-        value = composite.seq
-        z_value = Scalar(0)
-        letters = [LaurentPoly({i: 1}) for i in range(F.degree())]
-        m = 0
+        F, m, low = compose(source).ambient, 0, 0
     elif kind == "restricted":
-        rc = source
-        spec, _report = restricted_to_tensor(rc)
-        F = rc.ambient()
-        window = range(rc.m, rc.m + 2 * depth + 1)
-        value = rc.mu_x
-        z_value = rc.z_value
-        m = rc.m
-        letters = [LaurentPoly({i: 1}) for i in range(m - depth, m + F.degree())]
+        F, m, low = source.ambient(), source.m, source.m - depth
     else:
         raise ValueError(f"unknown verification kind {kind!r}")
+    letters = [LaurentPoly({i: 1}) for i in range(low, m + F.degree())]
     expected = _abstract_slice_dim(letters, _quotient_reducer(F, m), depth, MAX_SLICE_RANK)
     if expected > MAX_SLICE_RANK:
         raise _over_bound(depth, expected)
+    return F, letters, expected
+
+
+def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
+    """Slice verification of the induced-module tensor factorizations.
+
+    kind "polynomial": ``source`` is a list of single-root characters; the
+    claim is that the module induced from the product subalgebra matches the
+    tensor of the single-root modules.  kind "restricted": ``source`` is a
+    RestrictedCharacter; the claim matches the module induced from b_m^F
+    with the tensor of the full-subalgebra module and the hat tail.
+
+    Two checks:
+      * generator equivariance, for every j: t^j F acts on the joint
+        generator by the character value, and z by its value.  Slot i reads
+        the Taylor data of t^j F at lambda_i to order n_i + r_i, so each
+        coefficient of either side is sum_i q_i(j) lambda_i^j over the
+        factors, with deg q_i <= n_i + r_i (the value's is r_i).  Such a
+        sequence obeys a recurrence of order N = sum_i (n_i + r_i + 1) that
+        runs both ways (the roots are nonzero), so it is zero for all j once
+        it is zero at N consecutive j.  The polynomial kind checks j in
+        [0, N).  The restricted kind checks the tail's window [m, 2m] point
+        by point and [2m + 1, 2m + N] above it, where psi is zero and the
+        value is the tail character's, of order at most sum_i n_i.
+      * injectivity at the given depth: the rank of all word images over a
+        letter alphabet in the tensor realization equals the abstract slice
+        dimension counted from PBW filtration dimensions alone.
+
+    The count comes first (``counted_slice``), so a slice above
+    ``MAX_SLICE_RANK`` is refused before any word is formed.
+    """
+    F, letters, expected = counted_slice(source, depth, kind)
+    if kind == "polynomial":
+        spec = TensorSpec(source, TailModuleSpec.trivial())
+        value = compose(source).seq
+        z_value = Scalar(0)
+    else:
+        spec, _report = restricted_to_tensor(source)
+        value = source.mu_x
+        z_value = source.z_value
+    N = sum(n + pdeg(p) + 1 for mu in spec.factors for _lam, n, p in mu.factors)
+    window = range(N) if kind == "polynomial" else range(source.m, 2 * source.m + N + 1)
     gen = spec.generator()
     equiv = all(
         tensor_act(spec, VirElement.from_laurent(F.shift(j)), gen) == gen * value(j)

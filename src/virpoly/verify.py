@@ -31,7 +31,7 @@ from .induced import (
     _omega_equivariant,
 )
 from .scalars import Scalar, sc
-from .tensor import general_tensor_map
+from .tensor import counted_slice, general_tensor_map
 from .virasoro import codim1_closure_check
 
 
@@ -322,19 +322,30 @@ def suite_muhat_split(seed: int = 0, **_kw):
     return rec.done()
 
 
-def suite_tensor_map(depth: int = 3, **_kw):
-    rec = _Recorder("tensor-map", {"depth": depth})
+def _tensor_map_sources():
+    """The tensor-map suite's (kind, source) pairs."""
     parts = [
         single_root_character(sc(1), 1, [sc(1)]),
         single_root_character(sc(2), 1, [sc(1)]),
     ]
-    rep = general_tensor_map(parts, depth, kind="polynomial")
-    rec.record(rep["passed"], {"kind": "polynomial", "report": _strip(rep)})
     rc = RestrictedCharacter.from_window(
         [(sc(1), 1)], 0, {0: sc(2), 1: sc(3)}, sc(5)
     )
-    rep2 = general_tensor_map(rc, depth, kind="restricted")
-    rec.record(rep2["passed"], {"kind": "restricted", "report": _strip(rep2)})
+    return [("polynomial", parts), ("restricted", rc)]
+
+
+def check_tensor_map_depth(depth: int) -> None:
+    """Raise the VirpolyError the tensor-map suite would raise at this depth,
+    from the slice counts alone; they stop early, so this is cheap."""
+    for kind, source in _tensor_map_sources():
+        counted_slice(source, depth, kind)
+
+
+def suite_tensor_map(depth: int = 3, **_kw):
+    rec = _Recorder("tensor-map", {"depth": depth})
+    for kind, source in _tensor_map_sources():
+        rep = general_tensor_map(source, depth, kind=kind)
+        rec.record(rep["passed"], {"kind": kind, "report": _strip(rep)})
     return rec.done()
 
 

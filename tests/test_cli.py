@@ -253,7 +253,8 @@ def test_loops_the_input_sizes_are_bounded(tmp_path, capsys):
 
 
 def test_verify_depth_is_bounded(capsys):
-    # omega-iso grows about as depth^3; above the cap every suite is refused
+    # omega-iso checks every index s_0 <= depth against e_k on s_0 + 2 values
+    # of k, and grows about as depth^3; above the cap every suite is refused
     # before any runs, and the cap itself still runs in seconds
     cap = cli.MAX_VERIFY_DEPTH
     for argv in (["--suite", "omega-iso"], []):
@@ -267,6 +268,26 @@ def test_verify_depth_is_bounded(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "omega-iso", "--depth", str(cap))
     assert time.perf_counter() - start < 10.0
     assert code == 0 and out["failed_total"] == 0 and out["suites"][0]["cases"] > 0
+
+
+def test_verify_refuses_a_tensor_map_depth_before_any_suite(capsys, monkeypatch):
+    # depths 8 to 20 pass the verify cap but not the tensor-map slice bound;
+    # the slice counts refuse them before any suite runs
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda name, **kw: ran.append(name))
+    start = time.perf_counter()
+    code, err = run_invalid(capsys, "verify", "--depth", "8")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and err.startswith("invalid input") and len(err.splitlines()) == 1
+    assert "the depth-8 slice has rank at least" in err and ran == []
+
+
+def test_tensor_map_deep_polynomial_slice(tmp_path, capsys):
+    # one linear factor has rank depth + 1, and its equivariance check is
+    # certified from the root data, not sized by the depth
+    spec = write(tmp_path, "t.json", {"factors": [{"lambda": "2", "n": 1, "p": ["1"]}]})
+    code, out = run_cli(capsys, "tensor-map", "--spec", spec, "--depth", "20000")
+    assert code == 0 and out["passed"] is True and out["rank"] == 20001
 
 
 def test_readme_names_every_command_option_and_suite():

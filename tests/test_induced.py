@@ -394,6 +394,15 @@ class TestQuotient:
         rep, _ = quotient_smalldegree(single_root_character(1, 4, [1, 1]))
         assert rep["eigen_ok"]
 
+    def test_eigen_range_covers_every_j(self):
+        # the eigen relation's sequence has order n + r + 2: nine shifts certify
+        # it through n = 5, and n = 6, r = 3 needs eleven
+        rep, _ = quotient_smalldegree(single_root_character(1, 4, [1, 1]))
+        assert rep["eigen_range"] == [-4, 4]
+        rep, mp = quotient_smalldegree(single_root_character(2, 6, [1, 1, 1, 1]))
+        assert rep["eigen_ok"] and rep["eigen_range"] == [-4, 6]
+        assert pdeg(mp.root_data()[2]) == 4
+
     def test_hypothesis_checks(self):
         with pytest.raises(HypothesisViolation):
             quotient_smalldegree(single_root_character(1, 2, [1]))  # r > n-3

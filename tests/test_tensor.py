@@ -5,7 +5,7 @@ import pytest
 
 from conftest import dense_rank, rand_vir
 from virpoly import induced, tailmod, tensor
-from virpoly.characters import RestrictedCharacter, compose, single_root_character
+from virpoly.characters import ExpPolyCharacter, RestrictedCharacter, compose, single_root_character
 from virpoly.errors import DepthTooSmall, HypothesisViolation, SearchExhausted
 from virpoly.induced import get_engine
 from virpoly.laurent import LaurentPoly, linear_factor, poly_divmod
@@ -690,6 +690,73 @@ class TestGeneralTensorMap:
     def test_depth_zero_rejected(self):
         with pytest.raises(DepthTooSmall):
             general_tensor_map([ones(1, 1, 0)], 0, kind="polynomial")
+
+
+class TestCertifiedEquivariance:
+    # two zero characters of multiplicity 2 at the roots 1 and 2: each side of
+    # the equivariance check is a(j) + b(j) 2^j with deg a, deg b <= 1, so the
+    # root data certify it on N = 4 consecutive j.  A composite value moved by
+    # such a delta that vanishes at three consecutive j is not the character.
+    PARTS = [ones(1, 2, -1), ones(2, 2, -1)]
+
+    @staticmethod
+    def perturbed(a, b):
+        """The composite character plus delta(j) = a(j) + b(j) 2^j."""
+        return ExpPolyCharacter([(sc(1), 2, a), (sc(2), 2, b)])
+
+    def test_unperturbed_passes(self):
+        rep = general_tensor_map(self.PARTS, 1)
+        assert rep["passed"] and rep["equivariance"]
+
+    def test_rejects_what_the_depth_window_missed(self, monkeypatch):
+        # delta(j) = 3 + j + (j - 3) 2^j vanishes at j = -1, 0, 1 but not at 2
+        wrong = self.perturbed([3, 1], [-3, 1])
+        assert [wrong.seq(j) for j in range(-1, 3)] == [0, 0, 0, 1]
+        spec = TensorSpec(self.PARTS)
+        gen, F = spec.generator(), compose(self.PARTS).ambient
+
+        def agrees(j):
+            return tensor_act(spec, VirElement.from_laurent(F.shift(j)), gen) == gen * wrong.seq(j)
+
+        # the old depth-1 window |j| <= 1 sees nothing wrong
+        assert all(agrees(j) for j in (-1, 0, 1)) and not agrees(2)
+        monkeypatch.setattr(tensor, "compose", lambda parts: wrong)
+        rep = general_tensor_map(self.PARTS, 1)
+        assert not rep["equivariance"] and not rep["passed"]
+
+    def test_rejects_a_delta_zero_on_all_but_the_last_certified_j(self, monkeypatch):
+        # delta(j) = 4 + 2j + (j - 4) 2^j vanishes at j = 0, 1, 2 = N - 2 and
+        # not at N - 1 = 3, so one j fewer than N would pass it
+        wrong = self.perturbed([4, 2], [-4, 1])
+        assert [wrong.seq(j) for j in range(4)] == [0, 0, 0, 2]
+        monkeypatch.setattr(tensor, "compose", lambda parts: wrong)
+        assert not general_tensor_map(self.PARTS, 1)["equivariance"]
+
+    def test_restricted_kind_checks_n_values_past_2m(self, monkeypatch):
+        # one linear factor at 2 and m = 1: the window [1, 2] point by point,
+        # then N = 2 values above it; delta(j) = (j - 3) 2^j past 2m vanishes
+        # at j = 3 but not at 4
+        rc = restricted([(2, 1)], 1)
+        assert general_tensor_map(rc, 1, kind="restricted")["equivariance"]
+        mu_x = RestrictedCharacter.mu_x
+
+        def moved(self, j):
+            return mu_x(self, j) + (sc(j - 3) * sc(2) ** j if j > 2 * self.m else Scalar(0))
+
+        monkeypatch.setattr(RestrictedCharacter, "mu_x", moved)
+        assert not general_tensor_map(rc, 1, kind="restricted")["equivariance"]
+
+    def test_equivariance_work_does_not_grow_with_depth(self, monkeypatch):
+        monkeypatch.setattr(induced, "_engines", {})
+        mu = ones(2, 1, 0)
+
+        def zero_index_entries(depth):
+            rep = general_tensor_map([mu], depth)
+            assert rep["passed"] and rep["rank"] == depth + 1
+            eng = get_engine(mu)
+            return sum(1 for _k, s in eng._act_cache if s == eng.zero_index)
+
+        assert zero_index_entries(50) == zero_index_entries(500)
 
 
 class TestOmegaSimplicityConsistency:
