@@ -450,8 +450,9 @@ def quotient_smalldegree(mu: ExpPolyCharacter):
     r = pdeg(p)
     eng = get_engine(mu)
     if n == 1:
+        scan = range(1, 5)
         for k in QUOTIENT_J_RANGE:
-            for s0 in range(1, 5):
+            for s0 in scan:
                 moved = eng.act(LaurentPoly({k: 1}), eng.basis((s0,)))
                 if any(idx[0] < 1 for idx in moved.terms):
                     raise HypothesisViolation(
@@ -459,7 +460,10 @@ def quotient_smalldegree(mu: ExpPolyCharacter):
                         "character admits the quotient"
                     )
         report = {
-            "eigen_range": [min(QUOTIENT_J_RANGE), max(QUOTIENT_J_RANGE)],
+            "invariance_scan": {
+                "j": [min(QUOTIENT_J_RANGE), max(QUOTIENT_J_RANGE)],
+                "s0": [scan.start, scan.stop - 1],
+            },
             "submodule": "indices with s_0 >= 1",
             "quotient": "one-dimensional trivial module",
         }

@@ -169,29 +169,36 @@ class Echelon:
     subtracting the pivot of each key that is a label; a reduced pivot holds
     no other label, so nothing new needs reducing.  A pivot row of length 1
     is exactly {label: 1}, so that subtraction is the deletion of the key:
-    such keys are dropped, with the zeros, while the row is copied, and it
-    is then reduced against the longer pivots alone.  A nonzero remainder
-    becomes a pivot normalised to 1 at its least key, and that label is then
-    removed from every earlier pivot row that holds it; its other keys lie
-    above the new label, which lies above the earlier row's own.  The least
-    label, not the first in dict order, keeps the pivots independent of
-    insertion order and makes a label above all others (a right-hand side) a
-    pivot only when nothing else is left of its row.  An earlier row is
-    replaced by a fresh dict, never changed in place, so a caller may keep
-    the rows it was handed; a row is new exactly when the map grows.
+    the keys in ``units`` are dropped, with the zeros, while the row is
+    copied, and it is then reduced against the longer pivots alone.  A
+    nonzero remainder becomes a pivot normalised to 1 at its least key, and
+    that label is then removed from every earlier pivot row that holds it;
+    its other keys lie above the new label, which lies above the earlier
+    row's own.  The least label, not the first in dict order, keeps the
+    pivots independent of insertion order and makes a label above all
+    others (a right-hand side) a pivot only when nothing else is left of its
+    row.  An earlier row is replaced by a fresh dict, never changed in
+    place, so a caller may keep the rows it was handed; a row is new exactly
+    when the map grows.
 
     ``holders`` is the column index of sparse direct solvers: each key maps
     to the set of labels whose rows hold it, leaving out a row's own label,
     and a key no row holds has no entry.  A new pivot replaces exactly the
-    rows its label's set names, instead of scanning every row.  Iterating
-    gives the labels and ``len`` the rank.
+    rows its label's set names, instead of scanning every row.  ``units`` is
+    the set of labels whose row is {label: 1}.  It only grows: a unit row
+    holds no other key, so no later pivot replaces it.  A caller may skip
+    forming terms at its keys, which a row would only lose.  ``replaced``
+    counts the rows replaced so far, the work the arrival of new labels
+    cost.  Iterating gives the labels and ``len`` the rank.
     """
 
-    __slots__ = ("pivots", "holders")
+    __slots__ = ("pivots", "holders", "units", "replaced")
 
     def __init__(self, rows=()):
         self.pivots = {}
         self.holders = {}
+        self.units = set()
+        self.replaced = 0
         self.extend(rows)
 
     def __len__(self) -> int:
@@ -208,17 +215,15 @@ class Echelon:
         difference of the old and new key sets over those keys alone.  A key
         p loses that way is still held by r, so no set is ever left empty.
         """
-        pivots, holders = self.pivots, self.holders
+        pivots, holders, units = self.pivots, self.holders, self.units
         for vec in rows:
             row = {}
             longer = []
             for k, c in vec.items():
-                if not (c._a or c._b):
+                if not (c._a or c._b) or k in units:
                     continue
                 prow = pivots.get(k)
                 if prow is not None:
-                    if len(prow) == 1:
-                        continue
                     longer.append((prow, c))
                 row[k] = c
             for prow, c in longer:
@@ -232,7 +237,9 @@ class Echelon:
             keys = [k for k in row if k != label]
             for k in keys:
                 holders.setdefault(k, set()).add(label)
-            for other in holders.pop(label, ()):
+            others = holders.pop(label, ())
+            self.replaced += len(others)
+            for other in others:
                 prow = pivots[other]
                 new = accumulate(dict(prow), row, -prow[label])
                 for k in keys:
@@ -241,6 +248,10 @@ class Echelon:
                             holders[k].add(other)
                     elif k in prow:
                         holders[k].discard(other)
+                if len(new) == 1:
+                    units.add(other)
                 pivots[other] = new
+            if not keys:
+                units.add(label)
             pivots[label] = row
         return self

@@ -23,7 +23,7 @@ from .errors import DepthTooSmall, HypothesisViolation, SearchExhausted, Virpoly
 from .induced import REDUCE_MAX_STEPS, descent_power, get_engine
 from .laurent import ONE_POLY, LaurentPoly, bezout, poly_divmod
 from .scalars import ONE, Scalar, json_list, json_map
-from .sparse import Echelon, SparseVector, add_term
+from .sparse import Echelon, SparseVector
 from .tailmod import TailModuleSpec, ann_bound, get_tail_engine, tail_simplicity
 from .virasoro import VirElement, theta, vir_bracket
 
@@ -106,7 +106,7 @@ class TensorElement(SparseVector):
         }
 
 
-def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement) -> TensorElement:
+def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement, drop=()) -> TensorElement:
     """Leibniz action, in one pass over the terms of v.
 
     For a term (parts, mono) with coefficient c and each e_k of theta(x)
@@ -118,13 +118,20 @@ def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement) -> TensorEleme
     terms of v may meet anywhere.  z is central and acts through
     the tail's ``act_vir``, which only scales the map it is given (the
     induced factors kill z, so a trivial tail leaves z nothing).
+
+    No term is formed at a key in ``drop``, so the result is the action with
+    those keys removed: the word span passes the unit labels of its
+    ``Echelon``, which reducing a row would delete.
     """
     tail = spec._tail_engine
     out = {}
     if tail is not None and not x.z_part.is_zero():
         out = tail.act_vir(VirElement.z(x.z_part), v.terms)
+        if drop:
+            out = {key: c for key, c in out.items() if key not in drop}
     g = theta(x).terms
     engines = spec._engines
+    get = out.get
 
     for key, c in v.terms.items():
         parts, mono = key
@@ -137,11 +144,37 @@ def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement) -> TensorEleme
             head, rest = parts[:i], parts[i + 1 :]
             for k, f in scales:
                 for idx, d in eng._act_idx(k, s).items():
-                    add_term(out, (head + (idx,) + rest, mono), d if f is None else d * f)
+                    key2 = (head + (idx,) + rest, mono)
+                    if key2 in drop:
+                        continue
+                    if f is not None:
+                        d = d * f
+                    old = get(key2)
+                    if old is None:
+                        out[key2] = d
+                    else:
+                        d = old + d
+                        if d._a or d._b:
+                            out[key2] = d
+                        else:
+                            del out[key2]
         if tail is not None:
             for k, f in scales:
                 for mono2, d in tail._act_e(k, mono).items():
-                    add_term(out, (parts, mono2), d if f is None else d * f)
+                    key2 = (parts, mono2)
+                    if key2 in drop:
+                        continue
+                    if f is not None:
+                        d = d * f
+                    old = get(key2)
+                    if old is None:
+                        out[key2] = d
+                    else:
+                        d = old + d
+                        if d._a or d._b:
+                            out[key2] = d
+                        else:
+                            del out[key2]
     return TensorElement.adopt(out)
 
 
@@ -355,8 +388,17 @@ def _word_vectors(spec: TensorSpec, letters, depth: int):
     instead of changing it, so the layer being acted on stays fixed while
     the next layer's rows arrive.  A row, already reduced, tends to be
     shorter than its image, so the next layer acts on fewer terms.
+
+    Each row is acted on by the letters in descending exponent.  A label is
+    the least key of its row, and a row holds no key below its own label, so
+    a new label below every earlier one is held by no earlier row and costs
+    no replacement; in this order most new labels arrive below the one
+    before (ascending, most arrive above it, and the rows holding them are
+    rebuilt).  The reduced form of a span is unique, so the order changes
+    only the work, not the rows.  No term is formed at a unit label of the
+    ``Echelon`` (``drop``): the reduction would delete it.
     """
-    letters = [VirElement.from_laurent(g) for g in letters]
+    letters = [VirElement.from_laurent(g) for g in reversed(letters)]
     rows = Echelon((spec.generator().terms,))
     size = 0
     for _ in range(depth):
@@ -364,7 +406,7 @@ def _word_vectors(spec: TensorSpec, letters, depth: int):
         new = list(islice(reversed(rows.pivots.values()), len(rows) - size))
         layer = [TensorElement.adopt(row) for row in reversed(new)]
         size = len(rows)
-        rows.extend(tensor_act(spec, g, v).terms for v in layer for g in letters)
+        rows.extend(tensor_act(spec, g, v, rows.units).terms for v in layer for g in letters)
     return rows
 
 
@@ -443,10 +485,10 @@ def _abstract_slice_dim(letters, reduce, depth: int, bound=None) -> int:
 
 # The largest slice rank the word span is built for: just above 30,232, the
 # largest depth-7 rank of one linear factor (m = -1), which is checked cold
-# in about 2.5 s and 75 MB; depth 8 counts 109,486 and more, and takes about
-# 12 s and 263 MB at m = 1 (2-core host), with the tail memo the largest
-# structure.  The count stops once it passes the bound, so a refusal is
-# prompt at any depth.
+# in about 2.3 s and 79 MB (m = 1: 1.2 s, 57 MB); depth 8 counts 109,486
+# and more, and takes about 6.9 s and 273 MB at m = 1 (2-core host), with
+# the tail memo the largest structure.  The count stops once it passes the
+# bound, so a refusal is prompt at any depth.
 MAX_SLICE_RANK = 30300
 
 
@@ -456,12 +498,13 @@ def _over_bound(depth: int, at_least: int) -> VirpolyError:
     )
 
 
-def counted_slice(source, depth: int, kind: str = "polynomial"):
+def counted_slice(source, depth: int, kind: str = "polynomial", composite=None):
     """(F, letters, counted rank) of a depth-d slice check of the given kind.
 
     The count is cheap and stops as soon as it passes ``MAX_SLICE_RANK``;
     such a slice raises VirpolyError before any word is formed, and so does
-    a depth of ``MAX_SLICE_RANK`` or more, before any counting.
+    a depth of ``MAX_SLICE_RANK`` or more, before any counting.  A caller
+    that has already composed a polynomial source passes it as ``composite``.
     """
     if depth < 1:
         raise DepthTooSmall("slice comparison is vacuous below depth 1")
@@ -471,7 +514,7 @@ def counted_slice(source, depth: int, kind: str = "polynomial"):
         # refused before an alphabet of depth letters is formed
         raise _over_bound(depth, depth + 1)
     if kind == "polynomial":
-        F, m, low = compose(source).ambient, 0, 0
+        F, m, low = (compose(source) if composite is None else composite).ambient, 0, 0
     elif kind == "restricted":
         F, m, low = source.ambient(), source.m, source.m - depth
     else:
@@ -511,12 +554,14 @@ def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
     The count comes first (``counted_slice``), so a slice above
     ``MAX_SLICE_RANK`` is refused before any word is formed.
     """
-    F, letters, expected = counted_slice(source, depth, kind)
     if kind == "polynomial":
+        composite = compose(source)
+        F, letters, expected = counted_slice(source, depth, kind, composite)
         spec = TensorSpec(source, TailModuleSpec.trivial())
-        value = compose(source).seq
+        value = composite.seq
         z_value = Scalar(0)
     else:
+        F, letters, expected = counted_slice(source, depth, kind)
         spec, _report = restricted_to_tensor(source)
         value = source.mu_x
         z_value = source.z_value

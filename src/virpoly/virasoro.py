@@ -11,11 +11,9 @@ with the Witt bracket on Laurent polynomials.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import IndexOutOfSubalgebra, ZeroLambda
 from .laurent import LaurentPoly
-from .scalars import Scalar, json_map, sc
+from .scalars import Scalar, _make, _reduced, json_map, sc
 from .sparse import accumulate
 
 
@@ -83,19 +81,29 @@ class VirElement:
 
 
 def _cocycle(j: int) -> Scalar:
-    return Scalar(Fraction(j**3 - j, 12))
+    return _reduced(j**3 - j, 0, 12)
 
 
 def vir_bracket(x: VirElement, y: VirElement) -> VirElement:
-    """Bilinear extension of the defining relations; z is central."""
+    """Bilinear extension of the defining relations; z is central.
+
+    Each term b (k - j) of y's part bracketed with e_j is scaled on the
+    integer triple of b, and the accumulated map is clean, so it is adopted.
+    """
     ys = y.e_part.terms
     out = {}
     zc = Scalar(0)
     for j, a in x.e_part.terms.items():
-        accumulate(out, {j + k: b * (k - j) for k, b in ys.items() if k != j}, a)
+        scaled = {}
+        for k, b in ys.items():
+            if k != j:
+                n, e = k - j, b._d
+                x, y = b._a * n, b._b * n
+                scaled[j + k] = _make(x, y, 1) if e == 1 else _reduced(x, y, e)
+        accumulate(out, scaled, a)
         if -j in ys:
             zc = zc + a * ys[-j] * _cocycle(j)
-    return VirElement(out, zc)
+    return VirElement(LaurentPoly.adopt(out), zc)
 
 
 def theta(x: VirElement) -> LaurentPoly:

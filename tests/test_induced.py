@@ -413,6 +413,9 @@ class TestQuotient:
         # zero character: slice invariant, quotient exists
         rep, mp = quotient_smalldegree(single_root_character(1, 1, []))
         assert mp is None and "quotient" in rep
+        # the linear branch scans the slice's invariance and checks no eigen relation
+        assert rep["invariance_scan"] == {"j": [-4, 4], "s0": [1, 4]}
+        assert "eigen_range" not in rep and "eigen_ok" not in rep
         # nonzero character: the action oracle rejects the reading
         with pytest.raises(HypothesisViolation):
             quotient_smalldegree(single_root_character(1, 1, [3]))

@@ -26,6 +26,11 @@ def held_keys(pivots):
     return out
 
 
+def unit_labels(pivots):
+    """The labels whose row is {label: 1}, read from the rows themselves."""
+    return {label for label, row in pivots.items() if len(row) == 1}
+
+
 def canonical(c) -> bool:
     """A stored value is a Scalar triple (a, b, d) in canonical form: d > 0 and gcd(a, b, d) == 1."""
     return type(c) is Scalar and c._d > 0 and gcd(c._a, c._b, c._d) == 1
@@ -266,6 +271,7 @@ class TestEchelon:
                 before = {label: set(row) for label, row in ech.pivots.items()}
                 ech.extend(rows[lo:hi])
                 assert ech.holders == held_keys(ech.pivots), (cuts, lo)
+                assert ech.units == unit_labels(ech.pivots), (cuts, lo)
                 for label, keys in before.items():
                     gained += bool(set(ech.pivots[label]) - keys)
                     lost += bool(keys - set(ech.pivots[label]) - set(ech.pivots))
@@ -293,6 +299,7 @@ class TestEchelon:
                 ech.extend(rows[lo:hi])
                 assert len(ech) == dense_rank(rows[:hi]), (cuts, hi)
                 assert ech.holders == held_keys(ech.pivots), (cuts, hi)
+                assert ech.units == unit_labels(ech.pivots), (cuts, hi)
                 for label, row in ech.pivots.items():
                     assert label == min(row) and row[label] == sc(1)
                     assert set(row) & set(ech.pivots) == {label}
@@ -329,6 +336,7 @@ class TestEchelon:
                 ech.extend(rows[lo:hi])
                 assert len(ech) == dense_rank(rows[:hi]), (cuts, hi)
                 assert ech.holders == held_keys(ech.pivots), (cuts, hi)
+                assert ech.units == unit_labels(ech.pivots), (cuts, hi)
                 for label, row in ech.pivots.items():
                     assert label == min(row) and row[label] == sc(1)
                     assert set(row) & set(ech.pivots) == {label}
@@ -336,6 +344,25 @@ class TestEchelon:
                 # a key only ever given zeros is held by no row
                 assert not {12, 13} & {k for row in ech.pivots.values() for k in row}
         assert ech.pivots == Echelon(rows).pivots
+
+    def test_back_substitution_can_make_a_unit_row(self):
+        # {1: 1} clears label 1 from {0: 1, 1: 1}, which is then {0: 1}: both
+        # labels are units, the one replaced row is counted, and a later row
+        # loses both keys while it is copied
+        ech = Echelon([{0: sc(1), 1: sc(1)}])
+        assert ech.units == set() and ech.replaced == 0
+        ech.extend([{1: sc(1)}])
+        assert ech.pivots == {0: {0: sc(1)}, 1: {1: sc(1)}}
+        assert ech.units == {0, 1} == unit_labels(ech.pivots) and ech.replaced == 1
+        ech.extend([{0: sc(5), 1: sc(-2), 2: sc(3)}])
+        assert ech.pivots[2] == {2: sc(1)} and ech.units == {0, 1, 2} and ech.replaced == 1
+        # a scaled row replaced twice, and a new unit label that clears two rows
+        ech = Echelon([{0: sc(2), 3: sc(4)}, {3: sc(-1), 4: sc(1)}])
+        assert ech.pivots == {0: {0: sc(1), 4: sc(2)}, 3: {3: sc(1), 4: sc(-1)}}
+        assert ech.units == set() and ech.replaced == 1
+        ech.extend([{3: sc(3)}])
+        assert ech.pivots == {0: {0: sc(1)}, 3: {3: sc(1)}, 4: {4: sc(1)}}
+        assert ech.units == {0, 3, 4} and ech.replaced == 3
 
     def test_unit_pivots_reduce_without_multiplying(self, monkeypatch):
         ech = Echelon({k: sc(1)} for k in (0, 2, 3))

@@ -22,6 +22,7 @@ from virpoly.tensor import (
     _rank,
     _word_vectors,
     annihilating_shift,
+    counted_slice,
     cyclic_reduce,
     general_tensor_map,
     iso_decide,
@@ -228,6 +229,43 @@ class TestTensorAct:
             letters = [t(k) for k in range(-1, 3)]
             for row in _word_vectors(spec, letters, 2).pivots.values():
                 assert_clean(TensorElement.adopt(row))
+
+    @pytest.mark.parametrize("tail", TAILS, ids=lambda tail: tail.kind)
+    def test_drop_removes_exactly_its_keys(self, tail):
+        # a random set of the full image's keys, plus keys it lacks, over one
+        # to three factors and an x with a z part; a mutant that keeps one
+        # dropped key is caught by the same comparison
+        rng = random.Random(f"drop:{tail.kind}")
+        gaussian = single_root_character(Scalar(1, 1), 2, [Scalar(0, 1), 1])
+        grid = ([ones(2, 1, 0)], [ones(2, 1, 0), gaussian], [ones(1, 1, 0), ones(2, 2, 1), ones(-1, 1, 0)])
+
+        def dropped_exactly(act, spec, x, v, drop):
+            full = tensor_act(spec, x, v).terms
+            return act(spec, x, v, drop).terms == {k: c for k, c in full.items() if k not in drop}
+
+        def keeps_one(spec, x, v, drop):
+            kept = min(k for k in drop if k in tensor_act(spec, x, v).terms)
+            return tensor_act(spec, x, v, drop - {kept})
+
+        for factors in grid:
+            spec = TensorSpec(factors, tail)
+            for _ in range(6):
+                terms = {}
+                while len(terms) < 3:
+                    parts = tuple(tuple(rng.randint(0, 2) for _ in range(mu.root_data()[1])) for mu in factors)
+                    mono = () if tail.is_trivial() else tuple(
+                        sorted(rng.randint(tail.m - 3, tail.m - 1) for _ in range(rng.randint(0, 2)))
+                    )
+                    terms[(parts, mono)] = sc(rng.choice((-2, 1, 3)))
+                v = TensorElement(terms)
+                x = rand_vir(rng, -3, 3) + VirElement.z(sc(rng.choice((0, 2))))
+                full = tensor_act(spec, x, v).terms
+                drop = {k for k in full if rng.random() < 0.5} | {(spec.zero_index(), ("absent",))}
+                if not drop & set(full):
+                    drop.add(min(full))
+                assert dropped_exactly(tensor_act, spec, x, v, drop)
+                assert not dropped_exactly(keeps_one, spec, x, v, drop)
+                assert tensor_act(spec, x, v, set(full)).is_zero()
 
     def test_representation_property_all_tails(self):
         rng = random.Random(89)
@@ -547,12 +585,19 @@ def source_id(source):
     return "-".join(map(str, source)).replace(" ", "")
 
 
+def slice_source(source):
+    """The source object general_tensor_map is given for a source id."""
+    if source[0] == "polynomial":
+        return POLY_SOURCES[source[1]]
+    _, roots, m = source
+    return restricted(roots, m)
+
+
 def slice_spec(source):
     """The tensor realization general_tensor_map checks for a source."""
     if source[0] == "polynomial":
-        return TensorSpec(POLY_SOURCES[source[1]])
-    _, roots, m = source
-    return restricted_to_tensor(restricted(roots, m))[0]
+        return TensorSpec(slice_source(source))
+    return restricted_to_tensor(slice_source(source))[0]
 
 
 def slice_letters(source, depth):
@@ -690,6 +735,50 @@ class TestGeneralTensorMap:
     def test_depth_zero_rejected(self):
         with pytest.raises(DepthTooSmall):
             general_tensor_map([ones(1, 1, 0)], 0, kind="polynomial")
+
+
+ORDER_CASES = [(("restricted", [(2, 1)], m), depth) for m in (-1, 0, 1) for depth in range(1, 6)] + [
+    (("restricted", [(1, 1), (2, 1)], 0), 5),
+    (("polynomial", "two_roots"), 5),
+    (("polynomial", "three_factors"), 4),
+]
+
+
+class TestWordSpanOrder:
+    # _word_vectors acts with the letters in descending exponent; handed the
+    # reversed alphabet it acts in ascending exponent, the earlier order
+
+    @pytest.mark.parametrize("source, depth", ORDER_CASES, ids=[f"{source_id(c)}-d{d}" for c, d in ORDER_CASES])
+    def test_letter_order_leaves_the_pivots(self, source, depth):
+        # the reduced echelon form of a span is unique, so the order moves
+        # only the work: every label and every pivot row is the same
+        _F, letters, expected = counted_slice(slice_source(source), depth, source[0])
+        spec = slice_spec(source)
+        rows = _word_vectors(spec, letters, depth)
+        assert rows.pivots == _word_vectors(spec, letters[::-1], depth).pivots
+        assert len(rows) == expected
+
+    def test_descending_letters_replace_fewer_rows(self):
+        # a row never holds a key below its own label, so a label that
+        # arrives below the earlier ones is in no earlier row; the count
+        # depends on the order alone, not on warm or cold memos
+        for source, depth in (
+            (("restricted", [(2, 1)], 0), 4),
+            (("restricted", [(2, 1)], 1), 4),
+            (("restricted", [(1, 1), (2, 1)], 0), 5),
+        ):
+            _F, letters, _expected = counted_slice(slice_source(source), depth, source[0])
+            counts = {}
+            for name, order in (("descending", letters), ("ascending", letters[::-1])):
+                runs = []
+                for _ in range(2):
+                    induced._engines.clear()
+                    tailmod._tail_engines.clear()
+                    spec = slice_spec(source)
+                    runs += [_word_vectors(spec, order, depth).replaced for _ in range(2)]
+                assert len(set(runs)) == 1, (source, name, runs)
+                counts[name] = runs[0]
+            assert counts["descending"] < counts["ascending"], (source, counts)
 
 
 class TestCertifiedEquivariance:
