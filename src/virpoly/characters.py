@@ -25,6 +25,22 @@ from .scalars import ONE, Scalar, json_index, json_int, json_list, json_map, sc
 from .sparse import Echelon, accumulate
 
 
+# The largest degree of the ambient polynomial F, sum n_i + deg extra, of a
+# character read from a request (for a tensor spec, of the product of its
+# factors).  No other bound sees it, and the work climbs steeply with it:
+# at degree 64 `tensor-map --depth 1` takes 1.0-2.0 s on one, two or four
+# factors, `reduce` about 1 s and every other command about 0.2 s; at 80
+# `tensor-map --depth 1` takes up to 3.7 s (2-core host, Python 3.11).
+MAX_CHARACTER_DEGREE = 64
+
+
+def check_degree(degree: int, what: str) -> None:
+    if degree > MAX_CHARACTER_DEGREE:
+        raise ValueError(
+            f"{what} has degree {degree}; characters are read up to degree {MAX_CHARACTER_DEGREE}"
+        )
+
+
 def _sort_key(lam: Scalar):
     return (lam.re, lam.im)
 
@@ -179,6 +195,7 @@ class ExpPolyCharacter:
             p = p_from_json(json_list(f.get("p", []), "a character polynomial p"))
             factors.append((Scalar.from_json(f["lambda"]), n, p))
         extra = LaurentPoly.from_json(obj["extra"]) if "extra" in obj else ONE_POLY
+        check_degree(sum(n for _, n, _ in factors) + max(extra.terms, default=0), "the character")
         return ExpPolyCharacter(factors, extra)
 
 

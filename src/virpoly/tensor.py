@@ -1,9 +1,10 @@
 """Tensor products of single-root induced modules with a tail module.
 
-Basis vectors are tuples of per-factor multi-indices together with a basis
-monomial of the tail (the empty monomial for the trivial tail); the Lie
-action is the Leibniz sum across the slots.  The central element acts only
-through the tail: the induced factors kill z.
+A basis vector is one flat tuple (s_1, ..., s_k, mono): a multi-index per
+factor, and in the last slot a basis monomial of the tail (the empty
+monomial for the trivial tail).  The Lie action is the Leibniz sum across
+the slots, the tail's among them.  The central element acts only through
+the tail: the induced factors kill z.
 
 The cyclicity engine walks an element down to the span of the joint
 generator by the single-root descent of ``induced.descent_power``, one slot
@@ -17,13 +18,13 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .characters import ExpPolyCharacter, RestrictedCharacter, compose, decompose
+from .characters import ExpPolyCharacter, RestrictedCharacter, check_degree, compose, decompose
 from .densepoly import pdeg
 from .errors import DepthTooSmall, HypothesisViolation, SearchExhausted, VirpolyError
 from .induced import REDUCE_MAX_STEPS, descent_power, get_engine
 from .laurent import ONE_POLY, LaurentPoly, bezout, poly_divmod
 from .scalars import ONE, Scalar, json_list, json_map
-from .sparse import Echelon, SparseVector
+from .sparse import Echelon, SparseVector, add_term
 from .tailmod import TailModuleSpec, ann_bound, get_tail_engine, tail_simplicity
 from .virasoro import VirElement, theta, vir_bracket
 
@@ -31,7 +32,7 @@ from .virasoro import VirElement, theta, vir_bracket
 class TensorSpec:
     """Factors (single-root characters with pairwise distinct roots) plus a tail."""
 
-    __slots__ = ("factors", "tail", "_engines", "_tail_engine")
+    __slots__ = ("factors", "tail", "_engines", "_tail_engine", "_columns")
 
     def __init__(self, factors, tail: TailModuleSpec = None):
         factors = tuple(factors)
@@ -51,6 +52,12 @@ class TensorSpec:
         # as long as the spec even when the registries are emptied
         self._engines = tuple(get_engine(mu) for mu in factors)
         self._tail_engine = None if self.tail.is_trivial() else get_tail_engine(self.tail)
+        # (slot, column) for each slot the Lie algebra moves: the factors,
+        # then the tail; the trivial tail's slot stays ()
+        columns = [eng._act_idx for eng in self._engines]
+        if self._tail_engine is not None:
+            columns.append(self._tail_engine._act_e)
+        self._columns = tuple(enumerate(columns))
 
     def engines(self) -> tuple:
         return self._engines
@@ -59,7 +66,7 @@ class TensorSpec:
         return tuple(eng.zero_index for eng in self._engines)
 
     def generator(self) -> "TensorElement":
-        return TensorElement({(self.zero_index(), ()): 1})
+        return TensorElement({self.zero_index() + ((),): 1})
 
     def to_json(self):
         return {
@@ -69,11 +76,14 @@ class TensorSpec:
 
     @staticmethod
     def factors_from_json(obj) -> list:
-        """One single-root character per entry of obj["factors"]."""
-        return [
+        """One single-root character per entry of obj["factors"], the degree of
+        their product at most ``MAX_CHARACTER_DEGREE``."""
+        factors = [
             ExpPolyCharacter.from_json({"factors": [f]})
             for f in json_list(obj["factors"], "the factors")
         ]
+        check_degree(sum(mu.ambient.degree() for mu in factors), "the product of the factors")
+        return factors
 
     @staticmethod
     def from_json(obj) -> "TensorSpec":
@@ -83,7 +93,7 @@ class TensorSpec:
 
 
 class TensorElement(SparseVector):
-    """Finite map (parts, tail monomial) -> Scalar."""
+    """Finite map (s_1, ..., s_k, tail monomial) -> Scalar."""
 
     __slots__ = ()
 
@@ -91,17 +101,13 @@ class TensorElement(SparseVector):
         """Lexicographic maximum of the concatenated factor indices."""
         if not self.terms:
             raise HypothesisViolation("zero tensor element has no leading index")
-        return max(sum(parts, ()) for parts, _ in self.terms)
+        return max(sum(key[:-1], ()) for key in self.terms)
 
     def to_json(self):
         return {
             "terms": [
-                {
-                    "parts": [list(p) for p in parts],
-                    "tail": list(mono),
-                    "c": self.terms[(parts, mono)].to_json(),
-                }
-                for parts, mono in sorted(self.terms)
+                {"parts": [list(s) for s in key[:-1]], "tail": list(key[-1]), "c": c.to_json()}
+                for key, c in sorted(self.terms.items())
             ]
         }
 
@@ -109,15 +115,15 @@ class TensorElement(SparseVector):
 def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement, drop=()) -> TensorElement:
     """Leibniz action, in one pass over the terms of v.
 
-    For a term (parts, mono) with coefficient c and each e_k of theta(x)
-    with coefficient a, every slot's memo entry ``_act_idx(k, s)`` and the
-    tail's ``_act_e(k, mono)`` are added straight into the result under
-    tensor keys, multiplied by a c, and not at all when that is one; as in
-    ``bilinear``, a unit a or c is not multiplied in.  Each addition drops a
-    zero sum: the slots and the tail meet at the term's own key, and the
-    terms of v may meet anywhere.  z is central and acts through
-    the tail's ``act_vir``, which only scales the map it is given (the
-    induced factors kill z, so a trivial tail leaves z nothing).
+    For a term with key (s_1, ..., s_k, mono) and coefficient c, and each e_k
+    of theta(x) with coefficient a, every slot's column entry, the factor
+    memo ``_act_idx(k, s_i)`` or the tail's ``_act_e(k, mono)``, is added
+    into the result at the key with that slot replaced, multiplied by a c,
+    and not at all when that is one; as in ``bilinear``, a unit a or c is
+    not multiplied in.  ``add_term`` drops a zero sum: the slots meet at the
+    term's own key, and the terms of v may meet anywhere.  z is central and
+    acts through the tail's ``act_vir``, which only scales the map it is
+    given (the induced factors kill z, so a trivial tail leaves z nothing).
 
     No term is formed at a key in ``drop``, so the result is the action with
     those keys removed: the word span passes the unit labels of its
@@ -130,51 +136,18 @@ def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement, drop=()) -> Te
         if drop:
             out = {key: c for key, c in out.items() if key not in drop}
     g = theta(x).terms
-    engines = spec._engines
-    get = out.get
-
     for key, c in v.terms.items():
-        parts, mono = key
         scales = []
         for k, a in g.items():
             f = c if a == ONE else a if c == ONE else a * c
             scales.append((k, None if f == ONE else f))
-        for i, eng in enumerate(engines):
-            s = parts[i]
-            head, rest = parts[:i], parts[i + 1 :]
+        for i, column in spec._columns:
+            head, s, rest = key[:i], key[i], key[i + 1 :]
             for k, f in scales:
-                for idx, d in eng._act_idx(k, s).items():
-                    key2 = (head + (idx,) + rest, mono)
-                    if key2 in drop:
-                        continue
-                    if f is not None:
-                        d = d * f
-                    old = get(key2)
-                    if old is None:
-                        out[key2] = d
-                    else:
-                        d = old + d
-                        if d._a or d._b:
-                            out[key2] = d
-                        else:
-                            del out[key2]
-        if tail is not None:
-            for k, f in scales:
-                for mono2, d in tail._act_e(k, mono).items():
-                    key2 = (parts, mono2)
-                    if key2 in drop:
-                        continue
-                    if f is not None:
-                        d = d * f
-                    old = get(key2)
-                    if old is None:
-                        out[key2] = d
-                    else:
-                        d = old + d
-                        if d._a or d._b:
-                            out[key2] = d
-                        else:
-                            del out[key2]
+                for idx, d in column(k, s).items():
+                    key2 = head + (idx,) + rest
+                    if key2 not in drop:
+                        add_term(out, key2, d if f is None else d * f)
     return TensorElement.adopt(out)
 
 
@@ -187,10 +160,7 @@ def _annihilation_exponents(spec: TensorSpec, v: TensorElement):
     out = []
     for i, mu in enumerate(spec.factors):
         _, n, p = mu.root_data()
-        s0max = 0
-        for (parts, _mono) in v.terms:
-            if parts[i]:
-                s0max = max(s0max, parts[i][0])
+        s0max = max((key[i][0] for key in v.terms), default=0)
         out.append(n + pdeg(p) + s0max + 1)
     return out
 
@@ -243,7 +213,7 @@ def cyclic_reduce(spec: TensorSpec, w: TensorElement):
     trace = []
     cur = w
     for _ in range(REDUCE_MAX_STEPS):
-        lead_parts = max(parts for parts, _ in cur.terms)
+        lead_parts = max(cur.terms)[:-1]
         if all(not any(p) for p in lead_parts):
             return trace, cur
         i0 = next(i for i, p in enumerate(lead_parts) if any(p))
@@ -255,11 +225,11 @@ def cyclic_reduce(spec: TensorSpec, w: TensorElement):
         for i, eng in enumerate(engines):
             if i != i0:
                 F_hat = F_hat * eng.fpow(exps[i])
-        L = ann_bound(spec.tail, [mono for _, mono in cur.terms])
+        L = ann_bound(spec.tail, [key[-1] for key in cur.terms])
         op = _lift(engines[i0].fpow(m), F_lead, F_hat).shift(L)
         w2 = tensor_act(spec, VirElement.from_laurent(op), cur) - cur * mu.value_power(L, m)
         want = lead_parts[:i0] + (target,) + lead_parts[i0 + 1 :]
-        if w2.is_zero() or max(parts for parts, _ in w2.terms) != want:
+        if w2.is_zero() or max(w2.terms)[:-1] != want:
             raise SearchExhausted(f"the step at j = {L} did not lower slot {i0} to {list(target)}")
         trace.append({"factor": i0, "j": L, "m": m})
         cur = w2
@@ -543,7 +513,10 @@ def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
         factors, with deg q_i <= n_i + r_i (the value's is r_i).  Such a
         sequence obeys a recurrence of order N = sum_i (n_i + r_i + 1) that
         runs both ways (the roots are nonzero), so it is zero for all j once
-        it is zero at N consecutive j.  The polynomial kind checks j in
+        it is zero at N consecutive j.  N is the degree of the generator's
+        annihilator prod_i f_i^(N_i), the recurrence's characteristic
+        polynomial: ``_annihilation_exponents`` gives N_i = n_i + r_i + 1 on
+        the zero slots, from the root data alone.  The polynomial kind checks j in
         [0, N).  The restricted kind checks the tail's window [m, 2m] point
         by point and [2m + 1, 2m + N] above it, where psi is zero and the
         value is the tail character's, of order at most sum_i n_i.
@@ -565,9 +538,9 @@ def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
         spec, _report = restricted_to_tensor(source)
         value = source.mu_x
         z_value = source.z_value
-    N = sum(n + pdeg(p) + 1 for mu in spec.factors for _lam, n, p in mu.factors)
-    window = range(N) if kind == "polynomial" else range(source.m, 2 * source.m + N + 1)
     gen = spec.generator()
+    N = sum(_annihilation_exponents(spec, gen))
+    window = range(N) if kind == "polynomial" else range(source.m, 2 * source.m + N + 1)
     equiv = all(
         tensor_act(spec, VirElement.from_laurent(F.shift(j)), gen) == gen * value(j)
         for j in window

@@ -129,7 +129,7 @@ def test_c01_axioms():
         mono = ()
         if not tail.is_trivial() and rng.random() < 0.5:
             mono = (tail.m - rng.randint(1, 3),)
-        v = TensorElement({(parts, mono): 1})
+        v = TensorElement({parts + (mono,): 1})
         lhs = tensor_act(spec, x, tensor_act(spec, y, v)) - tensor_act(
             spec, y, tensor_act(spec, x, v)
         )
@@ -266,9 +266,9 @@ def test_c08_tensor():
             for s in product(range(3), repeat=n1 + n2):
                 if not 0 < sum(s) <= 2:
                     continue
-                w = TensorElement({((s[:n1], s[n1:]), ()): 1})
+                w = TensorElement({(s[:n1], s[n1:], ()): 1})
                 trace, final = cyclic_reduce(spec, w)
-                assert all(not any(p0) for p, _ in final.terms for p0 in p)
+                assert all(not any(p0) for key in final.terms for p0 in key[:-1])
     # the non-simple direction: small-degree factor leaves a proper invariant slice
     spec = TensorSpec([ones(1, 3, 0), ones(2, 1, 0)])
     for k in range(-4, 5):
@@ -276,9 +276,9 @@ def test_c08_tensor():
         for s in product(range(2), repeat=4):
             if s[2] < 1 or sum(s) > 2:
                 continue
-            v = TensorElement({((s[:3], s[3:]), ()): 1})
+            v = TensorElement({(s[:3], s[3:], ()): 1})
             out = tensor_act(spec, x, v)
-            assert all(p[0][2] >= 1 for p, _ in out.terms)
+            assert all(key[0][2] >= 1 for key in out.terms)
 
 
 @criterion(9, "decomposition and hat-split round trips")

@@ -13,6 +13,7 @@ import pytest
 from conftest import cli_env
 from virpoly import cli
 from virpoly.cli import main
+from virpoly.characters import MAX_CHARACTER_DEGREE
 from virpoly.tensor import MAX_SLICE_RANK
 from virpoly.verify import SUITES
 
@@ -219,6 +220,15 @@ def test_loops_the_input_sizes_are_bounded(tmp_path, capsys):
             "restriction": {"m": 0, "window": {"0": "2"}, "z": "5"},
         }
     }
+
+    def degree(n, lam="2"):
+        return {"lambda": lam, "n": n, "p": ["1"]}
+
+    def two_factors(over):
+        # two factors whose product has degree MAX_CHARACTER_DEGREE + over
+        half = MAX_CHARACTER_DEGREE // 2
+        return {"factors": [degree(half), degree(MAX_CHARACTER_DEGREE - half + over, "3")]}
+
     refused = {
         "huge_range": ("char-validate", {"character": {"factors": [factor]}, "range": [0, 10**11]}, ()),
         "range_of_2002": ("char-validate", {"character": {"factors": [factor]}, "range": [-1000, 1001]}, ()),
@@ -230,6 +240,17 @@ def test_loops_the_input_sizes_are_bounded(tmp_path, capsys):
         "exponent_above_bound": ("act", dict(vector, element={"vir": {"e": {str(-10**5 - 1): "1"}}}), ()),
         "huge_range_bound": ("char-validate", {"character": {"factors": [factor]}, "range": [10**8, 10**8 + 2]}, ()),
         "range_bound_above": ("char-validate", {"character": {"factors": [factor]}, "range": [-10**5 - 1, -10**5]}, ()),
+        "multiplicity_3200": ("char-validate", {"character": {"factors": [degree(3200)]}}, ()),
+        "degree_above_bound": ("char-validate", {"character": {"factors": [degree(MAX_CHARACTER_DEGREE + 1)]}}, ()),
+        "huge_extra": ("char-validate", {"character": {"factors": [factor], "extra": {"10000000": "1", "0": "1"}}}, ()),
+        "extra_above_bound": (
+            "char-split",
+            {"character": dict(verma["restricted"], extra={str(MAX_CHARACTER_DEGREE): "1", "0": "1"})},
+            (),
+        ),
+        "two_factors_of_64": ("tensor-map", {"factors": [degree(64), degree(64, "3")]}, ("--depth", "1")),
+        "four_factors_of_100": ("tensor-map", {"factors": [degree(100, lam) for lam in "2357"]}, ("--depth", "1")),
+        "factor_product_above_bound": ("iso", {"a": two_factors(1), "b": two_factors(0)}, ()),
     }
     for name, (command, payload, flags) in refused.items():
         spec = write(tmp_path, name + ".json", payload)
@@ -250,6 +271,14 @@ def test_loops_the_input_sizes_are_bounded(tmp_path, capsys):
     assert code == 0
     code, out = run_cli(capsys, "verify", "--suite", "degreehom", "--nmax", str(cli.MAX_VERIFY_NMAX))
     assert code == 0 and out["failed_total"] == 0
+    # the degree bound itself is accepted, on one character and on a product
+    at_bound = {"factors": [degree(MAX_CHARACTER_DEGREE - 1)], "extra": {"1": "1", "0": "-3"}}
+    spec = write(tmp_path, "degree_edge.json", {"character": at_bound, "range": [0, 2]})
+    code, out = run_cli(capsys, "char-validate", "--spec", spec)
+    assert code == 0 and out["valid"] is True
+    spec = write(tmp_path, "product_edge.json", {"a": two_factors(0), "b": two_factors(0)})
+    code, out = run_cli(capsys, "iso", "--spec", spec)
+    assert code == 0 and out["isomorphic"] is True
 
 
 def test_verify_depth_is_bounded(capsys):
@@ -306,6 +335,18 @@ def test_readme_names_every_command_option_and_suite():
     assert options >= {"--spec", "--kac-level", "--nmax"}
     missing = (set(sub.choices) | options | set(SUITES)) - words
     assert not missing
+
+
+def test_readme_names_every_max_constant():
+    src = Path(cli.__file__).resolve().parent
+    readme = (src.parents[1] / "README.md").read_text(encoding="utf-8")
+    names = {
+        name
+        for path in src.glob("*.py")
+        for name in re.findall(r"^(MAX_\w+)\s*=", path.read_text(encoding="utf-8"), re.M)
+    }
+    assert {"MAX_SLICE_RANK", "MAX_CHARACTER_DEGREE"} <= names
+    assert not names - set(re.findall(r"\w+", readme))
 
 
 def test_verify_suite(capsys):

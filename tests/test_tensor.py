@@ -42,7 +42,7 @@ def ones(lam, n, r):
 
 
 def basis(spec, parts, mono=()):
-    return TensorElement({(tuple(tuple(p) for p in parts), tuple(mono)): 1})
+    return TensorElement({tuple(tuple(p) for p in parts) + (tuple(mono),): 1})
 
 
 TAILS = [
@@ -74,14 +74,14 @@ class TestTensorAct:
             got = tensor_act(spec, x, basis(spec, [idx]))
             want = eng.act_vir(x, eng.basis(idx))
             assert got.terms == {
-                ((s,), ()): c for s, c in want.terms.items()
+                (s, ()): c for s, c in want.terms.items()
             }
 
     def test_leibniz_example(self):
         spec = TensorSpec([ones(1, 1, 0), ones(2, 1, 0)])
         got = tensor_act(spec, VirElement.e(0), spec.generator())
         assert got == TensorElement(
-            {(((1,), (0,)), ()): 1, (((0,), (1,)), ()): 1}
+            {((1,), (0,), ()): 1, ((0,), (1,), ()): 1}
         )
 
     @pytest.mark.parametrize("tail", TAILS, ids=lambda tail: tail.kind)
@@ -111,7 +111,7 @@ class TestTensorAct:
                 # leaves the next one unchanged
                 for key in list(got.terms):
                     got.terms[key] = sc(99)
-                got.terms[(((7,), (7, 7)), ())] = sc(1)
+                got.terms[((7,), (7, 7), ())] = sc(1)
                 assert tensor_act(spec, x, w) == want
         if not tail.is_trivial():
             # two terms at the same parts with different tail monomials: the
@@ -127,7 +127,7 @@ class TestTensorAct:
         # key itself and must add up, here to -4 + 6 = 2 and to -1 + 1 = 0
         spec = TensorSpec([ones(2, 1, 0), ones(3, 1, 0)])
         for parts, k, stay in ((((1,), (0,)), 2, sc(2)), (((1,), (0,)), 1, None)):
-            key = (parts, ())
+            key = parts + ((),)
             got = tensor_act(spec, VirElement.e(k), TensorElement({key: 1}))
             assert got == leibniz_reference(spec, VirElement.e(k), TensorElement({key: 1}))
             assert got.terms.get(key) == stay and all(not c.is_zero() for c in got.terms.values())
@@ -160,7 +160,7 @@ class TestTensorAct:
                     mono = () if tail.is_trivial() else tuple(
                         sorted(rng.randint(tail.m - 3, tail.m - 1) for _ in range(rng.randint(0, 2)))
                     )
-                    terms[(parts, mono)] = field()
+                    terms[parts + (mono,)] = field()
                 v = TensorElement(terms)
                 assert any(c != sc(1) for c in v.terms.values())
                 x = VirElement({rng.randint(-3, 3): field() for _ in range(2)}, field())
@@ -174,14 +174,14 @@ class TestTensorAct:
         a = get_engine(mu)._act_idx(k, s).get(s)
         assert a is not None and not a.is_zero()
         spec = TensorSpec([mu], TailModuleSpec.whittaker(1, {1: -a, 2: sc(1)}, sc(1)))
-        key = ((s,), ())
+        key = (s, ())
         for c in (sc(1), sc("-2/3")):
             v = TensorElement({key: c})
             got = tensor_act(spec, VirElement.e(k), v)
             assert key not in got.terms and not got.is_zero()
             assert got == leibniz_reference(spec, VirElement.e(k), v)
         # beside the generator, whose image lands on that key: it stays
-        gen = (((0,),), ())
+        gen = ((0,), ())
         assert get_engine(mu)._act_idx(k, (0,)).get(s) is not None
         v = TensorElement({key: sc(3), gen: sc(-1)})
         got = tensor_act(spec, VirElement.e(k), v)
@@ -208,8 +208,9 @@ class TestTensorAct:
 
         def assert_clean(v):
             assert v == TensorElement(v.terms)
-            for (parts, mono), c in v.terms.items():
-                assert type(parts) is tuple and type(mono) is tuple
+            for key, c in v.terms.items():
+                parts, mono = key[:-1], key[-1]
+                assert type(key) is tuple and type(mono) is tuple
                 assert all(type(p) is tuple and all(type(i) is int for i in p) for p in parts)
                 assert all(type(j) is int for j in mono)
                 assert type(c) is Scalar and not c.is_zero()
@@ -256,11 +257,11 @@ class TestTensorAct:
                     mono = () if tail.is_trivial() else tuple(
                         sorted(rng.randint(tail.m - 3, tail.m - 1) for _ in range(rng.randint(0, 2)))
                     )
-                    terms[(parts, mono)] = sc(rng.choice((-2, 1, 3)))
+                    terms[parts + (mono,)] = sc(rng.choice((-2, 1, 3)))
                 v = TensorElement(terms)
                 x = rand_vir(rng, -3, 3) + VirElement.z(sc(rng.choice((0, 2))))
                 full = tensor_act(spec, x, v).terms
-                drop = {k for k in full if rng.random() < 0.5} | {(spec.zero_index(), ("absent",))}
+                drop = {k for k in full if rng.random() < 0.5} | {spec.zero_index() + (("absent",),)}
                 if not drop & set(full):
                     drop.add(min(full))
                 assert dropped_exactly(tensor_act, spec, x, v, drop)
@@ -289,14 +290,15 @@ def leibniz_reference(spec, x, v):
     """tensor_act written out: each induced slot, the tail on the e part, z through the tail."""
     g = x.e_part
     out = {}
-    for (parts, mono), coeff in v.terms.items():
+    for key, coeff in v.terms.items():
+        parts, mono = key[:-1], key[-1]
         for i, mu in enumerate(spec.factors):
             for idx, c in get_engine(mu).act_on_index(g, parts[i]).items():
-                accumulate(out, {(parts[:i] + (idx,) + parts[i + 1 :], mono): c * coeff})
+                accumulate(out, {parts[:i] + (idx,) + parts[i + 1 :] + (mono,): c * coeff})
         if not spec.tail.is_trivial():
             for mono2, c in b_act(spec.tail, VirElement(g), {mono: sc(1)}).items():
-                accumulate(out, {(parts, mono2): c * coeff})
-            accumulate(out, {(parts, mono): x.z_part * spec.tail.c * coeff})
+                accumulate(out, {parts + (mono2,): c * coeff})
+            accumulate(out, {key: x.z_part * spec.tail.c * coeff})
     return TensorElement(out)
 
 
@@ -346,13 +348,13 @@ class TestCyclicReduce:
         spec = TensorSpec([single_root_character(1, 1, [2])])
         trace, final = cyclic_reduce(spec, basis(spec, [(1,)]))
         assert len(trace) == 1
-        assert set(p for p, _ in final.terms) == {((0,),)}
+        assert set(key[:-1] for key in final.terms) == {((0,),)}
 
     def test_two_factors(self):
         spec = TensorSpec([single_root_character(1, 1, [2]), single_root_character(2, 1, [1])])
         trace, final = cyclic_reduce(spec, basis(spec, [(1,), (0,)]))
         assert 1 <= len(trace) <= 2
-        assert set(p for p, _ in final.terms) == {((0,), (0,))}
+        assert set(key[:-1] for key in final.terms) == {((0,), (0,))}
 
     def test_grid_with_tails(self):
         pairs = [(sc(1), sc(2)), (sc(1), sc(-1))]
@@ -369,7 +371,7 @@ class TestCyclicReduce:
                 parts = (s[:n1], s[n1:])
                 trace, final = cyclic_reduce(spec, basis(spec, parts))
                 assert len(trace) <= 8
-                assert all(not any(p0) for p, _ in final.terms for p0 in p)
+                assert all(not any(p0) for key in final.terms for p0 in key[:-1])
 
     def test_seeded_sweep_reaches_the_generator(self):
         # 1-3 factors of large degree, every tail family, rational, fractional
@@ -410,11 +412,11 @@ class TestCyclicReduce:
                 mono = () if spec.tail.is_trivial() else tuple(
                     sorted(rng.randint(spec.tail.m - 3, spec.tail.m - 1) for _ in range(rng.randint(0, 2)))
                 )
-                terms[(parts, mono)] = scalar(True)
+                terms[parts + (mono,)] = scalar(True)
             trace, final = cyclic_reduce(spec, TensorElement(terms))
             steps += len(trace)
             assert not final.is_zero(), k
-            assert all(not any(p0) for p, _ in final.terms for p0 in p), k
+            assert all(not any(p0) for key in final.terms for p0 in key[:-1]), k
         assert steps > 200
 
     def test_strict_descent(self):
@@ -427,7 +429,7 @@ class TestCyclicReduce:
     def test_single_factor_with_tail(self):
         spec = TensorSpec([single_root_character(1, 1, [2])], TailModuleSpec.verma(sc(3), sc(1)))
         trace, final = cyclic_reduce(spec, basis(spec, [(2,)]))
-        assert all(not any(p0) for p, _ in final.terms for p0 in p)
+        assert all(not any(p0) for key in final.terms for p0 in key[:-1])
 
     def test_nonzero_tail_monomials(self):
         # tail vectors below the cyclic one raise the annihilation bound;
@@ -439,10 +441,10 @@ class TestCyclicReduce:
         w = basis(spec, [(1,), (0,)], (-2,)) + basis(spec, [(0,), (0,)], (-1, -1)) * sc(3)
         trace, final = cyclic_reduce(spec, w)
         assert not final.is_zero()
-        assert all(not any(p0) for p, _ in final.terms for p0 in p)
+        assert all(not any(p0) for key in final.terms for p0 in key[:-1])
         # the step operator was shifted above the annihilation bound of the
         # tail vectors, so the leading component descends to the generator slot
-        assert ((((0,), (0,))), (-2,)) in final.terms
+        assert ((0,), (0,), (-2,)) in final.terms
 
     def test_small_degree_rejected(self):
         spec = TensorSpec([ones(1, 3, 0)])
@@ -453,7 +455,7 @@ class TestCyclicReduce:
         spec = TensorSpec([single_root_character(1, 1, [1]), single_root_character(2, 1, [1])])
         w = basis(spec, [(1,), (1,)])
         trace, final = cyclic_reduce(spec, w)
-        assert len(trace) == 2 and {p for p, _ in final.terms} == {((0,), (0,))}
+        assert len(trace) == 2 and {key[:-1] for key in final.terms} == {((0,), (0,))}
         return spec, w
 
     def test_wrong_power_is_caught(self, monkeypatch):
@@ -489,7 +491,7 @@ class TestNonSimpleWitness:
                     continue
                 v = basis(spec, (s[:3], s[3:]))
                 out = tensor_act(spec, x, v)
-                assert all(p[0][2] >= 1 for p, _ in out.terms)
+                assert all(key[0][2] >= 1 for key in out.terms)
 
 
 class TestSimplicityVerdict:
@@ -834,6 +836,48 @@ class TestCertifiedEquivariance:
 
         monkeypatch.setattr(RestrictedCharacter, "mu_x", moved)
         assert not general_tensor_map(rc, 1, kind="restricted")["equivariance"]
+
+    @staticmethod
+    def checked_j(monkeypatch, source, kind, F):
+        """The j of every t^j F that general_tensor_map acts with, in order."""
+        seen = []
+        act = tensor.tensor_act
+
+        def spy(spec, x, v, drop=()):
+            j = min(x.e_part.terms, default=None)
+            if j is not None and x.e_part == F.shift(j):
+                seen.append(j)
+            return act(spec, x, v, drop)
+
+        monkeypatch.setattr(tensor, "tensor_act", spy)
+        assert general_tensor_map(source, 1, kind=kind)["passed"]
+        return seen
+
+    # N = sum_i (n_i + r_i + 1), worked out by hand from each source's roots
+    # (n_i their multiplicities, r_i the degrees of their polynomials)
+    N_CASES = {
+        "one_linear_factor": ([ones(2, 1, 0)], 2),
+        "one_factor_n3_r1": ([ones(2, 3, 1)], 3 + 1 + 1),
+        "zero_character_n2": ([ones(1, 2, -1)], 2 - 1 + 1),
+        "two_zero_characters": (PARTS, 2 + 2),
+        "mixed": ([ones(1, 1, 0), ones(2, 2, 1), ones(-1, 3, 2)], (1 + 0 + 1) + (2 + 1 + 1) + (3 + 2 + 1)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(N_CASES))
+    def test_polynomial_kind_checks_j_below_n(self, name, monkeypatch):
+        factors, N = self.N_CASES[name]
+        spec = TensorSpec(factors)
+        assert sum(tensor._annihilation_exponents(spec, spec.generator())) == N
+        assert self.checked_j(monkeypatch, factors, "polynomial", compose(factors).ambient) == list(range(N))
+
+    @pytest.mark.parametrize("m", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("name", ["one_linear_factor", "mixed"])
+    def test_restricted_kind_checks_the_window_then_n_more(self, name, m, monkeypatch):
+        # the free window [m, 2m] (empty at m = -1), then N values above 2m
+        factors, N = self.N_CASES[name]
+        tail = ExpPolyCharacter([mu.factors[0] for mu in factors])
+        rc = RestrictedCharacter(m, tail, {j: sc(j - 1) for j in range(m, 2 * m + 1)}, sc(2))
+        assert self.checked_j(monkeypatch, rc, "restricted", tail.ambient) == list(range(m, 2 * m + N + 1))
 
     def test_equivariance_work_does_not_grow_with_depth(self, monkeypatch):
         monkeypatch.setattr(induced, "_engines", {})
