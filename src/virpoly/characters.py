@@ -21,7 +21,7 @@ from .errors import (
     SingularSystem,
 )
 from .laurent import ONE_POLY, LaurentPoly, divide_exact, linear_factor
-from .scalars import ONE, Scalar, json_index, json_int, json_list, json_map, sc
+from .scalars import ONE, Scalar, json_field, json_index, json_int, json_list, json_map, sc
 from .sparse import Echelon, accumulate
 
 
@@ -189,11 +189,10 @@ class ExpPolyCharacter:
     def from_json(obj) -> "ExpPolyCharacter":
         obj = json_map(obj, "a character")
         factors = []
-        for f in json_list(obj["factors"], "the character factors"):
-            f = json_map(f, "a character factor")
-            n = json_int(f["n"], "a root multiplicity n")
+        for f in json_list(json_field(obj, "factors", "a character"), "the character factors"):
+            n = json_int(json_field(f, "n", "a character factor"), "a root multiplicity n")
             p = p_from_json(json_list(f.get("p", []), "a character polynomial p"))
-            factors.append((Scalar.from_json(f["lambda"]), n, p))
+            factors.append((Scalar.from_json(json_field(f, "lambda", "a character factor")), n, p))
         extra = LaurentPoly.from_json(obj["extra"]) if "extra" in obj else ONE_POLY
         check_degree(sum(n for _, n, _ in factors) + max(extra.terms, default=0), "the character")
         return ExpPolyCharacter(factors, extra)
@@ -462,11 +461,12 @@ class RestrictedCharacter:
     @staticmethod
     def from_json(obj) -> "RestrictedCharacter":
         tail = ExpPolyCharacter.from_json(obj)
-        r = json_map(obj["restriction"], "a restriction")
+        r = json_map(json_field(obj, "restriction", "a restricted character"), "a restriction")
         window = json_map(r.get("window", {}), "a window")
         window = {json_index(j, "a window index"): Scalar.from_json(v) for j, v in window.items()}
         z = Scalar.from_json(r.get("z", "0"))
-        return RestrictedCharacter(json_int(r["m"], "the restriction index m"), tail, window, z)
+        m = json_int(json_field(r, "m", "a restriction"), "the restriction index m")
+        return RestrictedCharacter(m, tail, window, z)
 
     def __repr__(self):
         return f"RestrictedCharacter(m={self.m}, F={self.tail.ambient!r})"

@@ -20,7 +20,7 @@ from .characters import (
 from .errors import VirpolyError
 from .induced import ModuleElement, get_engine, reduce_to_generator
 from .laurent import LaurentPoly, lie_bracket
-from .scalars import Scalar, json_int, json_list, json_map
+from .scalars import Scalar, json_field, json_int, json_list, json_map
 from .tensor import (
     TensorSpec,
     general_tensor_map,
@@ -82,32 +82,32 @@ def _check_field(raw, field: str) -> None:
 def _cmd_bracket(raw, args):
     kind = raw.get("kind", "laurent")
     if kind == "laurent":
-        a = LaurentPoly.from_json(raw["a"])
-        b = LaurentPoly.from_json(raw["b"])
+        a = LaurentPoly.from_json(json_field(raw, "a", "the spec"))
+        b = LaurentPoly.from_json(json_field(raw, "b", "the spec"))
         return {"kind": kind, "result": lie_bracket(a, b)}
     if kind == "vir":
-        a = VirElement.from_json(raw["a"])
-        b = VirElement.from_json(raw["b"])
+        a = VirElement.from_json(json_field(raw, "a", "the spec"))
+        b = VirElement.from_json(json_field(raw, "b", "the spec"))
         return {"kind": kind, "result": vir_bracket(a, b)}
     raise VirpolyError(f"unknown bracket kind {kind!r}")
 
 
 def _module_vector(raw):
     """The character and the module vector of a request, the indices checked."""
-    mu = ExpPolyCharacter.from_json(raw["character"])
-    return mu, get_engine(mu).check(ModuleElement.from_json(raw["vector"]))
+    mu = ExpPolyCharacter.from_json(json_field(raw, "character", "the spec"))
+    return mu, get_engine(mu).check(ModuleElement.from_json(json_field(raw, "vector", "the spec")))
 
 
 def _cmd_act(raw, args):
     mu, v = _module_vector(raw)
     eng = get_engine(mu)
-    elem = json_map(raw["element"], "the element")
+    elem = json_map(json_field(raw, "element", "the spec"), "the element")
     if "vir" in elem:
         x = VirElement.from_json(elem["vir"])
         _check_indices(x.e_part.terms, "an element exponent")
         out = eng.act_vir(x, v)
     else:
-        g = LaurentPoly.from_json(elem["laurent"])
+        g = LaurentPoly.from_json(json_field(elem, "laurent", "the element"))
         _check_indices(g.terms, "an element exponent")
         out = eng.act(g, v)
     return {"result": out}
@@ -140,7 +140,7 @@ MAX_VERIFY_DEPTH = 20
 
 
 def _cmd_char_validate(raw, args):
-    mu = ExpPolyCharacter.from_json(raw["character"])
+    mu = ExpPolyCharacter.from_json(json_field(raw, "character", "the spec"))
     bounds = json_list(raw.get("range", [-10, 10]), "the range")
     if len(bounds) != 2:
         raise ValueError("the range must hold exactly two integers")
@@ -156,7 +156,7 @@ def _cmd_char_validate(raw, args):
 
 
 def _cmd_char_split(raw, args):
-    rc = RestrictedCharacter.from_json(raw["character"])
+    rc = RestrictedCharacter.from_json(json_field(raw, "character", "the spec"))
     ddot, hat = rc.split_muhat()
     report = {
         "mu_ddot": ddot,
@@ -172,7 +172,7 @@ def _cmd_char_split(raw, args):
 
 
 def _cmd_char_decompose(raw, args):
-    mu = ExpPolyCharacter.from_json(raw["character"])
+    mu = ExpPolyCharacter.from_json(json_field(raw, "character", "the spec"))
     return {"components": list(decompose(mu))}
 
 
@@ -198,8 +198,8 @@ def _cmd_simplicity(raw, args):
 
 
 def _cmd_iso(raw, args):
-    a = TensorSpec.from_json(raw["a"])
-    b = TensorSpec.from_json(raw["b"])
+    a = TensorSpec.from_json(json_field(raw, "a", "the spec"))
+    b = TensorSpec.from_json(json_field(raw, "b", "the spec"))
     return iso_decide(a, b)
 
 
@@ -209,7 +209,7 @@ def _cmd_tensor_map(raw, args):
         parts = TensorSpec.factors_from_json(raw)
         return general_tensor_map(parts, args.depth, kind="polynomial")
     if kind == "restricted":
-        rc = RestrictedCharacter.from_json(raw["character"])
+        rc = RestrictedCharacter.from_json(json_field(raw, "character", "the spec"))
         return general_tensor_map(rc, args.depth, kind="restricted")
     raise VirpolyError(f"unknown tensor-map kind {kind!r}")
 

@@ -36,7 +36,7 @@ from .densepoly import index_poly, pdeg, pshift
 from .errors import HypothesisViolation, SearchExhausted, ZeroLambda, ZeroVector
 from .faulhaber import faulhaber
 from .laurent import LaurentPoly, linear_factor, taylor
-from .scalars import ONE, Scalar, json_list, json_map, sc
+from .scalars import ONE, Scalar, json_field, json_list, json_map, sc
 from .sparse import SparseVector, accumulate, add_term, bilinear
 from .virasoro import VirElement, theta
 
@@ -98,10 +98,10 @@ class ModuleElement(SparseVector):
     def from_json(obj) -> "ModuleElement":
         terms = {}
         for t in json_list(json_map(obj, "a module vector").get("terms", []), "the terms"):
-            s = json_map(t, "a module vector term")["s"]
+            s = json_field(t, "s", "a module vector term")
             if not isinstance(s, list) or not all(type(x) is int for x in s):
                 raise ValueError(f"a module index must be a list of integers, not {s!r}")
-            accumulate(terms, {tuple(s): Scalar.from_json(t["c"])})
+            accumulate(terms, {tuple(s): Scalar.from_json(json_field(t, "c", "a module vector term"))})
         return ModuleElement(terms)
 
 

@@ -271,6 +271,15 @@ def json_map(obj, what: str) -> dict:
     return obj
 
 
+def json_field(obj, key: str, what: str):
+    """obj[key] for a JSON object obj that holds key; else ValueError naming
+    the missing field and what it belongs to."""
+    obj = json_map(obj, what)
+    if key not in obj:
+        raise ValueError(f"{what} has no {key!r} field")
+    return obj[key]
+
+
 def json_int(obj, what: str) -> int:
     """obj itself when it is a JSON integer; floats, bools and strings raise ValueError."""
     if type(obj) is not int:

@@ -92,17 +92,34 @@ def add_term(target: dict, key, c) -> None:
     target[key] = c
 
 
+def scales(g: dict, c) -> list:
+    """(k, a c) for each term a of g at k: None when a and c are both one,
+    and a unit factor is not multiplied in.
+
+    The unit tests read the integer triples, so a caller scaling by the
+    result compares no Scalars.
+    """
+    unit = c._a == 1 and c._d == 1 and not c._b
+    out = []
+    for k, a in g.items():
+        if a._a == 1 and a._d == 1 and not a._b:
+            out.append((k, None if unit else c))
+        else:
+            out.append((k, a if unit else a * c))
+    return out
+
+
 def bilinear(column, g: dict, v: dict) -> dict:
     """The fresh map sum of g[k] v[key] column(k, key) over k in g and key in v.
 
     This is the action of the induced and tail engines: column(k, key) is
     e_k on one basis vector, often a memo entry, so it is only read.  A unit
-    factor is not multiplied in.
+    factor is not multiplied in (``scales``).
     """
     out = {}
     for key, c in v.items():
-        for k, a in g.items():
-            accumulate(out, column(k, key), c if a == ONE else a if c == ONE else a * c)
+        for k, f in scales(g, c):
+            accumulate(out, column(k, key), f)
     return out
 
 
@@ -174,7 +191,8 @@ class Echelon:
     nonzero remainder becomes a pivot normalised to 1 at its least key, and
     that label is then removed from every earlier pivot row that holds it;
     its other keys lie above the new label, which lies above the earlier
-    row's own.  The least label, not the first in dict order, keeps the
+    row's own.  A remainder of one key is {label: 1} outright, with no
+    division, and removing its label from an earlier row is a deletion.  The least label, not the first in dict order, keeps the
     pivots independent of insertion order and makes a label above all
     others (a right-hand side) a pivot only when nothing else is left of its
     row.  An earlier row is replaced by a fresh dict, never changed in
@@ -217,6 +235,8 @@ class Echelon:
         """
         pivots, holders, units = self.pivots, self.holders, self.units
         for vec in rows:
+            if not vec:
+                continue
             row = {}
             longer = []
             for k, c in vec.items():
@@ -231,27 +251,34 @@ class Echelon:
             if not row:
                 continue
             label = min(row)
-            lead = row[label]
-            if lead != ONE:
-                row = accumulate({}, row, ONE / lead)
-            keys = [k for k in row if k != label]
-            for k in keys:
-                holders.setdefault(k, set()).add(label)
+            if len(row) == 1:
+                row = {label: ONE}
+                units.add(label)
+                keys = ()
+            else:
+                lead = row[label]
+                if lead._a != 1 or lead._b or lead._d != 1:
+                    row = accumulate({}, row, ONE / lead)
+                keys = [k for k in row if k != label]
+                for k in keys:
+                    holders.setdefault(k, set()).add(label)
             others = holders.pop(label, ())
             self.replaced += len(others)
             for other in others:
                 prow = pivots[other]
-                new = accumulate(dict(prow), row, -prow[label])
-                for k in keys:
-                    if k in new:
-                        if k not in prow:
-                            holders[k].add(other)
-                    elif k in prow:
-                        holders[k].discard(other)
+                new = dict(prow)
+                if keys:
+                    accumulate(new, row, -prow[label])
+                    for k in keys:
+                        if k in new:
+                            if k not in prow:
+                                holders[k].add(other)
+                        elif k in prow:
+                            holders[k].discard(other)
+                else:
+                    del new[label]
                 if len(new) == 1:
                     units.add(other)
                 pivots[other] = new
-            if not keys:
-                units.add(label)
             pivots[label] = row
         return self

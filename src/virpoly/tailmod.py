@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import VirpolyError
-from .scalars import ONE, Scalar, json_index, json_int, json_map, sc
+from .scalars import ONE, Scalar, json_field, json_index, json_int, json_map, sc
 from .sparse import accumulate, add_term, bilinear, clean
 from .virasoro import VirElement, _cocycle
 
@@ -95,7 +95,7 @@ class TailModuleSpec:
 
     @staticmethod
     def from_json(obj) -> "TailModuleSpec":
-        kind = json_map(obj, "a tail module")["type"]
+        kind = json_field(obj, "type", "a tail module")
         if not isinstance(kind, str) or kind not in _FIELDS:
             raise ValueError(f"unknown tail module type {kind!r}")
         stray = [name for name in ("m", "c", "h", "psi") if name in obj and name not in _FIELDS[kind]]

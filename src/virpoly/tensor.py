@@ -23,8 +23,8 @@ from .densepoly import pdeg
 from .errors import DepthTooSmall, HypothesisViolation, SearchExhausted, VirpolyError
 from .induced import REDUCE_MAX_STEPS, descent_power, get_engine
 from .laurent import ONE_POLY, LaurentPoly, bezout, poly_divmod
-from .scalars import ONE, Scalar, json_list, json_map
-from .sparse import Echelon, SparseVector, add_term
+from .scalars import Scalar, json_field, json_list, json_map
+from .sparse import Echelon, SparseVector, accumulate, add_term, scales
 from .tailmod import TailModuleSpec, ann_bound, get_tail_engine, tail_simplicity
 from .virasoro import VirElement, theta, vir_bracket
 
@@ -80,7 +80,7 @@ class TensorSpec:
         their product at most ``MAX_CHARACTER_DEGREE``."""
         factors = [
             ExpPolyCharacter.from_json({"factors": [f]})
-            for f in json_list(obj["factors"], "the factors")
+            for f in json_list(json_field(obj, "factors", "a tensor spec"), "the factors")
         ]
         check_degree(sum(mu.ambient.degree() for mu in factors), "the product of the factors")
         return factors
@@ -112,42 +112,49 @@ class TensorElement(SparseVector):
         }
 
 
-def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement, drop=()) -> TensorElement:
-    """Leibniz action, in one pass over the terms of v.
+def _leibniz(columns, g: dict, v: dict, drop) -> dict:
+    """The Leibniz sum of the letter terms g {k: a} on the vector terms v
+    {key: c}, as a fresh map with no term at a key in ``drop``.
 
-    For a term with key (s_1, ..., s_k, mono) and coefficient c, and each e_k
-    of theta(x) with coefficient a, every slot's column entry, the factor
-    memo ``_act_idx(k, s_i)`` or the tail's ``_act_e(k, mono)``, is added
-    into the result at the key with that slot replaced, multiplied by a c,
-    and not at all when that is one; as in ``bilinear``, a unit a or c is
-    not multiplied in.  ``add_term`` drops a zero sum: the slots meet at the
-    term's own key, and the terms of v may meet anywhere.  z is central and
-    acts through the tail's ``act_vir``, which only scales the map it is
-    given (the induced factors kill z, so a trivial tail leaves z nothing).
-
-    No term is formed at a key in ``drop``, so the result is the action with
-    those keys removed: the word span passes the unit labels of its
-    ``Echelon``, which reducing a row would delete.
+    For each term of v and each e_k of g, every slot's column entry, the
+    factor memo ``_act_idx(k, s_i)`` or the tail's ``_act_e(k, mono)``, is
+    added in at the key with that slot replaced, scaled by a c unless that
+    is one (``scales``).  ``add_term`` drops a zero sum: the slots meet at
+    the term's own key, and the terms of v may meet anywhere.
     """
-    tail = spec._tail_engine
     out = {}
-    if tail is not None and not x.z_part.is_zero():
-        out = tail.act_vir(VirElement.z(x.z_part), v.terms)
-        if drop:
-            out = {key: c for key, c in out.items() if key not in drop}
-    g = theta(x).terms
-    for key, c in v.terms.items():
-        scales = []
-        for k, a in g.items():
-            f = c if a == ONE else a if c == ONE else a * c
-            scales.append((k, None if f == ONE else f))
-        for i, column in spec._columns:
-            head, s, rest = key[:i], key[i], key[i + 1 :]
-            for k, f in scales:
+    for key, c in v.items():
+        scaled = scales(g, c)
+        parts = list(key)
+        for i, column in columns:
+            s = parts[i]
+            for k, f in scaled:
                 for idx, d in column(k, s).items():
-                    key2 = head + (idx,) + rest
-                    if key2 not in drop:
-                        add_term(out, key2, d if f is None else d * f)
+                    parts[i] = idx
+                    key2 = tuple(parts)
+                    if key2 in drop:
+                        continue
+                    if f is not None:
+                        d = d * f
+                    if key2 in out:
+                        add_term(out, key2, d)
+                    else:
+                        out[key2] = d
+            parts[i] = s
+    return out
+
+
+def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement) -> TensorElement:
+    """Leibniz action of x on v: ``_leibniz`` on theta(x), plus z.
+
+    z is central and acts through the tail's ``act_vir``, which only scales
+    the map it is given (the induced factors kill z, so a trivial tail
+    leaves z nothing).
+    """
+    out = _leibniz(spec._columns, theta(x).terms, v.terms, ())
+    tail = spec._tail_engine
+    if tail is not None and not x.z_part.is_zero():
+        accumulate(out, tail.act_vir(VirElement.z(x.z_part), v.terms))
     return TensorElement.adopt(out)
 
 
@@ -365,18 +372,20 @@ def _word_vectors(spec: TensorSpec, letters, depth: int):
     no replacement; in this order most new labels arrive below the one
     before (ascending, most arrive above it, and the rows holding them are
     rebuilt).  The reduced form of a span is unique, so the order changes
-    only the work, not the rows.  No term is formed at a unit label of the
+    only the work, not the rows.  Each row and each letter's terms go to
+    ``_leibniz`` as they are, and no term is formed at a unit label of the
     ``Echelon`` (``drop``): the reduction would delete it.
     """
-    letters = [VirElement.from_laurent(g) for g in reversed(letters)]
+    letters = [g.terms for g in reversed(letters)]
+    columns = spec._columns
     rows = Echelon((spec.generator().terms,))
+    units = rows.units
     size = 0
     for _ in range(depth):
         # the rows of the labels the last layer added, in insertion order
         new = list(islice(reversed(rows.pivots.values()), len(rows) - size))
-        layer = [TensorElement.adopt(row) for row in reversed(new)]
         size = len(rows)
-        rows.extend(tensor_act(spec, g, v, rows.units).terms for v in layer for g in letters)
+        rows.extend(_leibniz(columns, g, row, units) for row in reversed(new) for g in letters)
     return rows
 
 
@@ -442,7 +451,7 @@ def _abstract_slice_dim(letters, reduce, depth: int, bound=None) -> int:
         if k > 1:
             layer = [vir_bracket(b, l) for b in layer for l in letter_elems]
         span = Echelon(x.e_part.terms for x in layer)
-        layer = [VirElement(row) for row in span.pivots.values()]
+        layer = [VirElement(LaurentPoly.adopt(row)) for row in span.pivots.values()]
         size = len(images)
         images.extend(map(reduce, layer))
         for _ in range(len(images) - size):
@@ -455,10 +464,11 @@ def _abstract_slice_dim(letters, reduce, depth: int, bound=None) -> int:
 
 # The largest slice rank the word span is built for: just above 30,232, the
 # largest depth-7 rank of one linear factor (m = -1), which is checked cold
-# in about 2.3 s and 79 MB (m = 1: 1.2 s, 57 MB); depth 8 counts 109,486
-# and more, and takes about 6.9 s and 273 MB at m = 1 (2-core host), with
-# the tail memo the largest structure.  The count stops once it passes the
-# bound, so a refusal is prompt at any depth.
+# in about 1.9-2.1 s and 78 MB (m = 0: 1.2-1.4 s, 65 MB; m = 1: 1.2-1.3 s,
+# 56 MB); depth 8 counts 109,486 and more, and takes 7.8-8.7 s and 269 MB
+# at m = 1 (shared 2-core host, Python 3.11.7), with the tail memo the
+# largest structure.  The count stops once it passes the bound, so a
+# refusal is prompt at any depth.
 MAX_SLICE_RANK = 30300
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import IndexOutOfSubalgebra, ZeroLambda
 from .laurent import LaurentPoly
-from .scalars import Scalar, _make, _reduced, json_map, sc
+from .scalars import ZERO, Scalar, _make, _reduced, json_map, sc
 from .sparse import accumulate
 
 
@@ -92,7 +92,7 @@ def vir_bracket(x: VirElement, y: VirElement) -> VirElement:
     """
     ys = y.e_part.terms
     out = {}
-    zc = Scalar(0)
+    zc = ZERO
     for j, a in x.e_part.terms.items():
         scaled = {}
         for k, b in ys.items():

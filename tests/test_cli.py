@@ -491,6 +491,35 @@ def test_invalid_input_exit_code(tmp_path, capsys):
         code, err = run_invalid(capsys, command, "--spec", write(tmp_path, name + ".json", payload))
         assert code == 2, name
         assert err.startswith("invalid input") and len(err.splitlines()) == 1, name
+    # a required field that is absent is named, with what it belongs to
+    empty = {
+        "bracket": "the spec has no 'a' field",
+        "act": "the spec has no 'character' field",
+        "char-validate": "the spec has no 'character' field",
+        "char-split": "the spec has no 'character' field",
+        "char-decompose": "the spec has no 'character' field",
+        "reduce": "the spec has no 'character' field",
+        "simplicity": "a tensor spec has no 'factors' field",
+        "iso": "the spec has no 'a' field",
+        "tensor-map": "a tensor spec has no 'factors' field",
+    }
+    assert set(empty) == set(cli._WITH_SPEC)
+    missing = [(command, {}, line) for command, line in empty.items()] + [
+        ("act", dict(act, character={}), "a character has no 'factors' field"),
+        ("act", dict(act, character={"factors": [{"n": 1}]}), "a character factor has no 'lambda' field"),
+        ("act", dict(act, character={"factors": [{"lambda": "2"}]}), "a character factor has no 'n' field"),
+        ("act", dict(act, element={}), "the element has no 'laurent' field"),
+        ("act", dict(act, vector={"terms": [{"s": [0, 0]}]}), "a module vector term has no 'c' field"),
+        ("reduce", {"character": act["character"], "vector": {"terms": [{"c": "1"}]}},
+         "a module vector term has no 's' field"),
+        ("char-split", {"character": {"factors": [factor]}}, "a restricted character has no 'restriction' field"),
+        ("char-split", {"character": dict(restricted, restriction={})}, "a restriction has no 'm' field"),
+        ("simplicity", {"factors": [factor], "tail": {}}, "a tail module has no 'type' field"),
+        ("iso", {"a": {"factors": [factor]}}, "the spec has no 'b' field"),
+    ]
+    for command, payload, line in missing:
+        code, err = run_invalid(capsys, command, "--spec", write(tmp_path, "missing.json", payload))
+        assert code == 2 and err == f"invalid input: {line}\n", (command, payload)
 
 
 def test_module_indices_are_validated(tmp_path, capsys):

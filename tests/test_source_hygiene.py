@@ -87,3 +87,34 @@ def test_unnamed_definition_is_caught():
     module = "def used():\n    return 1\n\ndef dead():\n    return used()\n\nclass Gone:\n    pass\n"
     reader = 'SPANS = ("mod.used",)\n"""dead is mentioned only in prose."""\n'
     assert unnamed_definitions({"mod": module}, [module, reader]) == ["mod.Gone", "mod.dead"]
+
+
+# The integer triples (a, b, d) of a Scalar are read only by the exact kernel:
+# the Scalar type itself, the sparse loops, and the Virasoro bracket.
+TRIPLE_READERS = {"scalars", "sparse", "virasoro"}
+
+
+def triple_reads(source: str) -> list:
+    """Line numbers where a source reads ``._a``, ``._b`` or ``._d``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("_a", "_b", "_d")
+        and isinstance(node.ctx, ast.Load)
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.stem not in TRIPLE_READERS),
+    ids=lambda p: p.stem,
+)
+def test_only_the_kernel_reads_scalar_triples(path):
+    assert triple_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_triple_read_is_caught():
+    source = "def f(c, x):\n    x._a = 1\n    if c._b:\n        return c._d\n    return c.a\n"
+    assert triple_reads(source) == [3, 4]
+    assert {p.stem for p in SRC.glob("*.py")} >= TRIPLE_READERS

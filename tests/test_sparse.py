@@ -1,4 +1,6 @@
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 from math import gcd
 
@@ -198,6 +200,83 @@ class TestContainers:
         assert v == ModuleElement(terms)
 
 
+def gauss_jordan(rows) -> dict:
+    """Reduced row echelon form by dense Gauss-Jordan on (re, im) pairs of
+    Fractions, a reference sharing no code with ``Echelon`` or ``Scalar``
+    arithmetic: columns in ascending key order, each pivot row scaled to 1
+    at its pivot and cleared from every other row.  Returns {pivot column:
+    {key: (re, im)}} with the zeros left out."""
+    cols = sorted({k for row in rows for k in row})
+    zero = (Fraction(0), Fraction(0))
+
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def sub(x, y):
+        return (x[0] - y[0], x[1] - y[1])
+
+    def inv(x):
+        n = x[0] * x[0] + x[1] * x[1]
+        return (x[0] / n, -x[1] / n)
+
+    m = [[(row[k].re, row[k].im) if k in row else zero for k in cols] for row in rows]
+    r = 0
+    pivot_cols = []
+    for j in range(len(cols)):
+        at = next((i for i in range(r, len(m)) if m[i][j] != zero), None)
+        if at is None:
+            continue
+        m[r], m[at] = m[at], m[r]
+        scale = inv(m[r][j])
+        m[r] = [mul(x, scale) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][j] != zero:
+                f = m[i][j]
+                m[i] = [sub(x, mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivot_cols.append(j)
+        r += 1
+    return {cols[j]: {cols[i]: x for i, x in enumerate(m[n]) if x != zero} for n, j in enumerate(pivot_cols)}
+
+
+def pivot_faults(echelon_cls, rows) -> list:
+    """Where an ``Echelon`` class built row by row departs from the
+    reference: its rank against ``dense_rank``, its rows against
+    ``gauss_jordan``, and any single-key pivot other than {label: ONE}."""
+    ech = echelon_cls()
+    faults = []
+    for n, row in enumerate(rows, 1):
+        ech.extend([row])
+        if len(ech) != dense_rank(rows[:n]):
+            faults.append(("rank", n))
+        got = {label: {k: (c.re, c.im) for k, c in prow.items()} for label, prow in ech.pivots.items()}
+        if got != gauss_jordan(rows[:n]):
+            faults.append(("rows", n))
+        faults += [("unit", n, label) for label, prow in ech.pivots.items() if len(prow) == 1 and prow != {label: ONE}]
+    return faults
+
+
+def single_key_rows(rng, gaussian: bool) -> list:
+    """Rows over 0..9 whose reductions often leave one key, at a coefficient
+    other than one: scaled single keys, and combinations of earlier rows plus
+    a scaled single key."""
+
+    def coeff():
+        c = sc(rng.choice((-3, -2, 2, 3, 5))) / sc(rng.choice((1, 2, 7)))
+        return c + Scalar(0, rng.choice((-1, 1, 2))) if gaussian and rng.random() < 0.6 else c
+
+    rows = []
+    for _ in range(14):
+        kind = rng.random()
+        if kind < 0.3 or not rows:
+            rows.append({rng.randrange(10): coeff()})
+        elif kind < 0.6:
+            rows.append({k: coeff() for k in rng.sample(range(10), rng.randint(2, 4))})
+        else:
+            row = accumulate(dict(rng.choice(rows)), rng.choice(rows), coeff())
+            rows.append(accumulate(row, {rng.randrange(10): coeff()}))
+    return rows
+
+
 class TestEchelon:
     def test_rank_and_pivot_shape(self):
         rng = random.Random(5)
@@ -377,6 +456,33 @@ class TestEchelon:
         ech.extend([{0: sc(3), 2: sc(-2), 3: sc(7)}, {3: sc(-4), 5: sc(1), 0: sc(2), 8: sc(-6)}])
         assert ech.pivots == {**pivots, 5: {5: sc(1), 8: sc(-6)}}
         assert ech.holders == {8: {5}}
+
+    @pytest.mark.parametrize("gaussian", [False, True], ids=["Q", "Qi"])
+    def test_single_key_pivots_match_gauss_jordan(self, gaussian):
+        rng = random.Random(29 + gaussian)
+        seen = 0
+        for _ in range(12):
+            rows = single_key_rows(rng, gaussian)
+            assert pivot_faults(Echelon, rows) == []
+            seen += sum(len(row) == 1 and row[min(row)] != ONE for row in rows)
+        # the rows reach the single-key path with coefficients other than one
+        assert seen > 20
+        if gaussian:
+            assert any(not c.is_rational() for row in rows for c in row.values())
+
+    def test_a_pivot_keeping_its_coefficient_is_caught(self):
+        # the same class, except that a single-key pivot keeps the coefficient
+        # it arrived with instead of becoming {label: ONE}
+        source = textwrap.dedent(inspect.getsource(Echelon))
+        assert source.count("row = {label: ONE}") == 1
+        namespace = dict(vars(sparse))
+        exec(source.replace("row = {label: ONE}", "row = {label: row[label]}"), namespace)
+        mutant = namespace["Echelon"]
+        rng = random.Random(31)
+        for gaussian in (False, True):
+            rows = single_key_rows(rng, gaussian)
+            faults = pivot_faults(mutant, rows)
+            assert {f[0] for f in faults} == {"rows", "unit"}, gaussian
 
     def test_solve_matches_the_system(self):
         rng = random.Random(11)

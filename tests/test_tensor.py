@@ -10,7 +10,7 @@ from virpoly.errors import DepthTooSmall, HypothesisViolation, SearchExhausted
 from virpoly.induced import get_engine
 from virpoly.laurent import LaurentPoly, linear_factor, poly_divmod
 from virpoly.scalars import Scalar, sc
-from virpoly.sparse import accumulate
+from virpoly.sparse import Echelon, accumulate
 from virpoly.tailmod import TailModuleSpec, b_act
 from virpoly.tensor import (
     MAX_SLICE_RANK,
@@ -233,20 +233,23 @@ class TestTensorAct:
 
     @pytest.mark.parametrize("tail", TAILS, ids=lambda tail: tail.kind)
     def test_drop_removes_exactly_its_keys(self, tail):
-        # a random set of the full image's keys, plus keys it lacks, over one
-        # to three factors and an x with a z part; a mutant that keeps one
+        # the kernel given a random set of the full image's keys, plus keys
+        # it lacks, over one to three factors; a mutant that keeps one
         # dropped key is caught by the same comparison
         rng = random.Random(f"drop:{tail.kind}")
         gaussian = single_root_character(Scalar(1, 1), 2, [Scalar(0, 1), 1])
         grid = ([ones(2, 1, 0)], [ones(2, 1, 0), gaussian], [ones(1, 1, 0), ones(2, 2, 1), ones(-1, 1, 0)])
 
+        def kernel(spec, x, v, drop):
+            return tensor._leibniz(spec._columns, x.e_part.terms, v.terms, drop)
+
         def dropped_exactly(act, spec, x, v, drop):
             full = tensor_act(spec, x, v).terms
-            return act(spec, x, v, drop).terms == {k: c for k, c in full.items() if k not in drop}
+            return act(spec, x, v, drop) == {k: c for k, c in full.items() if k not in drop}
 
         def keeps_one(spec, x, v, drop):
             kept = min(k for k in drop if k in tensor_act(spec, x, v).terms)
-            return tensor_act(spec, x, v, drop - {kept})
+            return kernel(spec, x, v, drop - {kept})
 
         for factors in grid:
             spec = TensorSpec(factors, tail)
@@ -259,14 +262,16 @@ class TestTensorAct:
                     )
                     terms[parts + (mono,)] = sc(rng.choice((-2, 1, 3)))
                 v = TensorElement(terms)
-                x = rand_vir(rng, -3, 3) + VirElement.z(sc(rng.choice((0, 2))))
-                full = tensor_act(spec, x, v).terms
+                full = {}
+                while not full:
+                    x = rand_vir(rng, -3, 3, with_z=False)
+                    full = tensor_act(spec, x, v).terms
                 drop = {k for k in full if rng.random() < 0.5} | {spec.zero_index() + (("absent",),)}
                 if not drop & set(full):
                     drop.add(min(full))
-                assert dropped_exactly(tensor_act, spec, x, v, drop)
+                assert dropped_exactly(kernel, spec, x, v, drop)
                 assert not dropped_exactly(keeps_one, spec, x, v, drop)
-                assert tensor_act(spec, x, v, set(full)).is_zero()
+                assert kernel(spec, x, v, set(full)) == {}
 
     def test_representation_property_all_tails(self):
         rng = random.Random(89)
@@ -644,20 +649,22 @@ def enumerated_slice_dim(letters, reduce, depth):
     return dense_rank(products)
 
 
-def word_image_rank(spec, letters, depth):
-    """Rank of every word image of length <= depth, an oracle for the word span.
-
-    Each image is built by repeated tensor_act from the generator with no
-    reduction in between, and all of them are eliminated once at the end,
-    by dense elimination rather than the sparse kernel's.
-    """
+def word_images(spec, letters, depth):
+    """The image word . v0 of every word of length <= depth, each built by
+    repeated tensor_act from the generator with nothing dropped or reduced
+    in between: the oracle for the word span."""
     letters = [VirElement.from_laurent(g) for g in letters]
     layer = [spec.generator()]
     images = list(layer)
     for _ in range(depth):
         layer = [tensor_act(spec, g, v) for v in layer for g in letters]
         images += layer
-    return dense_rank(w.terms for w in images)
+    return [w.terms for w in images]
+
+
+def word_image_rank(spec, letters, depth):
+    """Rank of every word image, by dense elimination rather than the sparse kernel's."""
+    return dense_rank(word_images(spec, letters, depth))
 
 
 class TestGeneralTensorMap:
@@ -783,6 +790,64 @@ class TestWordSpanOrder:
             assert counts["descending"] < counts["ascending"], (source, counts)
 
 
+REFERENCE_CASES = [(("restricted", [(2, 1)], m), 4) for m in (-1, 0, 1)] + [
+    (("polynomial", "two_roots"), 5),
+    (("polynomial", "three_factors"), 4),
+    (("restricted", [(Scalar(1, 1), 1)], 0), 4),
+]
+
+
+def mutant_kernels(kernel, letters):
+    """Kernels with one defect each: the lowest letter skipped on the first
+    row it meets, the last Leibniz slot left out, a term lost from every
+    image."""
+    low = min(min(g.terms) for g in letters)
+    skipped = []
+
+    def skips_a_letter(columns, g, v, drop):
+        if min(g) == low and not skipped:
+            skipped.append(v)
+            return {}
+        return kernel(columns, g, v, drop)
+
+    def drops_a_slot(columns, g, v, drop):
+        return kernel(columns[:-1], g, v, drop)
+
+    def loses_a_term(columns, g, v, drop):
+        out = kernel(columns, g, v, drop)
+        if out:
+            out.popitem()
+        return out
+
+    return skips_a_letter, drops_a_slot, loses_a_term
+
+
+class TestWordSpanReference:
+    # the reduced echelon form of a span is unique, so the word span built on
+    # the bare kernel must give exactly the pivots of every word image
+
+    @pytest.mark.parametrize("source, depth", REFERENCE_CASES, ids=[f"{source_id(c)}-d{d}" for c, d in REFERENCE_CASES])
+    def test_pivots_are_those_of_every_word_image(self, source, depth):
+        _F, letters, expected = counted_slice(slice_source(source), depth, source[0])
+        spec = slice_spec(source)
+        want = Echelon(word_images(spec, letters, depth)).pivots
+        assert _word_vectors(spec, letters, depth).pivots == want
+        assert len(want) == expected
+
+    @pytest.mark.parametrize("source, depth", REFERENCE_CASES, ids=[f"{source_id(c)}-d{d}" for c, d in REFERENCE_CASES])
+    def test_mutant_kernels_are_caught(self, source, depth, monkeypatch):
+        _F, letters, _expected = counted_slice(slice_source(source), depth, source[0])
+        spec = slice_spec(source)
+        want = Echelon(word_images(spec, letters, depth)).pivots
+        kernel = tensor._leibniz
+        # forming the dropped keys only costs work: the Echelon deletes them
+        monkeypatch.setattr(tensor, "_leibniz", lambda columns, g, v, drop: kernel(columns, g, v, ()))
+        assert _word_vectors(spec, letters, depth).pivots == want
+        for mutant in mutant_kernels(kernel, letters):
+            monkeypatch.setattr(tensor, "_leibniz", mutant)
+            assert _word_vectors(spec, letters, depth).pivots != want, mutant.__name__
+
+
 class TestCertifiedEquivariance:
     # two zero characters of multiplicity 2 at the roots 1 and 2: each side of
     # the equivariance check is a(j) + b(j) 2^j with deg a, deg b <= 1, so the
@@ -843,11 +908,11 @@ class TestCertifiedEquivariance:
         seen = []
         act = tensor.tensor_act
 
-        def spy(spec, x, v, drop=()):
+        def spy(spec, x, v):
             j = min(x.e_part.terms, default=None)
             if j is not None and x.e_part == F.shift(j):
                 seen.append(j)
-            return act(spec, x, v, drop)
+            return act(spec, x, v)
 
         monkeypatch.setattr(tensor, "tensor_act", spy)
         assert general_tensor_map(source, 1, kind=kind)["passed"]
