@@ -336,9 +336,9 @@ def solve_exp_poly(values, roots, j0: int) -> ExpPolyCharacter:
 class RestrictedCharacter:
     """A character of the restricted subalgebra b_m^F, F = prod (t-lam_i)^{n_i}.
 
-    Stores the free window mu_j for m <= j <= 2m+p (p = deg F), the free
-    central value, and the exponential-polynomial tail that matches the
-    window on [2m+1, 2m+p] and governs every higher index.
+    Stores the free window mu_j for m <= j <= 2m, the free central value,
+    and the exponential-polynomial tail that gives mu_j for every j > 2m;
+    the tail's values on [2m+1, 2m+p] (p = deg F) are free too, and fix it.
     """
 
     __slots__ = ("m", "tail", "window", "z_value")
@@ -350,19 +350,13 @@ class RestrictedCharacter:
             raise ValueError("restricted characters need a fully factored F")
         self.m = m
         self.tail = tail
-        p = tail.ambient.degree()
-        full = {}
-        for j in range(m, 2 * m + p + 1):
-            if j >= 2 * m + 1:
-                expect = tail.seq(j)
-                if j in window and not (sc(window[j]) == expect):
-                    raise ValueError(f"window value at {j} disagrees with the tail")
-                full[j] = expect
-            else:
-                if j not in window:
-                    raise ValueError(f"missing free window value at index {j}")
-                full[j] = sc(window[j])
-        self.window = full
+        for j in range(m, 2 * m + 1):
+            if j not in window:
+                raise ValueError(f"missing free window value at index {j}")
+        for j in range(2 * m + 1, 2 * m + tail.ambient.degree() + 1):
+            if j in window and sc(window[j]) != tail.seq(j):
+                raise ValueError(f"window value at {j} disagrees with the tail")
+        self.window = {j: sc(window[j]) for j in range(m, 2 * m + 1)}
         self.z_value = sc(z_value)
 
     @staticmethod
@@ -388,7 +382,7 @@ class RestrictedCharacter:
         """mu(x_j^F) for j >= m."""
         if j < self.m:
             raise IndexOutOfSubalgebra(f"x_{j} is outside b_{self.m}^F")
-        if j in self.window:
+        if j <= 2 * self.m:
             return self.window[j]
         return self.tail.seq(j)
 
@@ -449,11 +443,7 @@ class RestrictedCharacter:
         base = self.tail.to_json()
         base["restriction"] = {
             "m": self.m,
-            "window": {
-                str(j): self.window[j].to_json()
-                for j in sorted(self.window)
-                if j <= 2 * self.m
-            },
+            "window": {str(j): v.to_json() for j, v in self.window.items()},
             "z": self.z_value.to_json(),
         }
         return base

@@ -176,8 +176,23 @@ def _cmd_char_decompose(raw, args):
     return {"components": list(decompose(mu))}
 
 
+# The largest weight |s| = s_0 + ... + s_(n-1) of a module index in a
+# `reduce` vector.  The descent's first step from s acts with f^(n+r+s_0), so
+# the cost grows about as |s|^3: for n = 1, s = [64] takes 0.5-1.6 s (lambda
+# = 2, 1/3 and 3/5 + 4i/7), [80] 1.2-3.0 s, [160] 7.9 s, and [640] did not
+# finish in 60 s (2-core host).  The bound does not see the character's
+# degree, which costs more per unit of weight: n = 2 at [32, 32] takes
+# 2.7-6.6 s, and n = 64 at [10] 5 s.
+MAX_REDUCE_WEIGHT = 64
+
+
 def _cmd_reduce(raw, args):
     mu, v = _module_vector(raw)
+    weight = max(map(sum, v.terms), default=0)
+    if weight > MAX_REDUCE_WEIGHT:
+        raise ValueError(
+            f"a module index of weight {weight} is too large; reduce starts from weights up to {MAX_REDUCE_WEIGHT}"
+        )
     trace, final = reduce_to_generator(mu, v)
     return {
         "steps": [{"j": j, "m": m} for j, m in trace],

@@ -6,6 +6,8 @@ support >= 0, so its ring operations and ``evaluate`` are the shared
 kernel's.  This module keeps only what index polynomials need beyond the
 ring: the reader from the constant-first coefficient list, the degree
 (-1 for zero), the translation p(x) -> p(x + a) and the JSON list form.
+These few helpers could live beside their callers; the module stays
+because the benchmark imports it by name (``perfbench/common.MODULES``).
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ def pdeg(p: LaurentPoly) -> int:
 def pshift(p: LaurentPoly, a) -> LaurentPoly:
     """Compose with a translation: p(x + a), by the binomial expansion.
 
-    The closed forms reach this through ``power_poly``; it stays apart from
-    ``laurent.taylor``, which the straightening engine reads, so the two
-    routes that the verify suites compare share no expansion.
+    The closed forms reach this through ``power_poly``; the straightening
+    engine computes its Taylor data at lambda with its own recurrence
+    (``InducedModule._act_idx``), so the two routes that the verify suites
+    compare share no expansion.
     """
     a = sc(a)
     out = {}

@@ -35,7 +35,7 @@ from .characters import ExpPolyCharacter, single_root_character
 from .densepoly import index_poly, pdeg, pshift
 from .errors import HypothesisViolation, SearchExhausted, ZeroLambda, ZeroVector
 from .faulhaber import faulhaber
-from .laurent import LaurentPoly, linear_factor, taylor
+from .laurent import LaurentPoly, linear_factor
 from .scalars import ONE, Scalar, json_field, json_list, json_map, sc
 from .sparse import SparseVector, accumulate, add_term, bilinear
 from .virasoro import VirElement, theta
@@ -119,6 +119,7 @@ class InducedModule:
         self.p = p
         self.r = pdeg(p)
         self.f = linear_factor(lam)
+        self._inv_lam = ONE / lam
         self._fpow = {0: LaurentPoly({0: 1}), 1: self.f}
         # mu(f^(n+k)) for k <= r, through f^k = sum_i C(k, i) (-lam)^(k-i) t^i;
         # mu kills t^j f^(n+r+1), so the generator needs no higher k
@@ -156,12 +157,23 @@ class InducedModule:
         if hit is not None:
             return hit
         if not any(s):
-            a = taylor(LaurentPoly({k: 1}), self.lam, self.n + self.r + 1)
+            # t^k = sum_i C(k, i) lam^(k-i) f^i, the Taylor data at lam with
+            # the generalized binomial C(k, i), each term from the last by the
+            # ratios 1/lam and (k - i)/(i + 1); C(k, i) = 0 for 0 <= k < i,
+            # and no other term vanishes
+            n = self.n
+            order = n + self.r + 1
             out = {}
-            for i, c in enumerate(a[: self.n]):
-                if not c.is_zero():
+            val = Scalar(0)
+            power, binom = self.lam**k, 1
+            for i in range(order if k < 0 else min(order, k + 1)):
+                c = power * binom
+                if i < n:
                     out[s[:i] + (1,) + s[i + 1 :]] = c
-            val = sum((c * mu_f for c, mu_f in zip(a[self.n :], self._mu_fpow)), Scalar(0))
+                else:
+                    val = val + c * self._mu_fpow[i - n]
+                power = power * self._inv_lam
+                binom = binom * (k - i) // (i + 1)
             # the window bumps never land on the zero index s itself
             if not val.is_zero():
                 out[s] = val
@@ -199,8 +211,9 @@ class InducedModule:
         """Monomial-split action on one basis index; shares the recursion cache.
 
         No code in this package calls it any more (``tensor_act`` reads
-        ``_act_idx`` directly).  It stays as the entry point of the Leibniz
-        oracle in the tests and of the traced benchmark's spans.
+        ``_act_idx`` directly).  It stays because the benchmark traces it by
+        name (``perfbench/tracing.py``, ``SPANS``), and the tests' Leibniz
+        oracle calls it.
         """
         return bilinear(self._act_idx, g.terms, {s: ONE})
 
@@ -334,15 +347,13 @@ def descent_power(mu: ExpPolyCharacter, s) -> tuple:
     return n + r + s[0], dtilde(s)
 
 
-def reduce_step(mu: ExpPolyCharacter, v: ModuleElement, j_window: int = 16):
+def reduce_step(mu: ExpPolyCharacter, v: ModuleElement):
     """One strict decrease of the leading index, by f^m at the shift j = 0.
 
     Requires a vector outside the span of the generator; ``descent_power``
     gives m and the target and checks the character.  Returns ((0, m), w)
     with w = (f^m - mu(f^m)) v, whose leading index must be the target (see
-    ``descent_power`` for why), else SearchExhausted.  ``j_window`` is
-    unused: no shift is searched, and the parameter stays only for callers
-    that still pass it by position or report it.
+    ``descent_power`` for why), else SearchExhausted.
     """
     lead = v.leading_index()
     if not any(lead):
@@ -358,14 +369,16 @@ def reduce_step(mu: ExpPolyCharacter, v: ModuleElement, j_window: int = 16):
 def reduce_to_generator(mu: ExpPolyCharacter, v: ModuleElement, j_window: int = 16):
     """Iterate reduce_step until the span of the generator is reached.
 
-    ``j_window`` is unused, as in ``reduce_step``.
+    ``j_window`` is unused: no shift is searched.  It stays only because the
+    benchmark's ``perfbench/oracle_grid.py`` passes its ``J_WINDOW`` by
+    position.
     """
     trace = []
     cur = v
     for _ in range(REDUCE_MAX_STEPS):
         if set(cur.terms) == {get_engine(mu).zero_index}:
             return trace, cur
-        op, cur = reduce_step(mu, cur, j_window)
+        op, cur = reduce_step(mu, cur)
         trace.append(op)
     raise SearchExhausted("reduction did not reach the generator span")
 

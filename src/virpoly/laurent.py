@@ -21,10 +21,6 @@ class LaurentPoly(SparseVector):
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def t_power(k: int, coeff=1) -> "LaurentPoly":
-        return LaurentPoly({k: sc(coeff)})
-
-    @staticmethod
     def from_json(obj) -> "LaurentPoly":
         obj = json_map(obj, "a Laurent polynomial")
         return LaurentPoly({json_index(e, "an exponent"): Scalar.from_json(c) for e, c in obj.items()})

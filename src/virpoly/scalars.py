@@ -86,14 +86,6 @@ class Scalar:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def coerce(x) -> "Scalar":
-        if isinstance(x, Scalar):
-            return x
-        if isinstance(x, _OPERANDS):
-            return Scalar(x)
-        raise TypeError(f"cannot coerce {x!r} to Scalar")
-
-    @staticmethod
     def from_json(obj) -> "Scalar":
         """Parse "p/q" (rational) or {"re": "p/q", "im": "r/s"} (Gaussian).
 
@@ -222,7 +214,7 @@ class Scalar:
                 return self._b == 0 and self._d == 1 and self._a == other
             if not isinstance(other, (Fraction, str)):
                 return NotImplemented
-            other = Scalar.coerce(other)
+            other = sc(other)
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
@@ -305,5 +297,9 @@ def json_list(obj, what: str) -> list:
 
 
 def sc(x) -> Scalar:
-    """Shorthand coercion used throughout the package and the tests."""
-    return Scalar.coerce(x)
+    """The one coercion to ``Scalar``, used throughout the package and the tests."""
+    if isinstance(x, Scalar):
+        return x
+    if isinstance(x, _OPERANDS):
+        return Scalar(x)
+    raise TypeError(f"cannot coerce {x!r} to Scalar")

@@ -32,7 +32,7 @@ from .virasoro import VirElement, theta, vir_bracket
 class TensorSpec:
     """Factors (single-root characters with pairwise distinct roots) plus a tail."""
 
-    __slots__ = ("factors", "tail", "_engines", "_tail_engine", "_columns")
+    __slots__ = ("factors", "tail", "engines", "_tail_engine", "_columns")
 
     def __init__(self, factors, tail: TailModuleSpec = None):
         factors = tuple(factors)
@@ -50,20 +50,17 @@ class TensorSpec:
         self.tail = tail if tail is not None else TailModuleSpec.trivial()
         # the engines are looked up once, through the registries, and live
         # as long as the spec even when the registries are emptied
-        self._engines = tuple(get_engine(mu) for mu in factors)
+        self.engines = tuple(get_engine(mu) for mu in factors)
         self._tail_engine = None if self.tail.is_trivial() else get_tail_engine(self.tail)
         # (slot, column) for each slot the Lie algebra moves: the factors,
         # then the tail; the trivial tail's slot stays ()
-        columns = [eng._act_idx for eng in self._engines]
+        columns = [eng._act_idx for eng in self.engines]
         if self._tail_engine is not None:
             columns.append(self._tail_engine._act_e)
         self._columns = tuple(enumerate(columns))
 
-    def engines(self) -> tuple:
-        return self._engines
-
     def zero_index(self):
-        return tuple(eng.zero_index for eng in self._engines)
+        return tuple(eng.zero_index for eng in self.engines)
 
     def generator(self) -> "TensorElement":
         return TensorElement({self.zero_index() + ((),): 1})
@@ -96,12 +93,6 @@ class TensorElement(SparseVector):
     """Finite map (s_1, ..., s_k, tail monomial) -> Scalar."""
 
     __slots__ = ()
-
-    def leading_concat(self) -> tuple:
-        """Lexicographic maximum of the concatenated factor indices."""
-        if not self.terms:
-            raise HypothesisViolation("zero tensor element has no leading index")
-        return max(sum(key[:-1], ()) for key in self.terms)
 
     def to_json(self):
         return {
@@ -196,7 +187,7 @@ def annihilating_shift(spec: TensorSpec, h: LaurentPoly, L: int, w: TensorElemen
     if L == 0:
         return h
     F = ONE_POLY
-    for eng, N in zip(spec.engines(), _annihilation_exponents(spec, w)):
+    for eng, N in zip(spec.engines, _annihilation_exponents(spec, w)):
         F = F * eng.fpow(N)
     return _lift(h, F, LaurentPoly({L: 1}))
 
@@ -216,7 +207,7 @@ def cyclic_reduce(spec: TensorSpec, w: TensorElement):
     """
     if w.is_zero():
         raise HypothesisViolation("cannot reduce the zero vector")
-    engines = spec.engines()
+    engines = spec.engines
     trace = []
     cur = w
     for _ in range(REDUCE_MAX_STEPS):
@@ -234,7 +225,7 @@ def cyclic_reduce(spec: TensorSpec, w: TensorElement):
                 F_hat = F_hat * eng.fpow(exps[i])
         L = ann_bound(spec.tail, [key[-1] for key in cur.terms])
         op = _lift(engines[i0].fpow(m), F_lead, F_hat).shift(L)
-        w2 = tensor_act(spec, VirElement.from_laurent(op), cur) - cur * mu.value_power(L, m)
+        w2 = tensor_act(spec, VirElement(op), cur) - cur * mu.value_power(L, m)
         want = lead_parts[:i0] + (target,) + lead_parts[i0 + 1 :]
         if w2.is_zero() or max(w2.terms)[:-1] != want:
             raise SearchExhausted(f"the step at j = {L} did not lower slot {i0} to {list(target)}")
@@ -341,7 +332,9 @@ def _rank(labels) -> int:
 
     The rows are in reduced form with distinct labels, so they are already
     independent and nothing is eliminated again.  Any sized iterable of the
-    labels will do.
+    labels will do.  The function stays, rather than ``len`` at its caller,
+    because the benchmark traces it by name (``perfbench/tracing.py``,
+    ``SPANS``).
     """
     return len(labels)
 
@@ -389,7 +382,7 @@ def _word_vectors(spec: TensorSpec, letters, depth: int):
     return rows
 
 
-def _quotient_reducer(F: LaurentPoly, m: int):
+def _quotient_coords(x: VirElement, F: LaurentPoly, m: int) -> dict:
     """Coordinates of theta(x) in C[t^+-]/span{t^j F : j >= m}.
 
     Exponents below m survive untouched; the part above reduces modulo F
@@ -397,34 +390,30 @@ def _quotient_reducer(F: LaurentPoly, m: int):
     t^0 .. t^(deg F - 1) bracket inside C[t], and C[t] meets the ideal
     F C[t^+-] in F C[t], so there this is the quotient by the ideal.
     """
-
-    def reduce(x: VirElement) -> dict:
-        g = theta(x)
-        out = {}
-        high = {}
-        for e, c in g.terms.items():
-            if e < m:
-                out[("e", e)] = c
-            else:
-                high[e - m] = c
-        if high:
-            residue = poly_divmod(LaurentPoly(high), F)[1]
-            for e, c in residue.terms.items():
-                out[("w", e)] = c
-        return out
-
-    return reduce
+    out = {}
+    high = {}
+    for e, c in theta(x).terms.items():
+        if e < m:
+            out[("e", e)] = c
+        else:
+            high[e - m] = c
+    if high:
+        residue = poly_divmod(LaurentPoly(high), F)[1]
+        for e, c in residue.terms.items():
+            out[("w", e)] = c
+    return out
 
 
-def _abstract_slice_dim(letters, reduce, depth: int, bound=None) -> int:
+def _abstract_slice_dim(letters, F: LaurentPoly, m: int, depth: int, bound=None) -> int:
     """Dimension of the depth-d slice of the induced module, by PBW counting.
 
     The words of length <= d over the letters, pushed into the induced module,
     span a space whose associated graded is spanned by the products of images
     of iterated letter brackets with total bracket length <= d (PBW: the
     associated graded of the induced module is S(Vir/Vir^F)).  The images live
-    in the quotient of the algebra by the inducing subalgebra, where z dies,
-    so the dimension is pure linear algebra, independent of any action engine.
+    in the quotient of the algebra by the inducing subalgebra, where z dies
+    (``_quotient_coords`` with F and the cutoff m), so the dimension is pure
+    linear algebra, independent of any action engine.
 
     Let V_k be the span of the images of the brackets of length <= k and
     n_k = dim V_k - dim V_(k-1).  A basis of V_d adapted to this filtration
@@ -443,7 +432,7 @@ def _abstract_slice_dim(letters, reduce, depth: int, bound=None) -> int:
     returns the sum, so a refused slice costs no more brackets than it takes
     to see that; a dimension within the bound is exact either way.
     """
-    letter_elems = [VirElement.from_laurent(g) for g in letters]
+    letter_elems = [VirElement(g) for g in letters]
     layer = letter_elems
     images = Echelon()
     series = [1] + [0] * depth
@@ -453,7 +442,7 @@ def _abstract_slice_dim(letters, reduce, depth: int, bound=None) -> int:
         span = Echelon(x.e_part.terms for x in layer)
         layer = [VirElement(LaurentPoly.adopt(row)) for row in span.pivots.values()]
         size = len(images)
-        images.extend(map(reduce, layer))
+        images.extend(_quotient_coords(x, F, m) for x in layer)
         for _ in range(len(images) - size):
             for j in range(k, depth + 1):
                 series[j] += series[j - k]
@@ -500,7 +489,7 @@ def counted_slice(source, depth: int, kind: str = "polynomial", composite=None):
     else:
         raise ValueError(f"unknown verification kind {kind!r}")
     letters = [LaurentPoly({i: 1}) for i in range(low, m + F.degree())]
-    expected = _abstract_slice_dim(letters, _quotient_reducer(F, m), depth, MAX_SLICE_RANK)
+    expected = _abstract_slice_dim(letters, F, m, depth, MAX_SLICE_RANK)
     if expected > MAX_SLICE_RANK:
         raise _over_bound(depth, expected)
     return F, letters, expected
@@ -552,7 +541,7 @@ def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
     N = sum(_annihilation_exponents(spec, gen))
     window = range(N) if kind == "polynomial" else range(source.m, 2 * source.m + N + 1)
     equiv = all(
-        tensor_act(spec, VirElement.from_laurent(F.shift(j)), gen) == gen * value(j)
+        tensor_act(spec, VirElement(F.shift(j)), gen) == gen * value(j)
         for j in window
     ) and tensor_act(spec, VirElement.z(), gen) == gen * z_value
     rank = _rank(_word_vectors(spec, letters, depth))

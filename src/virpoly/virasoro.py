@@ -34,11 +34,6 @@ class VirElement:
     def z(coeff=1) -> "VirElement":
         return VirElement({}, coeff)
 
-    @staticmethod
-    def from_laurent(g: LaurentPoly) -> "VirElement":
-        """Lift a Laurent polynomial through theta (z component zero)."""
-        return VirElement(g)
-
     def is_zero(self) -> bool:
         return self.e_part.is_zero() and self.z_part.is_zero()
 

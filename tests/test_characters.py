@@ -20,7 +20,7 @@ from virpoly.scalars import Scalar, sc
 
 
 def t(k, c=1):
-    return LaurentPoly.t_power(k, c)
+    return LaurentPoly({k: c})
 
 
 class TestValidate:
@@ -256,3 +256,56 @@ class TestRestrictedCharacter:
         assert back.window == rc.window and back.z_value == rc.z_value
         assert back.tail == rc.tail
 
+
+
+# one restricted character per field: roots (lambda_i, n_i) with p = 3, the
+# window values as a function of j, and the central value
+RESTRICTED_FIELDS = {
+    "Q": ([(sc(2), 1), (sc(3), 2)], lambda j: sc(j * j - 2), sc("1/3")),
+    "Qi": ([(Scalar(1, 1), 2), (sc(2), 1)], lambda j: Scalar(j - 1, 2 * j + 1), Scalar(0, 2)),
+}
+
+
+def restricted_case(field, m):
+    roots, value, z = RESTRICTED_FIELDS[field]
+    window = {j: value(j) for j in range(m, 2 * m + 4)}
+    return RestrictedCharacter.from_window(roots, m, window, z), window, z
+
+
+@pytest.mark.parametrize("m", [-1, 0, 1, 2])
+@pytest.mark.parametrize("field", sorted(RESTRICTED_FIELDS))
+class TestRestrictedWindow:
+    """The free values on [m, 2m] are stored; the tail gives every mu_j above 2m."""
+
+    def test_mu_x_reads_the_tail_above_2m(self, field, m):
+        rc, window, _ = restricted_case(field, m)
+        assert list(rc.window) == list(range(m, 2 * m + 1))
+        for j in range(m, 2 * m + 1):
+            assert rc.mu_x(j) == window[j]
+        for j in range(2 * m + 1, 2 * m + 4):
+            assert rc.mu_x(j) == rc.tail.seq(j) == window[j]
+
+    def test_json_round_trip_is_unchanged(self, field, m):
+        rc, window, z = restricted_case(field, m)
+        obj = rc.to_json()
+        restriction = {"m": m, "window": {str(j): window[j].to_json() for j in range(m, 2 * m + 1)}, "z": z.to_json()}
+        assert obj == {**rc.tail.to_json(), "restriction": restriction}
+        back = RestrictedCharacter.from_json(obj)
+        assert back.to_json() == obj
+        assert [back.mu_x(j) for j in range(m, 2 * m + 6)] == [rc.mu_x(j) for j in range(m, 2 * m + 6)]
+
+    def test_a_value_above_2m_must_agree_with_the_tail(self, field, m):
+        rc, window, z = restricted_case(field, m)
+        for j in range(2 * m + 1, 2 * m + 4):
+            with pytest.raises(ValueError, match=f"window value at {j} disagrees with the tail"):
+                RestrictedCharacter(m, rc.tail, {**window, j: window[j] + 1}, z)
+        # values above 2m may be left out: the tail supplies them
+        free = {j: window[j] for j in range(m, 2 * m + 1)}
+        assert RestrictedCharacter(m, rc.tail, free, z).to_json() == rc.to_json()
+
+    def test_every_free_value_is_required(self, field, m):
+        rc, window, z = restricted_case(field, m)
+        for j in range(m, 2 * m + 1):
+            rest = {i: v for i, v in window.items() if i != j}
+            with pytest.raises(ValueError, match=f"missing free window value at index {j}"):
+                RestrictedCharacter(m, rc.tail, rest, z)

@@ -535,13 +535,42 @@ def test_module_indices_are_validated(tmp_path, capsys):
 
 
 def test_deep_request_exits_2(tmp_path, capsys):
-    """Straightening recurses once per unit of |s|: s = [3000] is beyond its reach."""
+    """Straightening recurses once per unit of |s|: s = [900] is within its
+    reach, and s = [3000] is beyond it."""
     character = {"factors": [{"lambda": "2", "n": 1, "p": ["1"]}]}
-    vector = {"terms": [{"s": [3000], "c": "1"}]}
-    act = {"character": character, "element": {"laurent": {"1": "1"}}, "vector": vector}
+    act = {"character": character, "element": {"laurent": {"1": "1"}}}
+    act["vector"] = {"terms": [{"s": [900], "c": "1"}]}
+    code, out = run_cli(capsys, "act", "--spec", write(tmp_path, "a.json", act))
+    assert code == 0 and out["result"]["terms"]
+    act["vector"] = {"terms": [{"s": [3000], "c": "1"}]}
     code, err = run_invalid(capsys, "act", "--spec", write(tmp_path, "a.json", act))
     assert code == 2 and "beyond the engine's reach" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_reduce_weight_is_bounded(tmp_path, capsys):
+    """The descent's first step from s acts with f^(n+r+s_0): the cost grows
+    about as |s|^3, so reduce refuses a weight above MAX_REDUCE_WEIGHT at
+    once (act keeps its reach: see test_deep_request_exits_2)."""
+    bound = cli.MAX_REDUCE_WEIGHT
+    character = {"factors": [{"lambda": "2", "n": 1, "p": ["1"]}]}
+
+    def spec(name, s):
+        return write(tmp_path, name, {"character": character, "vector": {"terms": [{"s": s, "c": "1"}]}})
+
+    for name, s in (("far", [640]), ("above", [bound + 1])):
+        start = time.perf_counter()
+        code, err = run_invalid(capsys, "reduce", "--spec", spec(name + ".json", s))
+        assert time.perf_counter() - start < 1.0, name
+        assert code == 2 and err.startswith("invalid input") and len(err.splitlines()) == 1, name
+        assert f"up to {bound}" in err, name
+    # the largest weight over the terms counts, and two directions add up
+    two = {"factors": [{"lambda": "2", "n": 2, "p": ["1"]}]}
+    vector = {"terms": [{"s": [0, 1], "c": "1"}, {"s": [bound // 2, bound - bound // 2 + 1], "c": "1"}]}
+    code, err = run_invalid(capsys, "reduce", "--spec", write(tmp_path, "two.json", {"character": two, "vector": vector}))
+    assert code == 2 and f"weight {bound + 1}" in err
+    code, out = run_cli(capsys, "reduce", "--spec", spec("edge.json", [bound]))
+    assert code == 0 and out["generator_span"] is True
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-string limit")
@@ -608,6 +637,34 @@ def test_field_restriction(tmp_path, capsys):
         assert code == 2, command
         code, _ = run_cli(capsys, command, "--spec", spec, "--field", "Qi")
         assert code == 0, command
+
+
+def test_restricted_window_is_checked(tmp_path, capsys):
+    """At m = 1 the free values are mu_1 and mu_2; mu_3 is the tail's, 9 over
+    Q and i (1 + i)^3 = -2 - 2i over Q(i).  A supplied mu_3 must agree with
+    it, and a missing free value is invalid input."""
+    cases = {
+        "Q": ({"lambda": "1", "n": 1, "p": ["9"]}, "9", "8"),
+        "Qi": ({"lambda": {"re": "1", "im": "1"}, "n": 1, "p": [{"re": "0", "im": "1"}]},
+               {"re": "-2", "im": "-2"}, {"re": "-2", "im": "2"}),
+    }
+    for field, (factor, tail3, wrong3) in cases.items():
+
+        def split(window):
+            character = {"factors": [factor], "restriction": {"m": 1, "window": window, "z": "7"}}
+            return write(tmp_path, "c.json", {"character": character})
+
+        free = {"1": "4", "2": "5"}
+        code, out = run_cli(capsys, "char-split", "--field", field, "--spec", split(free))
+        assert code == 0, field
+        code, same = run_cli(capsys, "char-split", "--field", field, "--spec", split({**free, "3": tail3}))
+        assert code == 0 and same == out, field
+        for window, line in (
+            ({**free, "3": wrong3}, "window value at 3 disagrees with the tail"),
+            ({"1": "4", "3": tail3}, "missing free window value at index 2"),
+        ):
+            code, err = run_invalid(capsys, "char-split", "--field", field, "--spec", split(window))
+            assert code == 2 and err == f"invalid input: {line}\n", (field, window)
 
 
 def test_missing_spec_flag(capsys):

@@ -25,13 +25,13 @@ from virpoly.induced import (
     reduce_to_generator,
     _omega_equivariant,
 )
-from virpoly.laurent import LaurentPoly
+from virpoly.laurent import LaurentPoly, taylor
 from virpoly.scalars import Scalar, sc
 from virpoly.virasoro import VirElement, vir_bracket
 
 
 def t(k, c=1):
-    return LaurentPoly.t_power(k, c)
+    return LaurentPoly({k: c})
 
 
 def ones_character(lam, n, r):
@@ -64,6 +64,25 @@ class TestActLaurent:
                 got = eng.act(t(k), eng.generator())
                 want = ModuleElement({(1,): lam**k, (0,): sc(k) * lam ** (k - 1) * mu0})
                 assert got == want
+
+    @pytest.mark.parametrize("lam", [sc(2), Scalar(1, 1), sc("1/2")], ids=["2", "1+i", "1/2"])
+    def test_generator_column_is_the_taylor_data(self, lam):
+        # t^k on the generator against laurent.taylor of t^k at lam, for every
+        # degree r of the character (r = -1 is the zero map): the first n
+        # coefficients bump the directions, and mu eats the rest through
+        # mu(f^(n+i)), read here from the derived powers
+        for n in range(1, 4):
+            zero = (0,) * n
+            for r in range(-1, n):
+                mu = single_root_character(lam, n, [d + 2 for d in range(r + 1)])
+                eng = InducedModule(mu)
+                for k in range(-12, 13):
+                    a = taylor(t(k), lam, n + r + 1)
+                    want = {zero[:i] + (1,) + zero[i + 1 :]: c for i, c in enumerate(a[:n]) if not c.is_zero()}
+                    val = sum((c * mu.value_power(0, n + i) for i, c in enumerate(a[n:])), Scalar(0))
+                    if not val.is_zero():
+                        want[zero] = val
+                    assert eng._act_idx(k, zero) == want, (n, r, k)
 
     def test_ideal_acts_by_character(self):
         # m runs from n to n + r + 2, across the order n + r + 1 where the

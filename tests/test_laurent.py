@@ -18,7 +18,7 @@ from virpoly.scalars import Scalar, sc
 
 
 def t(k, c=1):
-    return LaurentPoly.t_power(k, c)
+    return LaurentPoly({k: c})
 
 
 def test_coefficients_are_read_by_exponent_not_iterated():

@@ -14,12 +14,16 @@ engine's metrics the same way.
 """
 
 import importlib
+import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import virpoly
+from conftest import cli_env
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 1
@@ -82,7 +86,7 @@ def test_traced_slice_depth_cycle_moves_every_named_metric(bench, vp, tmp_path):
     named = bench.test_perfbench.MUST_MOVE["slice-depth"]
     assert {"virasoro.theta.calls", "tailmod.act_vir.calls", "tensor.rank.rows"} <= set(named)
     assert [m for m in named if not metrics[m]["value"] > 0] == []
-    # _quotient_reducer calls theta too: tensor_act itself must call both
+    # _quotient_coords calls theta too: tensor_act itself must call both
     name = {sid: span for sid, _, _, span, *_ in tracer.spans}
     called = {(name.get(parent), span) for _, parent, _, span, *_ in tracer.spans}
     assert {("tensor.tensor_act", "virasoro.theta"),
@@ -131,3 +135,29 @@ def test_cli_session_round(bench, vp, tmp_path):
     ops = groups[0]()
     assert {op.label.split("/")[0] for op in ops} >= {*module.COMMANDS, "verify", "malformed"}
     assert failures(ops) == []
+
+
+# The benchmark's own tests that fail against this library: a metric their
+# list names for the workload reads 0 (the laurent.* division counts, which
+# the straightening path no longer calls, and cli.uncaught, which a working
+# CLI never moves).  That list is mended only with the benchmark itself.
+KNOWN_PERFBENCH_FAILURES = {
+    f"perfbench/test_perfbench.py::test_per_layer_counts_move_where_named[{workload}]"
+    for workload in ("cli-session", "oracle-grid", "oracle-grid-qi")
+}
+
+
+def test_benchmark_suite_fails_only_its_known_cases():
+    """``pytest perfbench`` in a child process, so that a name the benchmark's
+    tests read from virpoly (``tailmod.b_act``, say) cannot go missing
+    unnoticed: every failure is a known one, and at least 24 tests pass."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "perfbench", "-q", "-p", "no:cacheprovider"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300, env=cli_env(),
+    )
+    summary = proc.stdout.strip().splitlines()[-1]
+    failed = set(re.findall(r"^FAILED (\S+)", proc.stdout, re.M))
+    assert failed <= KNOWN_PERFBENCH_FAILURES, proc.stdout[-4000:]
+    assert "error" not in summary, proc.stdout[-4000:]
+    passed = re.search(r"(\d+) passed", summary)
+    assert passed and int(passed.group(1)) >= 24, summary
