@@ -176,28 +176,39 @@ def _cmd_char_decompose(raw, args):
     return {"components": list(decompose(mu))}
 
 
-# The largest weight |s| = s_0 + ... + s_(n-1) of a module index in a
-# `reduce` vector.  The descent's first step from s acts with f^(n+r+s_0), so
-# the cost grows about as |s|^3: for n = 1, s = [64] takes 0.5-1.6 s (lambda
-# = 2, 1/3 and 3/5 + 4i/7), [80] 1.2-3.0 s, [160] 7.9 s, and [640] did not
-# finish in 60 s (2-core host).  The bound does not see the character's
-# degree, which costs more per unit of weight: n = 2 at [32, 32] takes
-# 2.7-6.6 s, and n = 64 at [10] 5 s.
-MAX_REDUCE_WEIGHT = 64
+# A work estimate for `reduce`: the largest, over the vector's nonzero
+# indices s, of n (|s| + 1) (n + r + 1 + sum_j (j + 1) s_j)^3 for a
+# character of root multiplicity n and degree r.  The descent's first step
+# acts with f^(n+r+s_0); the engine splits s one entry at a time (|s| + 1
+# levels), an entry in direction j widens the exponents of t it reaches by
+# j, its vectors run over n directions, and the coefficients grow with the
+# exponents.  The form is fitted to timings, not derived: through the CLI
+# over Q(i) (lambda = 3/5 + 4i/7, p = (1, ..., 1, 1/5), 2-core host), 176
+# random requests with n up to 36 and an estimate from 0.6 to 1 times the
+# bound each took 0.3-2.0 s end to end, the slowest with all their weight
+# in direction 0 or 1 (n = 1 at s = [72]: 2.0 s).  Above it, n = 1 at
+# s = [640] did not finish in 60 s, n = 2 at [32, 32] takes 6 s, and n = 64
+# with one unit in direction 63 more than 25 s.
+MAX_REDUCE_WORK = 3 * 10**7
+
+
+def _reduce_work(n: int, r: int, s) -> int:
+    return n * (sum(s) + 1) * (n + r + 1 + sum((j + 1) * x for j, x in enumerate(s))) ** 3
 
 
 def _cmd_reduce(raw, args):
     mu, v = _module_vector(raw)
-    weight = max(map(sum, v.terms), default=0)
-    if weight > MAX_REDUCE_WEIGHT:
+    eng = get_engine(mu)
+    work = max((_reduce_work(eng.n, eng.r, s) for s in v.terms if any(s)), default=0)
+    if work > MAX_REDUCE_WORK:
         raise ValueError(
-            f"a module index of weight {weight} is too large; reduce starts from weights up to {MAX_REDUCE_WEIGHT}"
+            f"the descent's work estimate {work} is too large; reduce admits estimates up to {MAX_REDUCE_WORK}"
         )
     trace, final = reduce_to_generator(mu, v)
     return {
         "steps": [{"j": j, "m": m} for j, m in trace],
         "final": final,
-        "generator_span": set(final.terms) <= {get_engine(mu).zero_index},
+        "generator_span": set(final.terms) <= {eng.zero_index},
     }
 
 

@@ -33,10 +33,9 @@ def pdeg(p: LaurentPoly) -> int:
 def pshift(p: LaurentPoly, a) -> LaurentPoly:
     """Compose with a translation: p(x + a), by the binomial expansion.
 
-    The closed forms reach this through ``power_poly``; the straightening
-    engine computes its Taylor data at lambda with its own recurrence
-    (``InducedModule._act_idx``), so the two routes that the verify suites
-    compare share no expansion.
+    The closed forms reach this through ``power_poly``; it stays apart from
+    ``laurent.taylor``, which the straightening engine reads, so the two
+    routes that the verify suites compare share no expansion.
     """
     a = sc(a)
     out = {}

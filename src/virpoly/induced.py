@@ -35,7 +35,7 @@ from .characters import ExpPolyCharacter, single_root_character
 from .densepoly import index_poly, pdeg, pshift
 from .errors import HypothesisViolation, SearchExhausted, ZeroLambda, ZeroVector
 from .faulhaber import faulhaber
-from .laurent import LaurentPoly, linear_factor
+from .laurent import LaurentPoly, linear_factor, taylor
 from .scalars import ONE, Scalar, json_field, json_list, json_map, sc
 from .sparse import SparseVector, accumulate, add_term, bilinear
 from .virasoro import VirElement, theta
@@ -119,7 +119,6 @@ class InducedModule:
         self.p = p
         self.r = pdeg(p)
         self.f = linear_factor(lam)
-        self._inv_lam = ONE / lam
         self._fpow = {0: LaurentPoly({0: 1}), 1: self.f}
         # mu(f^(n+k)) for k <= r, through f^k = sum_i C(k, i) (-lam)^(k-i) t^i;
         # mu kills t^j f^(n+r+1), so the generator needs no higher k
@@ -157,23 +156,12 @@ class InducedModule:
         if hit is not None:
             return hit
         if not any(s):
-            # t^k = sum_i C(k, i) lam^(k-i) f^i, the Taylor data at lam with
-            # the generalized binomial C(k, i), each term from the last by the
-            # ratios 1/lam and (k - i)/(i + 1); C(k, i) = 0 for 0 <= k < i,
-            # and no other term vanishes
-            n = self.n
-            order = n + self.r + 1
+            a = taylor(LaurentPoly({k: 1}), self.lam, self.n + self.r + 1)
             out = {}
-            val = Scalar(0)
-            power, binom = self.lam**k, 1
-            for i in range(order if k < 0 else min(order, k + 1)):
-                c = power * binom
-                if i < n:
+            for i, c in enumerate(a[: self.n]):
+                if not c.is_zero():
                     out[s[:i] + (1,) + s[i + 1 :]] = c
-                else:
-                    val = val + c * self._mu_fpow[i - n]
-                power = power * self._inv_lam
-                binom = binom * (k - i) // (i + 1)
+            val = sum((c * mu_f for c, mu_f in zip(a[self.n :], self._mu_fpow)), Scalar(0))
             # the window bumps never land on the zero index s itself
             if not val.is_zero():
                 out[s] = val
@@ -375,12 +363,13 @@ def reduce_to_generator(mu: ExpPolyCharacter, v: ModuleElement, j_window: int = 
     """
     trace = []
     cur = v
-    for _ in range(REDUCE_MAX_STEPS):
-        if set(cur.terms) == {get_engine(mu).zero_index}:
-            return trace, cur
+    zero = get_engine(mu).zero_index
+    while set(cur.terms) != {zero}:
+        if len(trace) == REDUCE_MAX_STEPS:
+            raise SearchExhausted("reduction did not reach the generator span")
         op, cur = reduce_step(mu, cur)
         trace.append(op)
-    raise SearchExhausted("reduction did not reach the generator span")
+    return trace, cur
 
 
 # -- the polynomial-realization module -------------------------------------------

@@ -548,28 +548,36 @@ def test_deep_request_exits_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_reduce_weight_is_bounded(tmp_path, capsys):
-    """The descent's first step from s acts with f^(n+r+s_0): the cost grows
-    about as |s|^3, so reduce refuses a weight above MAX_REDUCE_WEIGHT at
-    once (act keeps its reach: see test_deep_request_exits_2)."""
-    bound = cli.MAX_REDUCE_WEIGHT
-    character = {"factors": [{"lambda": "2", "n": 1, "p": ["1"]}]}
+def test_reduce_work_is_bounded(tmp_path, capsys):
+    """reduce refuses a vector whose descent has a work estimate above
+    MAX_REDUCE_WORK, at once and with one line (act keeps its reach: see
+    test_deep_request_exits_2)."""
+    bound = cli.MAX_REDUCE_WORK
 
-    def spec(name, s):
-        return write(tmp_path, name, {"character": character, "vector": {"terms": [{"s": s, "c": "1"}]}})
+    def spec(name, n, s):
+        character = {"factors": [{"lambda": "2", "n": n, "p": ["1"] * n}]}
+        vector = {"terms": [{"s": x, "c": "1"} for x in s]}
+        return write(tmp_path, name, {"character": character, "vector": vector})
 
-    for name, s in (("far", [640]), ("above", [bound + 1])):
+    # n = 1, r = 0 at s = [w]: the estimate is (w + 1)(w + 2)^3
+    edge = max(w for w in range(200) if cli._reduce_work(1, 0, (w,)) <= bound)
+    refused = [
+        ("far", 1, [[640]]),
+        ("above", 1, [[edge + 1]]),
+        # the largest estimate over the terms counts
+        ("two", 2, [[0, 1], [0, 40]]),
+        # 64 steps, the engine's limit, but far above the bound
+        ("steps", 2, [[0, 64]]),
+        # one unit in the top direction of a high multiplicity
+        ("high", 32, [[0] * 31 + [1]]),
+    ]
+    for name, n, s in refused:
         start = time.perf_counter()
-        code, err = run_invalid(capsys, "reduce", "--spec", spec(name + ".json", s))
+        code, err = run_invalid(capsys, "reduce", "--spec", spec(name + ".json", n, s))
         assert time.perf_counter() - start < 1.0, name
         assert code == 2 and err.startswith("invalid input") and len(err.splitlines()) == 1, name
         assert f"up to {bound}" in err, name
-    # the largest weight over the terms counts, and two directions add up
-    two = {"factors": [{"lambda": "2", "n": 2, "p": ["1"]}]}
-    vector = {"terms": [{"s": [0, 1], "c": "1"}, {"s": [bound // 2, bound - bound // 2 + 1], "c": "1"}]}
-    code, err = run_invalid(capsys, "reduce", "--spec", write(tmp_path, "two.json", {"character": two, "vector": vector}))
-    assert code == 2 and f"weight {bound + 1}" in err
-    code, out = run_cli(capsys, "reduce", "--spec", spec("edge.json", [bound]))
+    code, out = run_cli(capsys, "reduce", "--spec", spec("edge.json", 1, [[edge]]))
     assert code == 0 and out["generator_span"] is True
 
 

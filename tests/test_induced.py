@@ -70,7 +70,8 @@ class TestActLaurent:
         # t^k on the generator against laurent.taylor of t^k at lam, for every
         # degree r of the character (r = -1 is the zero map): the first n
         # coefficients bump the directions, and mu eats the rest through
-        # mu(f^(n+i)), read here from the derived powers
+        # mu(f^(n+i)), which the engine expands by binomials and this test
+        # reads from the derived powers
         for n in range(1, 4):
             zero = (0,) * n
             for r in range(-1, n):
@@ -318,6 +319,18 @@ class TestReduceStep:
                 trace, final = reduce_to_generator(mu, eng.basis(s))
                 assert set(final.terms) == {eng.zero_index}
                 assert len(trace) <= sum(s) + 3
+
+    def test_step_limit_admits_exactly_its_steps(self, monkeypatch):
+        # from (0, k) every step lowers s_1 by one: k steps reach the
+        # generator, and the span is tested again after the last allowed one
+        mu = ones_character(2, 2, 0)
+        eng = get_engine(mu)
+        trace, final = reduce_to_generator(mu, eng.basis((0, induced.REDUCE_MAX_STEPS)))
+        assert len(trace) == induced.REDUCE_MAX_STEPS and set(final.terms) == {eng.zero_index}
+        monkeypatch.setattr(induced, "REDUCE_MAX_STEPS", 4)
+        assert len(reduce_to_generator(mu, eng.basis((0, 4)))[0]) == 4
+        with pytest.raises(SearchExhausted):
+            reduce_to_generator(mu, eng.basis((0, 5)))
 
     def test_small_degree_rejected(self):
         mu = ones_character(1, 3, 0)
