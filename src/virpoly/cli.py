@@ -11,6 +11,7 @@ import contextlib
 import functools
 import json
 import sys
+from math import isqrt
 
 from .characters import (
     ExpPolyCharacter,
@@ -20,7 +21,7 @@ from .characters import (
 from .errors import VirpolyError
 from .induced import ModuleElement, get_engine, reduce_to_generator
 from .laurent import LaurentPoly, lie_bracket
-from .scalars import Scalar, json_field, json_int, json_list, json_map
+from .scalars import ONE, Scalar, json_field, json_int, json_list, json_map
 from .tensor import (
     TensorSpec,
     general_tensor_map,
@@ -46,17 +47,16 @@ def _int_digits_unlimited():
         sys.set_int_max_str_digits(limit)
 
 
-def _emit(payload, stream=None) -> None:
+def _emit(payload) -> None:
     """Print the report; values that are objects are converted by their to_json here.
 
     An exact result may hold integers longer than Python's int-to-string
     limit, so the limit is lifted while the report is converted and printed,
     and only then: input parsing keeps it.
     """
-    stream = stream or sys.stdout
     with _int_digits_unlimited():
-        json.dump(payload, stream, sort_keys=True, indent=2, default=lambda obj: obj.to_json())
-        stream.write("\n")
+        json.dump(payload, sys.stdout, sort_keys=True, indent=2, default=lambda obj: obj.to_json())
+        sys.stdout.write("\n")
 
 
 def _load_spec(path):
@@ -104,13 +104,12 @@ def _cmd_act(raw, args):
     elem = json_map(json_field(raw, "element", "the spec"), "the element")
     if "vir" in elem:
         x = VirElement.from_json(elem["vir"])
-        _check_indices(x.e_part.terms, "an element exponent")
-        out = eng.act_vir(x, v)
     else:
-        g = LaurentPoly.from_json(json_field(elem, "laurent", "the element"))
-        _check_indices(g.terms, "an element exponent")
-        out = eng.act(g, v)
-    return {"result": out}
+        x = VirElement(LaurentPoly.from_json(json_field(elem, "laurent", "the element")))
+    _check_indices(x.e_part.terms, "an element exponent")
+    # each exponent builds the Taylor window of n + r + 1 powers at lambda
+    _check_powers([eng.lam], x.e_part.terms, eng.n + eng.r + 1)
+    return {"result": eng.act_vir(x, v)}
 
 
 # seq(j) builds lambda^j exactly, so the cost of a check climbs with |j|: at
@@ -118,8 +117,9 @@ def _cmd_act(raw, args):
 MAX_VALIDATE_INDICES = 2001
 
 # The largest |j| of an element exponent in `act` or a `char-validate` range
-# bound.  Each one builds lambda^j exactly: t^(10^6) takes about 5-9 s in
-# `act`, t^(10^5) about 0.1 s, and t^(10^8) did not finish in 30 s.
+# bound.  Each one builds lambda^j exactly: at the integer root lambda = 2
+# (n = 1), `act` took 0.04 s on t^(10^5) and 3.6 s on t^(10^6); a root of
+# more bits is bounded by MAX_POWER_BITS below.
 MAX_INDEX = 10**5
 
 
@@ -129,9 +129,35 @@ def _check_indices(indices, what: str) -> None:
             raise ValueError(f"{what} {j} is out of range; |j| is at most {MAX_INDEX}")
 
 
-# The verify grids grow fast with --nmax: the full run takes about 3.9 s at
-# 4, 10.8 s at 5 and 26.9 s at 6 (2-core host), and repRootPowerComp1 alone
-# did not finish in 60 s at 10.
+# The largest exact power of a root lambda that a request may build, in
+# bits.  lambda^j holds about |j| ``Scalar.power_bits`` of lambda (of
+# 1/lambda for j < 0), and a product of such powers ends in a gcd, so a
+# power costs about the square of its bits: several count by the root of
+# the sum of their squares, over the roots and the indices evaluated.  At
+# the bound, single in-process `cli.main` runs (2-core host) took: `act`
+# t^3837 on the generator at a 20-digit lambda (129 bits) 2.1 s, t^1356 at
+# n = 8 there 1.9 s, and t^98994 at lambda = 3/5 1.3 s; `char-validate` on
+# one index at the 20-digit lambda 1.3 s.  `char-validate` on [-1000, 1000]
+# at lambda = 3/5, far below it, took 0.3 s.
+MAX_POWER_BITS = 7 * 10**5
+
+
+def _check_powers(roots, indices, per_index: int) -> None:
+    """ValueError when per_index powers of each root at each index j exceed
+    MAX_POWER_BITS, counted by the root of the sum of their squared bits."""
+    up = sum(lam.power_bits() ** 2 for lam in roots)
+    down = sum((ONE / lam).power_bits() ** 2 for lam in roots)
+    square = per_index * sum(j * j * (up if j >= 0 else down) for j in indices)
+    if square > MAX_POWER_BITS**2:
+        raise ValueError(
+            f"the request builds powers of {isqrt(square)} bits (the root of the sum of their squares); "
+            f"at most {MAX_POWER_BITS} are built"
+        )
+
+
+# The verify grids grow fast with --nmax: the full run took 3.2 s at 4,
+# 8.1 s at 5 and 13-18 s at 6 (three runs), and repRootPowerComp1 alone
+# 126 s at 10 (375,480 cases), on a shared 2-core host.
 MAX_VERIFY_NMAX = 6
 
 # The verify suites' --depth: omega-iso, the slowest, grows about as depth^3.
@@ -152,6 +178,9 @@ def _cmd_char_validate(raw, args):
         raise ValueError(
             f"the range [{lo}, {hi}] holds {hi - lo + 1} indices; at most {MAX_VALIDATE_INDICES} are checked"
         )
+    # the check at m evaluates mu at m + i for each term t^i of the ambient polynomial
+    indices = (m + i for m in range(lo, hi + 1) for i in mu.ambient.terms)
+    _check_powers([lam for lam, _, _ in mu.factors], indices, 1)
     return {"valid": mu.validate(range(lo, hi + 1)), "range": [lo, hi]}
 
 
@@ -188,7 +217,11 @@ def _cmd_char_decompose(raw, args):
 # bound each took 0.3-2.0 s end to end, the slowest with all their weight
 # in direction 0 or 1 (n = 1 at s = [72]: 2.0 s).  Above it, n = 1 at
 # s = [640] did not finish in 60 s, n = 2 at [32, 32] takes 6 s, and n = 64
-# with one unit in direction 63 more than 25 s.
+# with one unit in direction 63 more than 25 s.  That lambda has 12
+# ``Scalar.power_bits``; the descent's time grows about in proportion to the
+# bits above that, so the estimate is scaled by bits / 12 there: n = 1 at
+# s = [72] took 2.0 s at 12 bits, 15.3 s at 87 (123456789123456789/987654321
+# + 4i/7) and 22.7 s at 129, and 0.6 s at lambda = 2.
 MAX_REDUCE_WORK = 3 * 10**7
 
 
@@ -200,6 +233,7 @@ def _cmd_reduce(raw, args):
     mu, v = _module_vector(raw)
     eng = get_engine(mu)
     work = max((_reduce_work(eng.n, eng.r, s) for s in v.terms if any(s)), default=0)
+    work = work * max(eng.lam.power_bits(), 12) // 12
     if work > MAX_REDUCE_WORK:
         raise ValueError(
             f"the descent's work estimate {work} is too large; reduce admits estimates up to {MAX_REDUCE_WORK}"

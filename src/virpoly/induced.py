@@ -354,22 +354,34 @@ def reduce_step(mu: ExpPolyCharacter, v: ModuleElement):
     return (0, m), w
 
 
+def descend(v, step, at_generator):
+    """The one descent loop: apply ``step`` to v until ``at_generator`` holds.
+
+    ``step(cur)`` returns (op, next) and lowers the leading index strictly.
+    The generator test runs before every step and after the last allowed
+    one, so a descent of exactly ``REDUCE_MAX_STEPS`` steps returns; the
+    limit is read at call time.  Returns (the list of ops, the final vector).
+    """
+    if v.is_zero():
+        raise ZeroVector("the zero vector has no leading index")
+    trace = []
+    cur = v
+    while not at_generator(cur):
+        if len(trace) == REDUCE_MAX_STEPS:
+            raise SearchExhausted(f"reduction did not reach the generator span in {REDUCE_MAX_STEPS} steps")
+        op, cur = step(cur)
+        trace.append(op)
+    return trace, cur
+
+
 def reduce_to_generator(mu: ExpPolyCharacter, v: ModuleElement, j_window: int = 16):
-    """Iterate reduce_step until the span of the generator is reached.
+    """``descend`` by ``reduce_step`` until the span of the generator is reached.
 
     ``j_window`` is unused: no shift is searched.  It stays only because the
     benchmark's ``perfbench/oracle_grid.py`` passes its ``J_WINDOW`` by
     position.
     """
-    trace = []
-    cur = v
-    zero = get_engine(mu).zero_index
-    while set(cur.terms) != {zero}:
-        if len(trace) == REDUCE_MAX_STEPS:
-            raise SearchExhausted("reduction did not reach the generator span")
-        op, cur = reduce_step(mu, cur)
-        trace.append(op)
-    return trace, cur
+    return descend(v, lambda cur: reduce_step(mu, cur), lambda cur: not any(max(cur.terms)))
 
 
 # -- the polynomial-realization module -------------------------------------------

@@ -116,6 +116,11 @@ class Scalar:
     def is_rational(self) -> bool:
         return self._b == 0
 
+    def power_bits(self) -> int:
+        """ceil(log2(|a| + |b|)) + ceil(log2 d): a bound on the bits that each
+        unit of k adds to the integers of self**k, zero for 1, -1, i and -i."""
+        return (abs(self._a) + abs(self._b) - 1).bit_length() + (self._d - 1).bit_length()
+
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
@@ -137,12 +142,7 @@ class Scalar:
             if not isinstance(other, _OPERANDS):
                 return NotImplemented
             other = Scalar(other)
-        d, f = self._d, other._d
-        if d == f:
-            if d == 1:
-                return _make(self._a - other._a, self._b - other._b, 1)
-            return _reduced(self._a - other._a, self._b - other._b, d)
-        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
+        return self + -other
 
     def __rsub__(self, other):
         if not isinstance(other, _OPERANDS):

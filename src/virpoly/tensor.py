@@ -8,10 +8,11 @@ the tail: the induced factors kill z.
 
 The cyclicity engine walks an element down to the span of the joint
 generator by the single-root descent of ``induced.descent_power``, one slot
-at a time: the step's power of the leading slot's linear factor is lifted
-(``_lift``) to a multiple of the other slots' annihilators and shifted far
-enough up to kill the tail, so it lowers the leading slot's part to the
-descent's target and touches nothing else.
+at a time, in the induced module's loop ``induced.descend``: the step's
+power of the leading slot's linear factor is lifted (``_lift``) to a
+multiple of the other slots' annihilators and shifted far enough up to kill
+the tail, so it lowers the leading slot's part to the descent's target and
+touches nothing else.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from itertools import islice
 
 from .characters import ExpPolyCharacter, RestrictedCharacter, check_degree, compose, decompose
 from .densepoly import pdeg
-from .errors import DepthTooSmall, HypothesisViolation, SearchExhausted, VirpolyError
-from .induced import REDUCE_MAX_STEPS, descent_power, get_engine
+from .errors import DepthTooSmall, SearchExhausted, VirpolyError
+from .induced import descend, descent_power, get_engine
 from .laurent import ONE_POLY, LaurentPoly, bezout, poly_divmod
 from .scalars import Scalar, json_field, json_list, json_map
 from .sparse import Echelon, SparseVector, accumulate, add_term, scales
@@ -203,17 +204,13 @@ def cyclic_reduce(spec: TensorSpec, w: TensorElement):
     That operator is zero on every other slot and on the tail, and acts on
     slot i0 as t^L f^m, so the new leading parts are the old ones with u
     replaced by the target; that is checked, else SearchExhausted.  The tail
-    is untouched, so its simplicity is not needed for the descent.
+    is untouched, so its simplicity is not needed for the descent.  The
+    steps run in ``induced.descend``, the loop ``reduce_to_generator`` runs.
     """
-    if w.is_zero():
-        raise HypothesisViolation("cannot reduce the zero vector")
     engines = spec.engines
-    trace = []
-    cur = w
-    for _ in range(REDUCE_MAX_STEPS):
+
+    def step(cur):
         lead_parts = max(cur.terms)[:-1]
-        if all(not any(p) for p in lead_parts):
-            return trace, cur
         i0 = next(i for i, p in enumerate(lead_parts) if any(p))
         mu = spec.factors[i0]
         m, target = descent_power(mu, lead_parts[i0])
@@ -229,9 +226,9 @@ def cyclic_reduce(spec: TensorSpec, w: TensorElement):
         want = lead_parts[:i0] + (target,) + lead_parts[i0 + 1 :]
         if w2.is_zero() or max(w2.terms)[:-1] != want:
             raise SearchExhausted(f"the step at j = {L} did not lower slot {i0} to {list(target)}")
-        trace.append({"factor": i0, "j": L, "m": m})
-        cur = w2
-    raise SearchExhausted(f"reduction did not terminate within {REDUCE_MAX_STEPS} steps")
+        return {"factor": i0, "j": L, "m": m}, w2
+
+    return descend(w, step, lambda cur: not any(map(any, max(cur.terms)[:-1])))
 
 
 def simplicity_verdict(spec: TensorSpec, kac_level: int = 20) -> dict:

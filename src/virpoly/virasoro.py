@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import IndexOutOfSubalgebra, ZeroLambda
 from .laurent import LaurentPoly
-from .scalars import ZERO, Scalar, _make, _reduced, json_map, sc
+from .scalars import ZERO, Scalar, json_map, sc
 from .sparse import accumulate
 
 
@@ -27,8 +27,8 @@ class VirElement:
         self.z_part = sc(z_part)
 
     @staticmethod
-    def e(j: int, coeff=1) -> "VirElement":
-        return VirElement({j: coeff})
+    def e(j: int) -> "VirElement":
+        return VirElement({j: 1})
 
     @staticmethod
     def z(coeff=1) -> "VirElement":
@@ -76,26 +76,20 @@ class VirElement:
 
 
 def _cocycle(j: int) -> Scalar:
-    return _reduced(j**3 - j, 0, 12)
+    return Scalar(j**3 - j) / 12
 
 
 def vir_bracket(x: VirElement, y: VirElement) -> VirElement:
     """Bilinear extension of the defining relations; z is central.
 
-    Each term b (k - j) of y's part bracketed with e_j is scaled on the
-    integer triple of b, and the accumulated map is clean, so it is adopted.
+    Each e_j of x scales the terms b (k - j) e_{j+k} of y's part into the
+    map through ``accumulate``, so the result is clean and is adopted.
     """
     ys = y.e_part.terms
     out = {}
     zc = ZERO
     for j, a in x.e_part.terms.items():
-        scaled = {}
-        for k, b in ys.items():
-            if k != j:
-                n, e = k - j, b._d
-                x, y = b._a * n, b._b * n
-                scaled[j + k] = _make(x, y, 1) if e == 1 else _reduced(x, y, e)
-        accumulate(out, scaled, a)
+        accumulate(out, {j + k: b * (k - j) for k, b in ys.items() if k != j}, a)
         if -j in ys:
             zc = zc + a * ys[-j] * _cocycle(j)
     return VirElement(LaurentPoly.adopt(out), zc)

@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import time
-from math import comb
+from math import comb, isqrt
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ from conftest import cli_env
 from virpoly import cli
 from virpoly.cli import main
 from virpoly.characters import MAX_CHARACTER_DEGREE
+from virpoly.scalars import Scalar
 from virpoly.tensor import MAX_SLICE_RANK
 from virpoly.verify import SUITES
 
@@ -579,6 +580,71 @@ def test_reduce_work_is_bounded(tmp_path, capsys):
         assert f"up to {bound}" in err, name
     code, out = run_cli(capsys, "reduce", "--spec", spec("edge.json", 1, [[edge]]))
     assert code == 0 and out["generator_span"] is True
+
+
+def test_power_bits_are_bounded(tmp_path, capsys):
+    """Requests whose exact powers of lambda exceed MAX_POWER_BITS exit 2 at
+    once; the largest admitted ones, at three kinds of root, exit 0, and a
+    wide range of small powers stays admitted."""
+    digits20 = "77777777777777777777/3333333333333333333"
+    digits40 = "7" * 40 + "/" + "3" * 39
+
+    def root(lam):
+        return {"re": lam[0], "im": lam[1]} if isinstance(lam, tuple) else lam
+
+    def validate(lam, lo, hi):
+        return {"character": {"factors": [{"lambda": root(lam), "n": 1, "p": ["1"]}]}, "range": [lo, hi]}
+
+    def act(lam, j):
+        character = {"factors": [{"lambda": root(lam), "n": 1, "p": ["1"]}]}
+        vector = {"terms": [{"s": [0], "c": "1"}]}
+        return {"character": character, "element": {"laurent": {str(j): "1"}}, "vector": vector}
+
+    gaussian18 = ("123456789123456789/987654321", "4/7")
+    reduce = {
+        "character": {"factors": [{"lambda": root(gaussian18), "n": 1, "p": ["1"]}]},
+        "vector": {"terms": [{"s": [72], "c": "1"}]},
+    }
+    refused = {
+        "validate_3/5": ("char-validate", validate("3/5", 99990, 100000)),
+        "validate_77/3": ("char-validate", validate("77/3", 99990, 100000)),
+        "validate_admitted_range": ("char-validate", validate("3/5", 98000, 100000)),
+        "validate_20_digits": ("char-validate", validate(digits20, 1990, 2000)),
+        "validate_20_digits_far": ("char-validate", validate(digits20, 4990, 5000)),
+        "act_20_digits": ("act", act(digits20, 10000)),
+        "act_40_digits": ("act", act(digits40, 10000)),
+        "reduce_18_digits": ("reduce", reduce),
+    }
+    for name, (command, payload) in refused.items():
+        spec = write(tmp_path, "refused.json", payload)
+        start = time.perf_counter()
+        code, err = run_invalid(capsys, command, "--spec", spec, "--field", "Qi")
+        assert time.perf_counter() - start < 1.0, name
+        assert code == 2 and err.startswith("invalid input") and len(err.splitlines()) == 1, name
+    code, out = run_cli(capsys, "char-validate", "--spec", write(tmp_path, "wide.json", validate("3/5", -1000, 1000)))
+    assert code == 0 and out["valid"] is True
+    # [m, m] evaluates mu at m and m + 1, so it is admitted while
+    # (m^2 + (m + 1)^2) bits^2 <= MAX_POWER_BITS^2, with the power bits of
+    # 1/lambda (8 for 3 + 4i) below zero
+    bound = cli.MAX_POWER_BITS
+
+    def fits(m, bits):
+        return (m * m + (m + 1) ** 2) * bits * bits <= bound * bound
+
+    for lam, bits, sign in (("3/5", 5, 1), (("3", "4"), 8, -1), (digits20, 129, 1)):
+        x = Scalar.from_json(root(lam))
+        assert (x if sign > 0 else 1 / x).power_bits() == bits
+        m = sign * isqrt(bound * bound // (2 * bits * bits))
+        while fits(m + sign, bits):
+            m += sign
+        while not fits(m, bits):
+            m -= sign
+        for k, want in ((m, 0), (m + sign, 2)):
+            spec = write(tmp_path, "edge.json", validate(lam, k, k))
+            code = main(["char-validate", "--spec", spec, "--field", "Qi"])
+            captured = capsys.readouterr()
+            assert code == want, (lam, k)
+            assert want == 0 or f"at most {bound}" in captured.err
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-string limit")

@@ -6,8 +6,8 @@ import pytest
 from conftest import dense_rank, rand_vir
 from virpoly import induced, tailmod, tensor
 from virpoly.characters import ExpPolyCharacter, RestrictedCharacter, compose, single_root_character
-from virpoly.errors import DepthTooSmall, HypothesisViolation, SearchExhausted
-from virpoly.induced import get_engine
+from virpoly.errors import DepthTooSmall, HypothesisViolation, SearchExhausted, ZeroVector
+from virpoly.induced import ModuleElement, get_engine, reduce_to_generator
 from virpoly.laurent import LaurentPoly, linear_factor, poly_divmod
 from virpoly.scalars import Scalar, sc
 from virpoly.sparse import Echelon, accumulate
@@ -482,6 +482,68 @@ class TestCyclicReduce:
         spec = TensorSpec([ones(2, 1, 0), single_root_character(1, 1, [])], TAILS[1])
         with pytest.raises(HypothesisViolation):
             cyclic_reduce(spec, basis(spec, [(0,), (1,)]))
+
+
+def both_descents(mu, v):
+    """The two reductions of v: by the induced module, and by ``cyclic_reduce``
+    on the one-factor tensor with the trivial tail; an error counts as its type."""
+    try:
+        trace, final = reduce_to_generator(mu, v)
+        got = [(j, m) for j, m in trace], final.terms
+    except HypothesisViolation as exc:
+        got = type(exc)
+    try:
+        trace, final = cyclic_reduce(TensorSpec([mu]), TensorElement({(s, ()): c for s, c in v.terms.items()}))
+        want = [(step["j"], step["m"]) for step in trace], {key[0]: c for key, c in final.terms.items()}
+    except HypothesisViolation as exc:
+        want = type(exc)
+    return got, want
+
+
+class TestOneDescent:
+    """``reduce_to_generator`` and ``cyclic_reduce`` run one loop, ``induced.descend``."""
+
+    def test_one_factor_agrees_with_the_induced_route(self):
+        # every m, every j = 0, and the same final vector; n = 1 with r = -1
+        # is the zero character, refused by both
+        rng = random.Random(2603)
+        cases = 0
+        for lam, n in product([sc(2), sc("1/2"), Scalar(1, 1)], range(1, 4)):
+            for r in (n - 2, n - 1):
+                p = [sc(rng.randint(-2, 2)) for _ in range(r)] + [sc(rng.choice((1, -1, 3)))] if r >= 0 else []
+                mu = single_root_character(lam, n, p)
+                for _ in range(3):
+                    terms = {}
+                    for _ in range(rng.randint(1, 3)):
+                        s = [0] * n
+                        for _ in range(rng.randint(1, 4)):
+                            s[rng.randrange(n)] += 1
+                        terms[tuple(s)] = sc(rng.choice((1, -2, 5)))
+                    got, want = both_descents(mu, ModuleElement(terms))
+                    assert got == want, (lam, n, p, terms)
+                    cases += got is not HypothesisViolation
+        assert cases >= 45
+
+    def test_step_limit_admits_exactly_its_steps(self):
+        # from (0, k) every step lowers s_1 by one, so k steps reach the
+        # generator: a loop that tests for it only before each step refuses
+        mu = ones(2, 2, 1)
+        got, want = both_descents(mu, get_engine(mu).basis((0, induced.REDUCE_MAX_STEPS)))
+        assert got == want and len(got[0]) == induced.REDUCE_MAX_STEPS
+
+    def test_step_limit_is_read_at_call_time(self, monkeypatch):
+        spec = TensorSpec([ones(2, 2, 1)])
+        monkeypatch.setattr(induced, "REDUCE_MAX_STEPS", 4)
+        assert len(cyclic_reduce(spec, basis(spec, [(0, 4)]))[0]) == 4
+        with pytest.raises(SearchExhausted):
+            cyclic_reduce(spec, basis(spec, [(0, 5)]))
+
+    def test_zero_vector_is_one_error(self):
+        mu = ones(2, 2, 1)
+        with pytest.raises(ZeroVector, match="the zero vector has no leading index"):
+            reduce_to_generator(mu, ModuleElement({}))
+        with pytest.raises(ZeroVector, match="the zero vector has no leading index"):
+            cyclic_reduce(TensorSpec([mu]), TensorElement({}))
 
 
 class TestNonSimpleWitness:
