@@ -7,8 +7,10 @@ zeros.  The same objects serve as the associative algebra C[t^+-] and, via
 
 from __future__ import annotations
 
+from math import comb
+
 from .errors import BadModulus, NotCoprime, NotDivisible
-from .scalars import ONE, Scalar, json_index, json_map, power, sc
+from .scalars import ONE, ZERO, Scalar, json_index, json_map, power, sc
 from .sparse import SparseVector, accumulate
 
 
@@ -189,21 +191,23 @@ def taylor(g: LaurentPoly, lam, order: int) -> list:
     """The first ``order`` Taylor coefficients of g at lam != 0.
 
     a_i = sum_j g_j C(j, i) lam^(j-i), with the generalized binomial
-    C(j, i) = j (j-1) ... (j-i+1) / i! for j < 0, so that g minus
-    sum(a_i (t - lam)^i, i < order) is divisible by (t - lam)^order
-    (the Taylor shift, Knuth, TAOCP vol. 2, 4.6.4).
+    C(j, i) = j (j-1) ... (j-i+1) / i! = (-1)^i C(i-j-1, i) for j < 0, so
+    that g minus sum(a_i (t - lam)^i, i < order) is divisible by
+    (t - lam)^order (the Taylor shift, Knuth, TAOCP vol. 2, 4.6.4).  A
+    term's powers lam^(j-i) are one power of lam multiplied up by lam.
     """
     lam = sc(lam)
-    inv = ONE / lam
-    out = [Scalar(0)] * order
+    out = [ZERO] * order
     for j, c in g.terms.items():
-        term = c * lam**j
-        binom = 1
         # C(j, i) vanishes for 0 <= j < i
-        for i in range(order if j < 0 else min(order, j + 1)):
-            out[i] = out[i] + term * binom
-            term = term * inv
-            binom = binom * (j - i) // (i + 1)
+        top = order - 1 if j < 0 else min(order - 1, j)
+        term = c * lam ** (j - top)
+        for i in range(top, -1, -1):
+            b = comb(j, i) if j >= 0 else (-1) ** i * comb(i - j - 1, i)
+            x = term if b == 1 else term * b
+            out[i] = x if out[i] is ZERO else out[i] + x
+            if i:
+                term = term * lam
     return out
 
 

@@ -7,9 +7,9 @@ containers behave correctly.
 A Scalar is the integer triple (a, b, d) meaning (a + b*i)/d, with d > 0 and
 gcd(a, b, d) == 1; zero is (0, 0, 1).  Each arithmetic result is brought to
 that form with at most one three-way gcd on Python ints (Knuth, TAOCP vol. 2,
-section 4.5.1), none when the denominator is 1, and a rational operand
-(b == 0) skips the imaginary products.  ``Fraction`` is used only to read
-input, for the ``re``/``im`` views and to format output.
+section 4.5.1), none when the denominator is 1 or for a rational power, and
+a rational operand (b == 0) skips the imaginary products.  ``Fraction``
+reads string operands and serves the ``re``/``im`` views and the output.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def _frac(x) -> Fraction:
 
 
 # The one spelling of a scalar part in JSON: [+-]digits or [+-]digits/digits.
-_JSON_SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_JSON_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 # The operand types a Scalar operator converts; for any other it returns
 # NotImplemented, so the other operand (a vector scaled from the left) may act.
@@ -92,16 +92,18 @@ class Scalar:
         Each part is a string of an optional sign, decimal digits and an
         optional "/digits".  Anything else, numbers, booleans, decimals,
         exponents, spaces and zero denominators included, is malformed
-        input and raises ValueError; an exponent such as "1e10000000" would
-        otherwise build its huge integer before any check could see it.
+        input and raises ValueError, and so does a part with more digits
+        than Python converts.
         """
         parts = (obj.get("re", "0"), obj.get("im", "0")) if isinstance(obj, dict) else (obj, "0")
-        if not all(isinstance(x, str) and _JSON_SCALAR.fullmatch(x) for x in parts):
+        matches = [_JSON_SCALAR.fullmatch(x) if isinstance(x, str) else None for x in parts]
+        if not all(matches):
             raise ValueError(f"bad scalar JSON: {obj!r}")
-        try:
-            return Scalar(*parts)
-        except ZeroDivisionError as exc:
-            raise ValueError(f"bad scalar JSON: {obj!r}") from exc
+        # p/q + (r/s) i = (p s + r q i)/(q s)
+        (p, q), (r, s) = ((int(m[1]), int(m[2] or 1)) for m in matches)
+        if not (q and s):
+            raise ValueError(f"bad scalar JSON: {obj!r}")
+        return _reduced(p * s, r * q, q * s)
 
     def to_json(self):
         if self._b == 0:
@@ -199,9 +201,12 @@ class Scalar:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("Scalar powers must be integers")
-        if k < 0:
-            return power(ONE / self, -k, ONE)
-        return power(self, k, ONE)
+        x = self if k >= 0 else ONE / self
+        if x._b:
+            # a Gaussian power still needs reducing: ((1 + i)/2)**2 = i/2
+            return power(x, abs(k), ONE)
+        # the powers of a rational in lowest terms are in lowest terms
+        return _make(x._a ** abs(k), 0, x._d ** abs(k))
 
     def conjugate(self) -> "Scalar":
         return _make(self._a, -self._b, self._d)

@@ -1,20 +1,12 @@
 """The sparse exact kernel: finite maps key -> Scalar with no stored zeros.
 
 Laurent polynomials, PBW vectors and tensor vectors are such maps and share
-the accumulate loop and the container base below; the induced and tail
-engines act through the bilinear loop.  ``accumulate`` works each term out
-on the integer triples (a, b, d) of ``scalars`` and tests zero there, so a
-term costs one Scalar, built through ``scalars``' own canonical
-constructors, and a cancelled one costs none; the Scalar operators stay the
-reference it agrees with.  The Laurent polynomials include the characters'
-index polynomials and the power sums P_k, which have support >= 0.  A
-Virasoro element holds a Laurent polynomial as its e-part and its central
-coefficient z beside it, which the base's operations would drop.  Slice
-ranks and linear solves share one exact elimination, ``Echelon``: reduced
-row echelon form kept beside a column index, so a new pivot visits only the
-rows that hold its label.  A coefficient of one is never multiplied in,
-and a pivot row {label: 1}, the usual row of a span of basis vectors,
-reduces a row by deleting its label.
+the accumulate loop, which works on the integer triples of ``scalars``, and
+the container base below; the induced and tail engines act through the
+bilinear loop.  A Virasoro element holds a Laurent polynomial as its e-part
+and its central coefficient z beside it, which the base's operations would
+drop.  Slice ranks and linear solves share one exact elimination,
+``Echelon``: reduced row echelon form kept beside a column index.
 """
 
 from __future__ import annotations
@@ -92,34 +84,22 @@ def add_term(target: dict, key, c) -> None:
     target[key] = c
 
 
-def scales(g: dict, c) -> list:
-    """(k, a c) for each term a of g at k: None when a and c are both one,
-    and a unit factor is not multiplied in.
-
-    The unit tests read the integer triples, so a caller scaling by the
-    result compares no Scalars.
-    """
-    unit = c._a == 1 and c._d == 1 and not c._b
-    out = []
-    for k, a in g.items():
-        if a._a == 1 and a._d == 1 and not a._b:
-            out.append((k, None if unit else c))
-        else:
-            out.append((k, a if unit else a * c))
-    return out
-
-
 def bilinear(column, g: dict, v: dict) -> dict:
     """The fresh map sum of g[k] v[key] column(k, key) over k in g and key in v.
 
     This is the action of the induced and tail engines: column(k, key) is
-    e_k on one basis vector, often a memo entry, so it is only read.  A unit
-    factor is not multiplied in (``scales``).
+    e_k on one basis vector, often a memo entry, so it is only read.  A
+    unit factor, told by its integer triple, is not multiplied in.
     """
     out = {}
     for key, c in v.items():
-        for k, f in scales(g, c):
-            accumulate(out, column(k, key), f)
+        unit = c._a == 1 and c._d == 1 and not c._b
+        for k, a in g.items():
+            if a._a == 1 and a._d == 1 and not a._b:
+                a = None if unit else c
+            elif not unit:
+                a = a * c
+            accumulate(out, column(k, key), a)
     return out
 
 
@@ -191,13 +171,14 @@ class Echelon:
     nonzero remainder becomes a pivot normalised to 1 at its least key, and
     that label is then removed from every earlier pivot row that holds it;
     its other keys lie above the new label, which lies above the earlier
-    row's own.  A remainder of one key is {label: 1} outright, with no
-    division, and removing its label from an earlier row is a deletion.  The least label, not the first in dict order, keeps the
-    pivots independent of insertion order and makes a label above all
-    others (a right-hand side) a pivot only when nothing else is left of its
-    row.  An earlier row is replaced by a fresh dict, never changed in
-    place, so a caller may keep the rows it was handed; a row is new exactly
-    when the map grows.
+    row's own.  A remainder of one key, or an earlier row left with its
+    label alone, is {label: ONE} outright, and removing its label from an
+    earlier row is a deletion.  The least label, not the first in dict
+    order, keeps the pivots independent of insertion order and makes a
+    label above all others (a right-hand side) a pivot only when nothing
+    else is left of its row.  An earlier row is replaced by a fresh dict,
+    never changed in place, so a caller may keep the rows it was handed; a
+    row is new exactly when the map grows.
 
     ``holders`` is the column index of sparse direct solvers: each key maps
     to the set of labels whose rows hold it, leaving out a row's own label,
@@ -278,6 +259,7 @@ class Echelon:
                 else:
                     del new[label]
                 if len(new) == 1:
+                    new = {other: ONE}
                     units.add(other)
                 pivots[other] = new
             pivots[label] = row

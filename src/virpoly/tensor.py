@@ -24,8 +24,8 @@ from .densepoly import pdeg
 from .errors import DepthTooSmall, SearchExhausted, VirpolyError
 from .induced import descend, descent_power, get_engine
 from .laurent import ONE_POLY, LaurentPoly, bezout, poly_divmod
-from .scalars import Scalar, json_field, json_list, json_map
-from .sparse import Echelon, SparseVector, accumulate, add_term, scales
+from .scalars import ONE, Scalar, json_field, json_list, json_map
+from .sparse import Echelon, SparseVector, accumulate, add_term
 from .tailmod import TailModuleSpec, ann_bound, get_tail_engine, tail_simplicity
 from .virasoro import VirElement, theta, vir_bracket
 
@@ -64,7 +64,7 @@ class TensorSpec:
         return tuple(eng.zero_index for eng in self.engines)
 
     def generator(self) -> "TensorElement":
-        return TensorElement({self.zero_index() + ((),): 1})
+        return TensorElement({self.zero_index() + ((),): ONE})
 
     def to_json(self):
         return {
@@ -110,23 +110,25 @@ def _leibniz(columns, g: dict, v: dict, drop) -> dict:
 
     For each term of v and each e_k of g, every slot's column entry, the
     factor memo ``_act_idx(k, s_i)`` or the tail's ``_act_e(k, mono)``, is
-    added in at the key with that slot replaced, scaled by a c unless that
-    is one (``scales``).  ``add_term`` drops a zero sum: the slots meet at
-    the term's own key, and the terms of v may meet anywhere.
+    added in at the key with that slot replaced, scaled by a c; a unit row
+    {label: ONE} takes g's terms as they are, and ``ONE`` is never
+    multiplied in.  ``add_term`` drops a zero sum: the slots meet at the
+    term's own key, and the terms of v may meet anywhere.
     """
     out = {}
     for key, c in v.items():
-        scaled = scales(g, c)
+        scaled = g.items() if c is ONE else [(k, c if a is ONE else a * c) for k, a in g.items()]
         parts = list(key)
         for i, column in columns:
             s = parts[i]
             for k, f in scaled:
+                unit = f is ONE
                 for idx, d in column(k, s).items():
                     parts[i] = idx
                     key2 = tuple(parts)
                     if key2 in drop:
                         continue
-                    if f is not None:
+                    if not unit:
                         d = d * f
                     if key2 in out:
                         add_term(out, key2, d)
@@ -325,13 +327,9 @@ def iso_decide(a: TensorSpec, b: TensorSpec) -> dict:
 
 
 def _rank(labels) -> int:
-    """Rank of the span of an ``Echelon``: its number of labels.
-
-    The rows are in reduced form with distinct labels, so they are already
-    independent and nothing is eliminated again.  Any sized iterable of the
-    labels will do.  The function stays, rather than ``len`` at its caller,
-    because the benchmark traces it by name (``perfbench/tracing.py``,
-    ``SPANS``).
+    """Rank of the span of an ``Echelon``, whose reduced rows have distinct
+    labels: the number of labels.  It stays a function, not ``len`` at its
+    caller, because the benchmark traces it by name (``perfbench/tracing.py``).
     """
     return len(labels)
 
@@ -353,8 +351,8 @@ def _word_vectors(spec: TensorSpec, letters, depth: int):
     W_(d+1) = W_d + sum_g g span N_d: only the new rows are acted on again,
     as they stand after their layer's call.  ``Echelon`` replaces a row
     instead of changing it, so the layer being acted on stays fixed while
-    the next layer's rows arrive.  A row, already reduced, tends to be
-    shorter than its image, so the next layer acts on fewer terms.
+    the next layer's rows arrive.  A row, already reduced, is shorter than
+    its image, most often a unit row {label: ONE}.
 
     Each row is acted on by the letters in descending exponent.  A label is
     the least key of its row, and a row holds no key below its own label, so
@@ -362,9 +360,9 @@ def _word_vectors(spec: TensorSpec, letters, depth: int):
     no replacement; in this order most new labels arrive below the one
     before (ascending, most arrive above it, and the rows holding them are
     rebuilt).  The reduced form of a span is unique, so the order changes
-    only the work, not the rows.  Each row and each letter's terms go to
-    ``_leibniz`` as they are, and no term is formed at a unit label of the
-    ``Echelon`` (``drop``): the reduction would delete it.
+    only the work, not the rows.  Rows and letters go to ``_leibniz`` as
+    they are, with the unit labels as ``drop``: the reduction would delete
+    a term there.
     """
     letters = [g.terms for g in reversed(letters)]
     columns = spec._columns
@@ -419,8 +417,11 @@ def _abstract_slice_dim(letters, F: LaurentPoly, m: int, depth: int, bound=None)
     number of multisets of total weight <= d with n_k kinds of weight k, the
     sum of the coefficients of prod_k (1 - x^k)^(-n_k) up to x^d.
 
-    Since [span B, L] = span [B, L], each length is bracketed from a basis of
-    the span of the previous length's brackets (modulo z, which is central).
+    The letters are monomials t^b, and [t^a, t^b] = (b - a) t^(a+b) modulo
+    z, so a layer is a set of exponents: the a + b with a of length k - 1,
+    b a letter's and a != b.  One seen at a shorter length is dropped, as its
+    image and those of its brackets are counted a length earlier.  Each new
+    exponent takes one ``vir_bracket``, its image reduced into the quotient.
 
     The series is multiplied out one generator at a time, as each length is
     counted, so its running sum counts the monomials in the generators so
@@ -429,17 +430,18 @@ def _abstract_slice_dim(letters, F: LaurentPoly, m: int, depth: int, bound=None)
     returns the sum, so a refused slice costs no more brackets than it takes
     to see that; a dimension within the bound is exact either way.
     """
-    letter_elems = [VirElement(g) for g in letters]
-    layer = letter_elems
+    exps = [g.valuation() for g in letters]
+    layer = {b: VirElement(g) for b, g in zip(exps, letters)}
+    seen = set(layer)
     images = Echelon()
     series = [1] + [0] * depth
     for k in range(1, depth + 1):
         if k > 1:
-            layer = [vir_bracket(b, l) for b in layer for l in letter_elems]
-        span = Echelon(x.e_part.terms for x in layer)
-        layer = [VirElement(LaurentPoly.adopt(row)) for row in span.pivots.values()]
+            pairs = {a + b: (a, b) for a in layer for b in exps if a != b and a + b not in seen}
+            seen.update(pairs)
+            layer = {e: vir_bracket(VirElement.e(a), VirElement.e(b)) for e, (a, b) in pairs.items()}
         size = len(images)
-        images.extend(_quotient_coords(x, F, m) for x in layer)
+        images.extend(_quotient_coords(x, F, m) for x in layer.values())
         for _ in range(len(images) - size):
             for j in range(k, depth + 1):
                 series[j] += series[j - k]
@@ -450,8 +452,8 @@ def _abstract_slice_dim(letters, F: LaurentPoly, m: int, depth: int, bound=None)
 
 # The largest slice rank the word span is built for: just above 30,232, the
 # largest depth-7 rank of one linear factor (m = -1), which is checked cold
-# in about 1.9-2.1 s and 78 MB (m = 0: 1.2-1.4 s, 65 MB; m = 1: 1.2-1.3 s,
-# 56 MB); depth 8 counts 109,486 and more, and takes 7.8-8.7 s and 269 MB
+# in about 1.1-1.3 s and 76 MB (m = 0: 0.8-1.1 s, 63 MB; m = 1: 0.6-0.7 s,
+# 55 MB); depth 8 counts 109,486 and more, and takes 5.3-5.4 s and 264 MB
 # at m = 1 (shared 2-core host, Python 3.11.7), with the tail memo the
 # largest structure.  The count stops once it passes the bound, so a
 # refusal is prompt at any depth.
@@ -485,7 +487,7 @@ def counted_slice(source, depth: int, kind: str = "polynomial", composite=None):
         F, m, low = source.ambient(), source.m, source.m - depth
     else:
         raise ValueError(f"unknown verification kind {kind!r}")
-    letters = [LaurentPoly({i: 1}) for i in range(low, m + F.degree())]
+    letters = [LaurentPoly({i: ONE}) for i in range(low, m + F.degree())]
     expected = _abstract_slice_dim(letters, F, m, depth, MAX_SLICE_RANK)
     if expected > MAX_SLICE_RANK:
         raise _over_bound(depth, expected)

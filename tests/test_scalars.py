@@ -1,10 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from virpoly.scalars import Scalar, sc
+from virpoly.scalars import ONE, Scalar, power, sc
 
 
 def test_rational_arithmetic_exact():
@@ -44,6 +45,32 @@ def test_powers_match_repeated_products(x):
         if k < 0:
             want = sc(1) / want
         assert x**k == want, k
+
+
+@pytest.mark.parametrize(
+    "x",
+    [sc("3/5"), sc("-2/3"), sc(-7), sc("-1"), sc("12/35"), Scalar(1, 1) / 2, Scalar("1/2", "-3"), Scalar(0, 1)],
+    ids=str,
+)
+def test_powers_match_square_and_multiply(x):
+    # a rational power is built from the integer powers of its parts; it
+    # must be the canonical value that square-and-multiply reduces to
+    for k in list(range(-7, 8)) + [64, 99, -99]:
+        want = power(x, k, ONE) if k >= 0 else power(ONE / x, -k, ONE)
+        got = x**k
+        assert got == want and hash(got) == hash(want), k
+        assert got.to_json() == want.to_json()
+
+
+def test_gaussian_powers_are_reduced():
+    assert (Scalar(1, 1) / 2) ** 2 == Scalar(0, "1/2")
+    assert (Scalar(1, 1) / 2) ** -2 == Scalar(0, -2)
+
+
+def test_powers_of_zero():
+    assert sc(0) ** 0 == 1 and sc(0) ** 3 == 0
+    with pytest.raises(ZeroDivisionError):
+        sc(0) ** -1
 
 
 def test_zero_division_rejected():
@@ -180,6 +207,41 @@ def test_equality_with_python_numbers():
 def test_parts_are_read_only():
     with pytest.raises(AttributeError):
         sc(1).re = Fraction(2)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [("3/4", (3, 4)), ("-2", (-2, 1)), ("+5", (5, 1)), ("007/014", (1, 2)), ("-0/9", (0, 1))],
+)
+def test_json_parts_read_as_fractions(text, want):
+    assert Scalar.from_json(text) == Scalar(Fraction(*want))
+    assert Scalar.from_json({"re": "1/3", "im": text}) == Scalar(Fraction(1, 3), Fraction(*want))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "1/0", "0/0", {"re": "1", "im": "1/0"}, {"re": "2/00", "im": "1"},
+        "1e3", "1.5", " 1", "1 ", "1/2/3", "/2", "2/", "--1", "1/+2", "6/-0", "", "i", "١",
+        1, 1.5, None, [], {"re": 1}, {"im": ["1"]},
+    ],
+    ids=repr,
+)
+def test_malformed_scalars_are_refused(bad):
+    with pytest.raises(ValueError, match="^bad scalar JSON: "):
+        Scalar.from_json(bad)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-string limit")
+@pytest.mark.parametrize("form", ["{}", "1/{}", "-{}/7", "re:{}", "im:1/{}"])
+def test_scalar_digits_stay_limited(form):
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    text = form.split(":")[-1].format(digits)
+    obj = {form.split(":")[0]: text} if ":" in form else text
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        Scalar.from_json(obj)
+    short = "7" * sys.get_int_max_str_digits()
+    assert Scalar.from_json(form.split(":")[-1].format(short)) != 0
 
 
 def test_booleans_are_not_scalars():

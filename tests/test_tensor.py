@@ -1,5 +1,8 @@
+import inspect
 import random
+import textwrap
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -808,6 +811,54 @@ class TestGeneralTensorMap:
     def test_depth_zero_rejected(self):
         with pytest.raises(DepthTooSmall):
             general_tensor_map([ones(1, 1, 0)], 0, kind="polynomial")
+
+
+def mutant_count(*edits):
+    """``_abstract_slice_dim`` with each (old, new) edit made to its source."""
+    source = textwrap.dedent(inspect.getsource(tensor._abstract_slice_dim))
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(vars(tensor))
+    exec(compile(source, "<mutant count>", "exec"), namespace)
+    return namespace["_abstract_slice_dim"]
+
+
+class TestSliceCount:
+    # the count keeps each bracket layer as a set of exponents; the pinned
+    # ranks of the benchmark's restricted slices (one linear factor, m = 0
+    # and 1, depths 3 and 4) must tell it from a count with one defect
+    RESTRICTED = [(0, 3, 48), (0, 4, 223), (1, 3, 42), (1, 4, 192)]
+
+    @pytest.mark.parametrize(
+        "roots", [[2], [1, 2], [2, 2], [1, 2, 2], [1, -1, 2, 3], [3, 3, 3, 3]], ids=str
+    )
+    def test_polynomial_count_is_a_binomial(self, roots):
+        # V_1 is all of C[t]/F, so the slice is the polynomials of degree
+        # <= d in deg F variables: C(d + deg F, deg F) of them
+        F = LaurentPoly({0: 1})
+        for lam in roots:
+            F = F * linear_factor(lam)
+        letters = [t(i) for i in range(F.degree())]
+        for depth in range(1, 6):
+            assert _abstract_slice_dim(letters, F, 0, depth) == comb(depth + len(roots), len(roots))
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            # [t^a, t^a] counted as if it were t^(2a)
+            (("a != b and ", ""), ("vir_bracket(VirElement.e(a), VirElement.e(b))", "VirElement.e(a + b)")),
+            # the last new exponent of each layer lost
+            (("seen.update(pairs)", "seen.update(pairs)\n            if pairs:\n                pairs.popitem()"),),
+        ],
+        ids=["keeps_a_eq_b", "drops_a_new_exponent"],
+    )
+    def test_mutant_counts_miss_the_pinned_ranks(self, edits):
+        mutant = mutant_count(*edits)
+        for m, depth, rank in self.RESTRICTED:
+            letters, F, _ = slice_letters(("restricted", [(2, 1)], m), depth)
+            assert _abstract_slice_dim(letters, F, m, depth) == rank
+            assert mutant(letters, F, m, depth) != rank, (m, depth)
 
 
 ORDER_CASES = [(("restricted", [(2, 1)], m), depth) for m in (-1, 0, 1) for depth in range(1, 6)] + [
