@@ -75,7 +75,8 @@ class ExpPolyCharacter:
             if pdeg(p) >= n or not p.is_polynomial():
                 raise ValueError("p must be a polynomial of degree below the root multiplicity")
             norm.append((lam, int(n), p))
-        norm.sort(key=lambda t: _sort_key(t[0]))
+        if len(norm) > 1:
+            norm.sort(key=lambda t: _sort_key(t[0]))
         self.factors = tuple(norm)
         if not (extra == ONE_POLY):
             if not extra.is_monic_nonzero_const():
@@ -280,6 +281,9 @@ def decompose(mu: ExpPolyCharacter):
     """
     if not (mu.extra == ONE_POLY):
         raise ValueError("decompose needs a fully factored ambient polynomial")
+    if len(mu.factors) == 1:
+        # the cofactor is 1, so the system is the identity
+        return [mu]
     roots = [(lam, n) for lam, n, _ in mu.factors]
     out = []
     for i, (lam, n, q) in enumerate(mu.factors):

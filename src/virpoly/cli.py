@@ -107,8 +107,11 @@ def _cmd_act(raw, args):
     else:
         x = VirElement(LaurentPoly.from_json(json_field(elem, "laurent", "the element")))
     _check_indices(x.e_part.terms, "an element exponent")
-    # each exponent builds the Taylor window of n + r + 1 powers at lambda
-    _check_powers([eng.lam], x.e_part.terms, eng.n + eng.r + 1)
+    # each exponent builds the Taylor window of n + r + 1 powers at lambda, and
+    # straightening a term of weight w = sum_i (i + 1) s_i takes about
+    # (1 + w/4)^2 times their work, a fit (see MAX_POWER_BITS)
+    weight = max((sum((i + 1) * e for i, e in enumerate(s)) for s in v.terms), default=0)
+    _check_powers([eng.lam], x.e_part.terms, (eng.n + eng.r + 1) * (4 + weight) ** 2 // 16)
     return {"result": eng.act_vir(x, v)}
 
 
@@ -131,14 +134,18 @@ def _check_indices(indices, what: str) -> None:
 
 # The largest exact power of a root lambda that a request may build, in
 # bits.  lambda^j holds about |j| ``Scalar.power_bits`` of lambda (of
-# 1/lambda for j < 0), and a product of such powers ends in a gcd, so a
-# power costs about the square of its bits: several count by the root of
-# the sum of their squares, over the roots and the indices evaluated.  At
-# the bound, single in-process `cli.main` runs (2-core host) took: `act`
-# t^3837 on the generator at a 20-digit lambda (129 bits) 2.1 s, t^1356 at
-# n = 8 there 1.9 s, and t^98994 at lambda = 3/5 1.3 s; `char-validate` on
-# one index at the 20-digit lambda 1.3 s.  `char-validate` on [-1000, 1000]
-# at lambda = 3/5, far below it, took 0.3 s.
+# 1/lambda for j < 0).  A rational power takes no gcd, but the sums and
+# products of such powers do, so a power costs about the square of its bits:
+# several count by the root of the sum of their squares, over the roots and
+# the indices evaluated.  At the bound, three single in-process `cli.main`
+# runs each (2-core host, Python 3.11) took: `act` t^3837 on the generator at
+# a 20-digit lambda (129 bits) 0.5-1.0 s, t^1356 at n = 8 there 0.3-1.2 s,
+# and t^98994 at lambda = 3/5 0.4-0.6 s; `char-validate` on one index at the
+# 20-digit lambda 0.6-0.8 s.  `char-validate` on [-1000, 1000] at lambda =
+# 3/5, far below it, took 0.13-0.16 s.  `act` on a vector of weight w counts
+# its powers (1 + w/4)^2 times: t^1000 at the 20-digit lambda took 1.3 s on
+# s = [11], the largest admitted, and 21 s on [64] before; near the engine's
+# recursion limit at small powers, t^10 on s = [900] takes 4.5 s.
 MAX_POWER_BITS = 7 * 10**5
 
 
@@ -155,8 +162,8 @@ def _check_powers(roots, indices, per_index: int) -> None:
         )
 
 
-# The verify grids grow fast with --nmax: the full run took 3.2 s at 4,
-# 8.1 s at 5 and 13-18 s at 6 (three runs), and repRootPowerComp1 alone
+# The verify grids grow fast with --nmax: the full run took 2.0 s at 4,
+# 5.3 s at 5 and 11-15 s at 6 (two runs), and repRootPowerComp1 alone
 # 126 s at 10 (375,480 cases), on a shared 2-core host.
 MAX_VERIFY_NMAX = 6
 

@@ -89,10 +89,12 @@ class LaurentPoly(SparseVector):
     def __mul__(self, other) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return super().__mul__(other)
+        if self is ONE_POLY:
+            return other
         out = {}
         for e1, c1 in self.terms.items():
             accumulate(out, {e1 + e2: c2 for e2, c2 in other.terms.items()}, c1)
-        return LaurentPoly(out)
+        return LaurentPoly.adopt(out)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -115,7 +117,7 @@ T = LaurentPoly({1: 1})
 
 def linear_factor(lam) -> LaurentPoly:
     """The monic linear polynomial t - lam."""
-    return LaurentPoly({1: sc(1), 0: -sc(lam)})
+    return LaurentPoly({1: ONE, 0: -sc(lam)})
 
 
 def lie_bracket(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

@@ -6,7 +6,10 @@ identically zero on the e_j, z -> c), and Whittaker modules (m >= 1 with a
 free window on e_m .. e_{2m}).  The PBW basis consists of weakly increasing
 words in the generators e_j with j < m applied to the cyclic vector; left
 multiplication is straightened with the defining bracket, the cocycle
-feeding the central value c.
+feeding the central value c.  Products already in PBW order are written
+without straightening: e_i on a word it does not exceed, and, inside a
+straightening, e_i and e_(i+j0) on the rest of the word when they do not
+exceed its first letter.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import VirpolyError
-from .scalars import ONE, Scalar, json_field, json_index, json_int, json_map, sc
+from .scalars import ONE, ZERO, Scalar, json_field, json_index, json_int, json_map, sc
 from .sparse import accumulate, add_term, bilinear, clean
 from .virasoro import VirElement, _cocycle
 
@@ -75,7 +78,7 @@ class TailModuleSpec:
             return Scalar(0)
         if j < self.m:
             raise ValueError(f"e_{j} is not in b_{self.m}")
-        return self.window.get(j, Scalar(0))
+        return self.window.get(j, ZERO)
 
     def support_top(self) -> int:
         """Largest index the character may be nonzero at (window end)."""
@@ -158,7 +161,9 @@ class TailModule:
         e_i e_j0 rest = e_j0 (e_i rest) + (j0 - i) e_(i+j0) rest, plus the
         cocycle times c on rest when j0 = -i.  A monomial of e_i rest that
         e_j0 meets in PBW order (it is empty, since j0 < m, or starts at j0
-        or above) takes e_j0 in front, written in place.
+        or above) takes e_j0 in front, written in place.  So are (j0, i) + rest
+        and (i + j0,) + rest when i or i + j0 is at most ``top``, rest's first
+        entry (m - 1 on the cyclic vector), which puts e_x rest in PBW order.
         """
         if not mono:
             if i < self.spec.m:
@@ -173,13 +178,20 @@ class TailModule:
         if hit is not None:
             return hit
         rest = mono[1:]
-        out = {}
-        for mono2, c in self._act_e(i, rest).items():
-            if mono2 and mono2[0] < j0:
-                accumulate(out, self._act_e(j0, mono2), c)
-            else:
-                add_term(out, (j0,) + mono2, c)
-        accumulate(out, self._act_e(i + j0, rest), Scalar(j0 - i))
+        top = rest[0] if rest else self.spec.m - 1
+        if i <= top:
+            out = {(j0, i) + rest: ONE}
+        else:
+            out = {}
+            for mono2, c in self._act_e(i, rest).items():
+                if mono2 and mono2[0] < j0:
+                    accumulate(out, self._act_e(j0, mono2), c)
+                else:
+                    add_term(out, (j0,) + mono2, c)
+        if i + j0 <= top:
+            add_term(out, (i + j0,) + rest, Scalar(j0 - i))
+        else:
+            accumulate(out, self._act_e(i + j0, rest), Scalar(j0 - i))
         if j0 == -i:
             zc = _cocycle(i) * self.spec.c
             if not zc.is_zero():

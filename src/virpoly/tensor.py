@@ -276,21 +276,24 @@ def simplicity_verdict(spec: TensorSpec, kac_level: int = 20) -> dict:
     return report
 
 
-def restricted_to_tensor(rc: RestrictedCharacter):
+def restricted_spec(rc: RestrictedCharacter) -> TensorSpec:
     """Tensor realization of a b_m^F-induced module.
 
     Splits the character into its full-subalgebra part and the hat part, then
     decomposes the former into single-root factors; the hat part becomes the
     b_m tail, whose family follows m (the quotient for m = -1, Verma for
-    m = 0, Whittaker for m >= 1).  Returns the spec together with the
-    closed-form hat values.
+    m = 0, Whittaker for m >= 1).
     """
     ddot, hat = rc.split_muhat()
-    window = hat["window"]
-    spec = TensorSpec(decompose(ddot), TailModuleSpec(rc.m, window, hat["z"]))
+    return TensorSpec(decompose(ddot), TailModuleSpec(rc.m, hat["window"], hat["z"]))
+
+
+def restricted_to_tensor(rc: RestrictedCharacter):
+    """``restricted_spec`` together with the hat window and the closed-form hat values."""
+    spec = restricted_spec(rc)
     report = {
         "m": rc.m,
-        "hat_window": {str(j): window[j].to_json() for j in sorted(window)},
+        "hat_window": {str(j): spec.tail.psi(j).to_json() for j in range(rc.m, 2 * rc.m + 1)},
         "closed_forms": {k: v.to_json() for k, v in rc.muhat_closed_forms().items()},
     }
     return spec, report
@@ -421,7 +424,9 @@ def _abstract_slice_dim(letters, F: LaurentPoly, m: int, depth: int, bound=None)
     z, so a layer is a set of exponents: the a + b with a of length k - 1,
     b a letter's and a != b.  One seen at a shorter length is dropped, as its
     image and those of its brackets are counted a length earlier.  Each new
-    exponent takes one ``vir_bracket``, its image reduced into the quotient.
+    exponent takes one ``vir_bracket``, of the element that reached a with
+    the letter, a nonzero multiple of t^(a+b) modulo z; its image is reduced
+    into the quotient.
 
     The series is multiplied out one generator at a time, as each length is
     counted, so its running sum counts the monomials in the generators so
@@ -431,7 +436,7 @@ def _abstract_slice_dim(letters, F: LaurentPoly, m: int, depth: int, bound=None)
     to see that; a dimension within the bound is exact either way.
     """
     exps = [g.valuation() for g in letters]
-    layer = {b: VirElement(g) for b, g in zip(exps, letters)}
+    layer = letter = {b: VirElement(g) for b, g in zip(exps, letters)}
     seen = set(layer)
     images = Echelon()
     series = [1] + [0] * depth
@@ -439,9 +444,10 @@ def _abstract_slice_dim(letters, F: LaurentPoly, m: int, depth: int, bound=None)
         if k > 1:
             pairs = {a + b: (a, b) for a in layer for b in exps if a != b and a + b not in seen}
             seen.update(pairs)
-            layer = {e: vir_bracket(VirElement.e(a), VirElement.e(b)) for e, (a, b) in pairs.items()}
-        size = len(images)
-        images.extend(_quotient_coords(x, F, m) for x in layer.values())
+            layer = {e: vir_bracket(layer[a], letter[b]) for e, (a, b) in pairs.items()}
+        # an exponent below m is a key of the quotient no other image holds
+        size = len(images) - sum(e < m for e in layer)
+        images.extend(_quotient_coords(x, F, m) for e, x in layer.items() if e >= m)
         for _ in range(len(images) - size):
             for j in range(k, depth + 1):
                 series[j] += series[j - k]
@@ -452,8 +458,8 @@ def _abstract_slice_dim(letters, F: LaurentPoly, m: int, depth: int, bound=None)
 
 # The largest slice rank the word span is built for: just above 30,232, the
 # largest depth-7 rank of one linear factor (m = -1), which is checked cold
-# in about 1.1-1.3 s and 76 MB (m = 0: 0.8-1.1 s, 63 MB; m = 1: 0.6-0.7 s,
-# 55 MB); depth 8 counts 109,486 and more, and takes 5.3-5.4 s and 264 MB
+# in about 1.1-1.3 s and 76 MB (m = 0: 0.8-0.9 s, 64 MB; m = 1: 0.6-0.9 s,
+# 55 MB); depth 8 counts 109,486 and more, and takes 5.7 s and 264 MB
 # at m = 1 (shared 2-core host, Python 3.11.7), with the tail memo the
 # largest structure.  The count stops once it passes the bound, so a
 # refusal is prompt at any depth.
@@ -487,7 +493,7 @@ def counted_slice(source, depth: int, kind: str = "polynomial", composite=None):
         F, m, low = source.ambient(), source.m, source.m - depth
     else:
         raise ValueError(f"unknown verification kind {kind!r}")
-    letters = [LaurentPoly({i: ONE}) for i in range(low, m + F.degree())]
+    letters = [LaurentPoly.adopt({i: ONE}) for i in range(low, m + F.degree())]
     expected = _abstract_slice_dim(letters, F, m, depth, MAX_SLICE_RANK)
     if expected > MAX_SLICE_RANK:
         raise _over_bound(depth, expected)
@@ -505,7 +511,8 @@ def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
 
     Two checks:
       * generator equivariance, for every j: t^j F acts on the joint
-        generator by the character value, and z by its value.  Slot i reads
+        generator by the character value (``_leibniz`` on the generator's
+        map against the value at its key), and z by its value.  Slot i reads
         the Taylor data of t^j F at lambda_i to order n_i + r_i, so each
         coefficient of either side is sum_i q_i(j) lambda_i^j over the
         factors, with deg q_i <= n_i + r_i (the value's is r_i).  Such a
@@ -533,14 +540,16 @@ def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
         z_value = Scalar(0)
     else:
         F, letters, expected = counted_slice(source, depth, kind)
-        spec, _report = restricted_to_tensor(source)
+        spec = restricted_spec(source)
         value = source.mu_x
         z_value = source.z_value
     gen = spec.generator()
+    (key,) = gen.terms
     N = sum(_annihilation_exponents(spec, gen))
     window = range(N) if kind == "polynomial" else range(source.m, 2 * source.m + N + 1)
     equiv = all(
-        tensor_act(spec, VirElement(F.shift(j)), gen) == gen * value(j)
+        _leibniz(spec._columns, {e + j: a for e, a in F.terms.items()}, gen.terms, ())
+        == ({} if (c := value(j)).is_zero() else {key: c})
         for j in window
     ) and tensor_act(spec, VirElement.z(), gen) == gen * z_value
     rank = _rank(_word_vectors(spec, letters, depth))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import IndexOutOfSubalgebra, ZeroLambda
 from .laurent import LaurentPoly
-from .scalars import ZERO, Scalar, json_map, sc
+from .scalars import ONE, ZERO, Scalar, json_map, sc
 from .sparse import accumulate
 
 
@@ -22,13 +22,13 @@ class VirElement:
 
     __slots__ = ("e_part", "z_part")
 
-    def __init__(self, e_part=None, z_part=0):
+    def __init__(self, e_part=None, z_part=ZERO):
         self.e_part = e_part if isinstance(e_part, LaurentPoly) else LaurentPoly(e_part)
         self.z_part = sc(z_part)
 
     @staticmethod
     def e(j: int) -> "VirElement":
-        return VirElement({j: 1})
+        return VirElement(LaurentPoly.adopt({j: ONE}))
 
     @staticmethod
     def z(coeff=1) -> "VirElement":

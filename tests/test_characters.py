@@ -176,6 +176,14 @@ class TestDecompose:
                 m.factors for m in sorted(parts, key=key)
             ]
 
+    def test_one_root_comes_back_as_it_is(self):
+        # the cofactor of a lone root is 1, so its system is the identity
+        cases = [(sc(2), 1, [sc(3)]), (sc(-1), 3, [1, sc("1/2"), 4]), (Scalar(1, 1), 2, [Scalar(0, 2)]), (sc(3), 2, [])]
+        for lam, n, p in cases:
+            mu = single_root_character(lam, n, p)
+            (back,) = decompose(mu)
+            assert back is mu
+
     def test_degree_preservation(self):
         comp = ExpPolyCharacter([(sc(1), 3, [sc(1), sc(2)]), (sc(2), 2, [sc(4)])])
         parts = decompose(comp)

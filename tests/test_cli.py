@@ -647,6 +647,28 @@ def test_power_bits_are_bounded(tmp_path, capsys):
             assert want == 0 or f"at most {bound}" in captured.err
 
 
+def test_act_counts_the_vector_weight(tmp_path, capsys):
+    """act's power estimate grows with the weight of the vector: t^1000 at a
+    20-digit lambda (129 power bits) is admitted on the generator and on
+    s = [2], and refused at once on s = [64], which took 21 s when only the
+    exponents were counted."""
+    lam = "77777777777777777777/3333333333333333331"
+
+    def spec(s):
+        character = {"factors": [{"lambda": lam, "n": 1, "p": ["1"]}]}
+        vector = {"terms": [{"s": s, "c": "1"}]}
+        return {"character": character, "element": {"laurent": {"1000": "1"}}, "vector": vector}
+
+    for s in ([0], [2]):
+        code, out = run_cli(capsys, "act", "--spec", write(tmp_path, "a.json", spec(s)))
+        assert code == 0 and out["result"]["terms"], s
+    start = time.perf_counter()
+    code, err = run_invalid(capsys, "act", "--spec", write(tmp_path, "a.json", spec([64])))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and err.startswith("invalid input") and len(err.splitlines()) == 1
+    assert f"at most {cli.MAX_POWER_BITS}" in err
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-string limit")
 def test_act_result_beyond_int_str_limit(tmp_path, capsys):
     """t^j on the generator at lambda = 2, p(j) = j: the Taylor coefficients

@@ -1,5 +1,9 @@
+import inspect
 import random
+import textwrap
+import types
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -9,6 +13,7 @@ from virpoly.errors import VirpolyError
 from virpoly.scalars import Scalar, sc
 from virpoly.tailmod import (
     MAX_KAC_LEVEL,
+    TailModule,
     TailModuleSpec,
     ann_bound,
     b_act,
@@ -150,6 +155,27 @@ def straighten(spec: TailModuleSpec, word: tuple) -> dict:
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
+def small_words(m):
+    """(i, mono) for every monomial of length <= 3 with entries in [m - 3, m - 1]
+    and every i in [m - 4, 2m + 3]: each case ``_act_e`` writes without a call,
+    (j0, i) + rest and (i + j0,) + rest, the cocycle at i + j0 = 0 among them."""
+    for size in range(4):
+        for mono in combinations_with_replacement(range(m - 3, m), size):
+            for i in range(m - 4, 2 * m + 4):
+                yield i, mono
+
+
+def mutant_engine(spec, old, new):
+    """A fresh engine whose ``_act_e``, recursion included, has one edit made to its source."""
+    source = textwrap.dedent(inspect.getsource(TailModule._act_e))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(tailmod))
+    exec(compile(source.replace(old, new), "<mutant _act_e>", "exec"), namespace)
+    eng = TailModule(spec)
+    eng._act_e = types.MethodType(namespace["_act_e"], eng)
+    return eng
+
+
 class TestStraighteningMemo:
     def test_reference_straightening_small_cases(self):
         # [e_1, e_-1] = -2 e_0 + 0 z on the Verma vector: -2h
@@ -167,6 +193,27 @@ class TestStraighteningMemo:
             mono = tuple(sorted(rng.randint(m - 4, m - 1) for _ in range(rng.randint(0, 3))))
             i = rng.randint(m - 4, 2 * m + 2)
             assert eng._act_e(i, mono) == straighten(spec, (i,) + mono), (i, mono)
+
+    @pytest.mark.parametrize("m", sorted(SPECS))
+    def test_act_e_matches_the_reference_on_every_small_word(self, m):
+        eng = TailModule(SPECS[m])
+        for i, mono in small_words(m):
+            assert eng._act_e(i, mono) == straighten(SPECS[m], (i,) + mono), (i, mono)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("(i + j0,) + rest, Scalar(j0 - i))", "(i + j0,) + rest, Scalar(i - j0))"),
+            ("if j0 == -i:", "if j0 == -i and i + j0 > top:"),
+        ],
+        ids=["sign_of_j0_minus_i", "cocycle_dropped_at_zero"],
+    )
+    def test_mutant_direct_writes_are_caught(self, old, new):
+        wrong = []
+        for m, spec in sorted(SPECS.items()):
+            eng = mutant_engine(spec, old, new)
+            wrong += [(i, mono) for i, mono in small_words(m) if eng._act_e(i, mono) != straighten(spec, (i,) + mono)]
+        assert wrong
 
     @pytest.mark.parametrize("m", [-1, 0, 1])
     def test_memo_after_a_slice_holds_only_real_straightening(self, m):
