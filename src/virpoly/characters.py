@@ -75,8 +75,7 @@ class ExpPolyCharacter:
             if pdeg(p) >= n or not p.is_polynomial():
                 raise ValueError("p must be a polynomial of degree below the root multiplicity")
             norm.append((lam, int(n), p))
-        if len(norm) > 1:
-            norm.sort(key=lambda t: _sort_key(t[0]))
+        norm.sort(key=lambda t: _sort_key(t[0]))
         self.factors = tuple(norm)
         if not (extra == ONE_POLY):
             if not extra.is_monic_nonzero_const():

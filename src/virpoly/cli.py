@@ -144,8 +144,10 @@ def _check_indices(indices, what: str) -> None:
 # 20-digit lambda 0.6-0.8 s.  `char-validate` on [-1000, 1000] at lambda =
 # 3/5, far below it, took 0.13-0.16 s.  `act` on a vector of weight w counts
 # its powers (1 + w/4)^2 times: t^1000 at the 20-digit lambda took 1.3 s on
-# s = [11], the largest admitted, and 21 s on [64] before; near the engine's
-# recursion limit at small powers, t^10 on s = [900] takes 4.5 s.
+# s = [11], the largest admitted, and 21 s on [64] before.  That factor is
+# fitted where the powers are large and bounds only those: the straightening
+# also makes about w^2 products whatever their bits, which nothing here
+# counts, so t^10 on s = [900] is admitted and takes 4.5-5.7 s.
 MAX_POWER_BITS = 7 * 10**5
 
 

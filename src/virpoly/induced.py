@@ -30,14 +30,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from operator import mul
 
 from .characters import ExpPolyCharacter, single_root_character
 from .densepoly import index_poly, pdeg, pshift
 from .errors import HypothesisViolation, SearchExhausted, ZeroLambda, ZeroVector
 from .faulhaber import faulhaber
 from .laurent import ONE_POLY, LaurentPoly, linear_factor, taylor
-from .scalars import ONE, ZERO, Scalar, json_field, json_list, json_map, sc
+from .scalars import ONE, Scalar, json_field, json_list, json_map, sc
 from .sparse import SparseVector, accumulate, add_term, bilinear
 from .virasoro import VirElement, theta
 
@@ -123,10 +122,10 @@ class InducedModule:
         self._fpow = {0: ONE_POLY, 1: self.f}
         # mu(f^(n+k)) for k <= r, through f^k = sum_i C(k, i) (-lam)^(k-i) t^i;
         # mu kills t^j f^(n+r+1), so the generator needs no higher k
-        self._mu_fpow = [
-            sum((comb(k, i) * (-lam) ** (k - i) * mu.value_power(i, n) for i in range(k + 1)), ZERO)
-            for k in range(self.r + 1)
-        ]
+        self._mu_fpow = []
+        for k in range(self.r + 1):
+            terms = (comb(k, i) * (-lam) ** (k - i) * mu.value_power(i, n) for i in range(k + 1))
+            self._mu_fpow.append(sum(terms, Scalar(0)))
         self._act_cache = {}
         self._lmul_cache = {}
         self.zero_index = (0,) * n
@@ -162,7 +161,7 @@ class InducedModule:
             for i, c in enumerate(a[: self.n]):
                 if not c.is_zero():
                     out[s[:i] + (1,) + s[i + 1 :]] = c
-            val = sum(map(mul, a[self.n :], self._mu_fpow), ZERO)
+            val = sum((c * mu_f for c, mu_f in zip(a[self.n :], self._mu_fpow)), Scalar(0))
             # the window bumps never land on the zero index s itself
             if not val.is_zero():
                 out[s] = val

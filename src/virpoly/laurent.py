@@ -89,8 +89,6 @@ class LaurentPoly(SparseVector):
     def __mul__(self, other) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return super().__mul__(other)
-        if self is ONE_POLY:
-            return other
         out = {}
         for e1, c1 in self.terms.items():
             accumulate(out, {e1 + e2: c2 for e2, c2 in other.terms.items()}, c1)

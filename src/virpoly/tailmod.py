@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import VirpolyError
-from .scalars import ONE, ZERO, Scalar, json_field, json_index, json_int, json_map, sc
+from .scalars import ONE, Scalar, json_field, json_index, json_int, json_map, sc
 from .sparse import accumulate, add_term, bilinear, clean
 from .virasoro import VirElement, _cocycle
 
@@ -78,7 +78,7 @@ class TailModuleSpec:
             return Scalar(0)
         if j < self.m:
             raise ValueError(f"e_{j} is not in b_{self.m}")
-        return self.window.get(j, ZERO)
+        return self.window.get(j, Scalar(0))
 
     def support_top(self) -> int:
         """Largest index the character may be nonzero at (window end)."""

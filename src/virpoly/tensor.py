@@ -458,8 +458,8 @@ def _abstract_slice_dim(letters, F: LaurentPoly, m: int, depth: int, bound=None)
 
 # The largest slice rank the word span is built for: just above 30,232, the
 # largest depth-7 rank of one linear factor (m = -1), which is checked cold
-# in about 1.1-1.3 s and 76 MB (m = 0: 0.8-0.9 s, 64 MB; m = 1: 0.6-0.9 s,
-# 55 MB); depth 8 counts 109,486 and more, and takes 5.7 s and 264 MB
+# in about 1.0-1.3 s and 76 MB (m = 0: 1.0-1.3 s, 63 MB; m = 1: 0.7-1.0 s,
+# 55 MB); depth 8 counts 109,486 and more, and takes 6.2-6.7 s and 264 MB
 # at m = 1 (shared 2-core host, Python 3.11.7), with the tail memo the
 # largest structure.  The count stops once it passes the bound, so a
 # refusal is prompt at any depth.
