@@ -216,21 +216,16 @@ def _cmd_char_decompose(raw, args):
 
 # A work estimate for `reduce`: the largest, over the vector's nonzero
 # indices s, of n (|s| + 1) (n + r + 1 + sum_j (j + 1) s_j)^3 for a
-# character of root multiplicity n and degree r.  The descent's first step
-# acts with f^(n+r+s_0); the engine splits s one entry at a time (|s| + 1
-# levels), an entry in direction j widens the exponents of t it reaches by
-# j, its vectors run over n directions, and the coefficients grow with the
-# exponents.  The form is fitted to timings, not derived: through the CLI
-# over Q(i) (lambda = 3/5 + 4i/7, p = (1, ..., 1, 1/5), 2-core host), 176
-# random requests with n up to 36 and an estimate from 0.6 to 1 times the
-# bound each took 0.3-2.0 s end to end, the slowest with all their weight
-# in direction 0 or 1 (n = 1 at s = [72]: 2.0 s).  Above it, n = 1 at
-# s = [640] did not finish in 60 s, n = 2 at [32, 32] takes 6 s, and n = 64
-# with one unit in direction 63 more than 25 s.  That lambda has 12
-# ``Scalar.power_bits``; the descent's time grows about in proportion to the
-# bits above that, so the estimate is scaled by bits / 12 there: n = 1 at
-# s = [72] took 2.0 s at 12 bits, 15.3 s at 87 (123456789123456789/987654321
-# + 4i/7) and 22.7 s at 129, and 0.6 s at lambda = 2.
+# character of root multiplicity n and degree r, scaled by bits / 12 for a
+# lambda of more than 12 ``Scalar.power_bits``.  The form was fitted to the
+# timings of a descent that acted with f^m monomial by monomial, so it also
+# refuses requests that the two-term bracket now answers fast; a work meter
+# counted by the engine should replace it.  In-process at lambda = 3/5 + 4i/7
+# (12 bits), p = (1, ..., 1, 1/5), r = n - 1, on a shared 2-core host, n = 1
+# at s = [640] takes 0.05 s, n = 2 at [32, 32] 0.11 s, n = 64 with one unit
+# in direction 63 0.02 s, and n = 1 at [72] 0.002 s, and 0.004 s at 87 bits
+# (123456789123456789/987654321 + 4i/7).  40 random requests from 0.6 to 1
+# times the bound took 0.10-0.23 s through the CLI, mostly start-up.
 MAX_REDUCE_WORK = 3 * 10**7
 
 

@@ -3,27 +3,28 @@
 For f = t - lambda and a character mu of Vir^{f^n}, the induced module has
 PBW basis f^s v = (f^0)^[s_0] (f^1)^[s_1] ... (f^{n-1})^[s_{n-1}] v indexed
 by tuples s of nonnegative integers.  The action of a Laurent polynomial g
-is computed by straightening, with the Witt bracket [t^k, t^i] = (i - k)
-t^(k+i) as the only rule:
+is computed by straightening, with two rules: the Witt bracket
+[t^k, t^i] = (i - k) t^(k+i), and for powers of f the two-term bracket
+[f^a, f^l] = (l - a) t f^(a+l-1) = (l - a)(f^(a+l) + lambda f^(a+l-1)):
 
   * on the generator, take the Taylor coefficients a_i of g at lambda:
     a_0 .. a_{n-1} bump basis directions and mu eats sum_k a_{n+k} f^{n+k};
   * on f^s v with s nonzero, split off the lowest occupied direction l and
     use t^k . f^l = f^l . t^k + [t^k, f^l], expanding [t^k, f^l] into
     monomials read off the coefficients of f^l;
-  * left multiplication f^l . f^s v against an index occupied below l is
-    the action of the Laurent polynomial f^l, monomial by monomial.
+  * f^a . f^s v against an index occupied below a splits off l too and uses
+    the two-term bracket; ``act_fpow``, the descent's f^m, is this product.
 
-Termination: t^k f^s v only involves indices of weight at most |s| + 1,
-and every ``_act_idx`` call made for (k, s), directly or through
-``_lmul_idx``, is on an index lower in (|s|, ell(s)) taken
-lexicographically: the split-off index d has weight |s| - 1, and
-``_lmul_idx(l, idx)`` with l = ell(s) acts on an index idx of t^k f^d v, of
-weight at most |s|, only when ell(idx) < l.  When nothing in idx lies below
-l, f^l f^idx v is already in PBW order, and ``_act_idx`` adds its
-coefficient at the bumped index in place; so ``_lmul_idx`` sees only
-out-of-order products, level 0 never among them.  Both memos are keyed on
-integers: (k, s) for t^k f^s v and (l, s) for f^l f^s v.
+Termination: t^k f^s v and f^a f^s v only involve indices of weight at most
+|s| + 1, and every call made for (k, s) or (a, s) is on an index lower in
+(|s|, ell(s)) taken lexicographically: the split-off index d has weight
+|s| - 1, and ``_lmul_idx(l, idx)`` with l = ell(s) acts on an index idx of
+t^k f^d v or f^a f^d v, of weight at most |s|, only when ell(idx) < l.  When
+nothing in idx lies below l, f^l f^idx v is already in PBW order and its
+coefficient is added at the bumped index in place; so ``_lmul_idx`` memoizes
+only out-of-order products.  f^a f^s v is zero once a > n + r + |s|, where
+``_lmul_idx`` prunes.  Both memos are keyed on integers: (k, s) for
+t^k f^s v and (a, s) for f^a f^s v.
 """
 
 from __future__ import annotations
@@ -183,13 +184,38 @@ class InducedModule:
         self._act_cache[key] = out
         return out
 
-    def _lmul_idx(self, l: int, s: tuple) -> dict:
-        """f^l f^s v for an s occupied below l, out of PBW order: the action of f^l."""
-        key = (l, s)
+    def _lmul_idx(self, a: int, s: tuple) -> dict:
+        """f^l (f^a f^d v) + [f^a, f^l] f^d v, with l = ell(s) and d as in ``_act_idx``.
+
+        Zero once a > n + r + |s|: each bracket lowers |s| by one and the
+        power of f by at most one, and mu kills t^j f^(n+r+1).  The generator,
+        a bump already in PBW order (a <= l) and a pruned product are
+        answered directly, so the memo holds only out-of-order products.
+        """
+        n = self.n
+        if a > n + self.r + sum(s):
+            return {}
+        l = ell(s) if any(s) else a  # the generator takes every power in order
+        if a <= l:
+            if a < n:
+                return {s[:a] + (s[a] + 1,) + s[a + 1 :]: ONE}
+            val = self._mu_fpow[a - n]
+            return {} if val.is_zero() else {s: val}
+        key = (a, s)
         hit = self._lmul_cache.get(key)
         if hit is not None:
             return hit
-        out = bilinear(self._act_idx, self.fpow(l).terms, {s: ONE})
+        head = s[:l]  # all zero, below the lowest occupied direction
+        d = head + (s[l] - 1,) + s[l + 1 :]
+        out = {}
+        for idx, c in self._lmul_idx(a, d).items():
+            if idx[:l] == head:
+                add_term(out, head + (idx[l] + 1,) + idx[l + 1 :], c)
+            else:
+                accumulate(out, self._lmul_idx(l, idx), c)
+        c = Scalar(l - a)
+        accumulate(out, self._lmul_idx(a + l, d), c)
+        accumulate(out, self._lmul_idx(a + l - 1, d), c * self.lam)
         self._lmul_cache[key] = out
         return out
 
@@ -207,6 +233,10 @@ class InducedModule:
 
     def act(self, g: LaurentPoly, v: ModuleElement) -> ModuleElement:
         return ModuleElement.adopt(bilinear(self._act_idx, g.terms, v.terms))
+
+    def act_fpow(self, a: int, v: ModuleElement) -> ModuleElement:
+        """The action of f^a, by the two-term rule of ``_lmul_idx``."""
+        return ModuleElement.adopt(bilinear(self._lmul_idx, {a: ONE}, v.terms))
 
     def act_vir(self, x: VirElement, v: ModuleElement) -> ModuleElement:
         """z acts by zero; the e part acts through theta."""
@@ -341,14 +371,15 @@ def reduce_step(mu: ExpPolyCharacter, v: ModuleElement):
     Requires a vector outside the span of the generator; ``descent_power``
     gives m and the target and checks the character.  Returns ((0, m), w)
     with w = (f^m - mu(f^m)) v, whose leading index must be the target (see
-    ``descent_power`` for why), else SearchExhausted.
+    ``descent_power`` for why), else SearchExhausted.  f^m acts through
+    ``act_fpow``, by the two-term bracket, not as its m + 1 monomials t^i.
     """
     lead = v.leading_index()
     if not any(lead):
         raise HypothesisViolation("vector is already in the span of the generator")
     m, target = descent_power(mu, lead)
     eng = get_engine(mu)
-    w = eng.act(eng.fpow(m), v) - v * mu.value_power(0, m)
+    w = eng.act_fpow(m, v) - v * mu.value_power(0, m)
     if w.is_zero() or w.leading_index() != target:
         raise SearchExhausted(f"f^{m} did not lower the leading index to {list(target)}")
     return (0, m), w

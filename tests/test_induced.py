@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,7 @@ from virpoly.induced import (
 )
 from virpoly.laurent import LaurentPoly, taylor
 from virpoly.scalars import Scalar, sc
+from virpoly.sparse import bilinear
 from virpoly.virasoro import VirElement, vir_bracket
 
 
@@ -247,6 +249,50 @@ class TestInPlaceBump:
             assert memo or r < 0
             assert all(any(idx[:l]) for l, idx in memo)
         assert cases > 500
+
+
+class _MonomialModule(InducedModule):
+    """The engine with f^l f^s v out of PBW order taken as the action of the
+    Laurent polynomial f^l, monomial by monomial: a route to every power of
+    f that shares no step with the two-term bracket."""
+
+    def _lmul_idx(self, l, s):
+        key = (l, s)
+        if key not in self._lmul_cache:
+            self._lmul_cache[key] = bilinear(self._act_idx, self.fpow(l).terms, {s: Scalar(1)})
+        return self._lmul_cache[key]
+
+
+class TestPowersOfF:
+    @pytest.mark.parametrize("lam, coeff", [(sc(2), sc("1/3")), (Scalar(1, 1), Scalar(2, -1))], ids=["Q", "Qi"])
+    def test_two_term_rule_matches_the_monomial_route(self, lam, coeff):
+        # f^a f^s v for every a up to two past the prune at n + r + |s|
+        cases = 0
+        for n in range(1, 4):
+            for r in range(-1, n):
+                mu = single_root_character(lam, n, [coeff * (d + 1) for d in range(r + 1)])
+                eng, ref = InducedModule(mu), _MonomialModule(mu)
+                for s in [(0,) * n, *_small_indices(n, top=4)]:
+                    for a in range(n + r + sum(s) + 3):
+                        got = eng.act_fpow(a, eng.basis(s))
+                        want = ref.act(ref.fpow(a), ref.basis(s))
+                        assert got == want, (n, r, s, a)
+                        if a > n + r + sum(s):
+                            assert got.is_zero() and want.is_zero(), (n, r, s, a)
+                        cases += 1
+        assert cases > 1500
+
+    def test_descent_work_is_bounded(self, monkeypatch):
+        # a work guard on reduce_step's f^m: acting with its m + 1 monomials
+        # filled 5,402 and 2,964 memo entries here, the two-term rule 72 and 1,088
+        monkeypatch.setattr(induced, "_engines", {})
+        lam = Scalar(Fraction(3, 5), Fraction(4, 7))
+        for n, s, bound in [(1, (72,), 100), (2, (32, 32), 1200)]:
+            mu = single_root_character(lam, n, [1] * (n - 1) + [sc("1/5")])
+            eng = get_engine(mu)
+            _, final = reduce_to_generator(mu, eng.basis(s))
+            assert set(final.terms) == {eng.zero_index}
+            assert len(eng._act_cache) + len(eng._lmul_cache) <= bound, s
 
 
 class TestSizeBound:

@@ -11,10 +11,11 @@ cleared and then pre-built with ``compileall`` before the first run, so
 workload and seed, one pair runs ``perfbench/run.py`` once in each tree, one
 after the other, the first side alternating from pair to pair.  Per gated
 metric of CHANGE's ``BENCHMARK.json`` the summary gives each side's median
-and quartiles over its runs, the ratio of the medians, and how many pairs
-the change won (ties count for neither side).  The runs are sequential, one
-process at a time.  Standard library only; nothing under ``perfbench/`` is
-changed.
+and quartiles over its runs, the ratio of the medians, how many pairs the
+change won (ties count for neither side), and a verdict against the metric's
+``bound``: "gain", "worse than bound" or "within bound" (see ``verdict``).
+The runs are sequential, one process at a time.  Standard library only;
+nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -56,6 +57,25 @@ def summarize(parent: list, change: list, better: str) -> dict:
     out["median_ratio"] = out["change"]["median"] / out["parent"]["median"]
     out["change_better_pairs"] = f"{wins}/{len(parent)}"
     return out
+
+
+def verdict(s: dict, better: str, bound: float) -> str:
+    """The verdict on one ``summarize`` result for a metric with this ``bound``.
+
+    "gain": the change wins at least nine in ten pairs and its median is
+    better than the parent's by more than the parent's interquartile range.
+    "worse than bound": the change's median is worse than the parent's by
+    more than ``bound`` times the parent's median.  Else "within bound".
+    """
+    sign = 1 if better == "higher" else -1
+    parent, change = s["parent"], s["change"]
+    gap = sign * (change["median"] - parent["median"])
+    wins, pairs = map(int, s["change_better_pairs"].split("/"))
+    if 10 * wins >= 9 * pairs and gap > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -gap > bound * parent["median"]:
+        return "worse than bound"
+    return "within bound"
 
 
 def prebuild(tree: Path) -> None:
@@ -103,12 +123,12 @@ def main(argv=None) -> int:
         for metric in gated:
             name = metric["name"]
             values = [[r["metrics"][name]["value"] for r in runs[side]] for side in SIDES]
-            row[name] = summarize(*values, metric["better"])
-            s = row[name]
+            row[name] = s = summarize(*values, metric["better"])
+            s["verdict"] = verdict(s, metric["better"], metric["bound"])
             print(f"{workload:15s} {name:13s} parent {s['parent']['median']:10.4g} "
                   f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}]  change "
                   f"{s['change']['median']:10.4g} [{s['change']['q1']:.4g}, {s['change']['q3']:.4g}]  "
-                  f"ratio {s['median_ratio']:.4f}  change better in {s['change_better_pairs']}",
+                  f"ratio {s['median_ratio']:.4f}  change better in {s['change_better_pairs']}  {s['verdict']}",
                   flush=True)
         report["workloads"][workload] = row
     if args.out is not None:
