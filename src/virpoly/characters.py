@@ -28,9 +28,9 @@ from .sparse import Echelon, accumulate
 # The largest degree of the ambient polynomial F, sum n_i + deg extra, of a
 # character read from a request (for a tensor spec, of the product of its
 # factors).  No other bound sees it, and the work climbs steeply with it:
-# at degree 64 `tensor-map --depth 1` takes 1.0-2.0 s on one, two or four
-# factors, `reduce` about 1 s and every other command about 0.2 s; at 80
-# `tensor-map --depth 1` takes up to 3.7 s (2-core host, Python 3.11).
+# at degree 64 `tensor-map --depth 1` takes 1.0-1.5 s on one, two or four
+# factors, `reduce` about 0.3 s and every other command 0.1-0.3 s; at 80
+# `tensor-map --depth 1` takes up to 4.5 s (2-core host, Python 3.11).
 MAX_CHARACTER_DEGREE = 64
 
 

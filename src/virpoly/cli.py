@@ -223,9 +223,9 @@ def _cmd_char_decompose(raw, args):
 # counted by the engine should replace it.  In-process at lambda = 3/5 + 4i/7
 # (12 bits), p = (1, ..., 1, 1/5), r = n - 1, on a shared 2-core host, n = 1
 # at s = [640] takes 0.05 s, n = 2 at [32, 32] 0.11 s, n = 64 with one unit
-# in direction 63 0.02 s, and n = 1 at [72] 0.002 s, and 0.004 s at 87 bits
+# in direction 63 0.01 s, and n = 1 at [72] 0.001 s, and 0.003 s at 87 bits
 # (123456789123456789/987654321 + 4i/7).  40 random requests from 0.6 to 1
-# times the bound took 0.10-0.23 s through the CLI, mostly start-up.
+# times the bound took 0.08-0.14 s through the CLI, mostly start-up.
 MAX_REDUCE_WORK = 3 * 10**7
 
 

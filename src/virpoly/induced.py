@@ -3,28 +3,29 @@
 For f = t - lambda and a character mu of Vir^{f^n}, the induced module has
 PBW basis f^s v = (f^0)^[s_0] (f^1)^[s_1] ... (f^{n-1})^[s_{n-1}] v indexed
 by tuples s of nonnegative integers.  The action of a Laurent polynomial g
-is computed by straightening, with two rules: the Witt bracket
-[t^k, t^i] = (i - k) t^(k+i), and for powers of f the two-term bracket
-[f^a, f^l] = (l - a) t f^(a+l-1) = (l - a)(f^(a+l) + lambda f^(a+l-1)):
+is computed monomial by monomial, by one straightening recursion for
+t^k f^a f^s v whose one rule is the Witt bracket t (g h' - h g') with
+t = f + lambda:
 
-  * on the generator, take the Taylor coefficients a_i of g at lambda:
-    a_0 .. a_{n-1} bump basis directions and mu eats sum_k a_{n+k} f^{n+k};
-  * on f^s v with s nonzero, split off the lowest occupied direction l and
-    use t^k . f^l = f^l . t^k + [t^k, f^l], expanding [t^k, f^l] into
-    monomials read off the coefficients of f^l;
-  * f^a . f^s v against an index occupied below a splits off l too and uses
-    the two-term bracket; ``act_fpow``, the descent's f^m, is this product.
+  [t^k f^a, f^l] = (l - a - k) t^k f^(a+l) + (l - a) lambda t^k f^(a+l-1).
 
-Termination: t^k f^s v and f^a f^s v only involve indices of weight at most
-|s| + 1, and every call made for (k, s) or (a, s) is on an index lower in
-(|s|, ell(s)) taken lexicographically: the split-off index d has weight
-|s| - 1, and ``_lmul_idx(l, idx)`` with l = ell(s) acts on an index idx of
-t^k f^d v or f^a f^d v, of weight at most |s|, only when ell(idx) < l.  When
-nothing in idx lies below l, f^l f^idx v is already in PBW order and its
-coefficient is added at the bumped index in place; so ``_lmul_idx`` memoizes
-only out-of-order products.  f^a f^s v is zero once a > n + r + |s|, where
-``_lmul_idx`` prunes.  Both memos are keyed on integers: (k, s) for
-t^k f^s v and (a, s) for f^a f^s v.
+  * on f^s v with s nonzero, split off the lowest occupied direction l,
+    f^s v = f^l f^d v, and use t^k f^a f^l = f^l t^k f^a + [t^k f^a, f^l];
+    f^l on an index of t^k f^a f^d v is a bump when nothing there lies
+    below l, and the k = 0 case of the recursion otherwise;
+  * on the generator, take the Taylor coefficients c_i of t^k at lambda:
+    c_0 .. c_{n-1} bump basis directions and mu eats sum_j c_{n+j} f^{n+j};
+    for a > 0, t^k f^a = t^(k+1) f^(a-1) - lambda t^k f^(a-1).
+
+Termination: every call made for (k, a, s) is on an index lower in
+(|s|, ell(s)) taken lexicographically, or on the generator with a lower a:
+d has weight |s| - 1, and f^l acts through the recursion on an index of
+t^k f^a f^d v, of weight at most |s|, only when its ell is below l.  A
+product in PBW order (k = 0 and a <= l; on the generator every a) is
+answered directly, and t^k f^a f^s v is zero once a > n + r + |s|: each
+bracket lowers |s| by one and a by at most one, and mu kills t^j f^(n+r+1).
+``act_fpow``, the descent's f^m, is the k = 0 case.  The memo is keyed
+(k, a, s), with the k = 0 entries in ``_lmul_cache``.
 """
 
 from __future__ import annotations
@@ -151,72 +152,51 @@ class InducedModule:
 
     # core recursion; returns cached dicts that must not be mutated
 
-    def _act_idx(self, k: int, s: tuple) -> dict:
-        key = (k, s)
-        hit = self._act_cache.get(key)
+    def _act_idx(self, k: int, s: tuple, a: int = 0) -> dict:
+        """t^k f^a f^s v, by the one rule of the module docstring."""
+        cache = self._act_cache if k else self._lmul_cache
+        key = (k, a, s)
+        hit = cache.get(key)
         if hit is not None:
             return hit
-        if not any(s):
-            a = taylor(LaurentPoly.adopt({k: ONE}), self.lam, self.n + self.r + 1)
-            out = {}
-            for i, c in enumerate(a[: self.n]):
-                if not c.is_zero():
-                    out[s[:i] + (1,) + s[i + 1 :]] = c
-            val = sum((c * mu_f for c, mu_f in zip(a[self.n :], self._mu_fpow)), Scalar(0))
-            # the window bumps never land on the zero index s itself
-            if not val.is_zero():
-                out[s] = val
-        else:
-            l = ell(s)
-            head = s[:l]  # all zero, below the lowest occupied direction
-            d = head + (s[l] - 1,) + s[l + 1 :]
-            out = {}
-            for idx, c in self._act_idx(k, d).items():
-                if idx[:l] == head:
-                    # f^l f^idx v is already in PBW order: bump idx at l
-                    add_term(out, head + (idx[l] + 1,) + idx[l + 1 :], c)
-                else:
-                    accumulate(out, self._lmul_idx(l, idx), c)
-            # [t^k, f^l] = sum_i f^l[i] (i - k) t^(k+i)
-            for i, c in self.fpow(l).terms.items():
-                if i != k:
-                    accumulate(out, self._act_idx(k + i, d), c * Scalar(i - k))
-        self._act_cache[key] = out
-        return out
-
-    def _lmul_idx(self, a: int, s: tuple) -> dict:
-        """f^l (f^a f^d v) + [f^a, f^l] f^d v, with l = ell(s) and d as in ``_act_idx``.
-
-        Zero once a > n + r + |s|: each bracket lowers |s| by one and the
-        power of f by at most one, and mu kills t^j f^(n+r+1).  The generator,
-        a bump already in PBW order (a <= l) and a pruned product are
-        answered directly, so the memo holds only out-of-order products.
-        """
         n = self.n
         if a > n + self.r + sum(s):
             return {}
-        l = ell(s) if any(s) else a  # the generator takes every power in order
-        if a <= l:
+        l = ell(s) if any(s) else a
+        if k == 0 and a <= l:
             if a < n:
                 return {s[:a] + (s[a] + 1,) + s[a + 1 :]: ONE}
             val = self._mu_fpow[a - n]
             return {} if val.is_zero() else {s: val}
-        key = (a, s)
-        hit = self._lmul_cache.get(key)
-        if hit is not None:
-            return hit
-        head = s[:l]  # all zero, below the lowest occupied direction
-        d = head + (s[l] - 1,) + s[l + 1 :]
         out = {}
-        for idx, c in self._lmul_idx(a, d).items():
-            if idx[:l] == head:
-                add_term(out, head + (idx[l] + 1,) + idx[l + 1 :], c)
+        if not any(s):
+            if a:
+                # t^k f^a = t^(k+1) f^(a-1) - lambda t^k f^(a-1)
+                accumulate(out, self._act_idx(k + 1, s, a - 1))
+                accumulate(out, self._act_idx(k, s, a - 1), -self.lam)
             else:
-                accumulate(out, self._lmul_idx(l, idx), c)
-        c = Scalar(l - a)
-        accumulate(out, self._lmul_idx(a + l, d), c)
-        accumulate(out, self._lmul_idx(a + l - 1, d), c * self.lam)
-        self._lmul_cache[key] = out
+                c = taylor(LaurentPoly.adopt({k: ONE}), self.lam, n + self.r + 1)
+                for i, x in enumerate(c[:n]):
+                    if not x.is_zero():
+                        out[s[:i] + (1,) + s[i + 1 :]] = x
+                val = sum((x * mu_f for x, mu_f in zip(c[n:], self._mu_fpow)), Scalar(0))
+                # the window bumps never land on the zero index s itself
+                if not val.is_zero():
+                    out[s] = val
+        else:
+            head = s[:l]  # all zero, below the lowest occupied direction
+            d = head + (s[l] - 1,) + s[l + 1 :]
+            for idx, c in self._act_idx(k, d, a).items():
+                if idx[:l] == head:
+                    # f^l f^idx v is already in PBW order: bump idx at l
+                    add_term(out, head + (idx[l] + 1,) + idx[l + 1 :], c)
+                else:
+                    accumulate(out, self._act_idx(0, idx, l), c)
+            if l - a - k:
+                accumulate(out, self._act_idx(k, d, a + l), Scalar(l - a - k))
+            if l - a:
+                accumulate(out, self._act_idx(k, d, a + l - 1), Scalar(l - a) * self.lam)
+        cache[key] = out
         return out
 
     # public action entry points
@@ -235,8 +215,11 @@ class InducedModule:
         return ModuleElement.adopt(bilinear(self._act_idx, g.terms, v.terms))
 
     def act_fpow(self, a: int, v: ModuleElement) -> ModuleElement:
-        """The action of f^a, by the two-term rule of ``_lmul_idx``."""
-        return ModuleElement.adopt(bilinear(self._lmul_idx, {a: ONE}, v.terms))
+        """The action of f^a: ``_act_idx`` at k = 0 on each term."""
+        out = {}
+        for s, c in v.terms.items():
+            accumulate(out, self._act_idx(0, s, a), c)
+        return ModuleElement.adopt(out)
 
     def act_vir(self, x: VirElement, v: ModuleElement) -> ModuleElement:
         """z acts by zero; the e part acts through theta."""
@@ -385,21 +368,28 @@ def reduce_step(mu: ExpPolyCharacter, v: ModuleElement):
     return (0, m), w
 
 
-def descend(v, step, at_generator):
-    """The one descent loop: apply ``step`` to v until ``at_generator`` holds.
+def descent_steps(s) -> int:
+    """Steps from the leading index s: Dt zeroes s_0, and D lowers s_ell by one."""
+    return (s[0] > 0) + sum(s[1:])
 
-    ``step(cur)`` returns (op, next) and lowers the leading index strictly.
-    The generator test runs before every step and after the last allowed
-    one, so a descent of exactly ``REDUCE_MAX_STEPS`` steps returns; the
-    limit is read at call time.  Returns (the list of ops, the final vector).
+
+def descend(v, step, steps):
+    """The one descent loop: apply ``step`` to v until no step is left.
+
+    ``step(cur)`` returns (op, next) and lowers the leading index to its
+    target; ``steps(lead)`` counts the steps left from the leading key, zero
+    at the generator.  A descent of more than ``REDUCE_MAX_STEPS`` steps is
+    refused before its first step; the limit is read at call time.  Returns
+    (the list of ops, the final vector).
     """
     if v.is_zero():
         raise ZeroVector("the zero vector has no leading index")
+    total = steps(max(v.terms))
+    if total > REDUCE_MAX_STEPS:
+        raise SearchExhausted(f"the descent needs {total} steps; it is limited to {REDUCE_MAX_STEPS}")
     trace = []
     cur = v
-    while not at_generator(cur):
-        if len(trace) == REDUCE_MAX_STEPS:
-            raise SearchExhausted(f"reduction did not reach the generator span in {REDUCE_MAX_STEPS} steps")
+    while steps(max(cur.terms)):
         op, cur = step(cur)
         trace.append(op)
     return trace, cur
@@ -412,7 +402,7 @@ def reduce_to_generator(mu: ExpPolyCharacter, v: ModuleElement, j_window: int = 
     benchmark's ``perfbench/oracle_grid.py`` passes its ``J_WINDOW`` by
     position.
     """
-    return descend(v, lambda cur: reduce_step(mu, cur), lambda cur: not any(max(cur.terms)))
+    return descend(v, lambda cur: reduce_step(mu, cur), descent_steps)
 
 
 # -- the polynomial-realization module -------------------------------------------

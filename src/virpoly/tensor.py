@@ -22,7 +22,7 @@ from itertools import islice
 from .characters import ExpPolyCharacter, RestrictedCharacter, check_degree, compose, decompose
 from .densepoly import pdeg
 from .errors import DepthTooSmall, SearchExhausted, VirpolyError
-from .induced import descend, descent_power, get_engine
+from .induced import descend, descent_power, descent_steps, get_engine
 from .laurent import ONE_POLY, LaurentPoly, bezout, poly_divmod
 from .scalars import ONE, Scalar, json_field, json_list, json_map
 from .sparse import Echelon, SparseVector, accumulate, add_term
@@ -230,7 +230,7 @@ def cyclic_reduce(spec: TensorSpec, w: TensorElement):
             raise SearchExhausted(f"the step at j = {L} did not lower slot {i0} to {list(target)}")
         return {"factor": i0, "j": L, "m": m}, w2
 
-    return descend(w, step, lambda cur: not any(map(any, max(cur.terms)[:-1])))
+    return descend(w, step, lambda lead: sum(map(descent_steps, lead[:-1])))
 
 
 def simplicity_verdict(spec: TensorSpec, kac_level: int = 20) -> dict:

@@ -53,10 +53,11 @@ def test_verdict_of_a_gain():
     assert s["change_better_pairs"] == "9/10"
     assert bench_pairs.verdict(s, "higher", 0.2) == "gain"
     # the same change, still better in 9/10 pairs, against a parent whose
-    # IQR of 22 exceeds the gap
+    # IQR of 22 exceeds the gap (and stays below a bound of 0.25 times its
+    # median, which leaves the verdict resolved)
     wide = [100, 114, 86, 120, 80, 102, 98, 116, 84, 100]
     assert bench_pairs.summarize(wide, change, "higher")["change_better_pairs"] == "9/10"
-    assert bench_pairs.verdict(bench_pairs.summarize(wide, change, "higher"), "higher", 0.2) == "within bound"
+    assert bench_pairs.verdict(bench_pairs.summarize(wide, change, "higher"), "higher", 0.25) == "within bound"
 
 
 def test_verdict_needs_nine_pairs_in_ten():
@@ -76,3 +77,31 @@ def test_verdict_flags_a_metric_past_its_bound():
     # a higher-is-better metric past its bound
     s = bench_pairs.summarize([100.0, 101.0, 99.0], [75.0, 76.0, 74.0], "higher")
     assert bench_pairs.verdict(s, "higher", 0.2) == "worse than bound"
+
+
+def test_verdict_on_a_parent_spread_wider_than_the_bound():
+    # parent IQR 0.12 against 0.1 times its median 1.0: the runs cannot tell
+    # 1.05x from 1.15x, so a change within the bound is unresolved
+    parent = [1.0, 0.94, 1.06, 0.9, 1.1]
+    s = bench_pairs.summarize(parent, [1.02, 0.97, 1.12, 0.95, 1.05], "lower")
+    assert (s["parent"]["q3"] - s["parent"]["q1"]) == pytest.approx(0.12)
+    assert bench_pairs.verdict(s, "lower", 0.1) == "unresolved"
+    # unless every run of the change beats every run of the parent (here by
+    # a median gap of 0.11, inside the IQR, so no gain either)
+    s = bench_pairs.summarize(parent, [0.89, 0.88, 0.895, 0.885, 0.89], "lower")
+    assert bench_pairs.verdict(s, "lower", 0.1) == "within bound"
+    # a median past the bound is still called so
+    s = bench_pairs.summarize(parent, [x * 1.2 for x in parent], "lower")
+    assert bench_pairs.verdict(s, "lower", 0.1) == "worse than bound"
+    # higher is better: the change's worst run must top the parent's best
+    parent = [100, 70, 130, 80, 120]
+    assert bench_pairs.verdict(bench_pairs.summarize(parent, [95, 90, 110, 99, 101], "higher"), "higher", 0.2) == "unresolved"
+    # (a median gap of 33 inside the parent's IQR of 40)
+    assert bench_pairs.verdict(bench_pairs.summarize(parent, [131, 140, 135, 132, 133], "higher"), "higher", 0.2) == "within bound"
+
+
+def test_failed_share_sums_over_the_runs():
+    runs = [{"attempted": 100, "failed": 0}, {"attempted": 300, "failed": 6}]
+    # 6 / 400, not the mean 1% of the per-run shares 0 and 2%
+    assert bench_pairs.failed_share(runs) == pytest.approx(0.015)
+    assert bench_pairs.failed_share([{"attempted": 50, "failed": 0}]) == 0

@@ -133,16 +133,19 @@ class TestActLaurent:
             check(deep, x, y, (1, 2, 3))
 
     def test_straightening_work_is_bounded(self):
-        # a work guard: with integer (k, s) keys every bracket branch that
-        # reaches t^k f^d v shares one memo entry; this action needs 821
+        # a work guard: with integer (k, a, s) keys every bracket branch that
+        # reaches t^k f^a f^d v shares one memo entry; this action needs 487
+        # (258 with k != 0, 229 with k = 0; expanding [t^k, f^l] over the
+        # monomials of f^l needed 735)
         eng = InducedModule(single_root_character(2, 3, [1, 1]))
         eng.act(t(1), eng.basis((22, 21, 21)))
-        assert len(eng._act_cache) + len(eng._lmul_cache) <= 2000
+        assert all(k != 0 for k, _a, _s in eng._act_cache) and all(k == 0 for k, _a, _s in eng._lmul_cache)
+        assert len(eng._act_cache) + len(eng._lmul_cache) <= 1200
 
     def test_deep_index_within_the_stack(self):
-        # f^l f^s v below l is the action of f^l, so the recursion still
-        # reaches weight 500 at the default limit: t = f + lam f^0 lands in
-        # PBW order on f^1-powers
+        # f^l f^s v below l is the k = 0 case of the one recursion, so it
+        # still reaches weight 500 at the default limit: t = f + lam f^0
+        # lands in PBW order on f^1-powers
         eng = InducedModule(single_root_character(2, 2, [1, 1]))
         got = eng.act(t(1), eng.basis((0, 500)))
         assert got == ModuleElement({(0, 501): 1, (1, 500): 2})
@@ -222,9 +225,9 @@ def _small_indices(n, top=3):
 class TestInPlaceBump:
     @pytest.mark.parametrize("lam, coeff", [(sc(2), sc(1)), (Scalar(1, 1), Scalar(2, -1))], ids=["Q", "Qi"])
     def test_lmul_memo_holds_only_out_of_order_products(self, monkeypatch, lam, coeff):
-        # f^l f^s v in PBW order (nothing in s below l) is bumped in place by
+        # f^a f^s v in PBW order (nothing in s below a) is bumped in place by
         # _act_idx, so after a comp1/comp3/reduce sweep on n = 3 every
-        # _lmul_cache key (l, s) is occupied below l, and the closed forms
+        # _lmul_cache key (0, a, s) is occupied below a, and the closed forms
         # still match straightening
         monkeypatch.setattr(induced, "_engines", {})
         n, cases = 3, 0
@@ -247,44 +250,89 @@ class TestInPlaceBump:
                     assert set(final.terms) == {(0,) * n}
             memo = get_engine(mu)._lmul_cache
             assert memo or r < 0
-            assert all(any(idx[:l]) for l, idx in memo)
+            assert all(k == 0 and any(s[:a]) for k, a, s in memo)
         assert cases > 500
 
 
-class _MonomialModule(InducedModule):
-    """The engine with f^l f^s v out of PBW order taken as the action of the
-    Laurent polynomial f^l, monomial by monomial: a route to every power of
-    f that shares no step with the two-term bracket."""
+class _WittReference:
+    """t^k f^s v by the Witt bracket [t^k, t^i] = (i - k) t^(k+i) alone.
 
-    def _lmul_idx(self, l, s):
-        key = (l, s)
-        if key not in self._lmul_cache:
-            self._lmul_cache[key] = bilinear(self._act_idx, self.fpow(l).terms, {s: Scalar(1)})
-        return self._lmul_cache[key]
+    This is the straightening the engine used before the two-term rule:
+    split off l = ell(s), expand [t^k, f^l] over the monomials of f^l, and
+    take f^l f^idx v out of PBW order as the action of f^l, monomial by
+    monomial; on the generator, the Taylor data of t^k at lambda, with mu
+    read from the derived powers.  Memo on (k, s).  It shares no step with
+    the two-term bracket, so it checks t^k f^a f^s v by another route.
+    """
+
+    def __init__(self, mu):
+        lam, self.n, p = mu.root_data()
+        self.mu, self.lam, self.r = mu, lam, pdeg(p)
+        self.f = LaurentPoly({1: 1, 0: -lam})
+        self.memo = {}
+
+    def act(self, g, s):
+        return ModuleElement(bilinear(self.act_idx, g.terms, {s: Scalar(1)}))
+
+    def act_idx(self, k, s):
+        key = (k, s)
+        if key in self.memo:
+            return self.memo[key]
+        n, out = self.n, {}
+        if not any(s):
+            a = taylor(t(k), self.lam, n + self.r + 1)
+            for i in range(n):
+                if not a[i].is_zero():
+                    out[s[:i] + (1,) + s[i + 1 :]] = a[i]
+            val = sum((c * self.mu.value_power(0, n + i) for i, c in enumerate(a[n:])), Scalar(0))
+            if not val.is_zero():
+                out[s] = val
+        else:
+            l = ell(s)
+            d = dstep(s)
+            fl = self.f**l
+            for idx, c in self.act_idx(k, d).items():
+                if any(idx[:l]):
+                    moved = self.act(fl, idx).terms
+                else:
+                    moved = {idx[:l] + (idx[l] + 1,) + idx[l + 1 :]: Scalar(1)}
+                for j, x in moved.items():
+                    out[j] = out.get(j, Scalar(0)) + x * c
+            for i, c in fl.terms.items():
+                for j, x in self.act_idx(k + i, d).items():
+                    out[j] = out.get(j, Scalar(0)) + x * c * Scalar(i - k)
+            out = {j: x for j, x in out.items() if not x.is_zero()}
+        self.memo[key] = out
+        return out
 
 
 class TestPowersOfF:
     @pytest.mark.parametrize("lam, coeff", [(sc(2), sc("1/3")), (Scalar(1, 1), Scalar(2, -1))], ids=["Q", "Qi"])
     def test_two_term_rule_matches_the_monomial_route(self, lam, coeff):
-        # f^a f^s v for every a up to two past the prune at n + r + |s|
+        # t^k f^a f^s v for every a up to two past the prune at n + r + |s|,
+        # against the Witt-bracket reference; k = 0 is act_fpow, the
+        # descent's product, and k != 0 includes the generator's recursion
         cases = 0
         for n in range(1, 4):
             for r in range(-1, n):
                 mu = single_root_character(lam, n, [coeff * (d + 1) for d in range(r + 1)])
-                eng, ref = InducedModule(mu), _MonomialModule(mu)
+                eng, ref = InducedModule(mu), _WittReference(mu)
                 for s in [(0,) * n, *_small_indices(n, top=4)]:
                     for a in range(n + r + sum(s) + 3):
-                        got = eng.act_fpow(a, eng.basis(s))
-                        want = ref.act(ref.fpow(a), ref.basis(s))
-                        assert got == want, (n, r, s, a)
-                        if a > n + r + sum(s):
-                            assert got.is_zero() and want.is_zero(), (n, r, s, a)
-                        cases += 1
-        assert cases > 1500
+                        for k in (-2, 0, 1, 3):
+                            got = ModuleElement.adopt(eng._act_idx(k, s, a))
+                            want = ref.act(t(k) * ref.f**a, s)
+                            assert got == want, (n, r, s, a, k)
+                            if a > n + r + sum(s):
+                                assert got.is_zero() and want.is_zero(), (n, r, s, a, k)
+                            cases += 1
+                        assert eng.act_fpow(a, eng.basis(s)) == ModuleElement.adopt(eng._act_idx(0, s, a))
+        assert cases > 6000
 
     def test_descent_work_is_bounded(self, monkeypatch):
         # a work guard on reduce_step's f^m: acting with its m + 1 monomials
-        # filled 5,402 and 2,964 memo entries here, the two-term rule 72 and 1,088
+        # filled 5,402 and 2,964 memo entries here, the two-term rule 72 and
+        # 1,088, all of them (0, a, s) keys: the descent needs no t^k with k != 0
         monkeypatch.setattr(induced, "_engines", {})
         lam = Scalar(Fraction(3, 5), Fraction(4, 7))
         for n, s, bound in [(1, (72,), 100), (2, (32, 32), 1200)]:
@@ -292,7 +340,7 @@ class TestPowersOfF:
             eng = get_engine(mu)
             _, final = reduce_to_generator(mu, eng.basis(s))
             assert set(final.terms) == {eng.zero_index}
-            assert len(eng._act_cache) + len(eng._lmul_cache) <= bound, s
+            assert not eng._act_cache and len(eng._lmul_cache) <= bound, s
 
 
 class TestSizeBound:
@@ -377,6 +425,24 @@ class TestReduceStep:
         assert len(reduce_to_generator(mu, eng.basis((0, 4)))[0]) == 4
         with pytest.raises(SearchExhausted):
             reduce_to_generator(mu, eng.basis((0, 5)))
+
+    def test_long_descent_is_refused_before_its_first_step(self, monkeypatch):
+        # (0, 120) needs 120 steps: refused at once, with the memo empty
+        # (acting first ran 64 steps, 6.8 s and 3,720 memo entries)
+        monkeypatch.setattr(induced, "_engines", {})
+        mu = single_root_character(Scalar(Fraction(3, 5), Fraction(4, 7)), 2, [1, sc("1/5")])
+        eng = get_engine(mu)
+        with pytest.raises(SearchExhausted, match="needs 120 steps"):
+            reduce_to_generator(mu, eng.basis((0, 120)))
+        assert not eng._act_cache and not eng._lmul_cache
+        # an occupied s_0 costs one step more: (1, 3) takes 4, (1, 4) five
+        monkeypatch.setattr(induced, "REDUCE_MAX_STEPS", 4)
+        mu = ones_character(2, 2, 0)
+        assert len(reduce_to_generator(mu, get_engine(mu).basis((1, 3)))[0]) == 4
+        mu = ones_character(3, 2, 0)
+        with pytest.raises(SearchExhausted, match="needs 5 steps"):
+            reduce_to_generator(mu, get_engine(mu).basis((1, 4)))
+        assert not get_engine(mu)._act_cache and not get_engine(mu)._lmul_cache
 
     def test_small_degree_rejected(self):
         mu = ones_character(1, 3, 0)

@@ -541,6 +541,17 @@ class TestOneDescent:
         with pytest.raises(SearchExhausted):
             cyclic_reduce(spec, basis(spec, [(0, 5)]))
 
+    def test_long_descent_is_refused_before_its_first_step(self, monkeypatch):
+        # the steps add up over the slots: 2 + 3 > 4 is refused before any
+        # action, and 1 + 3 = 4 returns
+        monkeypatch.setattr(induced, "_engines", {})
+        monkeypatch.setattr(induced, "REDUCE_MAX_STEPS", 4)
+        spec = TensorSpec([ones(2, 2, 1), ones(3, 2, 1)])
+        with pytest.raises(SearchExhausted, match="needs 5 steps"):
+            cyclic_reduce(spec, basis(spec, [(1, 1), (0, 3)]))
+        assert not any(eng._act_cache or eng._lmul_cache for eng in spec.engines)
+        assert len(cyclic_reduce(spec, basis(spec, [(0, 1), (1, 2)]))[0]) == 4
+
     def test_zero_vector_is_one_error(self):
         mu = ones(2, 2, 1)
         with pytest.raises(ZeroVector, match="the zero vector has no leading index"):
@@ -1078,9 +1089,29 @@ class TestCertifiedEquivariance:
             rep = general_tensor_map([mu], depth)
             assert rep["passed"] and rep["rank"] == depth + 1
             eng = get_engine(mu)
-            return sum(1 for _k, s in eng._act_cache if s == eng.zero_index)
+            return sum(1 for _k, _a, s in eng._act_cache if s == eng.zero_index)
 
         assert zero_index_entries(50) == zero_index_entries(500)
+
+    def test_high_degree_span_work_is_bounded(self, monkeypatch):
+        # a work guard on the word span of one factor with n = 16 at depth 3:
+        # the one recursion adds 93,846 terms into 5,271 memo entries; the
+        # Witt bracket expanded over the monomials of f^l added 232,841 terms
+        # (into 3,410 entries)
+        monkeypatch.setattr(induced, "_engines", {})
+        added = 0
+
+        def counted(target, src, coeff=None):
+            nonlocal added
+            added += len(src)
+            return accumulate(target, src, coeff)
+
+        monkeypatch.setattr(induced, "accumulate", counted)
+        mu = ones(2, 16, 0)
+        assert general_tensor_map([mu], 3)["rank"] == 969
+        eng = get_engine(mu)
+        assert added <= 120_000
+        assert len(eng._act_cache) + len(eng._lmul_cache) <= 6_000
 
 
 class TestOmegaSimplicityConsistency:

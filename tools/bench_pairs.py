@@ -13,9 +13,11 @@ after the other, the first side alternating from pair to pair.  Per gated
 metric of CHANGE's ``BENCHMARK.json`` the summary gives each side's median
 and quartiles over its runs, the ratio of the medians, how many pairs the
 change won (ties count for neither side), and a verdict against the metric's
-``bound``: "gain", "worse than bound" or "within bound" (see ``verdict``).
-The runs are sequential, one process at a time.  Standard library only;
-nothing under ``perfbench/`` is changed.
+``bound``: "gain", "worse than bound", "unresolved" or "within bound" (see
+``verdict``).  Per workload it also gives each side's failed share, the
+failed ops over the attempted ops of all its runs.  The runs are
+sequential, one process at a time.  Standard library only; nothing under
+``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -65,17 +67,31 @@ def verdict(s: dict, better: str, bound: float) -> str:
     "gain": the change wins at least nine in ten pairs and its median is
     better than the parent's by more than the parent's interquartile range.
     "worse than bound": the change's median is worse than the parent's by
-    more than ``bound`` times the parent's median.  Else "within bound".
+    more than ``bound`` times the parent's median.  "unresolved": the
+    parent's interquartile range is wider than that bound, so its runs
+    cannot tell a change within the bound from one past it, unless every
+    run of the change is better than every run of the parent.  Else
+    "within bound".
     """
     sign = 1 if better == "higher" else -1
     parent, change = s["parent"], s["change"]
     gap = sign * (change["median"] - parent["median"])
+    iqr = parent["q3"] - parent["q1"]
     wins, pairs = map(int, s["change_better_pairs"].split("/"))
-    if 10 * wins >= 9 * pairs and gap > parent["q3"] - parent["q1"]:
+    if 10 * wins >= 9 * pairs and gap > iqr:
         return "gain"
     if -gap > bound * parent["median"]:
         return "worse than bound"
+    if iqr > bound * parent["median"]:
+        worst_change = min(sign * x for x in change["runs"])
+        if not worst_change > max(sign * x for x in parent["runs"]):
+            return "unresolved"
     return "within bound"
+
+
+def failed_share(runs: list) -> float:
+    """Failed ops over attempted ops, each summed over runs, a list of ``perfbench/run.py`` results."""
+    return sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs)
 
 
 def prebuild(tree: Path) -> None:
@@ -119,7 +135,10 @@ def main(argv=None) -> int:
         row = {"seeds": args.seeds}
         for side in SIDES:
             row[side] = {"correct": all(r["correct"] for r in runs[side]),
-                         "failed": sum(r["failed"] for r in runs[side])}
+                         "failed": sum(r["failed"] for r in runs[side]),
+                         "failed_share": failed_share(runs[side])}
+        print(f"{workload:15s} failed share  parent {row['parent']['failed_share']:.4g}  "
+              f"change {row['change']['failed_share']:.4g}", flush=True)
         for metric in gated:
             name = metric["name"]
             values = [[r["metrics"][name]["value"] for r in runs[side]] for side in SIDES]
