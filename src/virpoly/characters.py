@@ -21,7 +21,17 @@ from .errors import (
     SingularSystem,
 )
 from .laurent import ONE_POLY, LaurentPoly, divide_exact, linear_factor
-from .scalars import ONE, Scalar, json_field, json_index, json_int, json_list, json_map, sc
+from .scalars import (
+    ONE,
+    Scalar,
+    json_field,
+    json_index,
+    json_int,
+    json_list,
+    json_map,
+    order_keys,
+    sc,
+)
 from .sparse import Echelon, accumulate
 
 
@@ -41,10 +51,6 @@ def check_degree(degree: int, what: str) -> None:
         )
 
 
-def _sort_key(lam: Scalar):
-    return (lam.re, lam.im)
-
-
 class ExpPolyCharacter:
     """Character data in exponential-polynomial form.
 
@@ -55,9 +61,14 @@ class ExpPolyCharacter:
     polynomial multiplier with extra(0) != 0 that vanishes at none of the
     lambda_i (the identity multiplier except for restriction images).
     Evaluation: mu(t^j ambient) = sum_i p_i(j) lambda_i^j.
+
+    The factors are ordered by (re, im) of their roots.  A character is
+    immutable apart from ``_power_cache``, so it keeps what every request
+    would recompute: its hash, made on first use, and ``_root``, the one
+    factor of a single-root character (None otherwise).
     """
 
-    __slots__ = ("factors", "extra", "ambient", "_power_cache")
+    __slots__ = ("factors", "extra", "ambient", "_power_cache", "_hash", "_root")
 
     def __init__(self, factors, extra: LaurentPoly = ONE_POLY):
         norm = []
@@ -75,8 +86,8 @@ class ExpPolyCharacter:
             if pdeg(p) >= n or not p.is_polynomial():
                 raise ValueError("p must be a polynomial of degree below the root multiplicity")
             norm.append((lam, int(n), p))
-        norm.sort(key=lambda t: _sort_key(t[0]))
-        self.factors = tuple(norm)
+        keys = order_keys([lam for lam, _, _ in norm])
+        self.factors = tuple([norm[i] for i in sorted(range(len(norm)), key=keys.__getitem__)])
         if not (extra == ONE_POLY):
             if not extra.is_monic_nonzero_const():
                 raise ValueError("extra multiplier must be monic with nonzero constant term")
@@ -89,6 +100,9 @@ class ExpPolyCharacter:
             amb = amb * linear_factor(lam) ** n
         self.ambient = amb
         self._power_cache = {}
+        self._hash = None
+        single = len(self.factors) == 1 and extra == ONE_POLY
+        self._root = self.factors[0] if single else None
 
     # -- evaluation -----------------------------------------------------
 
@@ -130,12 +144,13 @@ class ExpPolyCharacter:
     # -- single-root helpers ----------------------------------------------
 
     def is_single_root(self) -> bool:
-        return len(self.factors) == 1 and self.extra == ONE_POLY
+        return self._root is not None
 
     def root_data(self):
-        if not self.is_single_root():
+        """(lambda, n, p) of a single-root character; ValueError for any other."""
+        if self._root is None:
             raise ValueError("operation requires a single-root character")
-        return self.factors[0]
+        return self._root
 
     def power_poly(self, m: int):
         """p_m with mu(t^j f^m) = p_m(j) lambda^j, for m >= n (single root)."""
@@ -154,11 +169,11 @@ class ExpPolyCharacter:
         return cache[m]
 
     def value_power(self, j: int, m: int) -> Scalar:
-        lam, _, _ = self.root_data()
+        """mu(t^j f^m) = p_m(j) lambda^j, for m >= n (single root)."""
         pm = self.power_poly(m)
         if pm.is_zero():
             return Scalar(0)
-        return pm.evaluate(j) * lam**j
+        return pm.evaluate(j) * self._root[0] ** j
 
     # -- plumbing ----------------------------------------------------------
 
@@ -168,7 +183,9 @@ class ExpPolyCharacter:
         return self.factors == other.factors and self.extra == other.extra
 
     def __hash__(self):
-        return hash((self.factors, self.extra))
+        if self._hash is None:
+            self._hash = hash((self.factors, self.extra))
+        return self._hash
 
     def __repr__(self):
         fs = ", ".join(f"(lam={lam}, n={n}, p={p_to_json(p)})" for lam, n, p in self.factors)

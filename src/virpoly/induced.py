@@ -81,7 +81,7 @@ class ModuleElement(SparseVector):
 
     @staticmethod
     def basis(s) -> "ModuleElement":
-        return ModuleElement({tuple(s): 1})
+        return ModuleElement.adopt({tuple(s): ONE})
 
     def leading_index(self) -> tuple:
         """Lexicographically maximal index with nonzero coefficient."""
@@ -120,6 +120,7 @@ class InducedModule:
         self.n = n
         self.p = p
         self.r = pdeg(p)
+        self.top = n + self.r  # mu kills t^j f^(top+1)
         self.f = linear_factor(lam)
         self._fpow = {0: ONE_POLY, 1: self.f}
         # mu(f^(n+k)) for k <= r, through f^k = sum_i C(k, i) (-lam)^(k-i) t^i;
@@ -159,23 +160,28 @@ class InducedModule:
         hit = cache.get(key)
         if hit is not None:
             return hit
-        n = self.n
-        if a > n + self.r + sum(s):
+        w = sum(s)
+        if a > self.top + w:
             return {}
-        l = ell(s) if any(s) else a
+        l = a  # ell(s), and a on the zero index
+        if w:
+            for l, x in enumerate(s):
+                if x:
+                    break
+        n = self.n
         if k == 0 and a <= l:
             if a < n:
                 return {s[:a] + (s[a] + 1,) + s[a + 1 :]: ONE}
             val = self._mu_fpow[a - n]
             return {} if val.is_zero() else {s: val}
         out = {}
-        if not any(s):
+        if not w:
             if a:
-                # t^k f^a = t^(k+1) f^(a-1) - lambda t^k f^(a-1)
-                accumulate(out, self._act_idx(k + 1, s, a - 1))
+                # t^k f^a = t^(k+1) f^(a-1) - lambda t^k f^(a-1); a memo entry is clean
+                out = dict(self._act_idx(k + 1, s, a - 1))
                 accumulate(out, self._act_idx(k, s, a - 1), -self.lam)
             else:
-                c = taylor(LaurentPoly.adopt({k: ONE}), self.lam, n + self.r + 1)
+                c = taylor(LaurentPoly.adopt({k: ONE}), self.lam, self.top + 1)
                 for i, x in enumerate(c[:n]):
                     if not x.is_zero():
                         out[s[:i] + (1,) + s[i + 1 :]] = x
@@ -186,12 +192,16 @@ class InducedModule:
         else:
             head = s[:l]  # all zero, below the lowest occupied direction
             d = head + (s[l] - 1,) + s[l + 1 :]
+            later = []
             for idx, c in self._act_idx(k, d, a).items():
                 if idx[:l] == head:
-                    # f^l f^idx v is already in PBW order: bump idx at l
-                    add_term(out, head + (idx[l] + 1,) + idx[l + 1 :], c)
+                    # f^l f^idx v is already in PBW order: bump idx at l, a
+                    # key no other idx bumps to, so it is written, not added
+                    out[head + (idx[l] + 1,) + idx[l + 1 :]] = c
                 else:
-                    accumulate(out, self._act_idx(0, idx, l), c)
+                    later.append((idx, c))
+            for idx, c in later:
+                accumulate(out, self._act_idx(0, idx, l), c)
             if l - a - k:
                 accumulate(out, self._act_idx(k, d, a + l), Scalar(l - a - k))
             if l - a:
@@ -306,13 +316,17 @@ def bracket_action_oracle(mu: ExpPolyCharacter, j: int, m: int, s) -> ModuleElem
     Valid whenever m >= n, where t^j f^m acts on the generator by the
     character value.
     """
-    lam, n, _ = mu.root_data()
+    _, n, _ = mu.root_data()
     if m < n:
         raise HypothesisViolation("oracle requires m >= n")
     eng = get_engine(mu)
-    g = LaurentPoly({j: 1}) * eng.fpow(m)
-    v = eng.basis(s)
-    return eng.act(g, v) - v * mu.value_power(j, m)
+    s = tuple(s)
+    out = eng.act(eng.fpow(m).shift(j), eng.basis(s))
+    # act returns a fresh map, so the scalar part comes off in place
+    val = mu.value_power(j, m)
+    if not val.is_zero():
+        add_term(out.terms, s, -val)
+    return out
 
 
 # -- leading-index reduction -----------------------------------------------------
@@ -355,14 +369,18 @@ def reduce_step(mu: ExpPolyCharacter, v: ModuleElement):
     gives m and the target and checks the character.  Returns ((0, m), w)
     with w = (f^m - mu(f^m)) v, whose leading index must be the target (see
     ``descent_power`` for why), else SearchExhausted.  f^m acts through
-    ``act_fpow``, by the two-term bracket, not as its m + 1 monomials t^i.
+    ``act_fpow``, by the two-term bracket, not as its m + 1 monomials t^i,
+    and mu(f^m) is the engine's ``_mu_fpow`` entry (m >= n), zero past
+    n + r, taken off ``act_fpow``'s fresh map in place.
     """
     lead = v.leading_index()
     if not any(lead):
         raise HypothesisViolation("vector is already in the span of the generator")
     m, target = descent_power(mu, lead)
     eng = get_engine(mu)
-    w = eng.act_fpow(m, v) - v * mu.value_power(0, m)
+    w = eng.act_fpow(m, v)
+    if m <= eng.top:
+        accumulate(w.terms, v.terms, -eng._mu_fpow[m - eng.n])
     if w.is_zero() or w.leading_index() != target:
         raise SearchExhausted(f"f^{m} did not lower the leading index to {list(target)}")
     return (0, m), w

@@ -101,7 +101,7 @@ class LaurentPoly(SparseVector):
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return LaurentPoly({e + k: c for e, c in self.terms.items()})
+        return LaurentPoly.adopt({e + k: c for e, c in self.terms.items()})
 
     def derivative(self) -> "LaurentPoly":
         """Termwise t^n -> n t^(n-1)."""

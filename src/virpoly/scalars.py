@@ -261,6 +261,13 @@ def power(x, k: int, one):
     return out
 
 
+def order_keys(xs) -> list:
+    """Integer keys ordered as (re, im) of the Scalars xs: each one's numerators
+    over the common denominator of xs, so no Fraction is built."""
+    d = lcm(*[x._d for x in xs])
+    return [(x._a * (d // x._d), x._b * (d // x._d)) for x in xs]
+
+
 def json_map(obj, what: str) -> dict:
     """obj itself when it is a JSON object; anything else raises ValueError."""
     if not isinstance(obj, dict):

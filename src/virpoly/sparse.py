@@ -11,7 +11,7 @@ drop.  Slice ranks and linear solves share one exact elimination,
 
 from __future__ import annotations
 
-from .scalars import ONE, Scalar, _make, _reduced, sc
+from .scalars import ONE, Scalar, _new, _reduced, sc
 
 
 def clean(terms) -> dict:
@@ -31,10 +31,12 @@ def accumulate(target: dict, src: dict, coeff=None) -> dict:
 
     Each term is old + c * coeff worked out on the integer triples (a, b, d)
     of ``scalars``, with the zero test on the integers, so a term allocates
-    one Scalar, through ``_make``/``_reduced``, or none when the sum is zero.
-    The unreduced product c * coeff has a positive denominator, and
-    ``_reduced`` divides the final triple by its full gcd, so the value
-    stored is the canonical form the Scalar operators would give.
+    one Scalar, or none when the sum is zero.  A triple over 1 is already
+    canonical and is written into the new Scalar here, as ``_make`` would,
+    without the call; any other goes through ``_reduced``, which divides it
+    by its full gcd (the unreduced product c * coeff has a positive
+    denominator), so the value stored is the canonical form the Scalar
+    operators would give.
     """
     get = target.get
     if coeff is not None:
@@ -55,8 +57,15 @@ def accumulate(target: dict, src: dict, coeff=None) -> dict:
             e *= g
         old = get(k)
         if old is None:
-            if x or y:
-                target[k] = c if coeff is None else _make(x, y, 1) if e == 1 else _reduced(x, y, e)
+            if not (x or y):
+                continue
+            if coeff is None:
+                target[k] = c
+            elif e == 1:
+                target[k] = new = _new(Scalar)
+                new._a, new._b, new._d = x, y, 1
+            else:
+                target[k] = _reduced(x, y, e)
             continue
         d = old._d
         if d == e:
@@ -66,10 +75,13 @@ def accumulate(target: dict, src: dict, coeff=None) -> dict:
             x = old._a * e + x * d
             y = old._b * e + y * d
             e *= d
-        if x or y:
-            target[k] = _make(x, y, 1) if e == 1 else _reduced(x, y, e)
-        else:
+        if not (x or y):
             del target[k]
+        elif e == 1:
+            target[k] = new = _new(Scalar)
+            new._a, new._b, new._d = x, y, 1
+        else:
+            target[k] = _reduced(x, y, e)
     return target
 
 

@@ -1,6 +1,7 @@
-"""The pair summary of ``tools/bench_pairs.py`` on fixed numbers."""
+"""The pair summary of ``tools/bench_pairs.py`` on fixed numbers, and its work counts."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -105,3 +106,37 @@ def test_failed_share_sums_over_the_runs():
     # 6 / 400, not the mean 1% of the per-run shares 0 and 2%
     assert bench_pairs.failed_share(runs) == pytest.approx(0.015)
     assert bench_pairs.failed_share([{"attempted": 50, "failed": 0}]) == 0
+
+
+def _tree(tmp_path):
+    """A copy of this checkout's sources and benchmark, as a tree to count in."""
+    root = PATH.parent.parent
+    tree = tmp_path / "tree"
+    skip = shutil.ignore_patterns("__pycache__", "_out", "_work")
+    for part in ("src", "perfbench"):
+        shutil.copytree(root / part, tree / part, ignore=skip)
+    shutil.copy(root / "BENCHMARK.json", tree)
+    return tree
+
+
+def test_work_counts_repeat_and_see_a_planted_call(tmp_path):
+    tree = _tree(tmp_path)
+    first = bench_pairs.count_calls(tree, "oracle-grid", 1, 1)
+    assert first == bench_pairs.count_calls(tree, "oracle-grid", 1, 1)
+    oracle = first["functions"]["induced.bracket_action_oracle"]
+    assert first["failed"] == 0 and first["ops"] > oracle > 0
+    assert first["calls"] == sum(first["functions"].values())
+    # wrap the oracle the benchmark calls in one that makes one more call
+    with open(tree / "src" / "virpoly" / "induced.py", "a") as fh:
+        fh.write("\n\ndef _planted():\n    pass\n\n\n_oracle = bracket_action_oracle\n\n\n"
+                 "def bracket_action_oracle(mu, j, m, s):\n    _planted()\n    return _oracle(mu, j, m, s)\n")
+    planted = bench_pairs.count_calls(tree, "oracle-grid", 1, 1)
+    assert planted["functions"]["induced._planted"] == oracle
+    assert planted["functions"]["induced.bracket_action_oracle"] == 2 * oracle
+    assert planted["calls"] == first["calls"] + 2 * oracle
+    # the wrapper adds no term; the oracle's act and the engine add them all
+    assert planted["accumulate_terms"] == first["accumulate_terms"] > first["ops"]
+    row = bench_pairs.compare_work(first, planted)
+    assert row["ratio"] == planted["calls"] / first["calls"]
+    assert row["moved_per_op"] == {"induced.bracket_action_oracle": oracle / first["ops"],
+                                   "induced._planted": oracle / first["ops"]}

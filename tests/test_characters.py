@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -90,6 +91,71 @@ class TestIndexPoly:
         assert all(isinstance(mu.factors[0][2], LaurentPoly) for mu in chars)
         assert len(set(chars)) == 1 and len({hash(mu) for mu in chars}) == 1
         assert len({id(get_engine(mu)) for mu in chars}) == 1
+
+
+class TestFactorOrder:
+    # rational and Gaussian roots, several sharing a real part, and real
+    # parts whose order differs from that of their numerators or denominators
+    ROOTS = [sc("1/2"), Scalar(Fraction(1, 2), Fraction(1, 3)), Scalar(Fraction(1, 2), Fraction(-2, 5)),
+             sc("1/3"), Scalar(Fraction(1, 3), 7), sc(-2), Scalar(0, Fraction(3, 4)), Scalar(0, -1),
+             Scalar(Fraction(-5, 6), Fraction(1, 6)), sc("3/4")]
+
+    def test_roots_are_ordered_by_real_then_imaginary_part(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            roots = rng.sample(self.ROOTS, rng.randint(1, len(self.ROOTS)))
+            mu = ExpPolyCharacter([(lam, 1, [k + 1]) for k, lam in enumerate(roots)])
+            want = sorted(roots, key=lambda lam: (lam.re, lam.im))
+            assert [lam for lam, _, _ in mu.factors] == want
+            # each root keeps its own data
+            assert all(p == index_poly([roots.index(lam) + 1]) for lam, _, p in mu.factors)
+
+    def test_to_json_lists_the_factors_in_that_order(self):
+        mu = ExpPolyCharacter([(Scalar(Fraction(1, 2), Fraction(-2, 5)), 1, [1]), (sc("1/3"), 2, []),
+                               (Scalar(Fraction(1, 2), Fraction(1, 3)), 1, [2]), (sc("1/2"), 1, [3])])
+        assert mu.to_json() == {"factors": [
+            {"lambda": "1/3", "n": 2, "p": []},
+            {"lambda": {"re": "1/2", "im": "-2/5"}, "n": 1, "p": ["1"]},
+            {"lambda": "1/2", "n": 1, "p": ["3"]},
+            {"lambda": {"re": "1/2", "im": "1/3"}, "n": 1, "p": ["2"]},
+        ]}
+
+
+class TestStoredData:
+    """A character keeps its hash and its single-root data; neither may go stale."""
+
+    FACTORS = [(Scalar(1, 1), 1, [2]), (sc("1/2"), 2, [1, 3]), (sc(-3), 1, [])]
+
+    def test_equal_characters_hash_equal_and_share_an_engine(self):
+        mu = ExpPolyCharacter(self.FACTORS)
+        forms = [ExpPolyCharacter(self.FACTORS[::-1]), ExpPolyCharacter.from_json(mu.to_json())]
+        assert all(x == mu and hash(x) == hash(mu) for x in forms)
+        assert len({mu, *forms}) == 1
+        one = single_root_character(sc("2/3"), 2, [1, 1])
+        again = ExpPolyCharacter.from_json(one.to_json())
+        assert again is not one and hash(again) == hash(one)
+        assert get_engine(again) is get_engine(one)
+
+    def test_power_cache_leaves_the_hash(self):
+        mu = single_root_character(2, 2, [1, 5])
+        h = hash(mu)
+        for m in range(2, 8):
+            mu.value_power(1, m)
+        assert len(mu._power_cache) == 6
+        assert hash(mu) == h == hash(single_root_character(2, 2, [1, 5]))
+
+    def test_root_data_needs_one_root_and_no_extra(self):
+        mu = single_root_character(2, 2, [1, 5])
+        assert mu.is_single_root() and mu.root_data() == (sc(2), 2, index_poly([1, 5]))
+        two = ExpPolyCharacter(self.FACTORS[:2])
+        restricted = restrict(mu, t(0, 3) + t(1))
+        assert len(restricted.factors) == 1 and not (restricted.extra == LaurentPoly({0: 1}))
+        for other in (two, restricted):
+            assert not other.is_single_root()
+            with pytest.raises(ValueError, match="single-root"):
+                other.root_data()
+            with pytest.raises(ValueError, match="single-root"):
+                other.value_power(0, 2)
 
 
 class TestDerivedPower:

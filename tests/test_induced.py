@@ -444,6 +444,31 @@ class TestReduceStep:
             reduce_to_generator(mu, get_engine(mu).basis((1, 4)))
         assert not get_engine(mu)._act_cache and not get_engine(mu)._lmul_cache
 
+    @pytest.mark.parametrize("lam", [sc(2), Scalar(Fraction(3, 5), Fraction(4, 7))])
+    def test_scalar_part_is_the_character_value(self, lam):
+        # reduce_step takes mu(f^m) from the engine's _mu_fpow, and none past
+        # n + r; the reference subtracts value_power(0, m), the derived powers
+        # evaluated at 0, from a fresh copy.  m > n + r when s_0 > 0.
+        rng = random.Random(13)
+        seen = set()
+        for n, r in [(1, 0), (2, 0), (2, 1), (3, 1), (3, 2)]:
+            p = [sc(rng.randint(-3, 3)) for _ in range(r)] + [sc(rng.choice([-2, -1, 1, 2]))]
+            mu = single_root_character(lam, n, p)
+            eng = get_engine(mu)
+            for s in _small_indices(n):
+                v = eng.basis(s) + eng.basis((0,) * (n - 1) + (1,)) * sc(-2)
+                trace, cur = [], v
+                while any(max(cur.terms)):
+                    m, _ = descent_power(mu, max(cur.terms))
+                    want = eng.act_fpow(m, cur) - cur * mu.value_power(0, m)
+                    op, got = reduce_step(mu, cur)
+                    assert op == (0, m) and got == want
+                    seen.add(m > n + r)
+                    trace.append(op)
+                    cur = got
+                assert reduce_to_generator(mu, v) == (trace, cur)
+        assert seen == {False, True}
+
     def test_small_degree_rejected(self):
         mu = ones_character(1, 3, 0)
         eng = get_engine(mu)
