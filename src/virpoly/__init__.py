@@ -52,6 +52,7 @@ from .tailmod import (
     b_act,
     kac_h,
     mbar_simple,
+    verma_degenerate,
     verma_simple_upto,
     whittaker_simple,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "b_act",
     "ann_bound",
     "kac_h",
+    "verma_degenerate",
     "verma_simple_upto",
     "mbar_simple",
     "whittaker_simple",

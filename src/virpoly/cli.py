@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 from math import isqrt
+from typing import Callable, NamedTuple
 
 from .characters import (
     ExpPolyCharacter,
@@ -22,6 +23,7 @@ from .errors import VirpolyError
 from .induced import ModuleElement, get_engine, reduce_to_generator
 from .laurent import LaurentPoly, lie_bracket
 from .scalars import ONE, Scalar, json_field, json_int, json_list, json_map
+from .tailmod import MAX_KAC_LEVEL
 from .tensor import (
     TensorSpec,
     general_tensor_map,
@@ -265,7 +267,7 @@ def _cmd_simplicity(raw, args):
 def _cmd_iso(raw, args):
     a = TensorSpec.from_json(json_field(raw, "a", "the spec"))
     b = TensorSpec.from_json(json_field(raw, "b", "the spec"))
-    return iso_decide(a, b)
+    return iso_decide(a, b, args.kac_level)
 
 
 def _cmd_tensor_map(raw, args):
@@ -279,11 +281,7 @@ def _cmd_tensor_map(raw, args):
     raise VirpolyError(f"unknown tensor-map kind {kind!r}")
 
 
-def _cmd_verify(args):
-    if args.nmax > MAX_VERIFY_NMAX:
-        raise ValueError(f"--nmax {args.nmax} is too large; the verify grids run up to {MAX_VERIFY_NMAX}")
-    if args.depth > MAX_VERIFY_DEPTH:
-        raise ValueError(f"--depth {args.depth} is too large; the verify suites run up to {MAX_VERIFY_DEPTH}")
+def _cmd_verify(raw, args):
     names = [args.suite] if args.suite else sorted(SUITES)
     if "tensor-map" in names:
         check_tensor_map_depth(args.depth)  # refused before any suite runs
@@ -291,16 +289,51 @@ def _cmd_verify(args):
     return {"failed_total": sum(s["failed"] for s in suites), "seed": args.seed, "suites": suites}
 
 
-_WITH_SPEC = {
-    "bracket": _cmd_bracket,
-    "act": _cmd_act,
-    "char-validate": _cmd_char_validate,
-    "char-split": _cmd_char_split,
-    "char-decompose": _cmd_char_decompose,
-    "reduce": _cmd_reduce,
-    "simplicity": _cmd_simplicity,
-    "iso": _cmd_iso,
-    "tensor-map": _cmd_tensor_map,
+class Flag(NamedTuple):
+    """An option a command reads: an integer from ``lo`` to ``hi`` (None
+    leaves that side open), or one of ``choices``."""
+
+    name: str
+    default: object
+    lo: int | None = None
+    hi: int | None = None
+    choices: tuple | None = None
+
+
+class Command(NamedTuple):
+    """A subcommand: ``handler(raw, args)`` returns its report, where raw is
+    the spec file's JSON if ``spec`` (the command reads ``--spec`` and
+    ``--field``) and None otherwise; ``flags`` are the other options it reads."""
+
+    handler: Callable
+    spec: bool
+    flags: tuple = ()
+
+
+_KAC_LEVEL = Flag("--kac-level", 20, 1, MAX_KAC_LEVEL)
+
+# The command table: the parser, the range check and the dispatch read it,
+# so a command accepts exactly the flags its handler reads.
+COMMANDS = {
+    "bracket": Command(_cmd_bracket, True),
+    "act": Command(_cmd_act, True),
+    "char-validate": Command(_cmd_char_validate, True),
+    "char-split": Command(_cmd_char_split, True),
+    "char-decompose": Command(_cmd_char_decompose, True),
+    "reduce": Command(_cmd_reduce, True),
+    "simplicity": Command(_cmd_simplicity, True, (_KAC_LEVEL,)),
+    "iso": Command(_cmd_iso, True, (_KAC_LEVEL,)),
+    "tensor-map": Command(_cmd_tensor_map, True, (Flag("--depth", 3, 0),)),
+    "verify": Command(
+        _cmd_verify,
+        False,
+        (
+            Flag("--suite", None, choices=tuple(sorted(SUITES))),
+            Flag("--nmax", 3, 1, MAX_VERIFY_NMAX),
+            Flag("--seed", 0),
+            Flag("--depth", 3, 0, MAX_VERIFY_DEPTH),
+        ),
+    ),
 }
 
 
@@ -319,36 +352,46 @@ def build_parser() -> argparse.ArgumentParser:
         "Virasoro algebra and their induced modules.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--spec", required=False, help="path to the input JSON file")
-    common.add_argument("--field", choices=["Q", "Qi"], default="Q")
-    common.add_argument("--kac-level", type=int, default=20, dest="kac_level")
-    common.add_argument("--depth", type=int, default=3)
-    common.add_argument("--seed", type=int, default=0)
-    for name in _WITH_SPEC:
-        sub.add_parser(name, parents=[common])
-    vp = sub.add_parser("verify", parents=[common])
-    vp.add_argument("--suite", choices=sorted(SUITES), default=None)
-    vp.add_argument("--nmax", type=int, default=3)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name)
+        if command.spec:
+            p.add_argument("--spec", help="path to the input JSON file")
+            p.add_argument("--field", choices=["Q", "Qi"], default="Q")
+        for flag in command.flags:
+            if flag.choices:
+                p.add_argument(flag.name, choices=flag.choices, default=flag.default)
+            else:
+                p.add_argument(flag.name, type=int, default=flag.default)
     return ap
+
+
+def _out_of_range(command: str, flag: Flag, value):
+    """The stderr line for a flag value outside its range, or None."""
+    head = f"invalid input: flag out of range: {flag.name} {value}"
+    if flag.lo is not None and value < flag.lo:
+        return f"{head} is too small; {command} takes at least {flag.lo}"
+    if flag.hi is not None and value > flag.hi:
+        return f"{head} is too large; {command} takes at most {flag.hi}"
+    return None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    verify = args.command == "verify"
-    if args.kac_level < 1 or args.depth < 0 or verify and args.nmax < 1:
-        print("flag out of range", file=sys.stderr)
-        return 2
-    if not verify and not args.spec:
+    command = COMMANDS[args.command]
+    for flag in command.flags:
+        line = _out_of_range(args.command, flag, getattr(args, flag.name[2:].replace("-", "_")))
+        if line:
+            print(line, file=sys.stderr)
+            return 2
+    if command.spec and not args.spec:
         print("--spec is required for this command", file=sys.stderr)
         return 2
     try:
-        if verify:
-            report = _cmd_verify(args)
-        else:
+        raw = None
+        if command.spec:
             raw = _load_spec(args.spec)
             _check_field(raw, args.field)
-            report = _WITH_SPEC[args.command](raw, args)
+        report = command.handler(raw, args)
     except (VirpolyError, KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
@@ -356,8 +399,7 @@ def main(argv=None) -> int:
         print("request beyond the engine's reach: recursion too deep", file=sys.stderr)
         return 2
     _emit({"command": args.command, **report})
-    failed = report["failed_total"] if verify else report.get("passed") is False
-    return 1 if failed else 0
+    return 1 if report.get("failed_total") or report.get("passed") is False else 0
 
 
 if __name__ == "__main__":

@@ -305,29 +305,84 @@ def _rational_sqrt(x: Fraction):
     return None
 
 
+def _integer_sqrt(x: Fraction):
+    """The integer T >= 0 with T^2 = x, or None."""
+    root = _rational_sqrt(x)
+    return root.numerator if root is not None and root.denominator == 1 else None
+
+
+def _rational_tau(c: Fraction):
+    """A rational root of 6 tau^2 - (13 - c) tau + 6 = 0, or None.
+
+    The roots are tau and 1/tau, and c = 13 - 6 (tau + 1/tau).
+    """
+    k = 13 - c
+    root = _rational_sqrt(k * k - 144)
+    return None if root is None else (k + root) / 12
+
+
+def _least_labels(p: int, q: int, e: int) -> list:
+    """The solutions (r, s), r, s >= 1, of p r - q s = e at which r s can be
+    least, for coprime p and q >= 1.
+
+    r runs through one residue class mod q, and s = (p r - e) / q >= 1 bounds
+    r below when p > 0, where r s grows with r, and above when p < 0, where
+    r s is concave in r: the least r s is at the least r, or at either end.
+    """
+    r0 = e * pow(p, -1, q) % q
+    if p > 0:
+        lo = max(1, -(-(e + q) // p))
+        ends = {lo + (r0 - lo) % q}
+    else:
+        hi = (e + q) // p
+        ends = {r for r in (1 + (r0 - 1) % q, hi - (hi - r0) % q) if 1 <= r <= hi}
+    return [(r, (p * r - e) // q) for r in ends]
+
+
+def verma_degenerate(h, c):
+    """The Kac label (r, s) of least level r s (then least r) with
+    Phi_{r,s}(c, h) = 0, or None when the Verma module M(c, h) is simple;
+    exact for rational c and h.
+
+    With c = 13 - 6 (tau + 1/tau), M(c, h) is reducible iff
+    (r tau - s)^2 = 4 tau h + (tau - 1)^2 for some r, s >= 1 (Kac 1979;
+    Feigin-Fuchs 1984); the root 1/tau swaps r and s, as Phi_{r,s} = Phi_{s,r}
+    does.  For rational tau = p/q in lowest terms this is
+    (p r - q s)^2 = 4 p q h + (p - q)^2, so the right side is the square of an
+    integer T and the labels solve p r - q s = +-T.  For irrational tau,
+    comparing the parts in {1, tau} after tau^2 = ((13 - c)/6) tau - 1 leaves
+    s^2 = r^2 and r^2 = 1 + 24 h / (1 - c): one candidate (r, r).
+    """
+    h, c = sc(h), sc(c)
+    if not (h.is_rational() and c.is_rational()):
+        raise ValueError("the exact Verma criterion needs rational c and h")
+    h, c = h.re, c.re
+    tau = _rational_tau(c)
+    if tau is None:
+        r = _integer_sqrt(1 + 24 * h / (1 - c))
+        return (r, r) if r else None
+    p, q = tau.numerator, tau.denominator
+    t = _integer_sqrt(4 * p * q * h + (p - q) ** 2)
+    if t is None:
+        return None
+    labels = [pair for e in {t, -t} for r, s in _least_labels(p, q, e) for pair in ((r, s), (s, r))]
+    return min(labels, key=lambda rs: (rs[0] * rs[1], rs[0]), default=None)
+
+
 def mbar_simple(c) -> bool:
     """Simplicity of the b_{-1}-induced module at central charge c.
 
     The excluded charges are c = 1 - 6 (p-q)^2 / (p q) over coprime integers
-    p, q >= 2; substituting x = p/q turns this into the quadratic
-    6 x^2 - (13 - c) x + 6 = 0, so the decision reduces to checking whether
-    that quadratic has a rational root whose reduced numerator and
-    denominator are both at least 2.  A central charge with nonzero
-    imaginary part is never excluded.
+    p, q >= 2, that is c = 13 - 6 (x + 1/x) at x = p/q: the decision reduces
+    to whether 6 x^2 - (13 - c) x + 6 = 0 has a rational root whose reduced
+    numerator and denominator are both at least 2 (the other root is 1/x).
+    A central charge with nonzero imaginary part is never excluded.
     """
     c = sc(c)
     if not c.is_rational():
         return True
-    cr = c.re
-    disc = (13 - cr) ** 2 - 144
-    root = _rational_sqrt(disc)
-    if root is None:
-        return True
-    for sign in (1, -1):
-        x = ((13 - cr) + sign * root) / 12
-        if x > 0 and x.numerator >= 2 and x.denominator >= 2:
-            return False
-    return True
+    x = _rational_tau(c.re)
+    return x is None or not (x > 0 and x.numerator >= 2 and x.denominator >= 2)
 
 
 def mbar_excluded_bruteforce(c, bound: int = 50) -> bool:
@@ -357,12 +412,23 @@ def whittaker_simple(spec: TailModuleSpec) -> bool:
 
 
 def tail_simplicity(spec: TailModuleSpec, kac_level: int = 20) -> dict:
-    """Uniform simplicity verdict for a tail module."""
+    """Uniform simplicity verdict for a tail module.
+
+    A Verma tail with rational c and h is decided exactly by
+    ``verma_degenerate`` (criterion "kac-determinant"); any other Verma tail
+    by the scan up to ``kac_level`` (criterion "level-scan").
+    """
     if spec.is_trivial():
         return {"kind": "trivial", "simple": True}
     if spec.kind == "verma":
-        v = verma_simple_upto(spec.psi(0), spec.c, kac_level)
-        return {"kind": "verma", "simple": v["simple"], "detail": v}
+        h, c = spec.psi(0), spec.c
+        if h.is_rational() and c.is_rational():
+            pair = verma_degenerate(h, c)
+            return {"kind": "verma", "simple": pair is None, "degenerate": pair,
+                    "criterion": "kac-determinant"}
+        v = verma_simple_upto(h, c, kac_level)
+        return {"kind": "verma", "simple": v["simple"], "degenerate": v["degenerate"],
+                "criterion": "level-scan", "kac_level": kac_level}
     if spec.kind == "mbar":
         return {"kind": "mbar", "simple": mbar_simple(spec.c)}
     if not spec.window:

@@ -260,20 +260,12 @@ def simplicity_verdict(spec: TensorSpec, kac_level: int = 20) -> dict:
             }
         )
     tail = tail_simplicity(spec.tail, kac_level)
-    verdict = all_large and tail["simple"] and not zero_linear
-    report = {
+    return {
         "factors": factors,
         "large_degree": all_large,
-        "tail": {
-            "kind": tail["kind"],
-            "simple": tail["simple"],
-        },
-        "simple": verdict,
+        "tail": tail,
+        "simple": all_large and tail["simple"] and not zero_linear,
     }
-    if tail["kind"] == "verma":
-        report["tail"]["kac_level"] = kac_level
-        report["tail"]["degenerate"] = tail["detail"]["degenerate"]
-    return report
 
 
 def restricted_spec(rc: RestrictedCharacter) -> TensorSpec:
@@ -299,14 +291,37 @@ def restricted_to_tensor(rc: RestrictedCharacter):
     return spec, report
 
 
-def iso_decide(a: TensorSpec, b: TensorSpec) -> dict:
+def _failed_hypotheses(report: dict) -> str:
+    """What keeps a ``simplicity_verdict`` report from "simple"."""
+    failed = []
+    for i, f in enumerate(report["factors"]):
+        if not f["large_degree"]:
+            failed.append(f"factor {i} has degree {f['degree']} below n - 2 = {f['n'] - 2}")
+        if f["zero_linear_factor"]:
+            failed.append(f"factor {i} is linear with the zero character")
+    if not report["tail"]["simple"]:
+        failed.append(f"the {report['tail']['kind']} tail is not simple")
+    return ", ".join(failed)
+
+
+def iso_decide(a: TensorSpec, b: TensorSpec, kac_level: int = 20) -> dict:
     """Isomorphism of two tensor products, decided on parameter data.
 
-    Isomorphic iff the factor multisets match exactly (root, multiplicity,
-    polynomial) after a permutation and the tails agree within the built-in
-    families (equal parameters).  Both specs are assumed to carry simple
-    tails; cross-family tails are reported as non-isomorphic.
+    The classification holds for simple modules, so both sides first get a
+    ``simplicity_verdict``.  If exactly one side is simple they are not
+    isomorphic ("simplicity differs"); if neither is, "isomorphic" is None
+    and the reason names the failed hypotheses of each side.  Two simple
+    sides are isomorphic iff the factor multisets match exactly (root,
+    multiplicity, polynomial) after a permutation and the tails agree within
+    the built-in families (equal parameters); cross-family tails are
+    reported as non-isomorphic.
     """
+    simple = [simplicity_verdict(spec, kac_level) for spec in (a, b)]
+    if not (simple[0]["simple"] or simple[1]["simple"]):
+        failed = "; ".join(f"{side}: {_failed_hypotheses(rep)}" for side, rep in zip("ab", simple))
+        return {"isomorphic": None, "reason": f"neither side is simple ({failed})"}
+    if simple[0]["simple"] != simple[1]["simple"]:
+        return {"isomorphic": False, "reason": "simplicity differs"}
     if len(a.factors) != len(b.factors):
         return {"isomorphic": False, "reason": "different factor counts"}
     remaining = list(range(len(b.factors)))

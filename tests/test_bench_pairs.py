@@ -108,6 +108,19 @@ def test_failed_share_sums_over_the_runs():
     assert bench_pairs.failed_share([{"attempted": 50, "failed": 0}]) == 0
 
 
+def test_harness_load_per_attempted_op():
+    def run(attempted, rss):
+        return {"attempted": attempted, "metrics": {"peak_rss_mb": {"value": rss}}}
+
+    # 36 MB over 200,000 ops is 18 MB per 10^5; the medians are taken over the runs
+    load = bench_pairs.harness_load([run(200_000, 36.0), run(100_000, 30.0), run(400_000, 44.0)])
+    assert load["attempted_median"] == 200_000
+    assert load["peak_rss_mb_per_1e5_ops"] == pytest.approx(18.0)
+    # a change that runs 1.72x the ops at +29% peak RSS costs less per op
+    parent, change = (bench_pairs.harness_load([run(n, rss)]) for n, rss in ((100_000, 36.0), (172_000, 46.5)))
+    assert change["peak_rss_mb_per_1e5_ops"] < parent["peak_rss_mb_per_1e5_ops"] == 36.0
+
+
 def _tree(tmp_path):
     """A copy of this checkout's sources and benchmark, as a tree to count in."""
     root = PATH.parent.parent

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib
 import json
 import re
 import subprocess
@@ -173,6 +174,34 @@ def test_iso(tmp_path, capsys):
     assert code == 0 and out["isomorphic"] is True
 
 
+def test_simplicity_of_a_verma_tail_is_exact_for_rational_c_and_h(tmp_path, capsys):
+    # h = 190/3 = h_{1,21}(0), past the default scan level of 20
+    tail = {"type": "verma", "c": "0", "h": "190/3"}
+    spec = write(tmp_path, "s.json", {"factors": [{"lambda": "1", "n": 1, "p": ["1"]}], "tail": tail})
+    for level in ("1", "20", "30"):
+        code, out = run_cli(capsys, "simplicity", "--spec", spec, "--kac-level", level)
+        assert code == 0 and out["simple"] is False, level
+        assert out["tail"] == {"kind": "verma", "simple": False, "degenerate": [1, 21], "criterion": "kac-determinant"}
+
+
+def test_iso_outside_its_hypotheses_is_null(tmp_path, capsys):
+    def side(p):
+        return {"factors": [{"lambda": "1", "n": 4, "p": [p]}], "tail": {"type": "verma", "c": "0", "h": "0"}}
+
+    spec = write(tmp_path, "i.json", {"a": side("1"), "b": side("2")})
+    code, out = run_cli(capsys, "iso", "--spec", spec)
+    assert code == 0 and out["isomorphic"] is None
+    assert out["reason"].startswith("neither side is simple")
+    # a Gaussian Verma tail is scanned up to --kac-level: h = h_{2,2}(i) =
+    # (1 - i)/8 is degenerate at level 4
+    tail = {"type": "verma", "c": {"re": "0", "im": "1"}, "h": {"re": "1/8", "im": "-1/8"}}
+    side = {"factors": [{"lambda": "1", "n": 1, "p": ["1"]}], "tail": tail}
+    spec = write(tmp_path, "g.json", {"a": side, "b": side})
+    for level, want in (("3", True), ("4", None)):
+        code, out = run_cli(capsys, "iso", "--spec", spec, "--field", "Qi", "--kac-level", level)
+        assert code == 0 and out["isomorphic"] is want, level
+
+
 def test_tensor_map_polynomial(tmp_path, capsys, monkeypatch):
     spec = write(
         tmp_path,
@@ -254,9 +283,9 @@ def test_loops_the_input_sizes_are_bounded(tmp_path, capsys):
         "factor_product_above_bound": ("iso", {"a": two_factors(1), "b": two_factors(0)}, ()),
     }
     for name, (command, payload, flags) in refused.items():
-        spec = write(tmp_path, name + ".json", payload)
+        spec = ("--spec", write(tmp_path, name + ".json", payload)) if cli.COMMANDS[command].spec else ()
         start = time.perf_counter()
-        code, err = run_invalid(capsys, command, "--spec", spec, *flags)
+        code, err = run_invalid(capsys, command, *spec, *flags)
         assert time.perf_counter() - start < 1.0, name
         assert code == 2 and err.startswith("invalid input") and len(err.splitlines()) == 1, name
     spec = write(tmp_path, "range.json", {"character": {"factors": [factor]}, "range": [-1000, 1000]})
@@ -279,7 +308,8 @@ def test_loops_the_input_sizes_are_bounded(tmp_path, capsys):
     assert code == 0 and out["valid"] is True
     spec = write(tmp_path, "product_edge.json", {"a": two_factors(0), "b": two_factors(0)})
     code, out = run_cli(capsys, "iso", "--spec", spec)
-    assert code == 0 and out["isomorphic"] is True
+    # each side has a factor of degree 0 below n - 2, so neither is simple
+    assert code == 0 and out["isomorphic"] is None
 
 
 def test_verify_depth_is_bounded(capsys):
@@ -332,10 +362,40 @@ def test_readme_names_every_command_option_and_suite():
         if not isinstance(action, argparse._HelpAction)
         for option in action.option_strings
     }
-    assert set(sub.choices) == set(cli._WITH_SPEC) | {"verify"}
+    assert set(sub.choices) == set(cli.COMMANDS)
     assert options >= {"--spec", "--kac-level", "--nmax"}
     missing = (set(sub.choices) | options | set(SUITES)) - words
     assert not missing
+
+
+def test_each_command_offers_exactly_the_flags_it_reads(capsys, monkeypatch):
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli.COMMANDS)
+    pairs = 0
+    for name, command in cli.COMMANDS.items():
+        options = {
+            option
+            for action in sub.choices[name]._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings
+        }
+        assert options == {flag.name for flag in command.flags} | ({"--spec", "--field"} if command.spec else set())
+        pairs += len(options)
+    assert pairs == 25
+    # a flag the command does not read is refused, not ignored
+    for argv in (["bracket", "--spec", "b.json", "--depth", "3"], ["verify", "--kac-level", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+    # every request of the benchmark's CLI stream still parses
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    cli_session = importlib.import_module("cli_session")
+    for seed in (1, 2, 3):
+        for request in cli_session.generate(seed)["requests"].values():
+            assert parser.parse_args(request["argv"]).command == request["argv"][0]
 
 
 def test_readme_names_every_max_constant():
@@ -504,7 +564,7 @@ def test_invalid_input_exit_code(tmp_path, capsys):
         "iso": "the spec has no 'a' field",
         "tensor-map": "a tensor spec has no 'factors' field",
     }
-    assert set(empty) == set(cli._WITH_SPEC)
+    assert set(empty) == {name for name, command in cli.COMMANDS.items() if command.spec}
     missing = [(command, {}, line) for command, line in empty.items()] + [
         ("act", dict(act, character={}), "a character has no 'factors' field"),
         ("act", dict(act, character={"factors": [{"n": 1}]}), "a character factor has no 'lambda' field"),
@@ -701,8 +761,12 @@ def test_verify_empty_suite_fails(capsys):
 
 
 def test_verify_flag_ranges(capsys):
-    for argv in (["--nmax", "0"], ["--nmax", "-1"], ["--kac-level", "0"]):
-        code, err = run_invalid(capsys, "verify", "--suite", "faulhaber", *argv)
+    for argv in (
+        ["verify", "--suite", "faulhaber", "--nmax", "0"],
+        ["verify", "--suite", "faulhaber", "--nmax", "-1"],
+        ["simplicity", "--kac-level", "0"],
+    ):
+        code, err = run_invalid(capsys, *argv)
         assert code == 2 and "flag out of range" in err, argv
 
 
@@ -733,6 +797,11 @@ def test_field_restriction(tmp_path, capsys):
         assert code == 2, command
         code, _ = run_cli(capsys, command, "--spec", spec, "--field", "Qi")
         assert code == 0, command
+    # every command that reads a spec reads --field, before the spec's fields
+    spec = write(tmp_path, "any.json", {"x": {"re": "0", "im": "1"}})
+    for command in (name for name, c in cli.COMMANDS.items() if c.spec):
+        code, err = run_invalid(capsys, command, "--spec", spec, "--field", "Q")
+        assert code == 2 and err == "invalid input: Gaussian scalar under field Q\n", command
 
 
 def test_restricted_window_is_checked(tmp_path, capsys):

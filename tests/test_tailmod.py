@@ -4,6 +4,7 @@ import textwrap
 import types
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import isqrt
 
 import pytest
 
@@ -22,6 +23,8 @@ from virpoly.tailmod import (
     kac_phi,
     mbar_excluded_bruteforce,
     mbar_simple,
+    tail_simplicity,
+    verma_degenerate,
     verma_simple_upto,
     whittaker_simple,
 )
@@ -284,6 +287,88 @@ class TestKac:
         for level in (0, MAX_KAC_LEVEL + 1):
             with pytest.raises(ValueError):
                 verma_simple_upto(sc(1), sc(100), level)
+
+
+def _rational_kac_weights(c: Fraction, level: int) -> set:
+    """Every rational weight h_{r,s}(c) with r s <= level: the roots of
+    h^2 - sum h + product that ``kac_h`` gives, when its discriminant is a
+    rational square."""
+    out = set()
+    for r in range(1, level + 1):
+        for s in range(1, level // r + 1):
+            data = kac_h(r, s, sc(c))
+            total, prod = data["sum"].re, data["product"].re
+            disc = total * total - 4 * prod
+            if disc < 0:
+                continue
+            num, den = isqrt(disc.numerator), isqrt(disc.denominator)
+            if num * num == disc.numerator and den * den == disc.denominator:
+                out |= {(total + Fraction(num, den) * sign) / 2 for sign in (1, -1)}
+    return out
+
+
+class TestVermaExact:
+    def test_the_weight_the_level_20_scan_missed(self):
+        # c = 0, tau = 3/2: 4 p q h + (p - q)^2 = 1521 = 39^2, and 3 r - 2 s = -39 at (1, 21)
+        assert verma_degenerate(sc("190/3"), sc(0)) == (1, 21)
+        assert verma_simple_upto(sc("190/3"), sc(0), 20)["simple"]
+        assert not verma_simple_upto(sc("190/3"), sc(0), 21)["simple"]
+        for level in (1, 20, 30):
+            assert tail_simplicity(TailModuleSpec.verma(sc("190/3"), sc(0)), level) == {
+                "kind": "verma",
+                "simple": False,
+                "degenerate": (1, 21),
+                "criterion": "kac-determinant",
+            }
+
+    def test_known_labels(self):
+        assert verma_degenerate(sc(0), sc(3)) == (1, 1)  # h = 0 always
+        assert verma_degenerate(sc("1/3"), sc(1)) is None  # 4h is not a square
+        for k in (1, 2, 3, 10):
+            assert verma_degenerate(sc(Fraction(k * k, 4)), sc(1)) == (1, k + 1)
+        assert verma_degenerate(sc("1/16"), sc("1/2")) == (1, 2)  # Ising
+        # Phi_{1,2} = Phi_{2,1} vanishes at h_{2,1} = 1/2 too
+        assert verma_degenerate(sc("1/2"), sc("1/2")) == (1, 2)
+        # irrational tau: r = s, with r^2 = 1 + 24 h / (1 - c)
+        assert verma_degenerate(sc("3/2"), sc(-11)) == (2, 2)
+        assert verma_degenerate(sc(1), sc(2)) is None
+        # tau < 0 above c = 25: finitely many labels, r + s = T at c = 25
+        assert verma_degenerate(sc("-5/4"), sc(25)) == (1, 2)
+        with pytest.raises(ValueError):
+            verma_degenerate(Scalar(0, 1), sc(0))
+
+    def test_a_gaussian_weight_keeps_the_scan(self):
+        spec = TailModuleSpec.verma(Scalar(0, 1), sc(0))
+        assert tail_simplicity(spec, 12) == {
+            "kind": "verma",
+            "simple": True,
+            "degenerate": None,
+            "criterion": "level-scan",
+            "kac_level": 12,
+        }
+
+    def test_against_the_level_30_scan(self):
+        """Every rational h_{r,s}(c) with r s <= 30, and seeded rational h,
+        on a seeded grid of charges: minimal models and c >= 25 (rational
+        tau) and other rational c (irrational tau).  The scan, the oracle,
+        finds the exact label's level and nothing below it."""
+        rng = random.Random(32)
+        # c = 26 has tau = -2/3, where the least label can sit at either end of a family
+        charges = {Fraction(0), Fraction(1), Fraction(25), Fraction(26), Fraction(-2)}
+        while len(charges) < 10:
+            x = Fraction(rng.randint(1, 7), rng.randint(1, 7))
+            charges.add(13 - 6 * (x + 1 / x) if rng.random() < 0.7 else Fraction(rng.randint(-40, 40), rng.randint(1, 5)))
+        for c in sorted(charges):
+            weights = _rational_kac_weights(c, 30) | {Fraction(rng.randint(-50, 50), rng.randint(1, 24)) for _ in range(5)}
+            for h in sorted(weights):
+                label = verma_degenerate(sc(h), sc(c))
+                if label is None or label[0] * label[1] > 30:
+                    assert verma_simple_upto(sc(h), sc(c), 30)["simple"], (c, h)
+                    continue
+                level = label[0] * label[1]
+                assert kac_phi(*label, sc(c), sc(h)).is_zero(), (c, h)
+                assert not verma_simple_upto(sc(h), sc(c), level)["simple"], (c, h)
+                assert level == 1 or verma_simple_upto(sc(h), sc(c), level - 1)["simple"], (c, h)
 
 
 class TestMbar:

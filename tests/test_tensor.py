@@ -615,8 +615,26 @@ class TestIsoDecide:
         a = TensorSpec([ones(1, 1, 0), ones(2, 2, 1)], TailModuleSpec.verma(sc(1), sc(2)))
         b = TensorSpec([ones(2, 2, 1), ones(1, 1, 0)], TailModuleSpec.verma(sc(1), sc(2)))
         rep = iso_decide(a, b)
-        assert rep["isomorphic"]
-        assert sorted(rep["permutation"]) == [0, 1]
+        assert rep == {"isomorphic": True, "permutation": [1, 0]}
+
+    def test_decided_only_inside_the_hypotheses(self):
+        # one factor of degree 0 below n - 2 = 2 and the degenerate Verma
+        # tail c = 0, h = 0 on both sides: neither is simple, so no answer
+        a = TensorSpec([single_root_character(1, 4, [1])], TailModuleSpec.verma(sc(0), sc(0)))
+        b = TensorSpec([single_root_character(1, 4, [2])], TailModuleSpec.verma(sc(0), sc(0)))
+        for x, y in ((a, b), (a, a)):
+            rep = iso_decide(x, y)
+            assert rep["isomorphic"] is None
+            assert rep["reason"].startswith("neither side is simple")
+            assert "factor 0 has degree 0 below n - 2 = 2" in rep["reason"]
+            assert "the verma tail is not simple" in rep["reason"]
+        # a zero linear factor on one side only
+        simple = TensorSpec([single_root_character(1, 1, [1])])
+        zero = TensorSpec([single_root_character(1, 1, [])])
+        assert iso_decide(simple, zero) == iso_decide(zero, simple) == {
+            "isomorphic": False,
+            "reason": "simplicity differs",
+        }
 
     def test_reflexive_and_symmetric(self):
         a = TensorSpec([ones(1, 2, 1)], TailModuleSpec.mbar(sc(1)))

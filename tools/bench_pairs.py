@@ -15,7 +15,8 @@ and quartiles over its runs, the ratio of the medians, how many pairs the
 change won (ties count for neither side), and a verdict against the metric's
 ``bound``: "gain", "worse than bound", "unresolved" or "within bound" (see
 ``verdict``).  Per workload it also gives each side's failed share, the
-failed ops over the attempted ops of all its runs.  The runs are
+failed ops over the attempted ops of all its runs, and its median attempted
+ops and ``peak_rss_mb`` per 10^5 attempted ops (see ``harness_load``).  The runs are
 sequential, one process at a time.  Standard library only; nothing under
 ``perfbench/`` is changed.
 
@@ -113,6 +114,19 @@ def verdict(s: dict, better: str, bound: float) -> str:
 def failed_share(runs: list) -> float:
     """Failed ops over attempted ops, each summed over runs, a list of ``perfbench/run.py`` results."""
     return sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs)
+
+
+def harness_load(runs: list) -> dict:
+    """The median attempted ops of a side's runs, and the median of their
+    ``peak_rss_mb`` per 10^5 attempted ops.
+
+    ``perfbench/run.py`` keeps one latency per op, so a change that runs
+    more ops in the same seconds also raises ``peak_rss_mb``; the second
+    number shows that charge before the gate reads the metric.
+    """
+    return {"attempted_median": statistics.median(r["attempted"] for r in runs),
+            "peak_rss_mb_per_1e5_ops": statistics.median(
+                r["metrics"]["peak_rss_mb"]["value"] * 1e5 / r["attempted"] for r in runs)}
 
 
 def prebuild(tree: Path) -> None:
@@ -249,9 +263,14 @@ def pair_row(trees: dict, gated: list, workload: str, seeds: list, seconds: floa
     for side in SIDES:
         row[side] = {"correct": all(r["correct"] for r in runs[side]),
                      "failed": sum(r["failed"] for r in runs[side]),
-                     "failed_share": failed_share(runs[side])}
+                     "failed_share": failed_share(runs[side]),
+                     **harness_load(runs[side])}
     print(f"{workload:15s} failed share  parent {row['parent']['failed_share']:.4g}  "
           f"change {row['change']['failed_share']:.4g}", flush=True)
+    print(f"{workload:15s} attempted ops parent {row['parent']['attempted_median']:.6g}  change "
+          f"{row['change']['attempted_median']:.6g}; peak_rss_mb per 1e5 ops parent "
+          f"{row['parent']['peak_rss_mb_per_1e5_ops']:.4g}  change {row['change']['peak_rss_mb_per_1e5_ops']:.4g}",
+          flush=True)
     for metric in gated:
         name = metric["name"]
         values = [[r["metrics"][name]["value"] for r in runs[side]] for side in SIDES]
