@@ -23,6 +23,7 @@ from .errors import (
 from .laurent import ONE_POLY, LaurentPoly, divide_exact, linear_factor
 from .scalars import (
     ONE,
+    ZERO,
     Scalar,
     json_field,
     json_index,
@@ -320,10 +321,10 @@ def _solve_linear(rows, rhs):
     row's entry at n.
     """
     n = len(rows)
-    pivots = Echelon({**dict(enumerate(r)), n: b} for r, b in zip(rows, rhs)).pivots
-    if set(pivots) != set(range(n)):
+    ech = Echelon({**dict(enumerate(r)), n: b} for r, b in zip(rows, rhs))
+    if set(ech) != set(range(n)):
         raise SingularSystem("no pivot available")
-    return [pivots[label].get(n, Scalar(0)) for label in range(n)]
+    return [ech.row(label).get(n, ZERO) for label in range(n)]
 
 
 def solve_exp_poly(values, roots, j0: int) -> ExpPolyCharacter:

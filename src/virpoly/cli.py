@@ -139,17 +139,20 @@ def _check_indices(indices, what: str) -> None:
 # 1/lambda for j < 0).  A rational power takes no gcd, but the sums and
 # products of such powers do, so a power costs about the square of its bits:
 # several count by the root of the sum of their squares, over the roots and
-# the indices evaluated.  At the bound, three single in-process `cli.main`
-# runs each (2-core host, Python 3.11) took: `act` t^3837 on the generator at
-# a 20-digit lambda (129 bits) 0.5-1.0 s, t^1356 at n = 8 there 0.3-1.2 s,
-# and t^98994 at lambda = 3/5 0.4-0.6 s; `char-validate` on one index at the
-# 20-digit lambda 0.6-0.8 s.  `char-validate` on [-1000, 1000] at lambda =
-# 3/5, far below it, took 0.13-0.16 s.  `act` on a vector of weight w counts
-# its powers (1 + w/4)^2 times: t^1000 at the 20-digit lambda took 1.3 s on
-# s = [11], the largest admitted, and 21 s on [64] before.  That factor is
-# fitted where the powers are large and bounds only those: the straightening
-# also makes about w^2 products whatever their bits, which nothing here
-# counts, so t^10 on s = [900] is admitted and takes 4.5-5.7 s.
+# the indices evaluated.  The bound was fitted when every product of a power
+# ended in a gcd, so a rational request at the bound now takes well under the
+# 2 s it was fitted to.  At the bound, three single in-process `cli.main` runs
+# each, pinned to one core (2-core host, Python 3.11), took: `act` t^3837 on
+# the generator at a 20-digit lambda (129 bits) 0.84-0.90 s, t^1356 at n = 8,
+# deg p = 7 there 0.99-1.07 s, and t^98994 at lambda = 3/5 0.54-0.59 s;
+# `char-validate` on [3836, 3836] at the 20-digit lambda 0.55-0.60 s.
+# `char-validate` on [-1000, 1000] at lambda = 3/5, far below it, took
+# 0.12-0.13 s.  `act` on a vector of weight w counts its powers (1 + w/4)^2
+# times: t^1000 at the 20-digit lambda took 1.8-2.0 s on s = [11], the
+# largest admitted, and 21 s on [64] before.  That factor is fitted where the
+# powers are large and bounds only those: the straightening also makes about
+# w^2 products whatever their bits, which nothing here counts, so t^10 on
+# s = [900] is admitted and takes 5.9-6.3 s.
 MAX_POWER_BITS = 7 * 10**5
 
 

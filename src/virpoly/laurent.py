@@ -60,7 +60,7 @@ class LaurentPoly(SparseVector):
         return self.terms[self.degree()]
 
     def __getitem__(self, e: int) -> Scalar:
-        return self.terms.get(e, Scalar(0))
+        return self.terms.get(e, ZERO)
 
     # __getitem__ answers every exponent, so the fallback iteration would never stop
     __iter__ = None

@@ -172,62 +172,75 @@ class SparseVector:
 class Echelon:
     """Exact reduced row echelon form of sparse rows, grown row by row.
 
-    ``pivots`` maps each label to its pivot row, in insertion order.  Every
-    pivot row is 1 at its own label and 0 at every other label, and its
-    label is its least key.  A row is reduced by one pass over its own keys,
-    subtracting the pivot of each key that is a label; a reduced pivot holds
-    no other label, so nothing new needs reducing.  A pivot row of length 1
-    is exactly {label: 1}, so that subtraction is the deletion of the key:
-    the keys in ``units`` are dropped, with the zeros, while the row is
-    copied, and it is then reduced against the longer pivots alone.  A
-    nonzero remainder becomes a pivot normalised to 1 at its least key, and
-    that label is then removed from every earlier pivot row that holds it;
-    its other keys lie above the new label, which lies above the earlier
-    row's own.  A remainder of one key, or an earlier row left with its
-    label alone, is {label: ONE} outright, and removing its label from an
-    earlier row is a deletion.  The least label, not the first in dict
-    order, keeps the pivots independent of insertion order and makes a
-    label above all others (a right-hand side) a pivot only when nothing
-    else is left of its row.  An earlier row is replaced by a fresh dict,
-    never changed in place, so a caller may keep the rows it was handed; a
-    row is new exactly when the map grows.
+    ``labels`` lists the labels in arrival order.  Every pivot row is 1 at
+    its own label and 0 at every other label, and its label is its least
+    key.  A pivot row of one key, a unit row, is exactly {label: 1} and is
+    kept as its label alone, in the set ``units``; ``rows`` maps each other
+    label to its pivot row, a dict of two or more keys.  A row is reduced by
+    one pass over its own keys, subtracting the pivot of each key that is a
+    label; a reduced pivot holds no other label, so nothing new needs
+    reducing.  Against a unit row that subtraction is the deletion of the
+    key: the keys in ``units`` are dropped, with the zeros, while the row is
+    copied, and it is then reduced against ``rows`` alone.  A nonzero
+    remainder becomes a pivot at its least key, a unit if that is its only
+    key, else a row normalised to ``ONE`` there; that label is then removed
+    from every earlier row that holds it.  Its other keys lie above the new
+    label, which lies above the earlier row's own, so an earlier row left
+    with its label alone leaves ``rows`` for ``units``.  The least label,
+    not the first in dict order, keeps the pivots independent of insertion
+    order and makes a label above all others (a right-hand side) a pivot
+    only when nothing else is left of its row.  An earlier row is replaced
+    by a fresh dict, never changed in place, so a caller may keep the rows
+    it was handed; the labels a call added are ``labels`` past its length
+    before the call.
 
     ``holders`` is the column index of sparse direct solvers: each key maps
     to the set of labels whose rows hold it, leaving out a row's own label,
     and a key no row holds has no entry.  A new pivot replaces exactly the
-    rows its label's set names, instead of scanning every row.  ``units`` is
-    the set of labels whose row is {label: 1}.  It only grows: a unit row
-    holds no other key, so no later pivot replaces it.  A caller may skip
-    forming terms at its keys, which a row would only lose.  ``replaced``
-    counts the rows replaced so far, the work the arrival of new labels
-    cost.  Iterating gives the labels and ``len`` the rank.
+    rows its label's set names, instead of scanning every row.  ``units``
+    only grows: a unit row holds no other key, so no later pivot replaces
+    it.  A caller may skip forming terms at its keys, which a row would only
+    lose.  ``replaced`` counts the rows replaced so far, the work the
+    arrival of new labels cost.  Iterating gives the labels and ``len`` the
+    rank; ``row`` and ``pivots`` write a unit row out as {label: ONE}.
     """
 
-    __slots__ = ("pivots", "holders", "units", "replaced")
+    __slots__ = ("labels", "rows", "units", "holders", "replaced")
 
-    def __init__(self, rows=()):
-        self.pivots = {}
-        self.holders = {}
+    def __init__(self, vectors=()):
+        self.labels = []
+        self.rows = {}
         self.units = set()
+        self.holders = {}
         self.replaced = 0
-        self.extend(rows)
+        self.extend(vectors)
 
     def __len__(self) -> int:
-        return len(self.pivots)
+        return len(self.labels)
 
     def __iter__(self):
-        return iter(self.pivots)
+        return iter(self.labels)
 
-    def extend(self, rows) -> "Echelon":
-        """Reduce each row into the form in turn; returns self.
+    def row(self, label) -> dict:
+        """The pivot row of a label; a unit row as a fresh {label: ONE}."""
+        row = self.rows.get(label)
+        return {label: ONE} if row is None else row
+
+    @property
+    def pivots(self) -> dict:
+        """A fresh map from each label, in arrival order, to its ``row``."""
+        return {label: self.row(label) for label in self.labels}
+
+    def extend(self, vectors) -> "Echelon":
+        """Reduce each vector into the form in turn; returns self.
 
         Replacing a row p by p - c r, with r the new pivot row, can change
         only whether p holds a key of r, so the index is updated by the
         difference of the old and new key sets over those keys alone.  A key
         p loses that way is still held by r, so no set is ever left empty.
         """
-        pivots, holders, units = self.pivots, self.holders, self.units
-        for vec in rows:
+        labels, rows, units, holders = self.labels, self.rows, self.units, self.holders
+        for vec in vectors:
             if not vec:
                 continue
             row = {}
@@ -235,7 +248,7 @@ class Echelon:
             for k, c in vec.items():
                 if not (c._a or c._b) or k in units:
                     continue
-                prow = pivots.get(k)
+                prow = rows.get(k)
                 if prow is not None:
                     longer.append((prow, c))
                 row[k] = c
@@ -244,21 +257,23 @@ class Echelon:
             if not row:
                 continue
             label = min(row)
+            labels.append(label)
             if len(row) == 1:
-                row = {label: ONE}
                 units.add(label)
                 keys = ()
             else:
                 lead = row[label]
                 if lead._a != 1 or lead._b or lead._d != 1:
                     row = accumulate({}, row, ONE / lead)
+                row[label] = ONE
+                rows[label] = row
                 keys = [k for k in row if k != label]
                 for k in keys:
                     holders.setdefault(k, set()).add(label)
             others = holders.pop(label, ())
             self.replaced += len(others)
             for other in others:
-                prow = pivots[other]
+                prow = rows[other]
                 new = dict(prow)
                 if keys:
                     accumulate(new, row, -prow[label])
@@ -271,8 +286,8 @@ class Echelon:
                 else:
                     del new[label]
                 if len(new) == 1:
-                    new = {other: ONE}
+                    del rows[other]
                     units.add(other)
-                pivots[other] = new
-            pivots[label] = row
+                else:
+                    rows[other] = new
         return self

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import VirpolyError
-from .scalars import ONE, Scalar, json_field, json_index, json_int, json_map, sc
+from .scalars import ONE, ZERO, Scalar, json_field, json_index, json_int, json_map, sc
 from .sparse import accumulate, add_term, bilinear, clean
 from .virasoro import VirElement, _cocycle
 
@@ -75,10 +75,10 @@ class TailModuleSpec:
     def psi(self, j: int) -> Scalar:
         """Character value on e_j, defined for j >= m; zero beyond 2m."""
         if self.m is None:
-            return Scalar(0)
+            return ZERO
         if j < self.m:
             raise ValueError(f"e_{j} is not in b_{self.m}")
-        return self.window.get(j, Scalar(0))
+        return self.window.get(j, ZERO)
 
     def support_top(self) -> int:
         """Largest index the character may be nonzero at (window end)."""

@@ -17,8 +17,6 @@ touches nothing else.
 
 from __future__ import annotations
 
-from itertools import islice
-
 from .characters import ExpPolyCharacter, RestrictedCharacter, check_degree, compose, decompose
 from .densepoly import pdeg
 from .errors import DepthTooSmall, SearchExhausted, VirpolyError
@@ -104,48 +102,58 @@ class TensorElement(SparseVector):
         }
 
 
-def _leibniz(columns, g: dict, v: dict, drop) -> dict:
-    """The Leibniz sum of the letter terms g {k: a} on the vector terms v
-    {key: c}, as a fresh map with no term at a key in ``drop``.
+def _leibniz(columns, rows, letters, drop):
+    """Yield the Leibniz image of each letter on each row, the letters inner,
+    each image a fresh map with no term at a key in ``drop``.
 
-    For each term of v and each e_k of g, every slot's column entry, the
-    factor memo ``_act_idx(k, s_i)`` or the tail's ``_act_e(k, mono)``, is
-    added in at the key with that slot replaced, scaled by a c; a unit row
-    {label: ONE} takes g's terms as they are, and ``ONE`` is never
-    multiplied in.  ``add_term`` drops a zero sum: the slots meet at the
-    term's own key, and the terms of v may meet anywhere.
+    A row is a map {key: c}, or the label alone of a unit row {label: ONE};
+    a letter is a map {k: a} of e_k terms.  For each term of the row and
+    each e_k of the letter, every slot's column entry, the factor memo
+    ``_act_idx(k, s_i)`` or the tail's ``_act_e(k, mono)``, is added in at
+    the key with that slot replaced, scaled by a c, and ``ONE`` is never
+    multiplied in.  A row's keys are split into their slots once, for all
+    the letters.  ``add_term`` drops a zero sum: the slots meet at the
+    term's own key, and the terms of a row, or of a letter, may meet
+    anywhere.  ``tensor_act`` and the equivariance check pass one row and
+    one letter; ``_word_vectors`` passes a layer's new rows and every
+    letter, and reduces each image as it is yielded.
     """
-    out = {}
-    for key, c in v.items():
-        scaled = g.items() if c is ONE else [(k, c if a is ONE else a * c) for k, a in g.items()]
-        parts = list(key)
-        for i, column in columns:
-            s = parts[i]
-            for k, f in scaled:
-                unit = f is ONE
-                for idx, d in column(k, s).items():
-                    parts[i] = idx
-                    key2 = tuple(parts)
-                    if key2 in drop:
-                        continue
-                    if not unit:
-                        d = d * f
-                    if key2 in out:
-                        add_term(out, key2, d)
-                    else:
-                        out[key2] = d
-            parts[i] = s
-    return out
+    for row in rows:
+        if row.__class__ is tuple:
+            terms = ((list(row), ONE),)
+        else:
+            terms = list(zip(map(list, row), row.values()))
+        for g in letters:
+            out = {}
+            for parts, c in terms:
+                for k, a in g.items():
+                    f = a if c is ONE else c if a is ONE else a * c
+                    for i, column in columns:
+                        s = parts[i]
+                        for idx, d in column(k, s).items():
+                            parts[i] = idx
+                            key = tuple(parts)
+                            if key in drop:
+                                continue
+                            if f is not ONE:
+                                d = d * f
+                            if key in out:
+                                add_term(out, key, d)
+                            else:
+                                out[key] = d
+                        parts[i] = s
+            yield out
 
 
 def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement) -> TensorElement:
-    """Leibniz action of x on v: ``_leibniz`` on theta(x), plus z.
+    """Leibniz action of x on v: ``_leibniz`` of the letter theta(x) on the
+    row v, plus z.
 
     z is central and acts through the tail's ``act_vir``, which only scales
     the map it is given (the induced factors kill z, so a trivial tail
     leaves z nothing).
     """
-    out = _leibniz(spec._columns, theta(x).terms, v.terms, ())
+    (out,) = _leibniz(spec._columns, (v.terms,), (theta(x).terms,), ())
     tail = spec._tail_engine
     if tail is not None and not x.z_part.is_zero():
         accumulate(out, tail.act_vir(VirElement.z(x.z_part), v.terms))
@@ -308,7 +316,10 @@ def iso_decide(a: TensorSpec, b: TensorSpec, kac_level: int = 20) -> dict:
     """Isomorphism of two tensor products, decided on parameter data.
 
     The classification holds for simple modules, so both sides first get a
-    ``simplicity_verdict``.  If exactly one side is simple they are not
+    ``simplicity_verdict``.  A side whose tail verdict is only the scan up
+    to ``kac_level`` (a Verma tail with Gaussian c or h, criterion
+    "level-scan") has no exact verdict, so "isomorphic" is None and the
+    reason names that side.  If exactly one side is simple they are not
     isomorphic ("simplicity differs"); if neither is, "isomorphic" is None
     and the reason names the failed hypotheses of each side.  Two simple
     sides are isomorphic iff the factor multisets match exactly (root,
@@ -317,6 +328,13 @@ def iso_decide(a: TensorSpec, b: TensorSpec, kac_level: int = 20) -> dict:
     reported as non-isomorphic.
     """
     simple = [simplicity_verdict(spec, kac_level) for spec in (a, b)]
+    scanned = [side for side, rep in zip("ab", simple) if rep["tail"].get("criterion") == "level-scan"]
+    if scanned:
+        tails = "tails of sides a and b are" if len(scanned) == 2 else f"tail of side {scanned[0]} is"
+        return {
+            "isomorphic": None,
+            "reason": f"the Verma {tails} only scanned up to level {kac_level} (Gaussian c or h)",
+        }
     if not (simple[0]["simple"] or simple[1]["simple"]):
         failed = "; ".join(f"{side}: {_failed_hypotheses(rep)}" for side, rep in zip("ab", simple))
         return {"isomorphic": None, "reason": f"neither side is simple ({failed})"}
@@ -367,10 +385,12 @@ def _word_vectors(spec: TensorSpec, letters, depth: int):
     W_(d-1) + span of its images so far; at the end of the call that is W_d.
     So W_d = W_(d-1) + span N_d, and since g W_(d-1) lies in W_d,
     W_(d+1) = W_d + sum_g g span N_d: only the new rows are acted on again,
-    as they stand after their layer's call.  ``Echelon`` replaces a row
-    instead of changing it, so the layer being acted on stays fixed while
-    the next layer's rows arrive.  A row, already reduced, is shorter than
-    its image, most often a unit row {label: ONE}.
+    as they stand after their layer's call.  The layer's labels are
+    ``labels`` past its length before the call; each is read once, before
+    the next layer's rows arrive, as its row dict, which ``Echelon``
+    replaces instead of changing, or as the label alone of a unit row,
+    which no later row replaces.  A row, already reduced, is shorter than
+    its image, most often a unit row.
 
     Each row is acted on by the letters in descending exponent.  A label is
     the least key of its row, and a row holds no key below its own label, so
@@ -378,21 +398,19 @@ def _word_vectors(spec: TensorSpec, letters, depth: int):
     no replacement; in this order most new labels arrive below the one
     before (ascending, most arrive above it, and the rows holding them are
     rebuilt).  The reduced form of a span is unique, so the order changes
-    only the work, not the rows.  Rows and letters go to ``_leibniz`` as
-    they are, with the unit labels as ``drop``: the reduction would delete
-    a term there.
+    only the work, not the rows.  One ``_leibniz`` pass per layer yields the
+    images in that order, with the unit labels as ``drop``: the reduction
+    would delete a term there.
     """
     letters = [g.terms for g in reversed(letters)]
-    columns = spec._columns
-    rows = Echelon((spec.generator().terms,))
-    units = rows.units
+    span = Echelon((spec.generator().terms,))
+    labels, rows = span.labels, span.rows
     size = 0
     for _ in range(depth):
-        # the rows of the labels the last layer added, in insertion order
-        new = list(islice(reversed(rows.pivots.values()), len(rows) - size))
-        size = len(rows)
-        rows.extend(_leibniz(columns, g, row, units) for row in reversed(new) for g in letters)
-    return rows
+        new = [rows.get(label, label) for label in labels[size:]]
+        size = len(labels)
+        span.extend(_leibniz(spec._columns, new, letters, span.units))
+    return span
 
 
 def _quotient_coords(x: VirElement, F: LaurentPoly, m: int) -> dict:
@@ -473,8 +491,8 @@ def _abstract_slice_dim(letters, F: LaurentPoly, m: int, depth: int, bound=None)
 
 # The largest slice rank the word span is built for: just above 30,232, the
 # largest depth-7 rank of one linear factor (m = -1), which is checked cold
-# in about 1.0-1.3 s and 76 MB (m = 0: 1.0-1.3 s, 63 MB; m = 1: 0.7-1.0 s,
-# 55 MB); depth 8 counts 109,486 and more, and takes 6.2-6.7 s and 264 MB
+# in about 0.8-1.1 s and 69 MB (m = 0: 0.6 s, 57 MB; m = 1: 0.5-0.6 s,
+# 49 MB); depth 8 counts 109,486 and more, and takes 3.8-3.9 s and 237 MB
 # at m = 1 (shared 2-core host, Python 3.11.7), with the tail memo the
 # largest structure.  The count stops once it passes the bound, so a
 # refusal is prompt at any depth.
@@ -563,7 +581,7 @@ def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
     N = sum(_annihilation_exponents(spec, gen))
     window = range(N) if kind == "polynomial" else range(source.m, 2 * source.m + N + 1)
     equiv = all(
-        _leibniz(spec._columns, {e + j: a for e, a in F.terms.items()}, gen.terms, ())
+        next(_leibniz(spec._columns, (gen.terms,), ({e + j: a for e, a in F.terms.items()},), ()))
         == ({} if (c := value(j)).is_zero() else {key: c})
         for j in window
     ) and tensor_act(spec, VirElement.z(), gen) == gen * z_value

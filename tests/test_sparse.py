@@ -241,7 +241,8 @@ def gauss_jordan(rows) -> dict:
 def pivot_faults(echelon_cls, rows) -> list:
     """Where an ``Echelon`` class built row by row departs from the
     reference: its rank against ``dense_rank``, its rows against
-    ``gauss_jordan``, and any single-key pivot other than {label: ONE}."""
+    ``gauss_jordan``, any single-key pivot other than {label: ONE}, and any
+    unit row also kept as a dict."""
     ech = echelon_cls()
     faults = []
     for n, row in enumerate(rows, 1):
@@ -252,6 +253,7 @@ def pivot_faults(echelon_cls, rows) -> list:
         if got != gauss_jordan(rows[:n]):
             faults.append(("rows", n))
         faults += [("unit", n, label) for label, prow in ech.pivots.items() if len(prow) == 1 and prow != {label: ONE}]
+        faults += [("dict", n, label) for label in ech.units if label in ech.rows]
     return faults
 
 
@@ -321,11 +323,11 @@ class TestEchelon:
         ]
         for cut in (1, 3, 6, 9):
             ech = Echelon(rows[:cut])
-            pivots = ech.pivots
-            handed = {label: (row, dict(row)) for label, row in pivots.items()}
-            assert ech.extend(rows[cut:]).pivots is pivots
+            longer = ech.rows
+            handed = {label: (row, dict(row)) for label, row in longer.items()}
+            assert ech.extend(rows[cut:]).rows is longer
             # later pivots are cleared from earlier rows by replacing them
-            assert any(pivots[label] is not row for label, (row, _) in handed.items())
+            assert any(longer.get(label) is not row for label, (row, _) in handed.items())
             for row, copy in handed.values():
                 assert row == copy
 
@@ -471,18 +473,19 @@ class TestEchelon:
             assert any(not c.is_rational() for row in rows for c in row.values())
 
     def test_a_pivot_keeping_its_coefficient_is_caught(self):
-        # the same class, except that a single-key pivot keeps the coefficient
-        # it arrived with instead of becoming {label: ONE}
+        # the same class, except that a single-key pivot is also kept as the
+        # row it arrived as, at its coefficient, instead of by its label alone
         source = textwrap.dedent(inspect.getsource(Echelon))
-        assert source.count("row = {label: ONE}") == 1
+        unit = "units.add(label)\n"
+        assert source.count(unit) == 1
         namespace = dict(vars(sparse))
-        exec(source.replace("row = {label: ONE}", "row = {label: row[label]}"), namespace)
+        exec(source.replace(unit, unit + " " * 16 + "rows[label] = row\n"), namespace)
         mutant = namespace["Echelon"]
         rng = random.Random(31)
         for gaussian in (False, True):
             rows = single_key_rows(rng, gaussian)
             faults = pivot_faults(mutant, rows)
-            assert {f[0] for f in faults} == {"rows", "unit"}, gaussian
+            assert {f[0] for f in faults} == {"rows", "unit", "dict"}, gaussian
 
     def test_solve_matches_the_system(self):
         rng = random.Random(11)

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import random
 import textwrap
@@ -29,6 +30,7 @@ from virpoly.tensor import (
     cyclic_reduce,
     general_tensor_map,
     iso_decide,
+    restricted_spec,
     restricted_to_tensor,
     simplicity_verdict,
     tensor_act,
@@ -244,7 +246,8 @@ class TestTensorAct:
         grid = ([ones(2, 1, 0)], [ones(2, 1, 0), gaussian], [ones(1, 1, 0), ones(2, 2, 1), ones(-1, 1, 0)])
 
         def kernel(spec, x, v, drop):
-            return tensor._leibniz(spec._columns, x.e_part.terms, v.terms, drop)
+            (out,) = tensor._leibniz(spec._columns, (v.terms,), (x.e_part.terms,), drop)
+            return out
 
         def dropped_exactly(act, spec, x, v, drop):
             full = tensor_act(spec, x, v).terms
@@ -957,22 +960,25 @@ def mutant_kernels(kernel, letters):
     row it meets, the last Leibniz slot left out, a term lost from every
     image."""
     low = min(min(g.terms) for g in letters)
-    skipped = []
 
-    def skips_a_letter(columns, g, v, drop):
-        if min(g) == low and not skipped:
-            skipped.append(v)
-            return {}
-        return kernel(columns, g, v, drop)
+    def skips_a_letter(columns, rows, letters, drop):
+        skipped = False
+        for row in rows:
+            for g in letters:
+                (out,) = kernel(columns, (row,), (g,), drop)
+                if min(g) == low and not skipped:
+                    skipped = True
+                    out = {}
+                yield out
 
-    def drops_a_slot(columns, g, v, drop):
-        return kernel(columns[:-1], g, v, drop)
+    def drops_a_slot(columns, rows, letters, drop):
+        return kernel(columns[:-1], rows, letters, drop)
 
-    def loses_a_term(columns, g, v, drop):
-        out = kernel(columns, g, v, drop)
-        if out:
-            out.popitem()
-        return out
+    def loses_a_term(columns, rows, letters, drop):
+        for out in kernel(columns, rows, letters, drop):
+            if out:
+                out.popitem()
+            yield out
 
     return skips_a_letter, drops_a_slot, loses_a_term
 
@@ -996,11 +1002,25 @@ class TestWordSpanReference:
         want = Echelon(word_images(spec, letters, depth)).pivots
         kernel = tensor._leibniz
         # forming the dropped keys only costs work: the Echelon deletes them
-        monkeypatch.setattr(tensor, "_leibniz", lambda columns, g, v, drop: kernel(columns, g, v, ()))
+        monkeypatch.setattr(tensor, "_leibniz", lambda columns, rows, letters, drop: kernel(columns, rows, letters, ()))
         assert _word_vectors(spec, letters, depth).pivots == want
         for mutant in mutant_kernels(kernel, letters):
             monkeypatch.setattr(tensor, "_leibniz", mutant)
             assert _word_vectors(spec, letters, depth).pivots != want, mutant.__name__
+
+
+class TestWordSpanStorage:
+    def test_unit_rows_hold_no_dict(self):
+        # every row of the restricted depth-5 span at m = 0 is a unit row,
+        # kept by its label alone: no dict is stored within two references
+        # of the Echelon (its own maps, and what they hold)
+        _F, letters, expected = counted_slice(restricted([(2, 1)], 0), 5, "restricted")
+        span = _word_vectors(restricted_spec(restricted([(2, 1)], 0)), letters, 5)
+        assert len(span) == expected == 1068
+        assert span.units == set(span)
+        held = [x for obj in gc.get_referents(span) if obj is not Echelon for x in gc.get_referents(obj)]
+        assert not [x for x in held if type(x) is dict]
+        assert span.rows == {}
 
 
 class TestCertifiedEquivariance:
@@ -1063,11 +1083,12 @@ class TestCertifiedEquivariance:
         seen = []
         leibniz = tensor._leibniz
 
-        def spy(columns, g, v, drop):
-            j = min(g, default=None)
-            if j is not None and g == F.shift(j).terms:
-                seen.append(j)
-            return leibniz(columns, g, v, drop)
+        def spy(columns, rows, letters, drop):
+            for g in letters:
+                j = min(g, default=None)
+                if j is not None and g == F.shift(j).terms:
+                    seen.append(j)
+            return leibniz(columns, rows, letters, drop)
 
         monkeypatch.setattr(tensor, "_leibniz", spy)
         assert general_tensor_map(source, 1, kind=kind)["passed"]
