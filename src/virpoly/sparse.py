@@ -202,7 +202,7 @@ class Echelon:
     it.  A caller may skip forming terms at its keys, which a row would only
     lose.  ``replaced`` counts the rows replaced so far, the work the
     arrival of new labels cost.  Iterating gives the labels and ``len`` the
-    rank; ``row`` and ``pivots`` write a unit row out as {label: ONE}.
+    rank; ``row`` writes a unit row out as {label: ONE}.
     """
 
     __slots__ = ("labels", "rows", "units", "holders", "replaced")
@@ -225,11 +225,6 @@ class Echelon:
         """The pivot row of a label; a unit row as a fresh {label: ONE}."""
         row = self.rows.get(label)
         return {label: ONE} if row is None else row
-
-    @property
-    def pivots(self) -> dict:
-        """A fresh map from each label, in arrival order, to its ``row``."""
-        return {label: self.row(label) for label in self.labels}
 
     def extend(self, vectors) -> "Echelon":
         """Reduce each vector into the form in turn; returns self.

@@ -316,10 +316,11 @@ def iso_decide(a: TensorSpec, b: TensorSpec, kac_level: int = 20) -> dict:
     """Isomorphism of two tensor products, decided on parameter data.
 
     The classification holds for simple modules, so both sides first get a
-    ``simplicity_verdict``.  A side whose tail verdict is only the scan up
-    to ``kac_level`` (a Verma tail with Gaussian c or h, criterion
-    "level-scan") has no exact verdict, so "isomorphic" is None and the
-    reason names that side.  If exactly one side is simple they are not
+    ``simplicity_verdict``.  A side whose tail the scan up to ``kac_level``
+    (a Verma tail with Gaussian c or h, criterion "level-scan") found
+    simple has no exact verdict, so "isomorphic" is None and the reason
+    names that side; a degenerate label the scan found is exact.  If
+    exactly one side is simple they are not
     isomorphic ("simplicity differs"); if neither is, "isomorphic" is None
     and the reason names the failed hypotheses of each side.  Two simple
     sides are isomorphic iff the factor multisets match exactly (root,
@@ -328,7 +329,10 @@ def iso_decide(a: TensorSpec, b: TensorSpec, kac_level: int = 20) -> dict:
     reported as non-isomorphic.
     """
     simple = [simplicity_verdict(spec, kac_level) for spec in (a, b)]
-    scanned = [side for side, rep in zip("ab", simple) if rep["tail"].get("criterion") == "level-scan"]
+    scanned = [
+        side for side, rep in zip("ab", simple)
+        if rep["tail"].get("criterion") == "level-scan" and rep["tail"]["simple"]
+    ]
     if scanned:
         tails = "tails of sides a and b are" if len(scanned) == 2 else f"tail of side {scanned[0]} is"
         return {

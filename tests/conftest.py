@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: seeded random algebra elements and a dense rank."""
+"""Shared helpers for the test suite: seeded random algebra elements, a dense
+rank and the pivot rows of an ``Echelon`` written out."""
 
 import os
 import random
@@ -68,3 +69,9 @@ def dense_rank(vectors) -> int:
             for i, b in p:
                 row[i] = row[i] - c * b
     return len(pivots)
+
+
+def pivots_of(ech) -> dict:
+    """A fresh map from each label of an ``Echelon``, in arrival order, to its
+    pivot row, a unit row written out as {label: ONE}."""
+    return {label: ech.row(label) for label in ech.labels}

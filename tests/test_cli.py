@@ -194,20 +194,25 @@ def test_iso_outside_its_hypotheses_is_null(tmp_path, capsys):
     assert out["reason"].startswith("neither side is simple")
     # a Gaussian Verma tail is only scanned up to --kac-level: h = h_{2,2}(i)
     # = (1 - i)/8 is degenerate at level 4, so the level-3 scan that finds
-    # nothing decides nothing either
+    # nothing decides nothing, while the level-4 scan finds the label exactly
     tail = {"type": "verma", "c": {"re": "0", "im": "1"}, "h": {"re": "1/8", "im": "-1/8"}}
     side = {"factors": [{"lambda": "1", "n": 1, "p": ["1"]}], "tail": tail}
     spec = write(tmp_path, "g.json", {"a": side, "b": side})
-    for level, want in (("3", None), ("4", None)):
-        code, out = run_cli(capsys, "iso", "--spec", spec, "--field", "Qi", "--kac-level", level)
-        assert code == 0 and out["isomorphic"] is want, level
-        assert out["reason"] == f"the Verma tails of sides a and b are only scanned up to level {level} (Gaussian c or h)"
-    # one scanned side is enough, and the reason names it alone
-    exact = {"factors": side["factors"], "tail": {"type": "verma", "c": "0", "h": "1"}}
+    code, out = run_cli(capsys, "iso", "--spec", spec, "--field", "Qi", "--kac-level", "3")
+    assert code == 0 and out["isomorphic"] is None
+    assert out["reason"] == "the Verma tails of sides a and b are only scanned up to level 3 (Gaussian c or h)"
+    code, out = run_cli(capsys, "iso", "--spec", spec, "--field", "Qi", "--kac-level", "4")
+    assert code == 0 and out["isomorphic"] is None
+    assert out["reason"].startswith("neither side is simple")
+    # one scanned side is enough, and the reason names it alone; once the
+    # scan finds that side degenerate, exactly one side is simple
+    exact = {"factors": side["factors"], "tail": {"type": "verma", "c": "0", "h": "1/2"}}
     spec = write(tmp_path, "h.json", {"a": exact, "b": side})
     code, out = run_cli(capsys, "iso", "--spec", spec, "--field", "Qi", "--kac-level", "3")
     assert code == 0 and out["isomorphic"] is None
     assert out["reason"].startswith("the Verma tail of side b is only scanned")
+    code, out = run_cli(capsys, "iso", "--spec", spec, "--field", "Qi", "--kac-level", "4")
+    assert code == 0 and out["isomorphic"] is False and out["reason"] == "simplicity differs"
 
 
 def test_tensor_map_polynomial(tmp_path, capsys, monkeypatch):

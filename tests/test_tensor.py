@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from conftest import dense_rank, rand_vir
+from conftest import dense_rank, pivots_of, rand_vir
 from virpoly import induced, tailmod, tensor
 from virpoly.characters import ExpPolyCharacter, RestrictedCharacter, compose, single_root_character
 from virpoly.errors import DepthTooSmall, HypothesisViolation, SearchExhausted, ZeroVector
@@ -233,7 +233,7 @@ class TestTensorAct:
                 for x in (rand_vir(rng, -3, 3), VirElement.z(sc("2/3")), VirElement.e(0) * 0):
                     assert_clean(tensor_act(spec, x, v))
             letters = [t(k) for k in range(-1, 3)]
-            for row in _word_vectors(spec, letters, 2).pivots.values():
+            for row in pivots_of(_word_vectors(spec, letters, 2)).values():
                 assert_clean(TensorElement.adopt(row))
 
     @pytest.mark.parametrize("tail", TAILS, ids=lambda tail: tail.kind)
@@ -922,7 +922,7 @@ class TestWordSpanOrder:
         _F, letters, expected = counted_slice(slice_source(source), depth, source[0])
         spec = slice_spec(source)
         rows = _word_vectors(spec, letters, depth)
-        assert rows.pivots == _word_vectors(spec, letters[::-1], depth).pivots
+        assert pivots_of(rows) == pivots_of(_word_vectors(spec, letters[::-1], depth))
         assert len(rows) == expected
 
     def test_descending_letters_replace_fewer_rows(self):
@@ -957,17 +957,17 @@ REFERENCE_CASES = [(("restricted", [(2, 1)], m), 4) for m in (-1, 0, 1)] + [
 
 def mutant_kernels(kernel, letters):
     """Kernels with one defect each: the lowest letter skipped on the first
-    row it meets, the last Leibniz slot left out, a term lost from every
-    image."""
+    row it meets in a whole word span (one image lost, not one per layer),
+    the last Leibniz slot left out, a term lost from every image."""
     low = min(min(g.terms) for g in letters)
+    skipped = []
 
     def skips_a_letter(columns, rows, letters, drop):
-        skipped = False
         for row in rows:
             for g in letters:
                 (out,) = kernel(columns, (row,), (g,), drop)
                 if min(g) == low and not skipped:
-                    skipped = True
+                    skipped.append(g)
                     out = {}
                 yield out
 
@@ -991,22 +991,22 @@ class TestWordSpanReference:
     def test_pivots_are_those_of_every_word_image(self, source, depth):
         _F, letters, expected = counted_slice(slice_source(source), depth, source[0])
         spec = slice_spec(source)
-        want = Echelon(word_images(spec, letters, depth)).pivots
-        assert _word_vectors(spec, letters, depth).pivots == want
+        want = pivots_of(Echelon(word_images(spec, letters, depth)))
+        assert pivots_of(_word_vectors(spec, letters, depth)) == want
         assert len(want) == expected
 
     @pytest.mark.parametrize("source, depth", REFERENCE_CASES, ids=[f"{source_id(c)}-d{d}" for c, d in REFERENCE_CASES])
     def test_mutant_kernels_are_caught(self, source, depth, monkeypatch):
         _F, letters, _expected = counted_slice(slice_source(source), depth, source[0])
         spec = slice_spec(source)
-        want = Echelon(word_images(spec, letters, depth)).pivots
+        want = pivots_of(Echelon(word_images(spec, letters, depth)))
         kernel = tensor._leibniz
         # forming the dropped keys only costs work: the Echelon deletes them
         monkeypatch.setattr(tensor, "_leibniz", lambda columns, rows, letters, drop: kernel(columns, rows, letters, ()))
-        assert _word_vectors(spec, letters, depth).pivots == want
+        assert pivots_of(_word_vectors(spec, letters, depth)) == want
         for mutant in mutant_kernels(kernel, letters):
             monkeypatch.setattr(tensor, "_leibniz", mutant)
-            assert _word_vectors(spec, letters, depth).pivots != want, mutant.__name__
+            assert pivots_of(_word_vectors(spec, letters, depth)) != want, mutant.__name__
 
 
 class TestWordSpanStorage:
