@@ -396,9 +396,6 @@ class RestrictedCharacter:
     def ambient(self) -> LaurentPoly:
         return self.tail.ambient
 
-    def degree(self) -> int:
-        return self.tail.ambient.degree()
-
     def mu_x(self, j: int) -> Scalar:
         """mu(x_j^F) for j >= m."""
         if j < self.m:

@@ -91,13 +91,13 @@ class Scalar:
 
         Each part is a string of an optional sign, decimal digits and an
         optional "/digits".  Anything else, numbers, booleans, decimals,
-        exponents, spaces and zero denominators included, is malformed
-        input and raises ValueError, and so does a part with more digits
-        than Python converts.
+        exponents, spaces, zero denominators and object keys other than
+        "re" and "im" included, is malformed input and raises ValueError,
+        and so does a part with more digits than Python converts.
         """
         parts = (obj.get("re", "0"), obj.get("im", "0")) if isinstance(obj, dict) else (obj, "0")
         matches = [_JSON_SCALAR.fullmatch(x) if isinstance(x, str) else None for x in parts]
-        if not all(matches):
+        if not all(matches) or isinstance(obj, dict) and not obj.keys() <= {"re", "im"}:
             raise ValueError(f"bad scalar JSON: {obj!r}")
         # p/q + (r/s) i = (p s + r q i)/(q s)
         (p, q), (r, s) = ((int(m[1]), int(m[2] or 1)) for m in matches)

@@ -6,7 +6,7 @@ the container base below; the induced and tail engines act through the
 bilinear loop.  A Virasoro element holds a Laurent polynomial as its e-part
 and its central coefficient z beside it, which the base's operations would
 drop.  Slice ranks and linear solves share one exact elimination,
-``Echelon``: reduced row echelon form kept beside a column index.
+``Echelon``: reduced row echelon form with unit rows kept as labels.
 """
 
 from __future__ import annotations
@@ -194,24 +194,21 @@ class Echelon:
     it was handed; the labels a call added are ``labels`` past its length
     before the call.
 
-    ``holders`` is the column index of sparse direct solvers: each key maps
-    to the set of labels whose rows hold it, leaving out a row's own label,
-    and a key no row holds has no entry.  A new pivot replaces exactly the
-    rows its label's set names, instead of scanning every row.  ``units``
-    only grows: a unit row holds no other key, so no later pivot replaces
-    it.  A caller may skip forming terms at its keys, which a row would only
-    lose.  ``replaced`` counts the rows replaced so far, the work the
-    arrival of new labels cost.  Iterating gives the labels and ``len`` the
-    rank; ``row`` writes a unit row out as {label: ONE}.
+    No column index is kept: the rows holding a new label are found by one
+    pass over ``rows`` before the new row joins it.  A unit row holds no
+    other key, so no pivot replaces it, ``units`` only grows, and a caller
+    may skip forming terms at its keys.  The open rows, in ``rows``, are
+    few: slice spans end with none and hold at most 82 at once (F = t - 2,
+    m = -1, depth 7).  ``replaced`` counts the rows replaced; iterating
+    gives the labels, ``len`` the rank and ``row`` a unit as {label: ONE}.
     """
 
-    __slots__ = ("labels", "rows", "units", "holders", "replaced")
+    __slots__ = ("labels", "rows", "units", "replaced")
 
     def __init__(self, vectors=()):
         self.labels = []
         self.rows = {}
         self.units = set()
-        self.holders = {}
         self.replaced = 0
         self.extend(vectors)
 
@@ -227,14 +224,8 @@ class Echelon:
         return {label: ONE} if row is None else row
 
     def extend(self, vectors) -> "Echelon":
-        """Reduce each vector into the form in turn; returns self.
-
-        Replacing a row p by p - c r, with r the new pivot row, can change
-        only whether p holds a key of r, so the index is updated by the
-        difference of the old and new key sets over those keys alone.  A key
-        p loses that way is still held by r, so no set is ever left empty.
-        """
-        labels, rows, units, holders = self.labels, self.rows, self.units, self.holders
+        """Reduce each vector into the form in turn; returns self."""
+        labels, rows, units = self.labels, self.rows, self.units
         for vec in vectors:
             if not vec:
                 continue
@@ -253,33 +244,22 @@ class Echelon:
                 continue
             label = min(row)
             labels.append(label)
+            others = [other for other, prow in rows.items() if label in prow]
+            self.replaced += len(others)
             if len(row) == 1:
                 units.add(label)
-                keys = ()
             else:
                 lead = row[label]
                 if lead._a != 1 or lead._b or lead._d != 1:
                     row = accumulate({}, row, ONE / lead)
                 row[label] = ONE
                 rows[label] = row
-                keys = [k for k in row if k != label]
-                for k in keys:
-                    holders.setdefault(k, set()).add(label)
-            others = holders.pop(label, ())
-            self.replaced += len(others)
             for other in others:
-                prow = rows[other]
-                new = dict(prow)
-                if keys:
-                    accumulate(new, row, -prow[label])
-                    for k in keys:
-                        if k in new:
-                            if k not in prow:
-                                holders[k].add(other)
-                        elif k in prow:
-                            holders[k].discard(other)
-                else:
+                new = dict(rows[other])
+                if label in units:
                     del new[label]
+                else:
+                    accumulate(new, row, -new[label])
                 if len(new) == 1:
                     del rows[other]
                     units.add(other)

@@ -385,22 +385,6 @@ def mbar_simple(c) -> bool:
     return x is None or not (x > 0 and x.numerator >= 2 and x.denominator >= 2)
 
 
-def mbar_excluded_bruteforce(c, bound: int = 50) -> bool:
-    """Direct enumeration oracle: is c = 1 - 6(p-q)^2/(pq) for coprime p, q >= 2?"""
-    from math import gcd
-
-    c = sc(c)
-    if not c.is_rational():
-        return False
-    for p in range(2, bound + 1):
-        for q in range(2, bound + 1):
-            if gcd(p, q) != 1:
-                continue
-            if c.re == 1 - Fraction(6 * (p - q) ** 2, p * q):
-                return True
-    return False
-
-
 def whittaker_simple(spec: TailModuleSpec) -> bool:
     """Simple iff the character is nonzero at e_{2m} or at e_{2m-1}."""
     if spec.kind != "whittaker":

@@ -64,12 +64,6 @@ class TensorSpec:
     def generator(self) -> "TensorElement":
         return TensorElement({self.zero_index() + ((),): ONE})
 
-    def to_json(self):
-        return {
-            "factors": [mu.to_json()["factors"][0] for mu in self.factors],
-            "tail": self.tail.to_json(),
-        }
-
     @staticmethod
     def factors_from_json(obj) -> list:
         """One single-root character per entry of obj["factors"], the degree of
@@ -92,14 +86,6 @@ class TensorElement(SparseVector):
     """Finite map (s_1, ..., s_k, tail monomial) -> Scalar."""
 
     __slots__ = ()
-
-    def to_json(self):
-        return {
-            "terms": [
-                {"parts": [list(s) for s in key[:-1]], "tail": list(key[-1]), "c": c.to_json()}
-                for key, c in sorted(self.terms.items())
-            ]
-        }
 
 
 def _leibniz(columns, rows, letters, drop):

@@ -116,8 +116,6 @@ def suite_rep_root_power_comp3(nmax: int = 3, **_kw):
             for m in range(m_eq, m_eq + 3):
                 if m == m_eq and r < 0:
                     continue  # the equality closed form needs mu != 0
-                if m < n:
-                    continue
                 for j in range(-3, 4):
                     closed = closed_form_bracket(mu, j, m, s)
                     oracle = bracket_action_oracle(mu, j, m, s)

@@ -1,8 +1,11 @@
 """Shared helpers for the test suite: seeded random algebra elements, a dense
-rank and the pivot rows of an ``Echelon`` written out."""
+rank, the pivot rows of an ``Echelon`` written out and an enumeration oracle
+for the excluded central charges of the mbar tail."""
 
 import os
 import random
+from fractions import Fraction
+from math import gcd
 
 import virpoly
 from virpoly.laurent import LaurentPoly
@@ -75,3 +78,17 @@ def pivots_of(ech) -> dict:
     """A fresh map from each label of an ``Echelon``, in arrival order, to its
     pivot row, a unit row written out as {label: ONE}."""
     return {label: ech.row(label) for label in ech.labels}
+
+
+def mbar_excluded_bruteforce(c, bound: int) -> bool:
+    """Direct enumeration oracle: is c = 1 - 6(p-q)^2/(pq) for coprime p, q >= 2?"""
+    c = sc(c)
+    if not c.is_rational():
+        return False
+    for p in range(2, bound + 1):
+        for q in range(2, bound + 1):
+            if gcd(p, q) != 1:
+                continue
+            if c.re == 1 - Fraction(6 * (p - q) ** 2, p * q):
+                return True
+    return False

@@ -12,7 +12,7 @@ import sys
 import time
 from itertools import product
 
-from conftest import cli_env, rand_laurent, rand_vir
+from conftest import cli_env, mbar_excluded_bruteforce, rand_laurent, rand_vir
 from virpoly.characters import (
     RestrictedCharacter,
     compose,
@@ -37,7 +37,6 @@ from virpoly.tailmod import (
     TailModuleSpec,
     kac_h,
     kac_phi,
-    mbar_excluded_bruteforce,
     mbar_simple,
 )
 from virpoly.tensor import (

@@ -500,6 +500,9 @@ def test_invalid_input_exit_code(tmp_path, capsys):
         "spaced_scalar": dict(good, a={"e": {"2": " 1"}}),
         "gaussian_exponent_scalar": dict(good, a={"e": {"2": {"re": "1", "im": "2e1"}}}),
         "int_scalar": dict(good, a={"e": {"2": 1}}),
+        # a scalar object holds "re" and "im" only: another key is not ignored
+        "gaussian_extra_key": dict(good, a={"e": {"2": {"re": "2", "im": "1", "x": 0}}}),
+        "misspelt_real_part": dict(good, a={"e": {"2": {"real": "1"}}}),
         # the exponent is refused before 10**(10**7) is built
         "huge_exponent_scalar": dict(good, a={"e": {"2": "1e10000000"}}),
     }
@@ -810,6 +813,13 @@ def test_field_restriction(tmp_path, capsys):
         assert code == 2, command
         code, _ = run_cli(capsys, command, "--spec", spec, "--field", "Qi")
         assert code == 0, command
+    # a Gaussian literal with an extra key, or a misspelt part, is refused
+    # under either field, not read as its "re" and "im" alone
+    for name, lam in (("extra", {"re": "2", "im": "1", "x": 0}), ("real", {"real": "1"})):
+        spec = write(tmp_path, name + ".json", {"character": {"factors": [{"lambda": lam, "n": 2, "p": ["1"]}]}})
+        for field in ("Q", "Qi"):
+            code, err = run_invalid(capsys, "char-validate", "--spec", spec, "--field", field)
+            assert code == 2 and err.startswith("invalid input: bad scalar JSON"), (name, field)
     # every command that reads a spec reads --field, before the spec's fields
     spec = write(tmp_path, "any.json", {"x": {"re": "0", "im": "1"}})
     for command in (name for name, c in cli.COMMANDS.items() if c.spec):

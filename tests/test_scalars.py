@@ -224,6 +224,7 @@ def test_json_parts_read_as_fractions(text, want):
         "1/0", "0/0", {"re": "1", "im": "1/0"}, {"re": "2/00", "im": "1"},
         "1e3", "1.5", " 1", "1 ", "1/2/3", "/2", "2/", "--1", "1/+2", "6/-0", "", "i", "١",
         1, 1.5, None, [], {"re": 1}, {"im": ["1"]},
+        {"re": "2", "im": "1", "x": 0}, {"real": "1"},
     ],
     ids=repr,
 )

@@ -18,16 +18,6 @@ from virpoly.tensor import TensorElement
 from virpoly.virasoro import VirElement
 
 
-def held_keys(pivots):
-    """The column index written out: each key mapped to the labels of the other rows holding it."""
-    out = {}
-    for label, row in pivots.items():
-        for k in row:
-            if k != label:
-                out.setdefault(k, set()).add(label)
-    return out
-
-
 def unit_labels(pivots):
     """The labels whose row is {label: 1}, read from the rows themselves."""
     return {label for label, row in pivots.items() if len(row) == 1}
@@ -313,7 +303,7 @@ class TestEchelon:
                 assert grown.extend(rows[lo:hi]) is grown
             assert pivots_of(grown) == pivots
             assert list(pivots_of(grown)) == list(pivots)
-            assert grown.holders == ech.holders
+            assert grown.units == ech.units
 
     def test_extending_never_mutates_a_row_handed_out(self):
         rng = random.Random(7)
@@ -331,7 +321,7 @@ class TestEchelon:
             for row, copy in handed.values():
                 assert row == copy
 
-    def test_column_index_names_the_rows_holding_each_key(self):
+    def test_replaced_rows_gain_and_lose_keys(self):
         # small integer rows over few keys, half of them combinations of
         # others, so replaced rows both gain keys and lose them to cancellation
         rng = random.Random(13)
@@ -352,8 +342,11 @@ class TestEchelon:
                 before = {label: set(row) for label, row in pivots_of(ech).items()}
                 ech.extend(rows[lo:hi])
                 pivots = pivots_of(ech)
-                assert ech.holders == held_keys(pivots), (cuts, lo)
                 assert ech.units == unit_labels(pivots), (cuts, lo)
+                for label, row in pivots.items():
+                    # each row is zero at every other label, whichever rows the new labels replaced
+                    assert label == min(row) and row[label] == sc(1)
+                    assert set(row) & set(pivots) == {label}, (cuts, lo)
                 for label, keys in before.items():
                     gained += bool(set(pivots[label]) - keys)
                     lost += bool(keys - set(pivots[label]) - set(pivots))
@@ -381,7 +374,6 @@ class TestEchelon:
                 ech.extend(rows[lo:hi])
                 assert len(ech) == dense_rank(rows[:hi]), (cuts, hi)
                 pivots = pivots_of(ech)
-                assert ech.holders == held_keys(pivots), (cuts, hi)
                 assert ech.units == unit_labels(pivots), (cuts, hi)
                 for label, row in pivots.items():
                     assert label == min(row) and row[label] == sc(1)
@@ -419,7 +411,6 @@ class TestEchelon:
                 ech.extend(rows[lo:hi])
                 assert len(ech) == dense_rank(rows[:hi]), (cuts, hi)
                 pivots = pivots_of(ech)
-                assert ech.holders == held_keys(pivots), (cuts, hi)
                 assert ech.units == unit_labels(pivots), (cuts, hi)
                 for label, row in pivots.items():
                     assert label == min(row) and row[label] == sc(1)
@@ -460,7 +451,7 @@ class TestEchelon:
         # leaves a remainder already 1 at its least key
         ech.extend([{0: sc(3), 2: sc(-2), 3: sc(7)}, {3: sc(-4), 5: sc(1), 0: sc(2), 8: sc(-6)}])
         assert pivots_of(ech) == {**pivots, 5: {5: sc(1), 8: sc(-6)}}
-        assert ech.holders == {8: {5}}
+        assert ech.units == {0, 2, 3} and ech.replaced == 0
 
     @pytest.mark.parametrize("gaussian", [False, True], ids=["Q", "Qi"])
     def test_single_key_pivots_match_gauss_jordan(self, gaussian):

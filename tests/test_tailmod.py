@@ -8,6 +8,7 @@ from math import isqrt
 
 import pytest
 
+from conftest import mbar_excluded_bruteforce
 from virpoly import tailmod
 from virpoly.characters import RestrictedCharacter
 from virpoly.errors import VirpolyError
@@ -21,7 +22,6 @@ from virpoly.tailmod import (
     get_tail_engine,
     kac_h,
     kac_phi,
-    mbar_excluded_bruteforce,
     mbar_simple,
     tail_simplicity,
     verma_degenerate,

@@ -1022,6 +1022,35 @@ class TestWordSpanStorage:
         assert not [x for x in held if type(x) is dict]
         assert span.rows == {}
 
+    def test_spans_replace_the_pinned_rows(self, monkeypatch):
+        # a new label's holders are found by a scan of the open rows; the
+        # replaced counts pin that exactly the rows holding it are rebuilt,
+        # and the open rows, counted after each image, stay few and are all
+        # gone by the end of the span
+        class Watched(Echelon):
+            __slots__ = ("most_open",)
+
+            def __init__(self, vectors=()):
+                self.most_open = 0
+                super().__init__(vectors)
+
+            def extend(self, vectors):
+                for vec in vectors:
+                    super().extend((vec,))
+                    self.most_open = max(self.most_open, len(self.rows))
+                return self
+
+        monkeypatch.setattr(tensor, "Echelon", Watched)
+        for source, kind, depth, pinned in (
+            ([single_root_character(2, 16, [1])], "polynomial", 3, (969, 3860, 15)),
+            (restricted([(2, 1)], 0), "restricted", 6, (5222, 1966, 23)),
+        ):
+            _F, letters, expected = counted_slice(source, depth, kind)
+            spec = TensorSpec(source) if kind == "polynomial" else restricted_spec(source)
+            span = _word_vectors(spec, letters, depth)
+            assert (len(span), span.replaced, span.most_open) == pinned and expected == pinned[0], kind
+            assert span.rows == {} and span.units == set(span), kind
+
 
 class TestCertifiedEquivariance:
     # two zero characters of multiplicity 2 at the roots 1 and 2: each side of
