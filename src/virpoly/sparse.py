@@ -227,8 +227,6 @@ class Echelon:
         """Reduce each vector into the form in turn; returns self."""
         labels, rows, units = self.labels, self.rows, self.units
         for vec in vectors:
-            if not vec:
-                continue
             row = {}
             longer = []
             for k, c in vec.items():
@@ -244,8 +242,7 @@ class Echelon:
                 continue
             label = min(row)
             labels.append(label)
-            others = [other for other, prow in rows.items() if label in prow]
-            self.replaced += len(others)
+            held = list(rows.items())
             if len(row) == 1:
                 units.add(label)
             else:
@@ -254,8 +251,11 @@ class Echelon:
                     row = accumulate({}, row, ONE / lead)
                 row[label] = ONE
                 rows[label] = row
-            for other in others:
-                new = dict(rows[other])
+            for other, prow in held:
+                if label not in prow:
+                    continue
+                self.replaced += 1
+                new = dict(prow)
                 if label in units:
                     del new[label]
                 else:
