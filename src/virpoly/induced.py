@@ -37,7 +37,7 @@ from .characters import ExpPolyCharacter, single_root_character
 from .densepoly import index_poly, pdeg, pshift
 from .errors import HypothesisViolation, SearchExhausted, ZeroLambda, ZeroVector
 from .faulhaber import faulhaber
-from .laurent import ONE_POLY, LaurentPoly, linear_factor, taylor
+from .laurent import LaurentPoly, taylor
 from .scalars import ONE, Scalar, json_field, json_list, json_map, sc
 from .sparse import SparseVector, accumulate, add_term, bilinear
 from .virasoro import VirElement, theta
@@ -121,22 +121,24 @@ class InducedModule:
         self.p = p
         self.r = pdeg(p)
         self.top = n + self.r  # mu kills t^j f^(top+1)
-        self.f = linear_factor(lam)
-        self._fpow = {0: ONE_POLY, 1: self.f}
-        # mu(f^(n+k)) for k <= r, through f^k = sum_i C(k, i) (-lam)^(k-i) t^i;
+        self._fpow = {}
+        # mu(f^(n+k)) for k <= r, the terms t^i of f^k against mu(t^i f^n);
         # mu kills t^j f^(n+r+1), so the generator needs no higher k
         self._mu_fpow = []
         for k in range(self.r + 1):
-            terms = (comb(k, i) * (-lam) ** (k - i) * mu.value_power(i, n) for i in range(k + 1))
+            terms = (c * mu.value_power(i, n) for i, c in self.fpow(k).terms.items())
             self._mu_fpow.append(sum(terms, Scalar(0)))
         self._act_cache = {}
         self._lmul_cache = {}
         self.zero_index = (0,) * n
 
     def fpow(self, k: int) -> LaurentPoly:
-        if k not in self._fpow:
-            self._fpow[k] = self.f**k
-        return self._fpow[k]
+        """f^k = sum_i C(k, i) (-lambda)^(k-i) t^i, written out and kept per k."""
+        hit = self._fpow.get(k)
+        if hit is None:
+            terms = {i: comb(k, i) * (-self.lam) ** (k - i) for i in range(k + 1)}
+            hit = self._fpow[k] = LaurentPoly.adopt(terms)
+        return hit
 
     def basis(self, s) -> ModuleElement:
         return self.check(ModuleElement.basis(s))
@@ -334,12 +336,13 @@ def bracket_action_oracle(mu: ExpPolyCharacter, j: int, m: int, s) -> ModuleElem
 REDUCE_MAX_STEPS = 64  # bound on the descent; each step lowers the leading index
 
 
-def descent_power(mu: ExpPolyCharacter, s) -> tuple:
-    """(m, target) of one descent step from the nonzero index s.
+def descent_power(eng: InducedModule, s) -> tuple:
+    """(m, target) of one descent step from the nonzero index s of the engine's module.
 
     With l = ell(s): m = n+r+1-l and target D(s) when l > 0, and m = n+r+s_0
-    and target Dt(s) when l = 0.  Raises HypothesisViolation unless mu is a
-    nonzero character with r >= n-2.
+    and target Dt(s) when l = 0.  Raises HypothesisViolation unless the
+    character is nonzero of degree r >= n-2, that is r >= max(n-2, 0): the
+    zero character is the one of degree -1.
 
     Why the shift j = 0 lowers the leading index to the target: by the
     closed forms (``closed_form_bracket``) the target's coefficient in
@@ -352,9 +355,8 @@ def descent_power(mu: ExpPolyCharacter, s) -> tuple:
     and 1 - m = 1 - n - r <= -1 (n >= 2 and r >= 0 when l = 1).  So no
     coefficient vanishes, at any j.
     """
-    _, n, p = mu.root_data()
-    r = pdeg(p)
-    if r < n - 2 or mu.is_zero_map():
+    n, r = eng.n, eng.r
+    if r < max(n - 2, 0):
         raise HypothesisViolation("the descent needs a nonzero character of degree >= n-2")
     l = ell(s)
     if l > 0:
@@ -376,8 +378,8 @@ def reduce_step(mu: ExpPolyCharacter, v: ModuleElement):
     lead = v.leading_index()
     if not any(lead):
         raise HypothesisViolation("vector is already in the span of the generator")
-    m, target = descent_power(mu, lead)
     eng = get_engine(mu)
+    m, target = descent_power(eng, lead)
     w = eng.act_fpow(m, v)
     if m <= eng.top:
         accumulate(w.terms, v.terms, -eng._mu_fpow[m - eng.n])

@@ -80,10 +80,6 @@ class TailModuleSpec:
             raise ValueError(f"e_{j} is not in b_{self.m}")
         return self.window.get(j, ZERO)
 
-    def support_top(self) -> int:
-        """Largest index the character may be nonzero at (window end)."""
-        return 2 * self.m
-
     def to_json(self):
         out = {"type": self.kind}
         if self.kind == "trivial":
@@ -235,7 +231,7 @@ def ann_bound(spec: TailModuleSpec, v) -> int:
     """
     if spec.is_trivial():
         return 0
-    base = max(spec.m, spec.support_top() + 1, 0)
+    base = max(2 * spec.m + 1, 0)  # past the window end 2m; 2m + 1 >= m as m >= -1
     worst = 0
     for mono in v:
         neg = sum(-j for j in mono if j < 0)

@@ -18,7 +18,6 @@ touches nothing else.
 from __future__ import annotations
 
 from .characters import ExpPolyCharacter, RestrictedCharacter, check_degree, compose, decompose
-from .densepoly import pdeg
 from .errors import DepthTooSmall, SearchExhausted, VirpolyError
 from .induced import descend, descent_power, descent_steps, get_engine
 from .laurent import ONE_POLY, LaurentPoly, bezout, poly_divmod
@@ -149,15 +148,13 @@ def tensor_act(spec: TensorSpec, x: VirElement, v: TensorElement) -> TensorEleme
 def _annihilation_exponents(spec: TensorSpec, v: TensorElement):
     """Safe per-factor exponents N_i with <f_i^{N_i}> killing slot i of v.
 
-    N_i = n_i + r_i + (largest first coordinate appearing in slot i) + 1
-    makes both the character values and the brackets vanish.
+    N_i = n_i + r_i + (largest first coordinate appearing in slot i) + 1,
+    with n_i + r_i the engine's ``top``, makes both the character values and
+    the brackets vanish.
     """
-    out = []
-    for i, mu in enumerate(spec.factors):
-        _, n, p = mu.root_data()
-        s0max = max((key[i][0] for key in v.terms), default=0)
-        out.append(n + pdeg(p) + s0max + 1)
-    return out
+    return [
+        eng.top + max((key[i][0] for key in v.terms), default=0) + 1 for i, eng in enumerate(spec.engines)
+    ]
 
 
 def _lift(a: LaurentPoly, A: LaurentPoly, B: LaurentPoly) -> LaurentPoly:
@@ -208,8 +205,7 @@ def cyclic_reduce(spec: TensorSpec, w: TensorElement):
     def step(cur):
         lead_parts = max(cur.terms)[:-1]
         i0 = next(i for i, p in enumerate(lead_parts) if any(p))
-        mu = spec.factors[i0]
-        m, target = descent_power(mu, lead_parts[i0])
+        m, target = descent_power(engines[i0], lead_parts[i0])
         exps = _annihilation_exponents(spec, cur)
         F_lead = engines[i0].fpow(max(exps[i0], m + 1))
         F_hat = ONE_POLY
@@ -218,7 +214,7 @@ def cyclic_reduce(spec: TensorSpec, w: TensorElement):
                 F_hat = F_hat * eng.fpow(exps[i])
         L = ann_bound(spec.tail, [key[-1] for key in cur.terms])
         op = _lift(engines[i0].fpow(m), F_lead, F_hat).shift(L)
-        w2 = tensor_act(spec, VirElement(op), cur) - cur * mu.value_power(L, m)
+        w2 = tensor_act(spec, VirElement(op), cur) - cur * spec.factors[i0].value_power(L, m)
         want = lead_parts[:i0] + (target,) + lead_parts[i0 + 1 :]
         if w2.is_zero() or max(w2.terms)[:-1] != want:
             raise SearchExhausted(f"the step at j = {L} did not lower slot {i0} to {list(target)}")
@@ -237,16 +233,15 @@ def simplicity_verdict(spec: TensorSpec, kac_level: int = 20) -> dict:
     factors = []
     all_large = True
     zero_linear = False
-    for mu in spec.factors:
-        lam, n, p = mu.root_data()
-        r = pdeg(p)
+    for eng in spec.engines:
+        n, r = eng.n, eng.r
         large = r >= n - 2
         flag = n == 1 and r == -1
         zero_linear = zero_linear or flag
         all_large = all_large and large
         factors.append(
             {
-                "lambda": lam.to_json(),
+                "lambda": eng.lam.to_json(),
                 "n": n,
                 "degree": r,
                 "large_degree": large,
@@ -312,7 +307,8 @@ def iso_decide(a: TensorSpec, b: TensorSpec, kac_level: int = 20) -> dict:
     sides are isomorphic iff the factor multisets match exactly (root,
     multiplicity, polynomial) after a permutation and the tails agree within
     the built-in families (equal parameters); cross-family tails are
-    reported as non-isomorphic.
+    reported as non-isomorphic.  The reported "permutation" maps a to b:
+    its entry i is the index in b of a's factor i.
     """
     simple = [simplicity_verdict(spec, kac_level) for spec in (a, b)]
     scanned = [
@@ -332,21 +328,13 @@ def iso_decide(a: TensorSpec, b: TensorSpec, kac_level: int = 20) -> dict:
         return {"isomorphic": False, "reason": "simplicity differs"}
     if len(a.factors) != len(b.factors):
         return {"isomorphic": False, "reason": "different factor counts"}
-    remaining = list(range(len(b.factors)))
-    perm = []
-    for mu in a.factors:
-        found = None
-        for idx in remaining:
-            if b.factors[idx] == mu:
-                found = idx
-                break
-        if found is None:
-            return {"isomorphic": False, "reason": "factor data differ"}
-        remaining.remove(found)
-        perm.append(found)
+    # the roots of a spec are pairwise distinct, so are its factors, and
+    # equal sets of as many factors match one to one
+    if set(a.factors) != set(b.factors):
+        return {"isomorphic": False, "reason": "factor data differ"}
     if a.tail != b.tail:
         return {"isomorphic": False, "reason": "tail parameters differ"}
-    return {"isomorphic": True, "permutation": perm}
+    return {"isomorphic": True, "permutation": [b.factors.index(mu) for mu in a.factors]}
 
 
 # -- slice verification of the induction isomorphisms ----------------------------
@@ -544,10 +532,11 @@ def general_tensor_map(source, depth: int, kind: str = "polynomial") -> dict:
         it is zero at N consecutive j.  N is the degree of the generator's
         annihilator prod_i f_i^(N_i), the recurrence's characteristic
         polynomial: ``_annihilation_exponents`` gives N_i = n_i + r_i + 1 on
-        the zero slots, from the root data alone.  The polynomial kind checks j in
-        [0, N).  The restricted kind checks the tail's window [m, 2m] point
-        by point and [2m + 1, 2m + N] above it, where psi is zero and the
-        value is the tail character's, of order at most sum_i n_i.
+        the zero slots, from the engines' ``top`` alone.  The polynomial
+        kind checks j in [0, N).  The restricted kind checks the tail's
+        window [m, 2m] point by point and [2m + 1, 2m + N] above it, where
+        psi is zero and the value is the tail character's, of order at most
+        sum_i n_i.
       * injectivity at the given depth: the rank of all word images over a
         letter alphabet in the tensor realization equals the abstract slice
         dimension counted from PBW filtration dimensions alone.

@@ -35,13 +35,10 @@ from .tensor import counted_slice, general_tensor_map
 from .virasoro import codim1_closure_check
 
 
-def _indices(n: int, top: int, min_ell=None):
+def _indices(n: int, top: int):
     """Nonzero multi-indices of length n and weight <= top."""
-    ranges = [range(top + 1)] * n
-    for s in product(*ranges):
+    for s in product(*[range(top + 1)] * n):
         if 0 < sum(s) <= top:
-            if min_ell is not None and ell(s) < min_ell:
-                continue
             yield s
 
 
@@ -50,13 +47,13 @@ def _grid_character(lam, n: int, r: int):
     return single_root_character(lam, n, [sc(1)] * (r + 1))
 
 
-def _grid(nmax: int, n_min: int):
-    """The suites' character grid: (n, r, lam, mu, where) for n_min <= n <= nmax,
+def _grid(nmax: int):
+    """The suites' character grid: (n, r, mu, where) for 1 <= n <= nmax,
     -1 <= r < n and lam in {1, 2}, with ``where`` the case's {"n", "r", "lambda"}."""
-    for n in range(n_min, nmax + 1):
+    for n in range(1, nmax + 1):
         for r in range(-1, n):
             for lam in (1, 2):
-                yield n, r, lam, _grid_character(lam, n, r), {"n": n, "r": r, "lambda": str(sc(lam))}
+                yield n, r, _grid_character(lam, n, r), {"n": n, "r": r, "lambda": str(sc(lam))}
 
 
 class _Recorder:
@@ -87,44 +84,51 @@ class _Recorder:
         return self.report
 
 
+def _bracket_grid(name: str, nmax: int, keep, powers):
+    """The bracket suites' recorder and cases (n, r, mu, s, m, j, where): the
+    characters of ``_grid``, the indices s of weight <= 3 that ``keep(s)``
+    admits, the m in ``powers(n, r, s)`` and -3 <= j <= 3."""
+    rec = _Recorder(name, {"nmax": nmax, "lambdas": ["1", "2"], "j": [-3, 3], "weight_max": 3})
+
+    def cases():
+        for n, r, mu, where in _grid(nmax):
+            for s in filter(keep, _indices(n, 3)):
+                for m in powers(n, r, s):
+                    for j in range(-3, 4):
+                        yield n, r, mu, s, m, j, {**where, "s": list(s), "j": j, "m": m}
+
+    return rec, cases()
+
+
 def suite_rep_root_power_comp1(nmax: int = 3, **_kw):
-    rec = _Recorder(
+    rec, cases = _bracket_grid(
         "repRootPowerComp1",
-        {"nmax": nmax, "lambdas": ["1", "2"], "j": [-3, 3], "weight_max": 3},
+        nmax,
+        lambda s: ell(s) >= 1,
+        lambda n, r, s: range(max(n, n + r + 1 - ell(s)), n + r + 3),
     )
-    for n, r, _lam, mu, where in _grid(nmax, 2):
-        for s in _indices(n, 3, min_ell=1):
-            m_lo = max(n, n + r + 1 - ell(s))
-            for m in range(m_lo, n + r + 3):
-                for j in range(-3, 4):
-                    ok = closed_form_bracket(mu, j, m, s) == bracket_action_oracle(mu, j, m, s)
-                    rec.record(ok, {**where, "s": list(s), "j": j, "m": m})
+    for _n, _r, mu, s, m, j, where in cases:
+        rec.record(closed_form_bracket(mu, j, m, s) == bracket_action_oracle(mu, j, m, s), where)
     return rec.done()
 
 
 def suite_rep_root_power_comp3(nmax: int = 3, **_kw):
-    rec = _Recorder(
+    # ell(s) = 0; the equality case m = n + r + s_0 needs mu != 0
+    rec, cases = _bracket_grid(
         "repRootPowerComp3",
-        {"nmax": nmax, "lambdas": ["1", "2"], "j": [-3, 3], "weight_max": 3},
+        nmax,
+        lambda s: s[0] > 0,
+        lambda n, r, s: range(n + r + s[0] + (r < 0), n + r + s[0] + 3),
     )
     control = 0
-    for n, r, _lam, mu, where in _grid(nmax, 1):
-        for s in _indices(n, 3):
-            if ell(s) != 0:
-                continue
-            m_eq = n + r + s[0]
-            for m in range(m_eq, m_eq + 3):
-                if m == m_eq and r < 0:
-                    continue  # the equality closed form needs mu != 0
-                for j in range(-3, 4):
-                    closed = closed_form_bracket(mu, j, m, s)
-                    oracle = bracket_action_oracle(mu, j, m, s)
-                    ok = closed == oracle
-                    rec.record(ok, {**where, "s": list(s), "j": j, "m": m})
-                    if ok and m == m_eq and s[0] != r:
-                        alt = closed_form_bracket(mu, j, m, s, literal_denominator=True)
-                        if alt != oracle:
-                            control += 1
+    for n, r, mu, s, m, j, where in cases:
+        closed = closed_form_bracket(mu, j, m, s)
+        oracle = bracket_action_oracle(mu, j, m, s)
+        ok = closed == oracle
+        rec.record(ok, where)
+        if ok and m == n + r + s[0] and s[0] != r:
+            if closed_form_bracket(mu, j, m, s, literal_denominator=True) != oracle:
+                control += 1
     report = rec.done()
     # the (n+s_0)! reading of the ambiguous factorial must disagree somewhere
     report["negative_control_mismatches"] = control
@@ -135,17 +139,15 @@ def suite_rep_root_power_comp3(nmax: int = 3, **_kw):
 
 
 def suite_brack_tuple_size(nmax: int = 3, **_kw):
-    rec = _Recorder(
+    rec, cases = _bracket_grid(
         "brack-tupleSize",
-        {"nmax": nmax, "lambdas": ["1", "2"], "j": [-3, 3], "weight_max": 3},
+        nmax,
+        lambda s: True,
+        lambda n, r, s: range(n + s[0], n + s[0] + 3),
     )
-    for n, r, _lam, mu, where in _grid(nmax, 1):
-        for s in _indices(n, 3):
-            for m in range(n + s[0], n + s[0] + 3):
-                for j in range(-3, 4):
-                    out = bracket_action_oracle(mu, j, m, s)
-                    ok = all(sum(idx) < sum(s) for idx in out.terms)
-                    rec.record(ok, {**where, "s": list(s), "j": j, "m": m})
+    for _n, _r, mu, s, m, j, where in cases:
+        out = bracket_action_oracle(mu, j, m, s)
+        rec.record(all(sum(idx) < sum(s) for idx in out.terms), where)
     return rec.done()
 
 
@@ -156,7 +158,7 @@ def suite_reducedegree(nmax: int = 3, **_kw):
         "reducedegree",
         {"nmax": nmax, "lambdas": ["1", "2"], "weight_max": 3, "j_window": 16},
     )
-    for n, r, _lam, mu, where in _grid(nmax, 1):
+    for n, r, mu, where in _grid(nmax):
         if r < max(n - 2, 0):
             continue  # the descent needs a nonzero character of degree >= n-2
         eng = get_engine(mu)
@@ -198,7 +200,7 @@ def suite_faulhaber(**_kw):
 
 def suite_degreehom(nmax: int = 3, **_kw):
     rec = _Recorder("degreehom", {"nmax": nmax, "lambdas": ["1", "2"], "j": [-3, 3]})
-    for n, r, _lam, mu, where in _grid(nmax, 1):
+    for n, r, mu, where in _grid(nmax):
         eng = get_engine(mu)
         for m in range(n, n + r + 3):
             ok = pdeg(mu.power_poly(m)) == max(n + r - m, -1)

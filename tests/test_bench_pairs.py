@@ -139,10 +139,14 @@ def test_work_counts_repeat_and_see_a_planted_call(tmp_path):
     oracle = first["functions"]["induced.bracket_action_oracle"]
     assert first["failed"] == 0 and first["ops"] > oracle > 0
     assert first["calls"] == sum(first["functions"].values())
+    assert first["comprehension_frames"] == sum(first["comprehensions"].values())
+    assert not any(name.endswith(bench_pairs.COMPREHENSIONS) for name in first["functions"])
     # wrap the oracle the benchmark calls in one that makes one more call
-    with open(tree / "src" / "virpoly" / "induced.py", "a") as fh:
-        fh.write("\n\ndef _planted():\n    pass\n\n\n_oracle = bracket_action_oracle\n\n\n"
-                 "def bracket_action_oracle(mu, j, m, s):\n    _planted()\n    return _oracle(mu, j, m, s)\n")
+    induced = tree / "src" / "virpoly" / "induced.py"
+    source = induced.read_text()
+    wrapper = ("\n\ndef _planted():\n    pass\n\n\n_oracle = bracket_action_oracle\n\n\n"
+               "def bracket_action_oracle(mu, j, m, s):\n    _planted()\n{}    return _oracle(mu, j, m, s)\n")
+    induced.write_text(source + wrapper.format(""))
     planted = bench_pairs.count_calls(tree, "oracle-grid", 1, 1)
     assert planted["functions"]["induced._planted"] == oracle
     assert planted["functions"]["induced.bracket_action_oracle"] == 2 * oracle
@@ -153,3 +157,16 @@ def test_work_counts_repeat_and_see_a_planted_call(tmp_path):
     assert row["ratio"] == planted["calls"] / first["calls"]
     assert row["moved_per_op"] == {"induced.bracket_action_oracle": oracle / first["ops"],
                                    "induced._planted": oracle / first["ops"]}
+    assert planted["comprehensions"] == first["comprehensions"]
+    # a comprehension in the wrapper moves the comprehension frames alone
+    induced.write_text(source + wrapper.format("    [x for x in ()]\n"))
+    spelled = bench_pairs.count_calls(tree, "oracle-grid", 1, 1)
+    for key in ("ops", "calls", "functions", "accumulate_terms"):
+        assert spelled[key] == planted[key], key
+    listcomp = "induced.bracket_action_oracle.<locals>.<listcomp>"
+    assert spelled["comprehensions"] == {**planted["comprehensions"], listcomp: oracle}
+    assert spelled["comprehension_frames"] == planted["comprehension_frames"] + oracle
+    row = bench_pairs.compare_work(planted, spelled)
+    assert row["ratio"] == 1 and row["moved_per_op"] == {}
+    frames = row["comprehension_frames_per_op"]
+    assert frames["change"] - frames["parent"] == pytest.approx(oracle / first["ops"])

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import importlib
 import json
+import random
 import re
 import subprocess
 import sys
@@ -887,3 +888,95 @@ def test_verify_report_is_pinned(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_REPORT_SHA256
+
+
+# One valid spec per command that reads a spec, each valid under Q and Qi.
+FUZZ_SPECS = {
+    "bracket": {"kind": "vir", "a": {"e": {"2": "1"}, "z": "1/2"}, "b": {"e": {"-2": "3"}}},
+    "act": {
+        "character": {"factors": [{"lambda": "2", "n": 2, "p": ["1", "1/3"]}]},
+        "element": {"laurent": {"1": "1", "-1": "2"}},
+        "vector": {"terms": [{"s": [1, 1], "c": "1"}]},
+    },
+    "char-validate": {"character": {"factors": [{"lambda": "3/5", "n": 2, "p": ["0", "1"]}]}, "range": [-3, 3]},
+    "char-split": {
+        "character": {
+            "factors": [{"lambda": "1", "n": 1, "p": ["9"]}],
+            "restriction": {"m": 1, "window": {"1": "4", "2": "1"}, "z": "7"},
+        }
+    },
+    "char-decompose": {
+        "character": {"factors": [{"lambda": "1", "n": 1, "p": ["3"]}, {"lambda": "2", "n": 2, "p": ["5", "1"]}]}
+    },
+    "reduce": {
+        "character": {"factors": [{"lambda": "2", "n": 2, "p": ["1", "1"]}]},
+        "vector": {"terms": [{"s": [1, 2], "c": "1"}, {"s": [0, 1], "c": "-2"}]},
+    },
+    "simplicity": {"factors": [{"lambda": "1", "n": 1, "p": ["1"]}], "tail": {"type": "verma", "c": "1/2", "h": "1/16"}},
+    "iso": {
+        "a": {"factors": [{"lambda": "1", "n": 1, "p": ["1"]}, {"lambda": "2", "n": 2, "p": ["0", "1"]}]},
+        "b": {"factors": [{"lambda": "2", "n": 2, "p": ["0", "1"]}, {"lambda": "1", "n": 1, "p": ["1"]}]},
+    },
+    "tensor-map": {"kind": "polynomial", "factors": [{"lambda": "1", "n": 1, "p": ["1"]}, {"lambda": "-1", "n": 1, "p": ["2"]}]},
+}
+FUZZ_VALUES = (
+    None, True, 0, 1, -1, 2, 3, 10**9, 1.5, "", "x", "0", "1", "-2", "3/5", "1/0", "1e3", " 1",
+    [], {}, [1], ["1"], {"re": "1", "im": "1"}, {"re": "1/2"}, {"im": "1", "x": "1"},
+)
+FUZZ_KEYS = ("0", "-1", "3", "01", "x", "kind", "m", "terms")
+
+
+def _fuzz(rng, node):
+    """node with one seeded mutation somewhere inside it: a key dropped,
+    added or renamed, a list entry dropped or repeated, or a value replaced."""
+    if isinstance(node, dict) and node:
+        key = rng.choice(sorted(node))
+        out = dict(node)
+        op = rng.randrange(5)
+        if op == 0:
+            del out[key]
+        elif op == 1:
+            out[rng.choice(FUZZ_KEYS)] = rng.choice(FUZZ_VALUES)
+        elif op == 2:
+            out[rng.choice(FUZZ_KEYS)] = out.pop(key)
+        else:
+            out[key] = _fuzz(rng, node[key])
+        return out
+    if isinstance(node, list) and node:
+        i = rng.randrange(len(node))
+        op = rng.randrange(4)
+        if op == 0:
+            return node[:i] + node[i + 1 :]
+        if op == 1:
+            return node[: i + 1] + node[i:]
+        return node[:i] + [_fuzz(rng, node[i])] + node[i + 1 :]
+    return rng.choice(FUZZ_VALUES)
+
+
+def test_fuzzed_specs_exit_cleanly(tmp_path, capsys):
+    # seeded mutations of one valid spec per command, run in process under
+    # both fields: every request exits 0, 1 or 2 with no exception escaping
+    # main, and a refused one says why in one line
+    path = tmp_path / "fuzz.json"
+    codes = []
+    start = time.perf_counter()
+    for seed in range(1, 9):
+        rng = random.Random(seed)
+        for command, valid in FUZZ_SPECS.items():
+            for mutated in [valid] + [_fuzz(rng, valid) for _ in range(16)]:
+                path.write_text(json.dumps(mutated))
+                for field in ("Q", "Qi"):
+                    try:
+                        code = main([command, "--spec", str(path), "--field", field])
+                    except (Exception, SystemExit) as exc:
+                        pytest.fail(f"{command} --field {field} on {mutated!r} raised {exc!r}")
+                    err = capsys.readouterr().err
+                    assert code in (0, 1, 2), (command, field, mutated)
+                    if code == 2:
+                        assert len(err.splitlines()) == 1 and err.endswith("\n"), (command, field, mutated, err)
+                    if mutated is valid:
+                        assert code == 0, (command, field)
+                    codes.append(code)
+    # the mutations reach past the parser: many are answered, many refused
+    assert min(codes.count(0), codes.count(2)) > len(codes) // 4
+    assert time.perf_counter() - start < 4.0

@@ -26,7 +26,7 @@ from virpoly.induced import (
     reduce_to_generator,
     _omega_equivariant,
 )
-from virpoly.laurent import LaurentPoly, taylor
+from virpoly.laurent import LaurentPoly, linear_factor, taylor
 from virpoly.scalars import Scalar, sc
 from virpoly.sparse import bilinear
 from virpoly.virasoro import VirElement, vir_bracket
@@ -67,18 +67,26 @@ class TestActLaurent:
                 want = ModuleElement({(1,): lam**k, (0,): sc(k) * lam ** (k - 1) * mu0})
                 assert got == want
 
-    @pytest.mark.parametrize("lam", [sc(2), Scalar(1, 1), sc("1/2")], ids=["2", "1+i", "1/2"])
+    @pytest.mark.parametrize(
+        "lam",
+        [sc(2), Scalar(1, 1), sc("1/2"), sc("3/5"), Scalar(2, 1), Scalar(1, -1)],
+        ids=["2", "1+i", "1/2", "3/5", "2+i", "1-i"],
+    )
     def test_generator_column_is_the_taylor_data(self, lam):
         # t^k on the generator against laurent.taylor of t^k at lam, for every
         # degree r of the character (r = -1 is the zero map): the first n
         # coefficients bump the directions, and mu eats the rest through
-        # mu(f^(n+i)), which the engine expands by binomials and this test
-        # reads from the derived powers
+        # mu(f^(n+i)), which the engine sums over the binomial terms of f^i
+        # and this test reads from the derived powers.  f^k itself, written
+        # out, is checked against square-and-multiply of t - lam.
+        powers = [linear_factor(lam) ** k for k in range(9)]
         for n in range(1, 4):
             zero = (0,) * n
             for r in range(-1, n):
                 mu = single_root_character(lam, n, [d + 2 for d in range(r + 1)])
                 eng = InducedModule(mu)
+                assert [eng.fpow(k) for k in range(9)] == powers
+                assert eng._mu_fpow == [mu.value_power(0, n + k) for k in range(r + 1)]
                 for k in range(-12, 13):
                     a = taylor(t(k), lam, n + r + 1)
                     want = {zero[:i] + (1,) + zero[i + 1 :]: c for i, c in enumerate(a[:n]) if not c.is_zero()}
@@ -364,12 +372,12 @@ class TestDescentPower:
         ],
     )
     def test_power_and_target(self, n, p, s, m, target):
-        assert descent_power(single_root_character(2, n, p), s) == (m, target)
+        assert descent_power(get_engine(single_root_character(2, n, p)), s) == (m, target)
 
     @pytest.mark.parametrize("n, p", [(3, [1]), (1, [])])  # r = n-3; the zero character
     def test_hypotheses(self, n, p):
         with pytest.raises(HypothesisViolation):
-            descent_power(single_root_character(2, n, p), (1,) + (0,) * (n - 1))
+            descent_power(get_engine(single_root_character(2, n, p)), (1,) + (0,) * (n - 1))
 
 
 class TestReduceStep:
@@ -400,7 +408,7 @@ class TestReduceStep:
         v = get_engine(mu).basis((0, 1))
         assert reduce_step(mu, v)[0] == (0, 3)
         real = induced.descent_power
-        monkeypatch.setattr(induced, "descent_power", lambda mu, s: (real(mu, s)[0] + 1, real(mu, s)[1]))
+        monkeypatch.setattr(induced, "descent_power", lambda eng, s: (real(eng, s)[0] + 1, real(eng, s)[1]))
         with pytest.raises(SearchExhausted):
             reduce_step(mu, v)
 
@@ -459,7 +467,7 @@ class TestReduceStep:
                 v = eng.basis(s) + eng.basis((0,) * (n - 1) + (1,)) * sc(-2)
                 trace, cur = [], v
                 while any(max(cur.terms)):
-                    m, _ = descent_power(mu, max(cur.terms))
+                    m, _ = descent_power(eng, max(cur.terms))
                     want = eng.act_fpow(m, cur) - cur * mu.value_power(0, m)
                     op, got = reduce_step(mu, cur)
                     assert op == (0, m) and got == want

@@ -473,7 +473,7 @@ class TestCyclicReduce:
         # negative control: one power too high kills the target's coefficient
         spec, w = self._two_roots()
         real = tensor.descent_power
-        monkeypatch.setattr(tensor, "descent_power", lambda mu, s: (real(mu, s)[0] + 1, real(mu, s)[1]))
+        monkeypatch.setattr(tensor, "descent_power", lambda eng, s: (real(eng, s)[0] + 1, real(eng, s)[1]))
         with pytest.raises(SearchExhausted):
             cyclic_reduce(spec, w)
 
@@ -619,6 +619,14 @@ class TestIsoDecide:
         b = TensorSpec([ones(2, 2, 1), ones(1, 1, 0)], TailModuleSpec.verma(sc(1), sc(2)))
         rep = iso_decide(a, b)
         assert rep == {"isomorphic": True, "permutation": [1, 0]}
+        # a three-cycle is not its own inverse: entry i is the index in b of
+        # a's factor i, so [2, 0, 1] here, and [1, 2, 0] the other way
+        f = [ones(1, 1, 0), ones(2, 2, 1), single_root_character(3, 3, [1, 2])]
+        a, b = TensorSpec(f), TensorSpec([f[1], f[2], f[0]])
+        rep = iso_decide(a, b)
+        assert rep == {"isomorphic": True, "permutation": [2, 0, 1]}
+        assert [b.factors[i] for i in rep["permutation"]] == list(a.factors)
+        assert iso_decide(b, a)["permutation"] == [1, 2, 0]
 
     def test_decided_only_inside_the_hypotheses(self):
         # one factor of degree 0 below n - 2 = 2 and the degenerate Verma

@@ -31,12 +31,15 @@ the seeded plan, and runs UNITS times the workload's traced unit
 (``TRACE_GROUPS`` groups: a round of ``oracle-grid``, a cycle of
 ``slice-depth``) under ``sys.setprofile``, counting the calls into each
 function under the tree's ``src/virpoly``, generator resumptions included,
-and the terms handed to ``sparse.accumulate``.
-The counts do not depend on the machine's speed, so two runs of one tree
-agree exactly; each count is taken twice and the second must match the
-first.  The summary gives the calls per op on each side, their ratio, and
-the functions whose calls per op moved most.  ``--seconds`` may then be left
-out, and no pairs are timed.
+and the terms handed to ``sparse.accumulate``.  The frames of comprehensions
+and generator expressions (``<listcomp>``, ``<genexpr>``, ``<dictcomp>``,
+``<setcomp>``) are counted apart and left out of the calls, so that a loop
+counts the same however it is spelled.  The counts do not depend on the
+machine's speed, so two runs of one tree agree exactly; each count is taken
+twice and the second must match the first.  The summary gives the calls
+per op on each side, their ratio, the functions whose calls per op moved
+most, and the comprehension frames per op on each side.  ``--seconds`` may
+then be left out, and no pairs are timed.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from collections import Counter
 from pathlib import Path
 
 SIDES = ("parent", "change")
+COMPREHENSIONS = ("<listcomp>", "<genexpr>", "<dictcomp>", "<setcomp>")
 
 
 def seed_list(text: str) -> list:
@@ -149,11 +153,12 @@ def count_here(tree: Path, workload: str, seed: int, units: int) -> dict:
     """Calls into each ``src/virpoly`` function of tree over ``units`` traced units, in this process.
 
     Returns the ops run, the failed ops, the total calls, the calls per
-    function, keyed "module.qualname", and the terms handed to
-    ``sparse.accumulate``, counted by a wrapper bound in place of it in every
-    virpoly module that holds it (a call of the wrapper is not counted).
-    Nothing under ``perfbench/`` is written: the workload's working files go
-    to a temporary directory.
+    function, keyed "module.qualname", the frames of comprehensions and
+    generator expressions, apart from the calls and keyed the same way, and
+    the terms handed to ``sparse.accumulate``, counted by a wrapper bound in
+    place of it in every virpoly module that holds it (a call of the wrapper
+    is not counted).  Nothing under ``perfbench/`` is written: the
+    workload's working files go to a temporary directory.
     """
     sys.path.insert(0, str(tree / "perfbench"))
     import common
@@ -188,12 +193,14 @@ def count_here(tree: Path, workload: str, seed: int, units: int) -> dict:
             res = run.run_pass(module, vp, plan, state, n_groups=units * module.TRACE_GROUPS)
         finally:
             sys.setprofile(None)
-    functions = Counter()
+    functions, comprehensions = Counter(), Counter()
     for code, k in calls.items():
         # co_qualname is Python 3.11's; 3.10 gives the bare name
-        functions[f"{Path(code.co_filename).stem}.{getattr(code, 'co_qualname', code.co_name)}"] += k
+        name = f"{Path(code.co_filename).stem}.{getattr(code, 'co_qualname', code.co_name)}"
+        (comprehensions if code.co_name in COMPREHENSIONS else functions)[name] += k
     return {"ops": res["attempted"], "failed": res["failed"], "calls": sum(functions.values()),
-            "accumulate_terms": terms[0], "functions": dict(sorted(functions.items()))}
+            "comprehension_frames": sum(comprehensions.values()), "accumulate_terms": terms[0],
+            "functions": dict(sorted(functions.items())), "comprehensions": dict(sorted(comprehensions.items()))}
 
 
 def count_calls(tree: Path, workload: str, seed: int, units: int) -> dict:
@@ -209,8 +216,9 @@ TOP_MOVED = 12  # functions listed by ``compare_work``
 
 
 def compare_work(parent: dict, change: dict) -> dict:
-    """Calls and ``accumulate`` terms per op on each side, the ratio of the
-    calls, and the ``TOP_MOVED`` functions whose calls per op moved most."""
+    """Calls, comprehension frames and ``accumulate`` terms per op on each
+    side, the ratio of the calls, and the ``TOP_MOVED`` functions whose calls
+    per op moved most."""
     if parent["ops"] != change["ops"]:
         raise ValueError("the two sides ran different numbers of ops")
     ops = parent["ops"]
@@ -221,6 +229,7 @@ def compare_work(parent: dict, change: dict) -> dict:
     sides = dict(zip(SIDES, (parent, change)))
     return {"ops": ops,
             "calls_per_op": {side: w["calls"] / ops for side, w in sides.items()},
+            "comprehension_frames_per_op": {side: w["comprehension_frames"] / ops for side, w in sides.items()},
             "accumulate_terms_per_op": {side: w["accumulate_terms"] / ops for side, w in sides.items()},
             "ratio": change["calls"] / parent["calls"],
             "moved_per_op": {name: delta[name] for name in moved[:TOP_MOVED]}}
@@ -239,8 +248,10 @@ def work_rows(trees: dict, workload: str, seeds: list, units: int) -> dict:
         rows[str(seed)] = row = compare_work(counts["parent"], counts["change"])
         row.update(counts)
         per_op, added = row["calls_per_op"], row["accumulate_terms_per_op"]
+        frames = row["comprehension_frames_per_op"]
         print(f"{workload:15s} seed {seed}: {row['ops']} ops, calls per op parent "
               f"{per_op['parent']:.1f}  change {per_op['change']:.1f}  ratio {row['ratio']:.4f}; "
+              f"comprehension frames per op parent {frames['parent']:.1f}  change {frames['change']:.1f}; "
               f"accumulate terms per op parent {added['parent']:.1f}  change {added['change']:.1f}",
               flush=True)
         for name, d in row["moved_per_op"].items():
